@@ -1,0 +1,11 @@
+"""Entry point the benchmark driver runs: ``python3 benchmarks/e2e/run.py``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from benchmarks.e2e.cli import main  # noqa: E402
+
+if __name__ == "__main__":
+    sys.exit(main())
