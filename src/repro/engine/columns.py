@@ -9,9 +9,12 @@ columns:
 ``ColumnBatch``
     What travels from a source host to an engine: one flat column per
     attribute (pid, stream index, seq, key, ts) for a whole routed batch,
-    built once at the source.  Uniform tuple sizes and empty payloads — the
-    common case for the paper's benchmarks — collapse to a scalar/``None``
-    instead of a column.
+    built once at the source — on the hot path from the generator's own
+    columns (:meth:`ColumnBatch.from_arrivals`), from rows only where rows
+    already exist (:meth:`ColumnBatch.from_routed`: pause-buffer flush,
+    split/merge re-route, recovery replay).  Uniform tuple sizes and
+    empty payloads — the common case for the paper's benchmarks — collapse
+    to a scalar/``None`` instead of a column.
 
 ``ColumnarPartitionGroup``
     Drop-in replacement for :class:`~repro.engine.partitions.PartitionGroup`
@@ -43,7 +46,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from repro.engine.partitions import GROUP_OVERHEAD_BYTES
-from repro.engine.tuples import JoinResult, StreamTuple
+from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
 
 _OTHERS_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -175,6 +178,60 @@ class ColumnBatch:
             total_size=total,
             segments=segments,
             perm=None if in_order else perm,
+        )
+
+    @classmethod
+    def from_arrivals(cls, batch: ArrivalBatch, groups, sid: int,
+                      streams: tuple[str, ...]) -> "ColumnBatch":
+        """Build a column batch straight from an arrival batch's columns.
+
+        ``groups`` is ``[(pid, row_indices), ...]`` — the rows of ``batch``
+        (stream index ``sid``) routed to one owner, partitions in
+        first-occurrence order, indices ascending.  The result equals
+        :meth:`from_routed` over the same rows in arrival order, without a
+        ``StreamTuple`` ever existing.
+        """
+        if len(groups) == 1:
+            pid, idx = groups[0]
+            n = len(idx)
+            pids = [pid] * n
+            segments = [(pid, 0, n)]
+            perm = None
+        else:
+            idx = []
+            pids = []
+            segments = []
+            in_order = True
+            for pid, rows in groups:
+                start = len(idx)
+                if start and rows[0] < idx[-1]:
+                    in_order = False
+                idx += rows
+                pids += [pid] * len(rows)
+                segments.append((pid, start, len(idx)))
+            n = len(idx)
+            perm = None if in_order else sorted(range(n), key=idx.__getitem__)
+        keys = batch.keys
+        ts = batch.ts
+        seq0 = batch.seq0
+        payloads = batch.payloads
+        if payloads is not None:
+            payloads = [payloads[i] or () for i in idx]
+            if not any(payloads):
+                payloads = None
+        return cls(
+            streams=streams,
+            pids=pids,
+            sids=[sid] * n,
+            seqs=[seq0 + i for i in idx],
+            keys=[keys[i] for i in idx],
+            ts=[ts[i] for i in idx],
+            sizes=None,
+            usize=batch.size,
+            payloads=payloads,
+            total_size=n * batch.size,
+            segments=segments,
+            perm=perm,
         )
 
     def storage_row(self, row: int) -> int:

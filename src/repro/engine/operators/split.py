@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.engine.operators.base import StatelessOperator
-from repro.engine.tuples import StreamTuple
+from repro.engine.tuples import ArrivalBatch, StreamTuple
 
 
 class PartitionMap:
@@ -172,6 +172,42 @@ class Split(StatelessOperator):
             return
         self.outputs_emitted += 1
         yield pid, self.partition_map.owner(pid), item
+
+    def process_columns(self, batch: ArrivalBatch
+                        ) -> list[tuple[int, str, list[int]]]:
+        """Route a whole arrival batch in one pass over its key column.
+
+        The columnar counterpart of calling :meth:`process` per row:
+        returns ``(pid, owner_machine, row_indices)`` per partition in
+        first-occurrence order, row indices ascending.  Rows of partitions
+        that are mid-relocation are materialised into the buffers instead
+        (the only rows of the batch that become ``StreamTuple`` objects
+        here).  Counters advance exactly as the per-row calls would.
+        """
+        n_partitions = self.n_partitions
+        if self._refine:
+            pids = map(self.route, batch.keys)
+        else:
+            pids = [key % n_partitions for key in batch.keys]
+        groups: dict[int, list[int]] = {}
+        for i, pid in enumerate(pids):
+            rows = groups.get(pid)
+            if rows is None:
+                groups[pid] = [i]
+            else:
+                rows.append(i)
+        self.inputs_seen += len(batch)
+        paused = self._paused
+        owner_of = self.partition_map.owner
+        routed: list[tuple[int, str, list[int]]] = []
+        for pid, rows in groups.items():
+            if pid in paused:
+                self._buffers.setdefault(pid, []).extend(map(batch.row, rows))
+                self.buffered_total += len(rows)
+            else:
+                self.outputs_emitted += len(rows)
+                routed.append((pid, owner_of(pid), rows))
+        return routed
 
     # ------------------------------------------------------------------
     # Relocation hooks (driven by the 8-step protocol)

@@ -72,7 +72,8 @@ from repro.recovery.protocol import (
 )
 from repro.engine.operators.split import Split
 from repro.engine.streams import OutputCollector
-from repro.engine.tuples import StreamTuple
+from repro.engine.columns import ColumnBatch
+from repro.engine.tuples import ArrivalBatch, StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.checkpoint import CheckpointManager
@@ -429,8 +430,7 @@ class QueryEngine:
             # ``latency_overhead`` regress budget.
             sids, tss, perm = cb.sids, cb.ts, cb.perm
             names = cb.streams
-            n_present = len(set(sids))  # C speed
-            if n_present == 1:
+            if sids and sids.count(sids[-1]) == len(sids):  # C speed
                 # sources batch per stream, so this is the common case:
                 # the frontier is just the arrival-order last row
                 row = perm[-1] if perm is not None else -1
@@ -439,6 +439,7 @@ class QueryEngine:
                     self._lat.advance_one(names[sids[row]], tss[row]),
                 )
             else:
+                n_present = len(set(sids))
                 seen: dict[int, float] = {}
                 rows = (
                     range(len(sids) - 1, -1, -1)
@@ -1174,7 +1175,8 @@ class SourceHost:
         self.record_inputs = record_inputs
         #: ``columnar`` forwards routed batches as structure-of-arrays
         #: :class:`~repro.engine.columns.ColumnBatch` messages, built once
-        #: here at the source; other paths ship ``(pid, tuple)`` lists.
+        #: here at the source (from the arrival columns where it can);
+        #: other paths ship ``(pid, tuple)`` lists.
         self.data_path = data_path
         #: join input order — the stream-index space of column batches
         self._stream_order = tuple(splits)
@@ -1201,40 +1203,83 @@ class SourceHost:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def inject(self, stream: str, batch: list[StreamTuple]) -> None:
-        """Entry point for the stream sources (local call on this machine)."""
+    def inject(self, stream: str, batch) -> None:
+        """Entry point for the stream sources (local call on this machine).
+
+        ``batch`` is a sized iterable of tuples — a stream source's
+        :class:`~repro.engine.tuples.ArrivalBatch` or a plain list.  On the
+        columnar data path an arrival batch of a stream without a transform
+        chain is routed and segmented as columns (no ``StreamTuple`` is
+        built for a row unless it is buffered, logged for replay or
+        recorded); everything else takes the row path.  Simulated cost and
+        messages are the same either way.
+        """
         split = self.splits[stream]
         chain = self.transforms.get(stream, ())
+        columns = (
+            self.data_path == "columnar"
+            and not chain
+            and isinstance(batch, ArrivalBatch)
+        )
 
         def begin():
-            transformed: list[StreamTuple] = []
-            for tup in batch:
-                items = [tup]
-                for op in chain:
-                    nxt = []
-                    for item in items:
-                        nxt.extend(op.process(item))
-                    items = nxt
-                transformed.extend(items)
-            self.tuples_dropped += len(batch) - len(transformed)
-            if self.record_inputs:
-                # record what the join actually sees (post-transform)
-                self.inputs.extend(transformed)
-            routed: list[tuple[str, int, StreamTuple]] = []
-            for tup in transformed:
-                for pid, owner, t in split.process(tup):
-                    routed.append((owner, pid, t))
-            self.tuples_routed += len(transformed)
+            if columns:
+                if self.record_inputs:
+                    self.inputs.extend(batch)
+                groups = split.process_columns(batch)
+                self.tuples_routed += len(batch)
+
+                def finish() -> None:
+                    self._forward_columns(batch, groups)
+
+            else:
+                if chain:
+                    transformed: list[StreamTuple] = []
+                    for tup in batch:
+                        items = [tup]
+                        for op in chain:
+                            nxt = []
+                            for item in items:
+                                nxt.extend(op.process(item))
+                            items = nxt
+                        transformed.extend(items)
+                    self.tuples_dropped += len(batch) - len(transformed)
+                else:
+                    transformed = batch
+                if self.record_inputs:
+                    # record what the join actually sees (post-transform)
+                    self.inputs.extend(transformed)
+                routed: list[tuple[str, int, StreamTuple]] = []
+                for tup in transformed:
+                    for pid, owner, t in split.process(tup):
+                        routed.append((owner, pid, t))
+                self.tuples_routed += len(transformed)
+
+                def finish() -> None:
+                    self._forward(routed)
+
             duration = len(batch) * (
                 self.cost.route_cost + len(chain) * self.cost.stateless_cost
             )
-
-            def finish() -> None:
-                self._forward(routed)
-
             return duration, finish
 
         self.machine.submit(DynamicTask(begin, label=f"split:{stream}"))
+
+    def _forward_columns(
+        self, batch: ArrivalBatch, groups: list[tuple[int, str, list[int]]]
+    ) -> None:
+        """Forward the routed rows of an arrival batch, one column batch
+        per owner — :meth:`_forward` without the rows."""
+        if self.keep_replay_log:
+            for pid, __, rows in groups:
+                self._replay_log.setdefault(pid, []).extend(map(batch.row, rows))
+        by_owner: dict[str, list[tuple[int, list[int]]]] = {}
+        for pid, owner, rows in groups:
+            by_owner.setdefault(owner, []).append((pid, rows))
+        sid = self._stream_order.index(batch.stream)
+        for owner, owned in by_owner.items():
+            cb = ColumnBatch.from_arrivals(batch, owned, sid, self._stream_order)
+            self.network.send(self.name, owner, "column_batch", cb, cb.total_size)
 
     def _forward(
         self, routed: list[tuple[str, int, StreamTuple]], *, record: bool = True
@@ -1246,8 +1291,6 @@ class SourceHost:
         for owner, pid, tup in routed:
             by_owner.setdefault(owner, []).append((pid, tup))
         if self.data_path == "columnar":
-            from repro.engine.columns import ColumnBatch
-
             for owner, batch in by_owner.items():
                 cb = ColumnBatch.from_routed(batch, self._stream_order)
                 self.network.send(

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.cluster.simulation import Simulator
 from repro.engine.operators.base import Operator
-from repro.engine.tuples import JoinResult, StreamTuple
+from repro.engine.tuples import ArrivalBatch, JoinResult
 from repro.workloads.generator import TupleGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,6 +74,12 @@ class StreamSource:
     whole batch.  With the paper's 30 ms inter-arrival and the default
     batch of 25 this coarsens timing by <1 s — far below the figures'
     sampling interval — while cutting the event count by 25x.
+
+    A batch is an :class:`~repro.engine.tuples.ArrivalBatch` — the
+    generator's columns, unopened; per-tuple objects exist only if the
+    host iterates it.  ``stop_at`` (generator-relative time of the last
+    arrival to deliver) is handed to the generator when the source starts,
+    so it can only be set before :meth:`start`.
     """
 
     def __init__(
@@ -91,9 +97,9 @@ class StreamSource:
         self.generator = generator
         self.host = host
         self.batch_size = batch_size
+        self._batches: Iterator[ArrivalBatch] | None = None
         self.stop_at = stop_at
         self.tuples_sent = 0
-        self._iterator: Iterator[tuple[float, StreamTuple]] | None = None
         self._stopped = False
         #: simulator time at :meth:`start`; generator arrival times (and
         #: ``stop_at``) are relative to it, so a query admitted mid-run by
@@ -105,12 +111,24 @@ class StreamSource:
     def stream(self) -> str:
         return self.generator.stream
 
+    @property
+    def stop_at(self) -> float | None:
+        return self._stop_at
+
+    @stop_at.setter
+    def stop_at(self, value: float | None) -> None:
+        if self._batches is not None and value != self._stop_at:
+            raise RuntimeError("stop_at cannot change once the source started")
+        self._stop_at = value
+
     def start(self) -> None:
         """Begin generating arrivals (idempotent)."""
-        if self._iterator is not None:
+        if self._batches is not None:
             return
         self._t0 = self.sim.now
-        self._iterator = self.generator.arrivals()
+        self._batches = self.generator.batches(
+            self.batch_size, stop_at=self.stop_at
+        )
         self._schedule_next_batch()
 
     def stop(self) -> None:
@@ -118,22 +136,15 @@ class StreamSource:
         self._stopped = True
 
     def _schedule_next_batch(self) -> None:
-        if self._stopped or self._iterator is None:
+        if self._stopped or self._batches is None:
             return
-        batch: list[StreamTuple] = []
-        last_time: float | None = None
-        for __ in range(self.batch_size):
-            time, tup = next(self._iterator)
-            if self.stop_at is not None and time > self.stop_at:
-                self._stopped = True
-                break
-            batch.append(tup)
-            last_time = time
-        if not batch or last_time is None:
+        batch = next(self._batches, None)
+        if batch is None:  # the generator ran into ``stop_at``
+            self._stopped = True
             return
-        self.sim.schedule_at(self._t0 + last_time, self._deliver, batch)
+        self.sim.schedule_at(self._t0 + batch.ts[-1], self._deliver, batch)
 
-    def _deliver(self, batch: list[StreamTuple]) -> None:
+    def _deliver(self, batch: ArrivalBatch) -> None:
         self.tuples_sent += len(batch)
         self.host.inject(self.stream, batch)
         self._schedule_next_batch()

@@ -15,7 +15,7 @@ large-scale benchmarks keep payloads empty and only account their size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 #: Default accounted size of one tuple in bytes.  The paper's experiments
 #: track operator-state volume in MB; what matters for the adaptation logic
@@ -110,6 +110,55 @@ class StreamTuple:
     def ident(self) -> tuple[str, int]:
         """Global identity ``(stream, seq)``."""
         return (self.stream, self.seq)
+
+
+class ArrivalBatch:
+    """Consecutive arrivals of one stream, held as columns.
+
+    What a :class:`~repro.workloads.generator.TupleGenerator` produces and a
+    stream source hands to the split host: row ``i`` is the tuple
+    ``(stream, seq0 + i, keys[i], ts[i], size, payloads[i])``.  ``payloads``
+    is ``None`` when the generator has no payload builder.  The columnar
+    data path routes and segments these columns directly; everything else
+    iterates the batch, which materialises the rows as
+    :class:`StreamTuple` objects on first use (and only then).
+    """
+
+    __slots__ = ("stream", "seq0", "keys", "ts", "size", "payloads", "_rows")
+
+    def __init__(self, stream: str, seq0: int, keys: list[int],
+                 ts: list[float], size: int,
+                 payloads: list[tuple] | None = None) -> None:
+        self.stream = stream
+        self.seq0 = seq0
+        self.keys = keys
+        self.ts = ts
+        self.size = size
+        self.payloads = payloads
+        self._rows: list[StreamTuple] | None = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def row(self, i: int) -> StreamTuple:
+        """The ``i``-th arrival as a :class:`StreamTuple`."""
+        if self._rows is not None:
+            return self._rows[i]
+        payloads = self.payloads
+        return StreamTuple(
+            stream=self.stream,
+            seq=self.seq0 + i,
+            key=self.keys[i],
+            ts=self.ts[i],
+            size=self.size,
+            payload=payloads[i] if payloads is not None else (),
+        )
+
+    def __iter__(self) -> Iterator[StreamTuple]:
+        """All arrivals as :class:`StreamTuple` objects (built once)."""
+        if self._rows is None:
+            self._rows = [self.row(i) for i in range(len(self.keys))]
+        return iter(self._rows)
 
 
 @dataclass(frozen=True, slots=True)

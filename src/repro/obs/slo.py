@@ -94,6 +94,10 @@ CAUSES = ("e2e", "processing", "queueing") + ADAPT_CAUSES
 _MODE_SS = "ss_mode"
 _MODE_SR = "sr_mode"
 
+#: Deferred hot-path entries (3 per batch) an engine tracker holds before
+#: folding them into its sketches: bounds the list at a few KB.
+_FOLD_AT = 3 * 256
+
 
 @dataclass(frozen=True)
 class SLOConfig:
@@ -199,7 +203,7 @@ class EngineTracker:
     __slots__ = (
         "hub", "machine", "labels", "clock", "_sketches", "watermarks",
         "_mode_cause", "_pending", "_cause_sketches", "_s_e2e",
-        "_s_processing", "_s_queueing", "_zero_pad",
+        "_s_processing", "_s_queueing", "_zero_pad", "_fast",
     )
 
     def __init__(
@@ -229,11 +233,38 @@ class EngineTracker:
         #: common no-adaptation batch then costs one integer add instead
         #: of four sketch records
         self._zero_pad = 0
+        #: no-adaptation batches not yet in the sketches, folded on read
+        #: (or every ``_FOLD_AT``): flat ``processing, budget, count``
+        self._fast: list = []
+
+    def _fold(self) -> None:
+        """Record the deferred no-adaptation batches.  Sketch records are
+        integer adds, so folding late changes nothing a reader sees."""
+        fast, self._fast = self._fast, []
+        s_e2e, s_proc, s_queue = self._s_e2e, self._s_processing, self._s_queueing
+        e2e, proc, queue = s_e2e.counts, s_proc.counts, s_queue.counts
+        it = iter(fast)
+        total = 0
+        for processing, budget, count in zip(it, it, it):
+            total += count
+            idx = bisect_right(BUCKET_BOUNDS, processing + budget) - 1
+            e2e[idx] = e2e.get(idx, 0) + count
+            idx = bisect_right(BUCKET_BOUNDS, processing) - 1
+            proc[idx] = proc.get(idx, 0) + count
+            idx = bisect_right(BUCKET_BOUNDS, budget) - 1
+            queue[idx] = queue.get(idx, 0) + count
+        s_e2e.count += total
+        s_proc.count += total
+        s_queue.count += total
+        self._zero_pad += total
 
     @property
     def sketches(self) -> dict[str, LatencySketch]:
-        """Per-cause sketches (flushes the deferred zero-weight pad, so
-        external readers always see cause counts equal to e2e counts)."""
+        """Per-cause sketches (folds the deferred batches and flushes the
+        zero-weight pad, so external readers always see every credited
+        batch, with cause counts equal to e2e counts)."""
+        if self._fast:
+            self._fold()
         if self._zero_pad:
             pad, self._zero_pad = self._zero_pad, 0
             for sketch in self._cause_sketches:
@@ -297,25 +328,13 @@ class EngineTracker:
         if self.clock.any_blocking and budget > 0.0:
             self._observe_one(ts_rep, t_run, credit, emit, count)
             return
-        # Inlined LatencySketch.record x3 + deferred cause zeros: this
-        # runs once per credited batch and is the bulk of the enabled
-        # mode's cost, gated <5% by the ``latency_overhead`` regress row.
-        self._zero_pad += count
-        s = self._s_e2e
-        idx = bisect_right(BUCKET_BOUNDS, processing + budget) - 1
-        c = s.counts
-        c[idx] = c.get(idx, 0) + count
-        s.count += count
-        s = self._s_processing
-        idx = bisect_right(BUCKET_BOUNDS, processing) - 1
-        c = s.counts
-        c[idx] = c.get(idx, 0) + count
-        s.count += count
-        s = self._s_queueing
-        idx = bisect_right(BUCKET_BOUNDS, budget) - 1
-        c = s.counts
-        c[idx] = c.get(idx, 0) + count
-        s.count += count
+        # Deferred LatencySketch.record x3 + cause zeros: this runs once
+        # per credited batch and is the bulk of the enabled mode's cost,
+        # gated <5% by the ``latency_overhead`` regress row.
+        fast = self._fast
+        fast += (processing, budget, count)
+        if len(fast) >= _FOLD_AT:
+            self._fold()
 
     def hold(self, t_run: float, credit: float, results, count: int,
              ts_rep: float) -> None:

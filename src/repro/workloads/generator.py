@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.engine.tuples import DEFAULT_TUPLE_SIZE, StreamTuple
+from repro.engine.tuples import DEFAULT_TUPLE_SIZE, ArrivalBatch, StreamTuple
 from repro.workloads.patterns import LoadPattern, UniformPattern
 
 
@@ -208,13 +209,15 @@ class StreamWorkloadSpec:
 
 
 class TupleGenerator:
-    """Deterministic per-stream tuple iterator.
+    """Deterministic per-stream arrival generator.
 
-    Each call to :meth:`arrivals` yields ``(time, StreamTuple)`` pairs with
-    the stream's fixed interarrival spacing.  Partition choice is weighted
-    by ``base weight x pattern multiplier``; within a partition the join
-    values cycle round-robin through the partition's value pool so the
-    multiplicative factor grows exactly linearly.
+    :meth:`batches` yields the arrivals as column batches;
+    :meth:`arrivals` yields the same sequence as ``(time, StreamTuple)``
+    pairs.  Arrivals have the stream's fixed interarrival spacing.
+    Partition choice is weighted by ``base weight x pattern multiplier``;
+    within a partition the join values cycle round-robin through the
+    partition's value pool so the multiplicative factor grows exactly
+    linearly.
     """
 
     def __init__(self, binding: StreamWorkloadSpec) -> None:
@@ -256,31 +259,68 @@ class TupleGenerator:
                 del self._phase_cache[oldest]
         return cumulative, acc
 
-    def _next_key(self, pid: int) -> int:
-        idx = self._value_cursor[pid]
-        self._value_cursor[pid] = (idx + 1) % self._pool_size[pid]
-        return pid + self.spec.n_partitions * idx
+    def batches(self, batch_size: int, start: float = 0.0,
+                stop_at: float | None = None) -> Iterator[ArrivalBatch]:
+        """Iterator of column batches of ``batch_size`` consecutive arrivals.
+
+        The one place the key/timestamp sequence is defined:
+        :meth:`arrivals` is a row-at-a-time view of it.  With ``stop_at``
+        the iterator ends at the first arrival later than that time; the
+        arrival is still drawn (and counted in :attr:`tuples_generated`)
+        before it is discarded, and the batch cut short by it is yielded
+        unless empty.
+        """
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        spec = self.spec
+        interarrival = spec.interarrival
+        n_partitions = spec.n_partitions
+        phase_of = spec.pattern.phase
+        rng = self._rng
+        rand = rng.random
+        payload_fn = self.payload_fn
+        cursor = self._value_cursor
+        pool = self._pool_size
+        bisect_left = bisect.bisect_left
+        limit = math.inf if stop_at is None else stop_at
+        phase = None
+        cumulative: list[float] = []
+        total = 0.0
+        seq0 = 0
+        late = False
+        while not late:
+            keys: list[int] = []
+            ts: list[float] = []
+            payloads: list[tuple] | None = None if payload_fn is None else []
+            for seq in range(seq0, seq0 + batch_size):
+                t = start + (seq + 1) * interarrival
+                ph = phase_of(t)
+                if ph != phase:
+                    phase = ph
+                    cumulative, total = self._cumulative_weights(t)
+                pid = bisect_left(cumulative, rand() * total)
+                idx = cursor[pid]
+                cursor[pid] = (idx + 1) % pool[pid]
+                key = pid + n_partitions * idx
+                if payloads is not None:
+                    payload = payload_fn(key, seq, rng)
+                if t > limit:
+                    late = True
+                    break
+                keys.append(key)
+                ts.append(t)
+                if payloads is not None:
+                    payloads.append(payload)
+            self.tuples_generated += len(keys) + late
+            if keys:
+                yield ArrivalBatch(self.stream, seq0, keys, ts,
+                                   spec.tuple_size, payloads)
+            seq0 += batch_size
 
     def arrivals(self, start: float = 0.0) -> Iterator[tuple[float, StreamTuple]]:
         """Infinite iterator of timed arrivals for this stream."""
-        spec = self.spec
-        for seq in itertools.count():
-            t = start + (seq + 1) * spec.interarrival
-            cumulative, total = self._cumulative_weights(t)
-            pid = bisect.bisect_left(cumulative, self._rng.random() * total)
-            key = self._next_key(pid)
-            payload: tuple = ()
-            if self.payload_fn is not None:
-                payload = self.payload_fn(key, seq, self._rng)
-            self.tuples_generated += 1
-            yield t, StreamTuple(
-                stream=self.stream,
-                seq=seq,
-                key=key,
-                ts=t,
-                size=spec.tuple_size,
-                payload=payload,
-            )
+        for batch in self.batches(1, start):
+            yield batch.ts[0], batch.row(0)
 
     def take(self, n: int, start: float = 0.0) -> list[tuple[float, StreamTuple]]:
         """First ``n`` timed arrivals (test/analysis helper)."""

@@ -20,8 +20,10 @@ from repro.cluster.faults import FaultSchedule, MachineCrash, MachineRestart
 from repro.cluster.machine import Machine
 from repro.cluster.simulation import Simulator
 from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup
+from repro.engine.operators.select import Select
+from repro.engine.operators.split import PartitionMap, Split
 from repro.engine.state_store import StateStore
-from repro.engine.tuples import StreamTuple
+from repro.engine.tuples import ArrivalBatch, StreamTuple
 from repro.obs.trace import Tracer
 from repro.workloads import WorkloadSpec, three_way_join
 
@@ -118,6 +120,68 @@ class TestColumnBatch:
             synth_batches(60, batch_size=60, nonuniform=True,
                           payloads=True)[0], STREAMS)
         assert mixed.sizes is not None and mixed.payloads is not None
+
+
+def refined_paused_split():
+    """6 hash partitions over 3 machines, pid 2 refined into (6, 7), and
+    one plain plus one refined partition mid-relocation."""
+    split = Split("split_B", 6, PartitionMap.round_robin(6, ["m1", "m2", "m3"]))
+    split.apply_split(2, (6, 7), "m2")
+    split.pause({1, 7})
+    return split
+
+
+def random_arrivals(rng, *, payloads):
+    n = rng.randrange(1, 40)
+    seq0 = rng.randrange(1000)
+    return ArrivalBatch(
+        "B", seq0,
+        keys=[rng.randrange(60) for _ in range(n)],
+        ts=[0.01 * (seq0 + i + 1) for i in range(n)],
+        size=64,
+        payloads=([(("v", i),) if rng.random() < 0.3 else () for i in range(n)]
+                  if payloads else None),
+    )
+
+
+class TestColumnSourceUnits:
+    """One-pass routing and direct segment build against the row code."""
+
+    @pytest.mark.parametrize("payloads", [False, True])
+    def test_route_and_build_match_the_row_path(self, payloads):
+        rng = random.Random(17)
+        col_split, row_split = refined_paused_split(), refined_paused_split()
+        for _ in range(60):
+            batch = random_arrivals(rng, payloads=payloads)
+            # row path: Split.process per tuple, regroup, from_routed
+            by_owner_rows = {}
+            for tup in batch:
+                for pid, owner, t in row_split.process(tup):
+                    by_owner_rows.setdefault(owner, []).append((pid, t))
+            # column path
+            by_owner_cols = {}
+            for pid, owner, rows in col_split.process_columns(batch):
+                by_owner_cols.setdefault(owner, []).append((pid, rows))
+            assert list(by_owner_cols) == list(by_owner_rows)
+            for owner, owned in by_owner_cols.items():
+                got = ColumnBatch.from_arrivals(batch, owned, 1, STREAMS)
+                want = ColumnBatch.from_routed(by_owner_rows[owner], STREAMS)
+                for slot in ColumnBatch.__slots__:
+                    assert getattr(got, slot) == getattr(want, slot), slot
+        for counter in ("inputs_seen", "outputs_emitted", "buffered_total"):
+            assert getattr(col_split, counter) == getattr(row_split, counter)
+        assert col_split.buffered_total > 0
+        assert col_split._buffers == row_split._buffers
+        assert list(col_split._buffers) == list(row_split._buffers)
+
+    def test_all_payloads_empty_collapses_like_from_routed(self):
+        batch = ArrivalBatch("A", 0, keys=[0, 6, 1], ts=[0.1, 0.2, 0.3],
+                             size=64, payloads=[(), (), ()])
+        cb = ColumnBatch.from_arrivals(batch, [(0, [0, 1]), (1, [2])], 0,
+                                       STREAMS)
+        assert cb.payloads is None and cb.perm is None
+        assert list(cb.iter_routed()) == [
+            (0, batch.row(0)), (0, batch.row(1)), (1, batch.row(2))]
 
 
 class TestStoreColumnarEquivalence:
@@ -326,3 +390,133 @@ class TestCrashEquivalence:
                 == [r.ident for r in dep_b.collector.results])
         assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
         assert registry_a == registry_b
+
+
+def source_fingerprint(dep, tracer, report):
+    """Everything the source side and its consumers can observe."""
+    host = dep.source_host
+    return dict(
+        trace=tracer.to_jsonl(),
+        outputs=dep.total_outputs,
+        results=[r.ident for r in dep.collector.results],
+        missing=report.missing_results,
+        cleanup={r.ident for r in report.results},
+        generated=[s.generator.tuples_generated for s in dep.sources],
+        sent=[s.tuples_sent for s in dep.sources],
+        routed=host.tuples_routed,
+        dropped=host.tuples_dropped,
+        replayed=host.replayed_total,
+        trimmed=host.trimmed_total,
+        inputs=host.inputs,
+        replay_log=list(host._replay_log.items()),
+        splits=[
+            (name, split.inputs_seen, split.outputs_emitted,
+             split.buffered_total, list(split._buffers.items()),
+             split.refinement, split.partition_map.as_dict())
+            for name, split in dep.splits.items()
+        ],
+        registry=dep.registry and (
+            dep.registry.routing_version,
+            tuple(sorted(dep.registry.refinements.items())),
+            tuple(sorted(
+                (e.pid, e.owner, e.holder, e.time, e.live,
+                 canonical_frozen(e.frozen))
+                for e in dep.registry.entries()
+            )),
+        ),
+    )
+
+
+def assert_same_source_behaviour(run):
+    """``run(data_path)`` -> (dep, tracer, report); the column source must
+    be indistinguishable from the batched row path."""
+    fingerprints = {}
+    for data_path in ("batched", "columnar"):
+        dep, tracer, report = run(data_path)
+        fingerprints[data_path] = source_fingerprint(dep, tracer, report)
+    for field, want in fingerprints["batched"].items():
+        assert fingerprints["columnar"][field] == want, field
+    return dep
+
+
+class TestColumnSourceDifferential:
+    """Whole runs, column source vs ``data_path="batched"``: byte-identical
+    trace, outputs, counters, buffers, replay log and checkpoint registry
+    on every cold path the columns have to hand rows to."""
+
+    def test_spill_and_relocation_pause_mid_batch(self):
+        def run(data_path):
+            tracer = Tracer()
+            dep = small_deployment(
+                workers=3, assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2},
+                n_partitions=12, interarrival=0.005, batch_size=50,
+                data_path=data_path, tracer=tracer,
+            )
+            dep.run(duration=60.0, sample_interval=5.0)
+            return dep, tracer, dep.cleanup()
+
+        dep = assert_same_source_behaviour(run)
+        assert dep.spill_count > 0 and dep.relocation_count > 0
+        # pauses cut through batches: some rows buffered, the rest routed
+        assert 0 < sum(s.buffered_total for s in dep.splits.values())
+
+    @pytest.mark.parametrize("window", [None, 10.0])
+    def test_split_merge_crash_and_replay(self, window):
+        from tests.test_repartition_differential import build, skewed_workload
+
+        def run(data_path):
+            tracer = Tracer()
+            plain = dict(
+                workload=skewed_workload(alternating=False, weight=6.0),
+                config_overrides=dict(memory_threshold=40_000),
+            )
+            dep = build(
+                join=three_way_join(window=window), data_path=data_path,
+                checkpoint=True, tracer=tracer, **({} if window else plain),
+            )
+            FaultSchedule([
+                MachineCrash(time=25.03, engine=dep.engines["m1"]),
+                MachineRestart(time=33.03, engine=dep.engines["m1"]),
+            ]).arm(dep.sim)
+            dep.run(duration=90, sample_interval=10)
+            return dep, tracer, dep.cleanup(materialize=True)
+
+        dep = assert_same_source_behaviour(run)
+        assert dep.coordinator.repartition.splits_completed > 0
+        assert dep.recovery_count > 0 and dep.source_host.replayed_total > 0
+        assert dep.source_host.trimmed_total > 0
+
+    def test_48_workers_one_or_two_rows_per_owner(self):
+        def run(data_path):
+            tracer = Tracer()
+            dep = small_deployment(
+                workers=48, n_partitions=128, join_rate=2.0, tuple_range=200,
+                memory_threshold=10**7, batch_size=50, data_path=data_path,
+                tracer=tracer,
+            )
+            dep.run(duration=20.0, sample_interval=5.0)
+            return dep, tracer, dep.cleanup()
+
+        dep = assert_same_source_behaviour(run)
+        stats = dep.network.stats
+        batches = stats.messages - stats.control_messages
+        assert 1.0 <= dep.source_host.tuples_routed / batches < 2.0
+
+    def test_input_transforms_take_the_row_path(self):
+        def run(data_path):
+            tracer = Tracer()
+            dep = small_deployment(
+                strategy=StrategyName.NO_RELOCATION, memory_threshold=8_000,
+                n_partitions=8, join_rate=3.0, tuple_range=240,
+                interarrival=0.05, collect=True, data_path=data_path,
+                tracer=tracer,
+                input_transforms={
+                    "A": [Select("even_A", lambda t: t.key % 2 == 0)],
+                },
+            )
+            dep.run(duration=40.0, sample_interval=10.0)
+            return dep, tracer, dep.cleanup(materialize=True)
+
+        dep = assert_same_source_behaviour(run)
+        assert dep.source_host.tuples_dropped > 0
+        assert dep.spill_count > 0

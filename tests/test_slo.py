@@ -32,6 +32,7 @@ from repro.obs.slo import (
     LatencyHub,
     SLOConfig,
     SLOMonitor,
+    _FOLD_AT,
     _slo_cascade,
 )
 from repro.obs.trace import PHASE_INSTANT, TraceEvent
@@ -287,6 +288,23 @@ class TestCauseAttribution:
         for cause in CAUSES:
             assert (fast.sketches[cause].to_bytes()
                     == slow.sketches[cause].to_bytes()), cause
+
+    def test_deferred_batches_fold_bounded_and_exact(self):
+        """The fast path parks batches in a bounded list; folding them —
+        at the bound or on read — gives the sketches of eager records."""
+        hub = LatencyHub()
+        fast, slow = hub.tracker("fast"), hub.tracker("slow")
+        for i in range(1000):
+            t_run = 1.0 + i * 0.37
+            credit = t_run + 0.001 * (1 + i % 50)
+            ts, count = t_run - 0.002 * (i % 7), 1 + i % 3
+            fast.observe(t_run, credit, credit, count=count, ts_rep=ts)
+            slow._observe_one(ts, t_run, credit, credit, count)
+            assert len(fast._fast) < _FOLD_AT
+        for cause in CAUSES:
+            assert (fast.sketches[cause].to_bytes()
+                    == slow.sketches[cause].to_bytes()), cause
+        assert not fast._fast
 
 
 # ----------------------------------------------------------------------

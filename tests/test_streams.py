@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import StrategyName
 from repro.cluster.simulation import Simulator
 from repro.engine.operators.select import Select
 from repro.engine.streams import OutputCollector, StreamSource
-from repro.engine.tuples import JoinResult, StreamTuple
+from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
 from repro.workloads.generator import StreamWorkloadSpec, TupleGenerator, WorkloadSpec
+
+from tests.helpers import small_deployment
 
 
 class RecordingHost:
@@ -14,8 +17,10 @@ class RecordingHost:
 
     def __init__(self):
         self.batches = []
+        self.raw = []  # the batch objects exactly as handed over
 
     def inject(self, stream, batch):
+        self.raw.append(batch)
         self.batches.append((stream, list(batch)))
 
 
@@ -50,6 +55,8 @@ class TestStreamSource:
         total = sum(len(b) for __, b in host.batches)
         assert total == 7  # arrivals at .1 .. .7
         assert source.tuples_sent == 7
+        # the first late arrival was drawn, then discarded
+        assert source.generator.tuples_generated == 8
 
     def test_stop_prevents_further_batches(self):
         sim = Simulator()
@@ -70,6 +77,26 @@ class TestStreamSource:
         seqs = [t.seq for __, b in host.batches for t in b]
         assert seqs == sorted(set(seqs))  # no duplicated arrivals
 
+    def test_stop_at_set_before_start_is_honoured(self):
+        sim = Simulator()
+        source, host = make_source(sim, batch_size=2, interarrival=0.1)
+        source.stop_at = 0.35  # how plan.launch / pipeline.run arm it
+        source.start()
+        sim.run()
+        assert source.tuples_sent == 3
+        assert source._stopped
+
+    def test_stop_at_cannot_change_after_start(self):
+        sim = Simulator()
+        source, host = make_source(sim, batch_size=2, interarrival=0.1,
+                                   stop_at=0.4)
+        source.start()
+        source.stop_at = 0.4  # re-arming with the same value is a no-op
+        with pytest.raises(RuntimeError):
+            source.stop_at = 5.0
+        sim.run()
+        assert source.tuples_sent == 4
+
     def test_invalid_batch_size(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -82,6 +109,48 @@ class TestStreamSource:
         source.start()
         sim.run()
         assert all(t.stream == "A" for __, b in host.batches for t in b)
+
+
+class TestArrivalBatchHandOff:
+    """The source hands the host columns; rows exist only if asked for."""
+
+    def test_host_receives_sized_batches_equal_to_take(self):
+        sim = Simulator()
+        source, host = make_source(sim, batch_size=4, stop_at=1.05)
+        source.start()
+        sim.run()
+        batches = host.raw
+        assert [len(b) for b in batches] == [4, 4, 2]
+        assert all(isinstance(b, ArrivalBatch) for b in batches)
+        fresh, __ = make_source(Simulator())
+        expected = [tup for __, tup in fresh.generator.take(10)]
+        assert [tup for b in batches for tup in b] == expected
+
+    @pytest.mark.parametrize("data_path,expect_rows", [
+        ("columnar", False), ("batched", True),
+    ])
+    def test_columnar_hot_path_builds_no_stream_tuples(
+            self, monkeypatch, data_path, expect_rows):
+        """A columnar run with no pause, no replay log and count-only
+        probes never constructs a ``StreamTuple``; the row paths build one
+        per arrival."""
+        built = []
+        init = StreamTuple.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        dep = small_deployment(strategy=StrategyName.ALL_MEMORY,
+                               n_partitions=8, join_rate=3.0,
+                               tuple_range=240, interarrival=0.05,
+                               data_path=data_path)
+        monkeypatch.setattr(StreamTuple, "__init__", counting_init)
+        dep.run(duration=20, sample_interval=10)
+        monkeypatch.undo()
+        assert dep.source_host.tuples_routed == 1200
+        assert dep.total_outputs > 0
+        assert len(built) == (1200 if expect_rows else 0)
 
 
 class TestOutputCollector:

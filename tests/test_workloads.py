@@ -1,5 +1,10 @@
 """Tests for the synthetic workload generators (paper §3.1 data model)."""
 
+import bisect
+import itertools
+import random
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +16,12 @@ from repro.workloads.generator import (
     WorkloadSpec,
     distinct_values,
 )
-from repro.workloads.patterns import AlternatingPattern, UniformPattern
+from repro.engine.tuples import StreamTuple
+from repro.workloads.patterns import (
+    AlternatingPattern,
+    DiurnalPattern,
+    UniformPattern,
+)
 
 
 def make_generator(spec, stream="A", payload_fn=None):
@@ -146,6 +156,139 @@ class TestTupleGenerator:
         phase0 = [t for time, t in gen.take(900) if time < 9.0]
         hot0 = sum(1 for t in phase0 if t.key % 4 in (0, 1))
         assert hot0 > 0.7 * len(phase0)
+
+
+def reference_rows(spec, stream="A", payload_fn=None, *, n):
+    """The per-row definition of the arrival sequence, kept as the test
+    reference: one RNG draw, one weight table and one ``StreamTuple`` per
+    row, nothing hoisted or cached.  Returns the rows and the RNG."""
+    rng = random.Random(spec.seed * 1_000_003 + zlib.crc32(stream.encode()))
+    total_weight = sum(p.weight for p in spec.partitions)
+    pool = [distinct_values(p.join_rate, p.tuple_range, p.weight / total_weight)
+            for p in spec.partitions]
+    cursor = [0] * spec.n_partitions
+    tables = {}
+    rows = []
+    for seq in range(n):
+        t = 0.0 + (seq + 1) * spec.interarrival
+        phase = spec.pattern.phase(t)
+        if phase not in tables:  # multipliers are constant within a phase
+            tables[phase] = list(itertools.accumulate(
+                p.weight * spec.pattern.multiplier(p.pid, t)
+                for p in spec.partitions
+            ))
+        cumulative = tables[phase]
+        pid = bisect.bisect_left(cumulative, rng.random() * cumulative[-1])
+        key = pid + spec.n_partitions * cursor[pid]
+        cursor[pid] = (cursor[pid] + 1) % pool[pid]
+        payload = payload_fn(key, seq, rng) if payload_fn else ()
+        rows.append((t, StreamTuple(stream, seq, key, t, spec.tuple_size,
+                                    payload)))
+    return rows, rng
+
+
+def random_payload(key, seq, rng):
+    # draws from the generator's RNG: a skipped or repeated call would
+    # shift every later key
+    return (key, rng.randrange(100)) if seq % 3 else ()
+
+
+COLUMN_CASES = {
+    "uniform": dict(spec=WorkloadSpec.uniform(
+        n_partitions=8, join_rate=3.0, tuple_range=240, interarrival=0.05,
+        seed=5)),
+    "mixed_rates": dict(spec=WorkloadSpec.mixed_rates(
+        9, {4.0: 1 / 3, 2.0: 1 / 3, 1.0: 1 / 3}, tuple_range=300, seed=9)),
+    # 0.37 s phases over 25-row batches 1.25 s long: the phase flips
+    # several times inside every batch
+    "alternating_flip_in_batch": dict(spec=WorkloadSpec.uniform(
+        n_partitions=6, tuple_range=120, interarrival=0.05, seed=3,
+        pattern=AlternatingPattern([{0, 1}, {2, 3}, {4}], period=0.37,
+                                   factor=8.0))),
+    "diurnal_flip_in_batch": dict(spec=WorkloadSpec.uniform(
+        n_partitions=6, tuple_range=120, interarrival=0.05, seed=4,
+        pattern=DiurnalPattern([{0, 1, 2}, {3, 4, 5}], period=7.0,
+                               factor=5.0, steps=12))),
+    "payload_fn": dict(spec=WorkloadSpec.uniform(
+        n_partitions=4, tuple_range=100, seed=8), payload_fn=random_payload),
+}
+
+
+class TestColumnBatches:
+    """``TupleGenerator.batches`` defines the arrival sequence once; it
+    must be the per-row sequence, whatever the batch size."""
+
+    @pytest.mark.parametrize("case", COLUMN_CASES)
+    @pytest.mark.parametrize("batch_size", [1, 25, 64])
+    def test_columns_equal_the_row_reference(self, case, batch_size):
+        kwargs = COLUMN_CASES[case]
+        n = 5 * batch_size
+        expected, rng = reference_rows(**kwargs, n=n)
+        gen = make_generator(**kwargs)
+        batches = list(itertools.islice(gen.batches(batch_size), 5))
+        assert [len(b) for b in batches] == [batch_size] * 5
+        assert [b.seq0 for b in batches] == [i * batch_size for i in range(5)]
+        got = [(t, tup) for b in batches for t, tup in zip(b.ts, b)]
+        assert got == expected
+        assert gen.tuples_generated == n
+        assert gen._rng.getstate() == rng.getstate()
+        if "payload_fn" not in kwargs:
+            assert all(b.payloads is None for b in batches)
+
+    @pytest.mark.parametrize("case", COLUMN_CASES)
+    def test_arrivals_is_a_row_view_of_the_columns(self, case):
+        kwargs = COLUMN_CASES[case]
+        expected, rng = reference_rows(**kwargs, n=130)
+        gen = make_generator(**kwargs)
+        assert gen.take(130) == expected
+        # lazy row by row: nothing drawn ahead of what was consumed
+        assert gen.tuples_generated == 130
+        assert gen._rng.getstate() == rng.getstate()
+
+    def test_stop_at_mid_batch_draws_and_discards_one_row(self):
+        spec = WorkloadSpec.uniform(n_partitions=4, tuple_range=100,
+                                    interarrival=0.1)
+        gen = make_generator(spec, payload_fn=random_payload)
+        batches = list(gen.batches(5, stop_at=0.75))
+        assert [len(b) for b in batches] == [5, 2]  # arrivals at .1 .. .7
+        # the row path drew the first late arrival before dropping it
+        expected, rng = reference_rows(spec, payload_fn=random_payload, n=8)
+        assert [tup for b in batches for tup in b] == [
+            tup for __, tup in expected[:7]
+        ]
+        assert gen.tuples_generated == 8
+        assert gen._rng.getstate() == rng.getstate()
+
+    def test_stop_at_on_a_batch_boundary_yields_no_empty_batch(self):
+        spec = WorkloadSpec.uniform(n_partitions=4, tuple_range=100,
+                                    interarrival=0.1)
+        gen = make_generator(spec)
+        assert [len(b) for b in gen.batches(5, stop_at=1.05)] == [5, 5]
+        assert gen.tuples_generated == 11
+
+
+class TestArrivalBatch:
+    def make(self, payload_fn=None):
+        spec = WorkloadSpec.uniform(n_partitions=4, tuple_range=100)
+        batch = next(make_generator(spec, payload_fn=payload_fn).batches(6))
+        rows = [tup for __, tup in
+                make_generator(spec, payload_fn=payload_fn).take(6)]
+        return batch, rows
+
+    @pytest.mark.parametrize("payload_fn", [None, random_payload])
+    def test_sized_and_iterates_to_stream_tuples(self, payload_fn):
+        batch, rows = self.make(payload_fn)
+        assert len(batch) == 6
+        assert list(batch) == rows
+        assert [batch.row(i) for i in range(6)] == rows
+        for tup in batch:
+            assert isinstance(tup, StreamTuple)
+
+    def test_rows_are_built_once(self):
+        batch, __ = self.make()
+        first = list(batch)
+        assert all(a is b for a, b in zip(first, batch))
+        assert batch.row(2) is first[2]
 
 
 @settings(max_examples=30, deadline=None)
