@@ -13,6 +13,10 @@ query engine and makes the *coarse-grained* adaptation decisions:
   ``λ``, order the least productive machine to spill, within the cumulative
   cap that guarantees data fitting in cluster memory stays there.
 
+The rules themselves are the pure functions of :mod:`repro.core.policy`;
+this class gathers their inputs from the latest reports, records the
+decision in the ledger and drives the protocol that carries it out.
+
 The GC never sees per-partition statistics — choosing concrete partition
 groups is the sender's local controller's job — which is what keeps it
 scalable (paper §4: "the global coordinator only requires to collect very
@@ -27,6 +31,7 @@ from repro.obs.hub import ObsHub
 from repro.cluster.network import Message, Network
 from repro.cluster.simulation import Simulator, Timer
 from repro.core.config import AdaptationConfig, CostModel
+from repro.core.policy import decide_gc, decide_membership, with_choice
 from repro.core.productivity import machine_productivity_rate
 from repro.core.repartition import RepartitionManager
 from repro.recovery.protocol import AbortTransferRequest, PauseOwnedRequest
@@ -47,12 +52,6 @@ from repro.core.relocation import (
 )
 
 GC_NAME = "gc"
-
-
-def _alt(action: str, predicate: str, outcome: str = "rejected") -> dict:
-    """One decision-ledger alternative: the branch and the concrete
-    (numbers-substituted) predicate that rejected or chose it."""
-    return {"action": action, "outcome": outcome, "predicate": predicate}
 
 
 @dataclass
@@ -227,30 +226,16 @@ class GlobalCoordinator:
             )
         ledger = self.metrics.ledger
         if ledger.enabled:
-            ledger.record(
-                self.name, "membership", "join", "admit",
-                {
-                    "event": "join",
-                    "machine": machine,
-                    "now": self.sim.now,
-                    "incarnation": incarnation,
-                    "rebalance_on_join": rebalance,
-                    "workers": list(self.workers),
-                },
-                [
-                    _alt(
-                        "rebalance",
-                        (
-                            "rebalance_on_join -> reset last_relocation_time "
-                            "so theta_r may target the empty joiner next tick"
-                            if rebalance
-                            else "rebalance_on_join disabled -> tau_m spacing "
-                            "unchanged; the joiner waits for organic imbalance"
-                        ),
-                        outcome="chosen" if rebalance else "rejected",
-                    ),
-                ],
-            )
+            inputs = {
+                "event": "join",
+                "machine": machine,
+                "now": self.sim.now,
+                "incarnation": incarnation,
+                "rebalance_on_join": rebalance,
+                "workers": list(self.workers),
+            }
+            action, rule, _, alts = decide_membership(inputs)
+            ledger.record(self.name, "membership", action, rule, inputs, alts)
 
     def drain_worker(self, machine: str) -> DrainSession:
         """Request a graceful scale-in of ``machine``.
@@ -306,49 +291,30 @@ class GlobalCoordinator:
             and w not in self.draining
             and not (self.recovery is not None and w in self.recovery.dead)
         ]
-        if not candidates:
-            return False
-        target = min(candidates, key=lambda r: (r.state_bytes, r.machine))
-        session.target = target.machine
-        session.started_at = self.sim.now
-        ledger = self.metrics.ledger
-        if ledger.enabled:
-            alts = [
-                _alt(
-                    "drain",
-                    f"receiver {r.machine!r}: state = {r.state_bytes} B "
-                    f"> least-loaded {target.machine!r} = "
-                    f"{target.state_bytes} B",
-                )
-                for r in candidates
-                if r.machine != target.machine
-            ]
-            alts.append(_alt(
-                "drain",
-                f"receiver {target.machine!r} is least loaded "
-                f"({target.state_bytes} B) among {len(candidates)} live "
-                f"candidate(s) -> move all of {session.machine!r}'s state "
-                f"there",
-                outcome="chosen",
-            ))
-            session.ledger_entry = ledger.record(
-                self.name, "membership", "drain", "drain",
+        inputs = {
+            "event": "drain",
+            "machine": session.machine,
+            "now": self.sim.now,
+            "deadline": session.deadline,
+            "reports": [
                 {
-                    "event": "drain",
-                    "machine": session.machine,
-                    "now": self.sim.now,
-                    "deadline": session.deadline,
-                    "reports": [
-                        {
-                            "machine": r.machine,
-                            "state_bytes": r.state_bytes,
-                            "group_count": r.group_count,
-                        }
-                        for r in candidates
-                    ],
-                    "chosen_receiver": target.machine,
-                },
-                alts,
+                    "machine": r.machine,
+                    "state_bytes": r.state_bytes,
+                    "group_count": r.group_count,
+                }
+                for r in candidates
+            ],
+        }
+        ledger = self.metrics.ledger
+        action, rule, choice, alts = decide_membership(inputs, ledger.enabled)
+        if action == "none":
+            return False
+        session.target = choice["receiver"]
+        session.started_at = self.sim.now
+        if ledger.enabled:
+            session.ledger_entry = ledger.record(
+                self.name, "membership", action, rule,
+                with_choice(inputs, choice), alts,
             )
         session.advance("cptv_sent")
         self._send(
@@ -649,34 +615,36 @@ class GlobalCoordinator:
             if ledger.enabled:
                 self._ledger_deferred("insufficient_reports", known=len(known))
             return
-        alts: list[dict] | None = [] if ledger.enabled else None
-        if self.config.relocation_enabled and self._try_relocation(known, alts):
-            return
-        if self.config.forced_spill_enabled and self._try_forced_spill(known, alts):
-            return
-        if self.config.repartition_enabled and self.repartition.maybe_adapt(
+        inputs = self._gc_inputs(known)
+        action, rule, choice, alts = self._decide_gc(inputs, ledger.enabled)
+        if action == "relocate":
+            self._start_relocation(rule, choice, inputs, alts)
+        elif action == "forced_spill":
+            self._order_forced_spill(rule, choice, inputs, alts)
+        elif self.config.repartition_enabled and self.repartition.maybe_adapt(
             known, alts
         ):
-            return
-        if ledger.enabled:
-            ledger.record(
-                self.name, "gc_tick", "none", "idle",
-                self._gc_inputs(known), alts,
-            )
+            pass  # the split/merge session recorded its own entry
+        elif ledger.enabled:
+            ledger.record(self.name, "gc_tick", action, rule, inputs, alts)
 
     def _ledger_deferred(self, reason: str, **extra) -> None:
         """Record a GC tick on which no rule was even evaluated."""
+        inputs = {"deferred": True, "reason": reason, "now": self.sim.now, **extra}
+        action, rule, _, alts = decide_gc(inputs)
         self.metrics.ledger.record(
-            self.name, "gc_tick", "none", "deferred",
-            {"deferred": True, "reason": reason, "now": self.sim.now, **extra},
-            [_alt("relocate", f"deferred: {reason}"),
-             _alt("forced_spill", f"deferred: {reason}")],
+            self.name, "gc_tick", action, rule, inputs, alts
         )
 
+    def _decide_gc(self, inputs: dict, explain: bool):
+        """The tick's rule cascade; subclasses may gate a branch (the
+        serving layer's relocation arbiter) before the rules run."""
+        return decide_gc(inputs, explain)
+
     def _gc_inputs(self, reports: list[StatsReport]) -> dict:
-        """Everything :func:`repro.obs.ledger.replay_decision` needs to
-        re-run this tick's rule cascade offline, in the exact report order
-        the coordinator saw."""
+        """Everything :func:`repro.core.policy.decide_gc` reads — live and
+        when :func:`repro.obs.ledger.replay_decision` re-runs the tick
+        offline — in the exact report order the coordinator saw."""
         cfg = self.config
         return {
             "now": self.sim.now,
@@ -705,53 +673,13 @@ class GlobalCoordinator:
             * cfg.memory_threshold,
         }
 
-    def _try_relocation(
-        self, reports: list[StatsReport], alts: list[dict] | None = None
-    ) -> bool:
-        max_report = max(reports, key=lambda r: (r.state_bytes, r.machine))
-        min_report = min(reports, key=lambda r: (r.state_bytes, r.machine))
-        max_load = max_report.state_bytes
-        min_load = min_report.state_bytes
-        if max_load <= 0 or max_report.machine == min_report.machine:
-            if alts is not None:
-                alts.append(_alt(
-                    "relocate",
-                    f"no load to balance: M_max = {max_load} B "
-                    f"on {max_report.machine!r}",
-                ))
-            return False
-        if min_load / max_load >= self.config.theta_r:
-            if alts is not None:
-                alts.append(_alt(
-                    "relocate",
-                    f"M_least/M_max = {min_load}/{max_load} = "
-                    f"{min_load / max_load:.4f} >= theta_r = "
-                    f"{self.config.theta_r}",
-                ))
-            return False
-        if self.sim.now - self.last_relocation_time < self.config.tau_m:
-            if alts is not None:
-                alts.append(_alt(
-                    "relocate",
-                    f"now - last_relocation = "
-                    f"{self.sim.now - self.last_relocation_time:.1f} s "
-                    f"< tau_m = {self.config.tau_m} s",
-                ))
-            return False
-        amount = (max_load - min_load) // 2
-        if amount < self.config.min_relocation_bytes:
-            if alts is not None:
-                alts.append(_alt(
-                    "relocate",
-                    f"amount = (M_max - M_least)/2 = {amount} B "
-                    f"< min_relocation_bytes = "
-                    f"{self.config.min_relocation_bytes} B",
-                ))
-            return False
+    def _start_relocation(
+        self, rule: str, choice: dict, inputs: dict, alts: list[dict]
+    ) -> None:
         self.session = RelocationSession(
-            sender=max_report.machine,
-            receiver=min_report.machine,
-            amount=amount,
+            sender=choice["sender"],
+            receiver=choice["receiver"],
+            amount=choice["amount"],
             split_hosts=tuple(self.split_hosts),
             started_at=self.sim.now,
         )
@@ -760,45 +688,25 @@ class GlobalCoordinator:
             self.session.trace_span = tracer.begin_span(
                 "relocation",
                 machine=self.name,
-                src=max_report.machine,
-                dst=min_report.machine,
-                amount=amount,
+                src=choice["sender"],
+                dst=choice["receiver"],
+                amount=choice["amount"],
             )
         ledger = self.metrics.ledger
         if ledger.enabled:
-            assert alts is not None
-            alts.append(_alt(
-                "relocate",
-                f"M_least/M_max = {min_load}/{max_load} = "
-                f"{min_load / max_load:.4f} < theta_r = {self.config.theta_r} "
-                f"and now - last_relocation = "
-                f"{self.sim.now - self.last_relocation_time:.1f} s >= tau_m = "
-                f"{self.config.tau_m} s -> move (M_max - M_least)/2 = "
-                f"{amount} B from {max_report.machine!r} to "
-                f"{min_report.machine!r}",
-                outcome="chosen",
-            ))
             self.session.ledger_entry = ledger.record(
-                self.name,
-                "gc_tick",
-                "relocate",
-                "theta_r",
-                {
-                    **self._gc_inputs(reports),
-                    "chosen_sender": max_report.machine,
-                    "chosen_receiver": min_report.machine,
-                    "chosen_amount": amount,
-                },
-                alts,
+                self.name, "gc_tick", "relocate", rule,
+                with_choice(inputs, choice), alts,
                 trace_span=self.session.trace_span,
             )
         self._trace_step(self.session, 1)
         self._send(
-            max_report.machine,
+            choice["sender"],
             "cptv",
-            CptvRequest(amount=amount, ledger_entry=self.session.ledger_entry),
+            CptvRequest(
+                amount=choice["amount"], ledger_entry=self.session.ledger_entry
+            ),
         )
-        return True
 
     def _trace_step(self, session: RelocationSession, step: int, **fields) -> None:
         tracer = self.metrics.tracer
@@ -817,101 +725,22 @@ class GlobalCoordinator:
         if tracer.enabled and session.trace_span:
             tracer.end_span(session.trace_span, status=status, **fields)
 
-    def _try_forced_spill(
-        self, reports: list[StatsReport], alts: list[dict] | None = None
-    ) -> bool:
-        if self.stats.forced_spill_bytes >= self.config.forced_spill_cap:
-            if alts is not None:
-                alts.append(_alt(
-                    "forced_spill",
-                    f"budget exhausted: forced_spill_bytes = "
-                    f"{self.stats.forced_spill_bytes} B >= cap (M_query - "
-                    f"M_cluster) = {self.config.forced_spill_cap} B",
-                ))
-            return False
-        pressure_floor = self.config.forced_spill_pressure * self.config.memory_threshold
-        if not any(r.state_bytes >= pressure_floor for r in reports):
-            if alts is not None:
-                alts.append(_alt(
-                    "forced_spill",
-                    f"no memory pressure: max machine state = "
-                    f"{max(r.state_bytes for r in reports)} B < pressure "
-                    f"floor = {pressure_floor:.0f} B",
-                ))
-            return False  # "only if extra memory is needed" (§5.4)
-        rated = [
-            (machine_productivity_rate(r.outputs_delta, r.group_count), r)
-            for r in reports
-            if r.group_count > 0
-        ]
-        if len(rated) < 2:
-            if alts is not None:
-                alts.append(_alt(
-                    "forced_spill",
-                    f"only {len(rated)} machine(s) hold partition groups",
-                ))
-            return False
-        max_rate, _ = max(rated, key=lambda x: x[0])
-        min_rate, min_report = min(rated, key=lambda x: x[0])
-        if min_rate <= 0:
-            ratio = float("inf") if max_rate > 0 else 0.0
-        else:
-            ratio = max_rate / min_rate
-        if ratio <= self.config.lambda_productivity:
-            if alts is not None:
-                alts.append(_alt(
-                    "forced_spill",
-                    f"R_max/R_min = {max_rate:.3f}/{min_rate:.3f} = "
-                    f"{ratio:.3f} <= lambda = "
-                    f"{self.config.lambda_productivity}",
-                ))
-            return False
-        remaining_cap = self.config.forced_spill_cap - self.stats.forced_spill_bytes
-        amount = min(
-            int(min_report.state_bytes * self.config.forced_spill_fraction),
-            remaining_cap,
-        )
-        if amount <= 0:
-            if alts is not None:
-                alts.append(_alt(
-                    "forced_spill",
-                    f"amount = min({min_report.state_bytes} B x "
-                    f"{self.config.forced_spill_fraction}, {remaining_cap} B "
-                    f"remaining) = {amount} B <= 0",
-                ))
-            return False
+    def _order_forced_spill(
+        self, rule: str, choice: dict, inputs: dict, alts: list[dict]
+    ) -> None:
         self.stats.forced_spills += 1
         entry = 0
         ledger = self.metrics.ledger
         if ledger.enabled:
-            assert alts is not None
-            alts.append(_alt(
-                "forced_spill",
-                f"R_max/R_min = {max_rate:.3f}/{min_rate:.3f} = {ratio:.3f} "
-                f"> lambda = {self.config.lambda_productivity} -> spill "
-                f"{amount} B on least productive machine "
-                f"{min_report.machine!r}",
-                outcome="chosen",
-            ))
             entry = ledger.record(
-                self.name,
-                "gc_tick",
-                "forced_spill",
-                "lambda",
-                {
-                    **self._gc_inputs(reports),
-                    "chosen_machine": min_report.machine,
-                    "chosen_amount": amount,
-                    "chosen_ratio": ratio,
-                },
-                alts,
+                self.name, "gc_tick", "forced_spill", rule,
+                with_choice(inputs, choice), alts,
             )
         self._send(
-            min_report.machine,
+            choice["machine"],
             "start_ss",
-            ForcedSpillRequest(amount=amount, ledger_entry=entry),
+            ForcedSpillRequest(amount=choice["amount"], ledger_entry=entry),
         )
-        return True
 
     def _abort_session(self) -> None:
         """Abort the in-flight relocation because a participant died.

@@ -104,10 +104,6 @@ class LocalAdaptationController:
     # ------------------------------------------------------------------
     # State spill (ss_timer path, Algorithms 1-2)
     # ------------------------------------------------------------------
-    def memory_exceeded(self) -> bool:
-        """The paper's ``QE_memory > threshold^mem`` test."""
-        return self.store.total_bytes > self.config.memory_threshold
-
     def run_spill(self, *, now: float, amount: int | None = None,
                   forced: bool = False, on_done=None,
                   ledger_entry: int = 0) -> SpillOutcome | None:

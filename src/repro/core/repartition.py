@@ -48,87 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.policy import decide_repartition, with_choice
+
 #: A refinement trie deeper than this stops splitting: beyond it a hot
 #: group is dominated by duplicate key values, which no hash refinement
 #: can separate.
 MAX_SPLIT_DEPTH = 16
-
-
-# ----------------------------------------------------------------------
-# Pure decision arithmetic (mirrored by repro.obs.ledger._replay_repartition)
-# ----------------------------------------------------------------------
-
-
-def evaluate_repartition(inputs: dict) -> dict:
-    """Re-runnable repartition rule cascade over one tick's inputs.
-
-    ``inputs`` is exactly what the coordinator records in the decision
-    ledger (JSON-typed), so the offline replay can call this logic with a
-    deserialised entry and must reproduce the recorded choice.  Returns a
-    dict with ``action`` ``"none"``/``"split"``/``"merge"`` plus the chosen
-    ``machine``/``parent``/``children`` when firing.
-    """
-    now = inputs["now"]
-    last = inputs["last_repartition_time"]
-    if now - last < inputs["tau_p"]:
-        return {"action": "none", "reason": "tau_p"}
-    depths = {int(k): v for k, v in inputs.get("depths", {}).items()}
-    refinement = [tuple(node) for node in inputs.get("refinement", ())]
-    refined = {parent for parent, _, _ in refinement}
-    max_depth = inputs.get("max_depth", MAX_SPLIT_DEPTH)
-    # Rule 1 — split the most skewed hot group.  A group is "hot" when it
-    # exceeds split_skew_factor times the *cluster-wide* average group
-    # size and is worth the protocol cost.  The cluster average (not the
-    # owner's own) is the yardstick because relocation tends to isolate a
-    # monster group alone on one machine — per-machine skew then reads as
-    # zero exactly when the group most needs splitting.
-    total_bytes = sum(r["state_bytes"] for r in inputs["reports"])
-    total_groups = sum(r["group_count"] for r in inputs["reports"])
-    avg_group = total_bytes / total_groups if total_groups else 0.0
-    best = None
-    for r in inputs["reports"]:
-        if r["max_group_pid"] < 0:
-            continue
-        if r["max_group_bytes"] < inputs["split_min_bytes"]:
-            continue
-        if r["max_group_bytes"] <= inputs["split_skew_factor"] * avg_group:
-            continue
-        if depths.get(r["max_group_pid"], 0) >= max_depth:
-            continue
-        if best is None or (r["max_group_bytes"], r["machine"]) > (
-            best["max_group_bytes"],
-            best["machine"],
-        ):
-            best = r
-    if best is not None:
-        nxt = inputs["next_child_pid"]
-        return {
-            "action": "split",
-            "machine": best["machine"],
-            "parent": best["max_group_pid"],
-            "children": [nxt, nxt + 1],
-            "depth": depths.get(best["max_group_pid"], 0),
-        }
-    # Rule 2 — fold a cold leaf sibling pair.  Both children must appear in
-    # ONE machine's small-groups report (they are then co-resident on the
-    # owner, so the merge is a local rebuild, not a state transfer).
-    for r in inputs["reports"]:
-        small = {pid: size for pid, size in r["small_groups"]}
-        for parent, c0, c1 in refinement:
-            if c0 in refined or c1 in refined:
-                continue  # only leaf pairs fold back
-            if (
-                c0 in small
-                and c1 in small
-                and small[c0] + small[c1] <= inputs["merge_max_bytes"]
-            ):
-                return {
-                    "action": "merge",
-                    "machine": r["machine"],
-                    "parent": parent,
-                    "children": [c0, c1],
-                }
-    return {"action": "none"}
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +247,8 @@ class RepartitionManager:
     # Decision (called from the coordinator's evaluate cascade)
     # ------------------------------------------------------------------
     def decision_inputs(self, reports) -> dict:
-        """Everything the offline replay needs to re-run this tick's
-        repartition cascade (see :func:`evaluate_repartition`)."""
+        """Everything :func:`repro.core.policy.decide_repartition` reads,
+        live and when the ledger entry is replayed offline."""
         cfg = self.gc.config
         return {
             "now": self.gc.sim.now,
@@ -352,45 +277,22 @@ class RepartitionManager:
             "depths": {str(pid): d for pid, d in sorted(self._depth.items())},
         }
 
-    def maybe_adapt(self, reports, alts: list[dict] | None = None) -> bool:
-        """Evaluate the split/merge rules; start a session if one fires."""
+    def maybe_adapt(self, reports, alts: list[dict]) -> bool:
+        """Evaluate the split/merge rules; start a session if one fires.
+        ``alts`` is the GC tick's list of alternatives so far: this
+        cascade's own are appended to it."""
+        ledger = self.gc.metrics.ledger
         inputs = self.decision_inputs(reports)
-        decision = evaluate_repartition(inputs)
-        action = decision["action"]
+        action, rule, choice, considered = decide_repartition(
+            inputs, ledger.enabled
+        )
+        alts.extend(considered)
         if action == "none":
-            if alts is not None:
-                if decision.get("reason") == "tau_p":
-                    why = (
-                        f"now - last_repartition = "
-                        f"{inputs['now'] - inputs['last_repartition_time']:.1f} s"
-                        f" < tau_p = {inputs['tau_p']} s"
-                    )
-                    alts.append(_alt("split", why))
-                    alts.append(_alt("merge", why))
-                else:
-                    hot = max(
-                        (r.max_group_bytes for r in reports), default=0
-                    )
-                    alts.append(_alt(
-                        "split",
-                        f"no skewed group: largest reported group = {hot} B "
-                        f"fails max > split_skew_factor x cluster-average "
-                        f"group size (factor = "
-                        f"{inputs['split_skew_factor']}) with "
-                        f"min size {inputs['split_min_bytes']} B",
-                    ))
-                    alts.append(_alt(
-                        "merge",
-                        f"no co-resident leaf sibling pair within "
-                        f"merge_max_bytes = {inputs['merge_max_bytes']} B "
-                        f"among {len(self.refinement)} refinement node(s)",
-                    ))
             return False
-        parent = decision["parent"]
-        children = (decision["children"][0], decision["children"][1])
-        owner = decision["machine"]
+        owner, parent = choice["machine"], choice["parent"]
+        children = (choice["children"][0], choice["children"][1])
         if action == "split":
-            depth = decision["depth"]
+            depth = self._depth.get(parent, 0)
             self._next_pid += 2
         else:
             depth = self._depth.get(children[0], 1) - 1
@@ -416,36 +318,10 @@ class RepartitionManager:
                 children=children,
                 depth=depth,
             )
-        ledger = self.gc.metrics.ledger
         if ledger.enabled:
-            assert alts is not None
-            if action == "split":
-                why = (
-                    f"group {parent} on {owner!r} dominates: "
-                    f"max_group_bytes > split_skew_factor x cluster-average "
-                    f"group size and max_group_bytes >= "
-                    f"{inputs['split_min_bytes']} B -> "
-                    f"split into {children!r} at depth {depth}"
-                )
-            else:
-                why = (
-                    f"cold leaf siblings {children!r} co-resident on "
-                    f"{owner!r} fit merge_max_bytes = "
-                    f"{inputs['merge_max_bytes']} B -> fold into {parent}"
-                )
-            alts.append(_alt(action, why, outcome="chosen"))
             self.session.ledger_entry = ledger.record(
-                self.gc.name,
-                "repartition",
-                action,
-                "skew" if action == "split" else "cold_siblings",
-                {
-                    **inputs,
-                    "chosen_machine": owner,
-                    "chosen_parent": parent,
-                    "chosen_children": list(children),
-                },
-                alts,
+                self.gc.name, "repartition", action, rule,
+                with_choice(inputs, choice), alts,
                 trace_span=self.session.trace_span,
             )
         if action == "split":
@@ -694,7 +570,3 @@ class RepartitionManager:
             return None
         return self.session
 
-
-def _alt(action: str, predicate: str, outcome: str = "rejected") -> dict:
-    """One decision-ledger alternative (same shape as the coordinator's)."""
-    return {"action": action, "outcome": outcome, "predicate": predicate}

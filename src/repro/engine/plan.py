@@ -86,17 +86,12 @@ class Deployment:
         server machine (the paper's setup) instead of crediting them at
         the producing engine.  Off by default — delivery cost is not a
         studied factor in the paper's figures.
-    batched_data_path:
-        Process delivered tuple batches through the amortised store entry
-        point (default).  ``False`` selects the per-tuple reference path;
-        the two produce byte-identical outputs and traces, so this switch
-        exists for equivalence testing and benchmarking only.
     data_path:
-        Explicit data-path selector: ``"tuple"``, ``"batched"`` or
+        Data-path selector: ``"tuple"`` (per-tuple reference path),
+        ``"batched"`` (amortised store entry point, the default) or
         ``"columnar"`` (structure-of-arrays batches end to end, including
         columnar partition-group state and zero-copy spill/relocation/
-        checkpoint snapshots).  ``None`` (default) defers to
-        ``batched_data_path``.  All three paths produce byte-identical
+        checkpoint snapshots).  All three paths produce byte-identical
         outputs and traces on the same seed.
     payload_fn:
         Optional payload builder passed to the tuple generators.
@@ -167,8 +162,7 @@ class Deployment:
         payload_fn=None,
         memory_capacity: int | None = None,
         ship_results: bool = False,
-        batched_data_path: bool = True,
-        data_path: str | None = None,
+        data_path: str = "batched",
         seed: int = 11,
         tracer=None,
         ledger=None,
@@ -182,8 +176,6 @@ class Deployment:
         latency: bool = False,
         slo=None,
     ) -> None:
-        if data_path is None:
-            data_path = "batched" if batched_data_path else "tuple"
         if data_path not in ("tuple", "batched", "columnar"):
             raise ValueError(
                 f"unknown data path {data_path!r} "
@@ -247,18 +239,10 @@ class Deployment:
         capacity = None if self.profile.unbounded_memory else memory_capacity
         self._memory_capacity = capacity
         self._base_seed = seed
-        self.machines: dict[str, Machine] = {
-            name: Machine(self.sim, name, memory_capacity=capacity)
-            for name in workers
-        }
-        self.disks: dict[str, Disk] = {
-            name: Disk(
-                write_bandwidth=self.cost.disk_write_bandwidth,
-                read_bandwidth=self.cost.disk_read_bandwidth,
-                seek_time=self.cost.disk_seek_time,
-            )
-            for name in workers
-        }
+        self.machines: dict[str, Machine] = {}
+        self.disks: dict[str, Disk] = {}
+        self.instances = {}
+        self.engines: dict[str, QueryEngine] = {}
         self.source_machine = Machine(self.sim, self.source_name)
 
         # --- initial partition placement -------------------------------
@@ -289,12 +273,6 @@ class Deployment:
             stream: Split(f"split_{stream}", n, base_map.copy())
             for stream in join.stream_names
         }
-        self.instances = {
-            name: join.make_instance(
-                self.machines[name], columnar=data_path == "columnar"
-            )
-            for name in workers
-        }
 
         # --- sinks ------------------------------------------------------
         materialize = bool(collect_results or downstream or collector is not None)
@@ -317,27 +295,29 @@ class Deployment:
             app_name = app_machine.name
         self._app_name = app_name
 
-        # --- engines ------------------------------------------------------
-        self.engines: dict[str, QueryEngine] = {
-            name: QueryEngine(
-                self.sim,
-                self.network,
-                self.machines[name],
-                self.disks[name],
-                self.instances[name],
-                config,
-                self.cost,
-                self.metrics,
-                self.collector,
-                materialize=materialize,
-                app_server=app_name,
-                data_path=data_path,
-                seed=seed + i,
-                coordinator_name=self.coordinator_name,
-                metric_labels=metric_labels,
-            )
-            for i, name in enumerate(workers)
-        }
+        # --- what each worker stack attaches to (opt-in) -------------------
+        if slo is not None and not latency:
+            raise ValueError("an SLO needs latency tracking: pass latency=True")
+        self._latency_enabled = latency
+        self._lat_labels: dict[str, str] = {}
+        if latency:
+            self.metrics.enable_latency()
+            self._lat_labels = {
+                "query": self.metric_labels.get("query") or (
+                    namespace.rstrip(":") or "q0"
+                ),
+                "tenant": self.metric_labels.get("tenant", ""),
+            }
+        self.registry = None
+        if config.checkpoint_enabled:
+            from repro.recovery import CheckpointStore
+
+            self.registry = CheckpointStore()
+
+        # --- worker stacks ------------------------------------------------
+        for i, name in enumerate(workers):
+            peer = workers[(i + 1) % len(workers)] if len(workers) > 1 else None
+            self._build_worker(name, i, peer)
         self.source_host = SourceHost(
             self.sim,
             self.network,
@@ -368,71 +348,33 @@ class Deployment:
         # draining machine's state, retire its engine (flush + stop)
         self.coordinator.on_drained = self._on_machine_drained
 
-        # --- latency attribution + SLO (repro.obs.slo, opt-in) ------------
-        if slo is not None and not latency:
-            raise ValueError("an SLO needs latency tracking: pass latency=True")
+        # --- SLO burn-rate monitor (repro.obs.slo, opt-in) -----------------
         self.slo = slo
         self.slo_monitor = None
-        self._latency_enabled = latency
-        self._lat_labels: dict[str, str] = {}
-        if latency:
-            lat = self.metrics.enable_latency()
-            query = self.metric_labels.get("query") or (
-                namespace.rstrip(":") or "q0"
+        if slo is not None:
+            from repro.obs.slo import SLOMonitor
+
+            lat = self.metrics.latency
+            query = self._lat_labels["query"]
+            self.slo_monitor = SLOMonitor(
+                lat,
+                query=query,
+                tenant=self._lat_labels["tenant"],
+                slo=slo,
+                machines=list(self.engines),
+                site=self.coordinator_name,
+                ledger=self.metrics.ledger,
+                tracer=self.metrics.tracer,
+                events=self.metrics.events,
             )
-            tenant = self.metric_labels.get("tenant", "")
-            self._lat_labels = {"query": query, "tenant": tenant}
-            for name, engine in self.engines.items():
-                engine.attach_latency(
-                    lat.tracker(name, labels=self._lat_labels)
-                )
-            if slo is not None:
-                from repro.obs.slo import SLOMonitor
+            lat.monitors[query] = self.slo_monitor
+            self.coordinator.slo_monitors.append(self.slo_monitor)
 
-                self.slo_monitor = SLOMonitor(
-                    lat,
-                    query=query,
-                    tenant=tenant,
-                    slo=slo,
-                    machines=list(self.engines),
-                    site=self.coordinator_name,
-                    ledger=self.metrics.ledger,
-                    tracer=self.metrics.tracer,
-                    events=self.metrics.events,
-                )
-                lat.monitors[query] = self.slo_monitor
-                self.coordinator.slo_monitors.append(self.slo_monitor)
-
-        # --- crash-fault tolerance (repro.recovery, opt-in) ---------------
-        self.registry = None
+        # --- crash recovery (repro.recovery, opt-in) -----------------------
         self.recovery = None
         if config.checkpoint_enabled:
-            from repro.recovery import (
-                CheckpointManager,
-                CheckpointStore,
-                RecoveryManager,
-            )
+            from repro.recovery import RecoveryManager
 
-            self.registry = CheckpointStore(disks=self.disks)
-            for i, name in enumerate(workers):
-                peer = workers[(i + 1) % len(workers)] if len(workers) > 1 else None
-                engine = self.engines[name]
-                engine.attach_checkpointer(
-                    CheckpointManager(
-                        self.sim,
-                        self.network,
-                        self.machines[name],
-                        self.disks[name],
-                        self.instances[name].store,
-                        self.registry,
-                        config,
-                        self.cost,
-                        self.metrics,
-                        source_name=self.source_name,
-                        peer=peer,
-                        on_flush=engine.flush_outputs,
-                    )
-                )
             self.recovery = RecoveryManager(
                 self.sim,
                 self.network,
@@ -552,6 +494,69 @@ class Deployment:
         for engine in self.engines.values():
             engine.flush_outputs()
 
+    def _build_worker(
+        self, name: str, index: int, peer: str | None
+    ) -> QueryEngine:
+        """Wire one worker stack: machine → disk → join instance → engine
+        (seeded ``seed + index``) → latency tracker → checkpoint manager
+        (backing up to ``peer``).  The initial workers and
+        :meth:`add_machine` both come through here."""
+        machine = Machine(self.sim, name, memory_capacity=self._memory_capacity)
+        disk = Disk(
+            write_bandwidth=self.cost.disk_write_bandwidth,
+            read_bandwidth=self.cost.disk_read_bandwidth,
+            seek_time=self.cost.disk_seek_time,
+        )
+        instance = self.join.make_instance(
+            machine, columnar=self.data_path == "columnar"
+        )
+        engine = QueryEngine(
+            self.sim,
+            self.network,
+            machine,
+            disk,
+            instance,
+            self.config,
+            self.cost,
+            self.metrics,
+            self.collector,
+            materialize=self._materialize,
+            app_server=self._app_name,
+            data_path=self.data_path,
+            seed=self._base_seed + index,
+            coordinator_name=self.coordinator_name,
+            metric_labels=self.metric_labels or None,
+        )
+        self.machines[name] = machine
+        self.disks[name] = disk
+        self.instances[name] = instance
+        self.engines[name] = engine
+        if self._latency_enabled:
+            engine.attach_latency(
+                self.metrics.latency.tracker(name, labels=self._lat_labels)
+            )
+        if self.registry is not None:
+            from repro.recovery import CheckpointManager
+
+            self.registry.disks[name] = disk
+            engine.attach_checkpointer(
+                CheckpointManager(
+                    self.sim,
+                    self.network,
+                    machine,
+                    disk,
+                    instance.store,
+                    self.registry,
+                    self.config,
+                    self.cost,
+                    self.metrics,
+                    source_name=self.source_name,
+                    peer=peer,
+                    on_flush=engine.flush_outputs,
+                )
+            )
+        return engine
+
     # ------------------------------------------------------------------
     # Elastic membership (runtime scale-out / scale-in)
     # ------------------------------------------------------------------
@@ -586,64 +591,11 @@ class Deployment:
         if name in {self.source_name, self.coordinator_name,
                     self.namespace + APP_SERVER_NAME}:
             raise ValueError(f"worker name {name!r} is reserved")
-        machine = Machine(self.sim, name, memory_capacity=self._memory_capacity)
-        disk = Disk(
-            write_bandwidth=self.cost.disk_write_bandwidth,
-            read_bandwidth=self.cost.disk_read_bandwidth,
-            seek_time=self.cost.disk_seek_time,
-        )
-        instance = self.join.make_instance(
-            machine, columnar=self.data_path == "columnar"
-        )
-        engine = QueryEngine(
-            self.sim,
-            self.network,
-            machine,
-            disk,
-            instance,
-            self.config,
-            self.cost,
-            self.metrics,
-            self.collector,
-            materialize=self._materialize,
-            app_server=self._app_name,
-            data_path=self.data_path,
-            seed=self._base_seed + len(self.engines),
-            coordinator_name=self.coordinator_name,
-            metric_labels=self.metric_labels or None,
-        )
-        self.machines[name] = machine
-        self.disks[name] = disk
-        self.instances[name] = instance
-        self.engines[name] = engine
+        peer = self.worker_names[0] if self.worker_names else None
+        engine = self._build_worker(name, len(self.engines), peer)
         self.worker_names.append(name)
-        if self._latency_enabled:
-            engine.attach_latency(
-                self.metrics.latency.tracker(name, labels=self._lat_labels)
-            )
-            for monitor in self.coordinator.slo_monitors:
-                monitor.machines = monitor.machines + (name,)
-        if self.registry is not None:
-            from repro.recovery import CheckpointManager
-
-            self.registry.disks[name] = disk
-            peers = [w for w in self.worker_names if w != name]
-            engine.attach_checkpointer(
-                CheckpointManager(
-                    self.sim,
-                    self.network,
-                    machine,
-                    disk,
-                    instance.store,
-                    self.registry,
-                    self.config,
-                    self.cost,
-                    self.metrics,
-                    source_name=self.source_name,
-                    peer=peers[0] if peers else None,
-                    on_flush=engine.flush_outputs,
-                )
-            )
+        for monitor in self.coordinator.slo_monitors:
+            monitor.machines = monitor.machines + (name,)
         if self._started:
             engine.start()
         self.coordinator.admit_worker(name, incarnation=engine.incarnation)

@@ -32,6 +32,7 @@ from repro.cluster.simulation import Simulator, Timer
 from repro.core.config import AdaptationConfig, CostModel
 from repro.core.coordinator import GC_NAME
 from repro.core.local_controller import LocalAdaptationController
+from repro.core.policy import decide_overflow
 from repro.core.relocation import (
     CptvRequest,
     ForcedSpillDone,
@@ -101,8 +102,7 @@ class QueryEngine:
         coordinator_name: str = GC_NAME,
         materialize: bool = False,
         app_server: str | None = None,
-        batched: bool = True,
-        data_path: str | None = None,
+        data_path: str = "batched",
         seed: int = 11,
         metric_labels: dict[str, str] | None = None,
     ) -> None:
@@ -120,10 +120,7 @@ class QueryEngine:
         #: which store entry point processes delivered batches: ``tuple``
         #: (per-tuple reference path), ``batched`` (amortised row path) or
         #: ``columnar`` (structure-of-arrays path).  All three produce
-        #: byte-identical outputs and traces.  ``None`` defers to the
-        #: legacy ``batched`` flag.
-        if data_path is None:
-            data_path = "batched" if batched else "tuple"
+        #: byte-identical outputs and traces.
         if data_path not in ("tuple", "batched", "columnar"):
             raise ValueError(f"unknown data path {data_path!r}")
         self.data_path = data_path
@@ -523,66 +520,24 @@ class QueryEngine:
     # ss_timer: local spill check (Algorithm 1 lines 24-32)
     # ------------------------------------------------------------------
     def _ss_timer_expired(self) -> None:
+        inputs = {
+            "machine": self.name,
+            "state_bytes": self.instance.store.total_bytes,
+            "memory_threshold": self.config.memory_threshold,
+            "spill_fraction": self.config.spill_fraction,
+            "mode": self.mode,
+            "forced": False,
+            "requested_amount": None,
+        }
         ledger = self.metrics.ledger
-        if not self.controller.memory_exceeded():
-            if ledger.enabled:
-                store = self.instance.store
-                self._ledger_overflow(
-                    "none", "under_threshold",
-                    predicate=(
-                        f"QE memory = {store.total_bytes} B <= threshold = "
-                        f"{self.config.memory_threshold} B"
-                    ),
-                )
-            return
-        if self.mode != MODE_NORMAL:
-            # "don't spill now, wait until next timer expires"
-            if ledger.enabled:
-                self._ledger_overflow(
-                    "none", "busy",
-                    predicate=(
-                        f"memory exceeded but engine is in {self.mode!r} — "
-                        f"wait until the next timer expires"
-                    ),
-                )
-            return
+        action, rule, _, alts = decide_overflow(inputs, ledger.enabled)
         entry = 0
         if ledger.enabled:
-            store = self.instance.store
-            entry = self._ledger_overflow(
-                "spill", "memory_threshold",
-                predicate=(
-                    f"QE memory = {store.total_bytes} B > threshold = "
-                    f"{self.config.memory_threshold} B -> spill "
-                    f"{self.config.spill_fraction:.0%} of resident state"
-                ),
-                outcome="chosen",
+            entry = ledger.record(
+                self.name, "overflow_check", action, rule, inputs, alts
             )
-        self._start_spill(amount=None, forced=False, ledger_entry=entry)
-
-    def _ledger_overflow(
-        self, action: str, rule: str, *, predicate: str,
-        outcome: str = "rejected", forced: bool = False,
-        amount: int | None = None,
-    ) -> int:
-        """Record one ``ss_timer`` overflow check in the decision ledger."""
-        store = self.instance.store
-        return self.metrics.ledger.record(
-            self.name,
-            "overflow_check",
-            action,
-            rule,
-            {
-                "machine": self.name,
-                "state_bytes": store.total_bytes,
-                "memory_threshold": self.config.memory_threshold,
-                "spill_fraction": self.config.spill_fraction,
-                "mode": self.mode,
-                "forced": forced,
-                "requested_amount": amount,
-            },
-            [{"action": "spill", "outcome": outcome, "predicate": predicate}],
-        )
+        if action == "spill":
+            self._start_spill(amount=None, forced=False, ledger_entry=entry)
 
     def _start_spill(
         self, amount: int | None, forced: bool, ledger_entry: int = 0
@@ -1313,13 +1268,23 @@ class SourceHost:
         handler(message)
 
     def _on_pause(self, message: Message) -> None:
-        request: PauseRequest = message.payload
+        self._pause(
+            message.payload, "split.pause", "paused", PauseAck(host=self.name)
+        )
+
+    def _pause(
+        self, request: PauseRequest | RepartitionPause, event: str,
+        ack_kind: str, ack,
+    ) -> None:
+        """Buffer the request's partitions at every split, drain a marker
+        to ``request.sender`` and ack the coordinator — the pause half of
+        both the relocation and the repartition protocol."""
         for split in self.splits.values():
             split.pause(request.partition_ids)
         tracer = self.metrics.tracer
         if tracer.enabled and request.trace_span:
             tracer.event(
-                "split.pause",
+                event,
                 machine=self.name,
                 span=request.trace_span,
                 pids=request.partition_ids,
@@ -1330,7 +1295,7 @@ class SourceHost:
             self.name, request.sender, "marker", Marker(host=self.name),
             self.cost.control_message_bytes,
         )
-        self._send_gc("paused", PauseAck(host=self.name))
+        self._send_gc(ack_kind, ack)
 
     def _on_remap(self, message: Message) -> None:
         request: RemapRequest = message.payload
@@ -1356,24 +1321,10 @@ class SourceHost:
     # Repartition protocol (split-host side)
     # ------------------------------------------------------------------
     def _on_rpause(self, message: Message) -> None:
-        request: RepartitionPause = message.payload
-        for split in self.splits.values():
-            split.pause(request.partition_ids)
-        tracer = self.metrics.tracer
-        if tracer.enabled and request.trace_span:
-            tracer.event(
-                "repartition.pause",
-                machine=self.name,
-                span=request.trace_span,
-                pids=request.partition_ids,
-            )
-        # Drain marker down the data link to the owner (FIFO behind all
-        # previously forwarded batches), then ack the coordinator.
-        self.network.send(
-            self.name, request.sender, "marker", Marker(host=self.name),
-            self.cost.control_message_bytes,
+        self._pause(
+            message.payload, "repartition.pause", "rpaused",
+            RepartitionPaused(host=self.name),
         )
-        self._send_gc("rpaused", RepartitionPaused(host=self.name))
 
     def _on_rremap(self, message: Message) -> None:
         """Flip the routing table for a completed split/merge and flush.

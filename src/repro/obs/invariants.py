@@ -12,7 +12,9 @@ adaptation protocols, independent of any particular workload:
    flushed exactly once per session (on remap for a completed hand-off,
    on remap-back for an aborted one); never zero times, never twice.
 3. **Single residency** — no partition's state is live on two machines
-   at once.  Packing evicts it from the sender (it is *in flight* until
+   at once (within one serving namespace and pipeline stage: every
+   tenant runtime numbers its partitions from 0, so ``q1:m2`` and
+   ``q2:m2`` may both hold pid 5).  Packing evicts it from the sender (it is *in flight* until
    the receiver installs), a crash evicts everything on the dead
    machine, and a recovery restore may only re-materialise state whose
    owner is gone.
@@ -147,9 +149,10 @@ class InvariantChecker:
         self.violations: list[Violation] = []
         # machine -> pipeline stage label ("" for flat deployments)
         self._stage_of: dict[str, str] = {}
-        # (stage, pid) -> machine currently holding live state
+        # (scope, pid) -> machine currently holding live state; the scope
+        # is the machine's serving namespace + stage (see _scope)
         self._resident: dict[tuple[str, int], str] = {}
-        # (span, stage, pid) -> sender, for state packed but not installed
+        # (span, scope, pid) -> sender, for state packed but not installed
         self._in_flight: dict[tuple[int, str, int], str] = {}
         self._dead: set[str] = set()
         # check 10: cluster membership as seen by the trace
@@ -186,6 +189,13 @@ class InvariantChecker:
 
     def _stage(self, machine: str, event: TraceEvent) -> str:
         return str(event.get("stage", self._stage_of.get(machine, "")))
+
+    def _scope(self, machine: str, event: TraceEvent) -> str:
+        """What a pid is unique within: the machine's serving namespace
+        (``q1:`` of ``q1:m2``; every tenant runtime numbers its partitions
+        from 0) plus its pipeline stage."""
+        namespace, colon, _ = machine.rpartition(":")
+        return namespace + colon + self._stage(machine, event)
 
     # ------------------------------------------------------------------
     def feed(self, events: Iterable[TraceEvent]) -> None:
@@ -284,12 +294,12 @@ class InvariantChecker:
     # Residency bookkeeping (check 3)
     # ------------------------------------------------------------------
     def _on_assignment(self, e: TraceEvent) -> None:
-        stage = str(e.get("stage", ""))
-        self._stage_of[e.machine] = stage
+        self._stage_of[e.machine] = str(e.get("stage", ""))
+        scope = self._scope(e.machine, e)
         # the initial placement doubles as the founding membership roster
         self._members.add(e.machine)
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine:
                 self._fail(
@@ -301,21 +311,21 @@ class InvariantChecker:
             self._resident[key] = e.machine
 
     def _on_pack(self, e: TraceEvent) -> None:
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         span = e.span or 0
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             if self._resident.get(key) == e.machine:
                 del self._resident[key]
-            self._in_flight[(span, stage, int(pid))] = e.machine
+            self._in_flight[(span, scope, int(pid))] = e.machine
 
     def _on_install(self, e: TraceEvent) -> None:
         self._check_ownership_target(e.machine, "installed", e)
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         span = e.span or 0
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
-            self._in_flight.pop((span, stage, int(pid)), None)
+            key = (scope, int(pid))
+            self._in_flight.pop((span, scope, int(pid)), None)
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine and holder not in self._dead:
                 self._fail(
@@ -337,9 +347,9 @@ class InvariantChecker:
 
     def _on_restore(self, e: TraceEvent) -> None:
         self._check_ownership_target(e.machine, "restored", e)
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         for pid in e.get("installed", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine and holder not in self._dead:
                 self._fail(
@@ -550,7 +560,7 @@ class InvariantChecker:
         if state is None:
             return
         self._check_ownership_target(e.machine, "installed", e)
-        stage = self._stage(e.machine, e)
+        scope = self._scope(e.machine, e)
         pid = int(e.get("pid", -1))
         if pid not in state.expected_installs:
             self._fail(
@@ -559,7 +569,7 @@ class InvariantChecker:
                 f"not among its new group(s) {sorted(state.expected_installs)}",
                 e,
             )
-        key = (stage, pid)
+        key = (scope, pid)
         holder = self._resident.get(key)
         if holder is not None and holder != e.machine and holder not in self._dead:
             self._fail(
@@ -572,7 +582,7 @@ class InvariantChecker:
         state.installs.add(pid)
         # the replaced group(s) dissolve with the rebuild on the owner
         for old in state.expected_retires:
-            okey = (stage, old)
+            okey = (scope, old)
             if self._resident.get(okey) == e.machine:
                 del self._resident[okey]
 

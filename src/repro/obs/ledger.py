@@ -19,9 +19,10 @@ local-controller overflow check appends one structured entry carrying
   the two records cross-link.
 
 The recorded inputs are complete enough to **re-evaluate the decision
-offline**: :func:`replay_decision` re-runs the coordinator's rule cascade
-(tie-breaks included) over an entry's inputs and must reproduce the
-recorded action, and :func:`check_ledger_trace` asserts the span↔entry
+offline**: every rule cascade is a pure function of exactly these inputs
+(:mod:`repro.core.policy`), so :func:`replay_decision` calls the function
+the live site called and must reproduce the recorded action, rule and
+chosen parameters; :func:`check_ledger_trace` asserts the span↔entry
 mapping is bijective — every spill/relocation span is justified by
 exactly one executed ledger entry and vice versa.
 
@@ -33,6 +34,7 @@ consumes no simulated time.
 
 from __future__ import annotations
 
+import importlib
 import json
 from typing import Any, Callable, Iterable
 
@@ -63,12 +65,8 @@ ACTION_RELOCATE = "relocate"
 ACTION_FORCED_SPILL = "forced_spill"
 ACTION_SPILL = "spill"
 ACTION_NONE = "none"
-ACTION_ADMIT = "admit"
-ACTION_REJECT = "reject"
-ACTION_FOLD = "fold"
 ACTION_SPLIT = "split"
 ACTION_MERGE = "merge"
-ACTION_JOIN = "join"
 ACTION_DRAIN = "drain"
 
 #: which trace-span name each executed action must be justified by.
@@ -231,266 +229,68 @@ def load_jsonl(path) -> list[dict[str, Any]]:
 # ----------------------------------------------------------------------
 # Offline replay: the recorded inputs must reproduce the decision
 # ----------------------------------------------------------------------
-def _replay_gc(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of :meth:`GlobalCoordinator.evaluate`'s rule cascade,
-    tie-breaks included, over recorded inputs."""
-    if inputs.get("deferred"):
-        return {"action": ACTION_NONE, "rule": "deferred"}
-    reports = inputs["reports"]  # worker-order, as the coordinator saw them
-    if len(reports) < 2:
-        return {"action": ACTION_NONE, "rule": "deferred"}
-
-    if inputs.get("relocation_enabled") and not inputs.get("arbitration_denied"):
-        # max()/min() with a (bytes, machine) key: exactly the coordinator's
-        # deterministic tie-break.  ``arbitration_denied`` marks ticks on
-        # which the serving layer's cross-deployment arbiter refused the
-        # relocation slot, so the coordinator fell through this branch.
-        max_r = max(reports, key=lambda r: (r["state_bytes"], r["machine"]))
-        min_r = min(reports, key=lambda r: (r["state_bytes"], r["machine"]))
-        max_load, min_load = max_r["state_bytes"], min_r["state_bytes"]
-        if max_load > 0 and max_r["machine"] != min_r["machine"]:
-            if min_load / max_load < inputs["theta_r"]:
-                if inputs["now"] - inputs["last_relocation_time"] >= inputs["tau_m"]:
-                    amount = (max_load - min_load) // 2
-                    if amount >= inputs["min_relocation_bytes"]:
-                        return {
-                            "action": ACTION_RELOCATE,
-                            "sender": max_r["machine"],
-                            "receiver": min_r["machine"],
-                            "amount": amount,
-                        }
-
-    if inputs.get("forced_spill_enabled"):
-        if inputs["forced_spill_bytes_used"] < inputs["forced_spill_cap"]:
-            floor = inputs["forced_spill_pressure_floor"]
-            if any(r["state_bytes"] >= floor for r in reports):
-                rated = [
-                    (r["rate"], r) for r in reports if r["group_count"] > 0
-                ]
-                if len(rated) >= 2:
-                    # max()/min() return the FIRST extreme in report order —
-                    # the coordinator's list-order tie-break.
-                    max_rate, _ = max(rated, key=lambda x: x[0])
-                    min_rate, min_r = min(rated, key=lambda x: x[0])
-                    if min_rate <= 0:
-                        ratio = float("inf") if max_rate > 0 else 0.0
-                    else:
-                        ratio = max_rate / min_rate
-                    if ratio > inputs["lambda_productivity"]:
-                        remaining = (
-                            inputs["forced_spill_cap"]
-                            - inputs["forced_spill_bytes_used"]
-                        )
-                        amount = min(
-                            int(
-                                min_r["state_bytes"]
-                                * inputs["forced_spill_fraction"]
-                            ),
-                            remaining,
-                        )
-                        if amount > 0:
-                            return {
-                                "action": ACTION_FORCED_SPILL,
-                                "machine": min_r["machine"],
-                                "amount": amount,
-                            }
-
-    return {"action": ACTION_NONE}
-
-
-def _replay_overflow(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of :meth:`QueryEngine._ss_timer_expired` /
-    :meth:`QueryEngine._on_start_ss` gating."""
-    if inputs["mode"] != "normal":
-        return {"action": ACTION_NONE, "rule": "busy"}
-    if not inputs.get("forced") and inputs["state_bytes"] <= inputs["memory_threshold"]:
-        return {"action": ACTION_NONE, "rule": "under_threshold"}
-    return {"action": ACTION_SPILL}
-
-
-def _replay_cluster_gc(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of :meth:`repro.serving.gc.ClusterGC.evaluate`'s victim
-    cascade over recorded inputs (pure arithmetic, list-order tie-breaks
-    included)."""
-    over = [t for t in inputs["tenants"] if t["usage"] > t["budget"]]
-    if not over:
-        return {"action": ACTION_NONE, "rule": "within_budget"}
-    victims = [v for v in inputs["victims"] if v["score"] > 0]
-    if not victims:
-        return {"action": ACTION_NONE, "rule": "no_victims"}
-    # max() returns the FIRST extreme in victim order — the cluster GC's
-    # deterministic (score, engine-name) tie-break is baked into the list.
-    best = max(victims, key=lambda v: (v["score"], v["engine"]))
-    amount = int(best["state_bytes"] * inputs["spill_fraction"])
-    if amount < inputs["min_spill_bytes"]:
-        return {"action": ACTION_NONE, "rule": "too_small"}
-    return {
-        "action": ACTION_FORCED_SPILL,
-        "machine": best["engine"],
-        "amount": amount,
-    }
-
-
-def _replay_repartition(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of :func:`repro.core.repartition.evaluate_repartition`'s
-    rule cascade over recorded (JSON-typed) inputs.  Duplicated rather
-    than imported: the obs layer must not depend on the core package."""
-    if inputs["now"] - inputs["last_repartition_time"] < inputs["tau_p"]:
-        return {"action": ACTION_NONE, "rule": "tau_p"}
-    depths = {int(k): v for k, v in inputs.get("depths", {}).items()}
-    refinement = [tuple(node) for node in inputs.get("refinement", ())]
-    refined = {parent for parent, _, _ in refinement}
-    max_depth = inputs.get("max_depth", 16)
-    # Rule 1 — split the hot group most above the cluster-wide average
-    # group size; (bytes, machine) tie-break.
-    total_bytes = sum(r["state_bytes"] for r in inputs["reports"])
-    total_groups = sum(r["group_count"] for r in inputs["reports"])
-    avg_group = total_bytes / total_groups if total_groups else 0.0
-    best = None
-    for r in inputs["reports"]:
-        if r["max_group_pid"] < 0:
-            continue
-        if r["max_group_bytes"] < inputs["split_min_bytes"]:
-            continue
-        if r["max_group_bytes"] <= inputs["split_skew_factor"] * avg_group:
-            continue
-        if depths.get(r["max_group_pid"], 0) >= max_depth:
-            continue
-        if best is None or (r["max_group_bytes"], r["machine"]) > (
-            best["max_group_bytes"],
-            best["machine"],
-        ):
-            best = r
-    if best is not None:
-        nxt = inputs["next_child_pid"]
-        return {
-            "action": ACTION_SPLIT,
-            "machine": best["machine"],
-            "parent": best["max_group_pid"],
-            "children": [nxt, nxt + 1],
-        }
-    # Rule 2 — fold the first co-resident cold leaf sibling pair, scanning
-    # reports in worker order and refinements in sorted-parent order.
-    for r in inputs["reports"]:
-        small = {pid: size for pid, size in r["small_groups"]}
-        for parent, c0, c1 in refinement:
-            if c0 in refined or c1 in refined:
-                continue
-            if (
-                c0 in small
-                and c1 in small
-                and small[c0] + small[c1] <= inputs["merge_max_bytes"]
-            ):
-                return {
-                    "action": ACTION_MERGE,
-                    "machine": r["machine"],
-                    "parent": parent,
-                    "children": [c0, c1],
-                }
-    return {"action": ACTION_NONE}
-
-
-def _replay_admission(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of :meth:`repro.serving.server.QueryServer.submit`'s
-    admission cascade over recorded inputs."""
-    if inputs.get("fold_group"):
-        return {"action": ACTION_FOLD, "group": inputs["fold_group"]}
-    demand = inputs["memory_demand"]
-    if inputs["tenant_usage"] + demand > inputs["tenant_budget"]:
-        return {"action": ACTION_REJECT, "rule": "tenant_budget"}
-    if inputs["cluster_used"] + demand > inputs["cluster_capacity"]:
-        return {"action": ACTION_REJECT, "rule": "cluster_capacity"}
-    return {"action": ACTION_ADMIT}
-
-
-def _replay_membership(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of the coordinator's membership decisions
-    (:meth:`GlobalCoordinator.admit_worker` / the drain-target choice in
-    :meth:`GlobalCoordinator._start_drain`) over recorded inputs."""
-    if inputs["event"] == "join":
-        return {"action": ACTION_JOIN}
-    # drain: the receiver is the least-loaded live non-draining worker,
-    # (bytes, machine) tie-break — exactly the coordinator's min() key.
-    candidates = [
-        r for r in inputs["reports"] if r["machine"] != inputs["machine"]
-    ]
-    if not candidates:
-        return {"action": ACTION_NONE, "rule": "no_target"}
-    best = min(candidates, key=lambda r: (r["state_bytes"], r["machine"]))
-    return {"action": ACTION_DRAIN, "receiver": best["machine"]}
-
-
-def _replay_slo(inputs: dict[str, Any]) -> dict[str, Any]:
-    """Mirror of :class:`repro.obs.slo.SLOMonitor`'s burn-rate cascade.
-    The cascade itself is pure arithmetic over the recorded inputs and is
-    shared with the live monitor (same module, same function), so the
-    replay is the evaluation."""
-    from repro.obs.slo import _slo_cascade
-
-    action, rule, _ = _slo_cascade(inputs)
-    return {"action": action, "rule": rule}
+#: entry kind -> (module, function) of the pure rule cascade the live
+#: decision site called.  Resolved on first use: the obs layer imports
+#: nothing from ``repro.core`` at import time.
+_POLICY = {
+    KIND_GC_TICK: ("repro.core.policy", "decide_gc"),
+    KIND_OVERFLOW_CHECK: ("repro.core.policy", "decide_overflow"),
+    KIND_CLUSTER_GC: ("repro.core.policy", "decide_cluster_gc"),
+    KIND_ADMISSION: ("repro.core.policy", "decide_admission"),
+    KIND_REPARTITION: ("repro.core.policy", "decide_repartition"),
+    KIND_MEMBERSHIP: ("repro.core.policy", "decide_membership"),
+    KIND_SLO: ("repro.obs.slo", "_slo_cascade"),
+}
 
 
 def replay_decision(entry: dict[str, Any]) -> dict[str, Any]:
-    """Re-evaluate a ledger entry's decision from its recorded inputs.
+    """Re-evaluate a ledger entry's decision from its recorded inputs by
+    calling the very function the live decision site called.
 
-    Returns a dict with at least ``action``; for executed GC decisions
-    also the chosen machine(s) and amount.  The acceptance criterion is
-    ``replay_decision(e)["action"] == e["action"]`` (plus matching
-    sender/receiver/amount) for every entry of a run.
+    Returns ``action`` and ``rule`` plus the choice parameters (machine(s),
+    amount, pids) of an executed decision.  The acceptance criterion is
+    that all of them equal what the entry recorded, for every entry of a
+    run (:func:`verify_replay`).
     """
-    if entry["kind"] == KIND_GC_TICK:
-        return _replay_gc(entry["inputs"])
-    if entry["kind"] == KIND_OVERFLOW_CHECK:
-        return _replay_overflow(entry["inputs"])
-    if entry["kind"] == KIND_CLUSTER_GC:
-        return _replay_cluster_gc(entry["inputs"])
-    if entry["kind"] == KIND_ADMISSION:
-        return _replay_admission(entry["inputs"])
-    if entry["kind"] == KIND_REPARTITION:
-        return _replay_repartition(entry["inputs"])
-    if entry["kind"] == KIND_MEMBERSHIP:
-        return _replay_membership(entry["inputs"])
-    if entry["kind"] == KIND_SLO:
-        return _replay_slo(entry["inputs"])
-    raise ValueError(f"unknown ledger entry kind {entry['kind']!r}")
+    try:
+        module, name = _POLICY[entry["kind"]]
+    except KeyError:
+        raise ValueError(f"unknown ledger entry kind {entry['kind']!r}") from None
+    decide = getattr(importlib.import_module(module), name)
+    action, rule, choice, _ = decide(entry["inputs"])
+    return {"action": action, "rule": rule, **choice}
 
 
 def verify_replay(entries: Iterable[dict[str, Any]]) -> list[Violation]:
     """Replay every entry offline; report entries whose recorded inputs do
-    not reproduce the recorded decision."""
+    not reproduce the recorded action, rule or chosen parameters."""
     violations = []
+
+    def mismatch(entry, what, recorded, replayed):
+        violations.append(
+            Violation(
+                check="ledger_replay",
+                message=(
+                    f"entry {entry['id']} recorded {what}{recorded!r} "
+                    f"but inputs replay to {replayed!r}"
+                ),
+                seq=entry["id"],
+            )
+        )
+
     for entry in entries:
         replayed = replay_decision(entry)
-        if replayed["action"] != entry["action"]:
-            violations.append(
-                Violation(
-                    check="ledger_replay",
-                    message=(
-                        f"entry {entry['id']} recorded action "
-                        f"{entry['action']!r} but inputs replay to "
-                        f"{replayed['action']!r}"
-                    ),
-                    seq=entry["id"],
-                )
-            )
+        action = replayed.pop("action")
+        if action != entry["action"]:
+            mismatch(entry, "action ", entry["action"], action)
             continue
-        for key in ("sender", "receiver", "machine", "amount", "parent", "children"):
-            if key in replayed and entry["inputs"].get(f"chosen_{key}") not in (
-                None,
-                replayed[key],
-            ):
-                violations.append(
-                    Violation(
-                        check="ledger_replay",
-                        message=(
-                            f"entry {entry['id']} recorded {key}="
-                            f"{entry['inputs'][f'chosen_{key}']!r} but inputs "
-                            f"replay to {replayed[key]!r}"
-                        ),
-                        seq=entry["id"],
-                    )
-                )
+        rule = replayed.pop("rule")
+        if rule != entry["rule"]:
+            mismatch(entry, "rule=", entry["rule"], rule)
+        for key, value in replayed.items():
+            recorded = entry["inputs"].get(f"chosen_{key}")
+            if recorded not in (None, value):
+                mismatch(entry, f"{key}=", recorded, value)
     return violations
 
 

@@ -596,7 +596,7 @@ class SLOMonitor:
             "window_bad": delta_bad,
             "burn_rate": burn,
         }
-        action, rule, alternatives = _slo_cascade(inputs)
+        action, rule, _, alternatives = _slo_cascade(inputs)
         if action in ("budget_exhausted", "alert"):
             self.status = "breaching"
             self.alerts += 1
@@ -686,10 +686,11 @@ class SLOMonitor:
         ).set_total(self.stalls)
 
 
-def _slo_cascade(inputs: Mapping) -> tuple[str, str, list[dict]]:
+def _slo_cascade(inputs: Mapping) -> tuple[str, str, dict, list[dict]]:
     """The pure burn-rate rule cascade, shared verbatim by the live
-    monitor and the offline ledger replay (``_replay_slo``): the recorded
-    inputs fully determine the action."""
+    monitor and the offline ledger replay: the recorded inputs fully
+    determine the action.  Returns ``(action, rule, choice, alternatives)``
+    like the ``repro.core.policy`` functions; the choice is always empty."""
     error_budget = float(inputs["error_budget"])
     burn_alert = float(inputs["burn_alert"])
     total = int(inputs["total"])
@@ -698,7 +699,7 @@ def _slo_cascade(inputs: Mapping) -> tuple[str, str, list[dict]]:
     delta_bad = int(inputs["window_bad"])
     alternatives: list[dict] = []
     if delta_total == 0:
-        return "no_results", "no_results", [{
+        return "no_results", "no_results", {}, [{
             "action": "within_budget", "outcome": "rejected",
             "predicate": "no results emitted inside the burn window",
         }]
@@ -709,7 +710,7 @@ def _slo_cascade(inputs: Mapping) -> tuple[str, str, list[dict]]:
     # Budget exhaustion fires *at* the boundary: >= not > (the edge case
     # pinned by the tests).
     if bad > 0 and bad >= error_budget * total:
-        return "budget_exhausted", "error_budget", alternatives + [{
+        return "budget_exhausted", "error_budget", {}, alternatives + [{
             "action": "within_budget", "outcome": "rejected",
             "predicate": (
                 f"cumulative bad {bad} >= error_budget {error_budget} * "
@@ -725,11 +726,11 @@ def _slo_cascade(inputs: Mapping) -> tuple[str, str, list[dict]]:
     })
     burn = (delta_bad / delta_total) / error_budget
     if burn >= burn_alert:
-        return "alert", "burn_rate", alternatives + [{
+        return "alert", "burn_rate", {}, alternatives + [{
             "action": "within_budget", "outcome": "rejected",
             "predicate": f"burn rate {burn} >= alert threshold {burn_alert}",
         }]
-    return "within_budget", "burn_rate", alternatives + [{
+    return "within_budget", "burn_rate", {}, alternatives + [{
         "action": "alert", "outcome": "rejected",
         "predicate": f"burn rate {burn} < alert threshold {burn_alert}",
     }]

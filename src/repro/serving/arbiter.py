@@ -6,9 +6,9 @@ relocation sessions that saturate the same physical links.  Under the
 serving layer every coordinator is an :class:`ArbitratedCoordinator`
 holding a shared :class:`RelocationArbiter`: at most one relocation
 session runs cluster-wide, a denied coordinator records the holder in its
-ledger tick (and sets the ``arbitration_denied`` replay flag so the
-offline rule mirror skips the branch it was denied) and simply retries on
-a later evaluation pass.
+ledger tick (and sets the ``arbitration_denied`` input so the rule
+cascade, live and replayed, skips the branch it was denied) and simply
+retries on a later evaluation pass.
 
 A server running a single deployment always gets the slot, so arbitrated
 behaviour is byte-identical to the standalone coordinator — the property
@@ -17,7 +17,8 @@ the folding differentials rely on.
 
 from __future__ import annotations
 
-from repro.core.coordinator import GlobalCoordinator, _alt
+from repro.core.coordinator import GlobalCoordinator
+from repro.core.policy import _alt
 
 __all__ = ["ArbitratedCoordinator", "RelocationArbiter"]
 
@@ -59,35 +60,27 @@ class ArbitratedCoordinator(GlobalCoordinator):
     def __init__(self, *args, arbiter: RelocationArbiter, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.arbiter = arbiter
-        self._arb_denied = False
 
     # -- decision loop --------------------------------------------------
-    def evaluate(self) -> None:
-        self._arb_denied = False
-        super().evaluate()
-
-    def _try_relocation(self, reports, alts=None) -> bool:
-        if not self.arbiter.acquire(self.name):
-            self._arb_denied = True
-            if alts is not None:
-                alts.append(_alt(
-                    "relocate",
-                    f"arbiter: cluster relocation slot held by "
-                    f"{self.arbiter.holder!r}",
-                ))
-            return False
-        started = super()._try_relocation(reports, alts)
-        if not started:
-            self.arbiter.release(self.name)
-        return started
-
-    def _gc_inputs(self, reports) -> dict:
-        inputs = super()._gc_inputs(reports)
-        if self._arb_denied:
-            # replay contract: the offline mirror must skip the relocation
+    def _decide_gc(self, inputs: dict, explain: bool):
+        denied = inputs["relocation_enabled"] and not self.arbiter.acquire(
+            self.name
+        )
+        if denied:
+            # replay contract: the rule cascade skips the relocation
             # branch exactly when the live coordinator was denied it
             inputs["arbitration_denied"] = True
-        return inputs
+        decision = super()._decide_gc(inputs, explain)
+        action, _, _, alts = decision
+        if denied and explain:
+            alts.insert(0, _alt(
+                "relocate",
+                f"arbiter: cluster relocation slot held by "
+                f"{self.arbiter.holder!r}",
+            ))
+        if action != "relocate":
+            self.arbiter.release(self.name)
+        return decision
 
     # -- slot release on session end ------------------------------------
     def _release_if_idle(self) -> None:

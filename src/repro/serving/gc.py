@@ -19,8 +19,9 @@ Every ``interval`` seconds it
    returns here, not to the query's own coordinator);
 4. records the decision — chosen victim, rejected cross-query
    alternatives, full tenant/victim snapshot — as a ``cluster_gc``
-   ledger entry whose inputs replay offline through
-   :func:`repro.obs.ledger.replay_decision`.
+   ledger entry.  Steps 2-3 are
+   :func:`repro.core.policy.decide_cluster_gc` over that snapshot, so
+   :func:`repro.obs.ledger.replay_decision` re-runs them offline.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.simulation import Timer
-from repro.core.coordinator import _alt
+from repro.core.policy import decide_cluster_gc, with_choice
 from repro.core.productivity import machine_productivity_rate
 from repro.core.relocation import ForcedSpillRequest
 from repro.obs.ledger import KIND_CLUSTER_GC
@@ -92,8 +93,7 @@ class ClusterGC:
     def _snapshot(self) -> tuple[list[dict], list[dict]]:
         """Deterministic tenant-usage and victim-candidate tables.
 
-        Victim order is (group id, engine name); the replay mirror's
-        ``max()`` tie-break depends on exactly this ordering.
+        Victim order is (group id, engine name).
         """
         server = self.server
         tenants = [
@@ -153,11 +153,10 @@ class ClusterGC:
         return tenants, victims
 
     def evaluate(self) -> None:
-        """One cross-query GC pass (mirrors
-        :func:`repro.obs.ledger._replay_cluster_gc` exactly)."""
+        """One cross-query GC pass: snapshot, decide
+        (:func:`repro.core.policy.decide_cluster_gc`), record, order."""
         server = self.server
-        groups = server.active_groups()
-        if not groups:
+        if not server.active_groups():
             return
         self.stats.evaluations += 1
         ledger = server.metrics.ledger
@@ -169,100 +168,30 @@ class ClusterGC:
             "spill_fraction": self.spill_fraction,
             "min_spill_bytes": self.min_spill_bytes,
         }
-        over = [t for t in tenants if t["usage"] > t["budget"]]
-        alts: list[dict] | None = [] if ledger.enabled else None
-        if not over:
-            if ledger.enabled:
-                assert alts is not None
-                alts.append(_alt(
-                    "forced_spill",
-                    "every tenant within budget: "
-                    + ", ".join(
-                        f"{t['name']}={t['usage']}/{t['budget']} B"
-                        for t in tenants
-                    ),
-                ))
-                ledger.record(
-                    server.name, KIND_CLUSTER_GC, "none", "within_budget",
-                    inputs, alts,
-                )
-            return
-        scored = [v for v in victims if v["score"] > 0]
-        if not scored:
-            if ledger.enabled:
-                assert alts is not None
-                alts.append(_alt(
-                    "forced_spill",
-                    "no engine serves an over-budget tenant with "
-                    "positive-score state",
-                ))
-                ledger.record(
-                    server.name, KIND_CLUSTER_GC, "none", "no_victims",
-                    inputs, alts,
-                )
-            return
-        best = max(scored, key=lambda v: (v["score"], v["engine"]))
-        amount = int(best["state_bytes"] * self.spill_fraction)
-        if amount < self.min_spill_bytes:
-            if ledger.enabled:
-                assert alts is not None
-                alts.append(_alt(
-                    "forced_spill",
-                    f"amount = {best['state_bytes']} B x "
-                    f"{self.spill_fraction} = {amount} B < "
-                    f"min_spill_bytes = {self.min_spill_bytes} B",
-                ))
-                ledger.record(
-                    server.name, KIND_CLUSTER_GC, "none", "too_small",
-                    inputs, alts,
-                )
-            return
+        action, rule, choice, alts = decide_cluster_gc(inputs, ledger.enabled)
         entry = 0
         if ledger.enabled:
-            assert alts is not None
-            for loser in scored:
-                if loser is best:
-                    continue
-                alts.append(_alt(
-                    "forced_spill",
-                    f"victim {loser['engine']!r} (tenant "
-                    f"{loser['tenant']!r}): score = {loser['score']:.1f} "
-                    f"< chosen {best['score']:.1f}",
-                ))
-            alts.append(_alt(
-                "forced_spill",
-                f"tenant {best['tenant']!r} over budget -> spill "
-                f"{amount} B on {best['engine']!r} (score "
-                f"{best['score']:.1f}: overuse x {best['state_bytes']} B "
-                f"/ (1 + {best['productivity']:.3f}))",
-                outcome="chosen",
-            ))
             entry = ledger.record(
-                server.name,
-                KIND_CLUSTER_GC,
-                "forced_spill",
-                "tenant_budget",
-                {
-                    **inputs,
-                    "chosen_machine": best["engine"],
-                    "chosen_amount": amount,
-                    "chosen_tenant": best["tenant"],
-                },
-                alts,
+                server.name, KIND_CLUSTER_GC, action, rule,
+                with_choice(inputs, choice), alts,
             )
+        if action == "none":
+            return
+        engine, amount = choice["machine"], choice["amount"]
+        group = next(v["group"] for v in victims if v["engine"] == engine)
         self.stats.orders += 1
         self.stats.bytes_ordered += amount
         server.metrics.events.record(
             server.sim.now,
             "cluster_gc_order",
-            best["engine"],
-            tenant=best["tenant"],
-            group=best["group"],
+            engine,
+            tenant=choice["tenant"],
+            group=group,
             bytes=amount,
         )
         server.network.send(
             server.name,
-            best["engine"],
+            engine,
             "start_ss",
             ForcedSpillRequest(amount=amount, ledger_entry=entry),
             server.cost.control_message_bytes,

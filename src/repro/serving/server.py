@@ -30,6 +30,7 @@ from typing import Sequence
 from repro.cluster.network import Message, Network
 from repro.cluster.simulation import Simulator
 from repro.core.config import AdaptationConfig, CostModel
+from repro.core.policy import decide_admission
 from repro.engine.operators.mjoin import MJoin
 from repro.engine.plan import Deployment
 from repro.engine.streams import OutputCollector
@@ -229,8 +230,9 @@ class QueryServer:
             "cluster_used": self.cluster_used,
             "fold_group": candidate.gid if candidate is not None else None,
         }
+        action, rule, _, alts = decide_admission(inputs)
 
-        if candidate is not None:
+        if action == "fold":
             handle = QueryHandle(
                 qid=qid, tenant=tenant.name, spec=spec, status="running",
                 demand=demand, collector=OutputCollector(
@@ -250,18 +252,17 @@ class QueryServer:
                 )
             self._admission_counts["fold"] += 1
             if ledger.enabled:
+                alts.append({
+                    "action": "fold", "outcome": "chosen",
+                    "predicate": (
+                        f"signature matches running group "
+                        f"{candidate.gid!r} ({len(candidate.members)} "
+                        f"members) -> share its state, charge 0 B of "
+                        f"cluster capacity"
+                    ),
+                })
                 ledger.record(
-                    self.name, KIND_ADMISSION, "fold", "fold_signature",
-                    inputs,
-                    [{
-                        "action": "fold", "outcome": "chosen",
-                        "predicate": (
-                            f"signature matches running group "
-                            f"{candidate.gid!r} ({len(candidate.members)} "
-                            f"members) -> share its state, charge 0 B of "
-                            f"cluster capacity"
-                        ),
-                    }],
+                    self.name, KIND_ADMISSION, action, rule, inputs, alts
                 )
             self.metrics.events.record(
                 self.sim.now, "query_fold", candidate.gid,
@@ -270,33 +271,16 @@ class QueryServer:
             )
             return handle
 
-        reject_reason = None
-        rule = None
-        if tenant.admitted_demand + demand > tenant.memory_budget:
-            rule = "tenant_budget"
-            reject_reason = (
-                f"tenant {tenant.name!r} budget exceeded: "
-                f"{tenant.admitted_demand} + {demand} B > "
-                f"{tenant.memory_budget} B"
-            )
-        elif self.cluster_used + demand > self.cluster_capacity:
-            rule = "cluster_capacity"
-            reject_reason = (
-                f"cluster capacity exceeded: {self.cluster_used} + "
-                f"{demand} B > {self.cluster_capacity} B"
-            )
-        if reject_reason is not None:
+        if action == "reject":
             handle = QueryHandle(
                 qid=qid, tenant=tenant.name, spec=spec, status="rejected",
-                demand=demand, reason=reject_reason,
+                demand=demand, reason=alts[0]["predicate"],
             )
             self.queries[qid] = handle
             self._admission_counts["reject"] += 1
             if ledger.enabled:
                 ledger.record(
-                    self.name, KIND_ADMISSION, "reject", rule, inputs,
-                    [{"action": "admit", "outcome": "rejected",
-                      "predicate": reject_reason}],
+                    self.name, KIND_ADMISSION, action, rule, inputs, alts
                 )
             self.metrics.events.record(
                 self.sim.now, "query_reject", self.name,
@@ -344,16 +328,7 @@ class QueryServer:
         self._admission_counts["admit"] += 1
         if ledger.enabled:
             ledger.record(
-                self.name, KIND_ADMISSION, "admit", "capacity", inputs,
-                [{
-                    "action": "admit", "outcome": "chosen",
-                    "predicate": (
-                        f"tenant {tenant.admitted_demand - demand} + "
-                        f"{demand} B <= {tenant.memory_budget} B and "
-                        f"cluster {self.cluster_used - demand} + {demand} B "
-                        f"<= {self.cluster_capacity} B"
-                    ),
-                }],
+                self.name, KIND_ADMISSION, action, rule, inputs, alts
             )
         self.metrics.events.record(
             self.sim.now, "query_admit", self.name,

@@ -89,6 +89,17 @@ def assert_no_violations(tracer, name):
     return events
 
 
+def assert_rules_replay(entries):
+    """Replay is the policy function the live site called, so the recorded
+    ``rule`` — not only the action — reproduces on every entry, executed
+    relocations, spills, admissions and membership changes included."""
+    from repro.obs.ledger import replay_decision, verify_replay
+
+    assert verify_replay(entries) == []
+    for entry in entries:
+        assert replay_decision(entry)["rule"] == entry["rule"], entry
+
+
 def canonical_frozen(frozen):
     """Representation-independent canonical form of a frozen group.
 

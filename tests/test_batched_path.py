@@ -93,7 +93,8 @@ class TestStoreBatchEquivalence:
 
 def run_deployment(batched, **kwargs):
     tracer = Tracer()
-    dep = small_deployment(collect=True, batched_data_path=batched,
+    dep = small_deployment(collect=True,
+                           data_path="batched" if batched else "tuple",
                            tracer=tracer, **kwargs)
     dep.run(duration=40.0, sample_interval=5.0)
     report = dep.cleanup(materialize=True)
@@ -133,7 +134,7 @@ class TestDeploymentEquivalence:
                 ),
                 collect_results=True,
                 record_inputs=True,
-                batched_data_path=batched,
+                data_path="batched" if batched else "tuple",
                 tracer=tracer,
             )
             dep.run(duration=50, sample_interval=10)

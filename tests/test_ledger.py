@@ -18,6 +18,8 @@ from repro.obs.ledger import (
 )
 from repro.workloads import WorkloadSpec, three_way_join
 
+from tests.helpers import assert_rules_replay
+
 
 def small_workload(interarrival=0.01):
     return WorkloadSpec.uniform(n_partitions=12, join_rate=3,
@@ -111,9 +113,9 @@ class TestLiveLedger:
 
     def test_replay_reproduces_every_decision(self, run):
         _, _, ledger = run
-        assert verify_replay(ledger.entries) == []
         for entry in ledger.entries:
             assert replay_decision(entry)["action"] == entry["action"]
+        assert_rules_replay(ledger.entries)
 
     def test_invariant_checker_integration(self, run):
         _, tracer, ledger = run
@@ -369,3 +371,17 @@ class TestRunFile:
         series_names = {r["name"] for r in records if r["kind"] == "series"}
         assert "outputs" in series_names
         assert "memory:m1" in series_names
+
+
+def test_two_query_serving_run_replays_rules(tmp_path):
+    """``--queries 2``: one admission, one fold, two tenants' ticks."""
+    from repro.bench.cli import main
+    from repro.obs.report import load_run
+
+    path = tmp_path / "serving.run.jsonl"
+    assert main("--queries 2 --workers 2 --minutes 1 --threshold-kb 100 "
+                "--partitions 12 --tuple-range 600 --interarrival-ms 10 "
+                f"--ledger {path}".split()) == 0
+    entries = load_run(path).decisions
+    assert {"admit", "fold"} <= {e["action"] for e in entries}
+    assert_rules_replay(entries)

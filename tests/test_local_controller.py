@@ -70,13 +70,6 @@ class TestSelectRelocationParts:
 
 
 class TestController:
-    def test_memory_exceeded_threshold(self, machine):
-        store = StateStore(machine, STREAMS)
-        controller = make_controller(machine, store, memory_threshold=500)
-        assert not controller.memory_exceeded()
-        fill(store, 0, 10, size=64)
-        assert controller.memory_exceeded()
-
     def test_run_spill_uses_policy_default_amount(self, sim, machine):
         store = StateStore(machine, STREAMS)
         controller = make_controller(machine, store, spill_fraction=0.5)

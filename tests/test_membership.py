@@ -47,7 +47,11 @@ from repro.workloads import (
     three_way_join,
 )
 
-from tests.helpers import assert_no_violations, small_deployment
+from tests.helpers import (
+    assert_no_violations,
+    assert_rules_replay,
+    small_deployment,
+)
 from tests.test_recovery import assert_exactly_once
 
 
@@ -361,7 +365,10 @@ class TestCoordinatorMembership:
             alt.get("outcome") == "chosen"
             for alt in drain_entries[0]["alternatives"]
         )
-        assert not verify_replay(ledger.entries)
+        assert {"join", "drain", "relocate"} <= {
+            e["action"] for e in ledger.entries
+        }
+        assert_rules_replay(ledger.entries)
 
 
 # ----------------------------------------------------------------------

@@ -469,8 +469,8 @@ class TestArbitration:
 
     def test_contending_runtimes_replay_cleanly(self):
         """With two relocation-prone runtimes, denials may occur; every
-        denied tick carries the replay flag so the offline mirror stays
-        in lockstep."""
+        denied tick carries the ``arbitration_denied`` input so the
+        replayed cascade skips the same branch."""
         ledger = DecisionLedger()
         server = make_server(fold=False, ledger=ledger)
         serve(server, [

@@ -135,7 +135,7 @@ class TestLatencySketch:
 # ----------------------------------------------------------------------
 def cascade(total, bad, window_total, window_bad, *, error_budget=0.01,
             burn_alert=1.0):
-    action, _, _ = _slo_cascade({
+    action, *_ = _slo_cascade({
         "error_budget": error_budget,
         "burn_alert": burn_alert,
         "total": total,

@@ -173,6 +173,34 @@ def test_checker_flags_double_residency():
     assert any(v.check == "single-residency" for v in synthetic(author))
 
 
+def test_checker_scopes_residency_by_serving_namespace():
+    """Every tenant runtime numbers its partitions from 0: the same pid
+    on ``q1:m2`` and ``q2:m2`` is two different groups, while a double
+    install *inside* one namespace is still a breach."""
+    def two_tenants(t):
+        t.event("deploy.assignment", machine="q1:m1", pids=(0,))
+        t.event("deploy.assignment", machine="q1:m2", pids=(1,))
+        t.event("deploy.assignment", machine="q2:m1", pids=(0,))
+        t.event("deploy.assignment", machine="q2:m2", pids=(1,))
+        span = t.begin_span("relocation", machine="q1:gc")
+        t.event("relocation.pack", machine="q1:m2", span=span, pids=(1,))
+        t.event("relocation.install", machine="q1:m1", span=span, pids=(1,))
+        t.end_span(span, status="aborted", pause_handoff=True)
+
+    assert synthetic(two_tenants) == []
+
+    def twice_in_one_namespace(t):
+        two_tenants(t)
+        span = t.begin_span("relocation", machine="q2:gc")
+        # pid 1 lands on q2:m1 without ever being packed off q2:m2
+        t.event("relocation.install", machine="q2:m1", span=span, pids=(1,))
+        t.end_span(span, status="aborted", pause_handoff=True)
+
+    violations = synthetic(twice_in_one_namespace)
+    assert [v.check for v in violations] == ["single-residency"]
+    assert "('q2:', 1)" in violations[0].message
+
+
 def test_checker_flags_install_on_live_partition():
     def author(t):
         t.event("deploy.assignment", machine="m1", pids=(0,))
@@ -527,3 +555,20 @@ def test_cli_trace_flags(tmp_path, capsys):
     assert events, "CLI wrote an empty trace"
     assert check_trace(events) == []
     assert json.loads(chrome.read_text())["traceEvents"]
+
+
+def test_cli_two_query_run_passes_obs_check(tmp_path, capsys):
+    """Two unfolded tenants reuse the same pids under ``q1:``/``q2:``; the
+    recorded trace + ledger pass ``python -m repro.obs check``."""
+    from repro.bench.cli import main
+    from repro.obs.__main__ import main as obs_main
+
+    trace, run = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+    assert main("--queries 2 --fold off --workers 2 --minutes 1 "
+                "--threshold-kb 100 --partitions 12 --tuple-range 600 "
+                f"--interarrival-ms 10 --trace {trace} --ledger {run}"
+                .split()) == 0
+    assert {"q1:m1", "q2:m1"} <= {e.machine for e in load_jsonl(trace)}
+    capsys.readouterr()
+    assert obs_main(f"check --trace {trace} --ledger {run}".split()) == 0
+    assert "no violations" in capsys.readouterr().out
