@@ -22,8 +22,9 @@ columns:
     match-count table ``{key: [count per stream]}``.  The unwindowed
     count-only probe — the hot path — is a dict lookup and an integer
     product; no per-tuple objects are created.  A per-(stream, key) row
-    index and a row -> StreamTuple cache are built lazily, only when a
-    windowed or materialising probe (or the cleanup oracle) needs them.
+    index is built lazily, only when a windowed or materialising probe
+    (or the cleanup oracle) needs it, and a row -> StreamTuple cache only
+    when somebody reads rows.
 
 ``FrozenColumnGroup``
     Immutable snapshot whose payload *is* the column buffers.  Because the
@@ -31,9 +32,17 @@ columns:
     *share* them with the live group and record only a row-count bound —
     zero-copy in the Python sense; just the small in-place-mutated count
     table is copied.  Per-tuple ``StreamTuple`` objects only come back
-    into existence at the materialisation boundary: final result emission,
-    the cleanup merge and the brute-force oracle, via the lazily built
-    ``.data`` view.
+    into existence at the materialisation boundary: the cleanup merge and
+    the brute-force oracle, via the lazily built ``.data`` view.
+
+``ResultBatch``
+    What a materialising probe returns: one :class:`ProbeRecord` per
+    probing row that matched, aliasing the probed group's buffers the way
+    a frozen snapshot does.  The materialisation boundary for run-time
+    results is the *reader*: ``JoinResult`` rows are built when a consumer
+    iterates the batch (a downstream operator, a pipeline bridge, a test,
+    ``collector.results``), never by the probe, the latency tracker, the
+    output-commit buffer or the collectors that merely hold it.
 
 Row order within a group is insertion order, which both probe paths respect,
 so results and statistics are byte-identical to the row representation.
@@ -42,8 +51,9 @@ so results and statistics are byte-identical to the row representation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.engine.partitions import GROUP_OVERHEAD_BYTES
 from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
@@ -64,6 +74,22 @@ def others_table(m: int) -> tuple[tuple[int, ...], ...]:
         )
         _OTHERS_CACHE[m] = table
     return table
+
+
+def _window_count(cand_ts: list[list[float]], ts: float, window: float) -> int:
+    """Combinations of one timestamp per candidate list that, together with
+    the probing ``ts``, span at most ``window``."""
+    count = 0
+    for combo in product(*cand_ts):
+        lo = min(combo)
+        hi = max(combo)
+        if ts < lo:
+            lo = ts
+        elif ts > hi:
+            hi = ts
+        if hi - lo <= window:
+            count += 1
+    return count
 
 
 class ColumnBatch:
@@ -507,21 +533,7 @@ class ColumnarPartitionGroup:
                     return 0, []
                 count *= n
             return count, []
-        index = self._ensure_index()
-        match_lists: list[list[StreamTuple]] = []
-        count = 1
-        for j in self._others[sid]:
-            bucket = index[j].get(tup.key)
-            if not bucket:
-                return 0, []
-            count *= len(bucket)
-            match_lists.append([self.tuple_at(r) for r in bucket])
-        results: list[JoinResult] = []
-        for combo in product(*match_lists):
-            parts = list(combo)
-            parts.insert(sid, tup)
-            results.append(JoinResult(key=tup.key, parts=tuple(parts), ts=tup.ts))
-        return count, results
+        return self._probe_rows(sid, tup, None)
 
     def probe_windowed_count(self, sid: int, key: int, ts: float,
                              window: float) -> int:
@@ -544,17 +556,7 @@ class ColumnarPartitionGroup:
             if not cands:
                 return 0
             cand_ts.append(cands)
-        count = 0
-        for combo in product(*cand_ts):
-            lo = min(combo)
-            hi = max(combo)
-            if ts < lo:
-                lo = ts
-            elif ts > hi:
-                hi = ts
-            if hi - lo <= window:
-                count += 1
-        return count
+        return _window_count(cand_ts, ts, window)
 
     def probe_windowed(
         self, tup: StreamTuple, window: float, *, materialize: bool = False
@@ -566,35 +568,68 @@ class ColumnarPartitionGroup:
         sid = self._require_sid(tup.stream)
         if not materialize:
             return self.probe_windowed_count(sid, tup.key, tup.ts, window), []
-        c = self._counts.get(tup.key)
-        if c is None:
+        return self._probe_rows(sid, tup, window)
+
+    def _probe_rows(self, sid: int, tup: StreamTuple, window: float | None
+                    ) -> tuple[int, list[JoinResult]]:
+        """Eager materialising probe (cold row-delivery paths): the lazy
+        record of :meth:`probe_record`, read on the spot."""
+        record = self.probe_record(sid, tup.seq, tup.key, tup.ts, tup.size,
+                                   tup.payload, window)
+        if record is None:
             return 0, []
-        for j in self._others[sid]:
+        rows: list[JoinResult] = []
+        _box_record(record, rows)
+        return record.count, rows
+
+    def probe_record(self, sid: int, seq: int, key: int, ts: float, size: int,
+                     payload: tuple, window: float | None = None
+                     ) -> "ProbeRecord | None":
+        """Materialising probe of one row given as columns, unboxed.
+
+        Returns the :class:`ProbeRecord` of the row's matches — ``None``
+        when there are none — without creating a tuple or result object;
+        a :class:`ResultBatch` boxes them if and when somebody reads rows.
+        Unwindowed, the record aliases this group's per-key row buckets
+        bounded by their current lengths; windowed, it owns the
+        window-filtered candidate rows.
+        """
+        c = self._counts.get(key)
+        if c is None:
+            return None
+        others = self._others[sid]
+        for j in others:
             if not c[j]:
-                return 0, []
-        index = self._ensure_index()
-        row_ts = self.row_ts
-        cand_rows: list[list[int]] = []
-        for j in self._others[sid]:
-            bucket = index[j].get(tup.key)
-            if not bucket:
-                return 0, []
-            cands = [r for r in bucket if abs(row_ts[r] - tup.ts) <= window]
-            if not cands:
-                return 0, []
-            cand_rows.append(cands)
-        count = 0
-        results: list[JoinResult] = []
-        for combo in product(*cand_rows):
-            ts_values = [row_ts[r] for r in combo]
-            ts_values.append(tup.ts)
-            if max(ts_values) - min(ts_values) > window:
-                continue
-            count += 1
-            parts = [self.tuple_at(r) for r in combo]
-            parts.insert(sid, tup)
-            results.append(JoinResult(key=tup.key, parts=tuple(parts), ts=tup.ts))
-        return count, results
+                return None
+        index = self._index
+        if index is None or self._chunks:
+            index = self._ensure_index()
+        matches: list = []
+        if window is None:
+            count = 1
+            for j in others:
+                bucket = index[j][key]
+                n = len(bucket)
+                count *= n
+                matches += (bucket, n)
+        else:
+            row_ts = self.row_ts
+            cand_ts: list[list[float]] = []
+            for j in others:
+                cands = [r for r in index[j][key]
+                         if abs(row_ts[r] - ts) <= window]
+                if not cands:
+                    return None
+                matches += (cands, len(cands))
+                cand_ts.append([row_ts[r] for r in cands])
+            count = _window_count(cand_ts, ts, window)
+            if not count:
+                return None
+        return ProbeRecord(
+            ts, count, sid, seq, key, size, payload, window, self.streams,
+            self.row_seq, self.row_ts, self.row_size, self._usize,
+            self.row_payload, self._mat, tuple(matches),
+        )
 
     def record_output(self, count: int) -> None:
         """Credit ``count`` produced results to this group's statistics."""
@@ -870,3 +905,141 @@ class FrozenColumnGroup:
             f"FrozenColumnGroup(pid={self.pid}, gen={self.generation}, "
             f"tuples={self.tuple_count}, {self.size_bytes}B)"
         )
+
+
+class ProbeRecord(NamedTuple):
+    """Everything one probing row's join results are made of, unboxed.
+
+    The probing row's own columns, its result count, and a *bounded alias*
+    of the probed group as it stood at probe time: the column buffers, the
+    row -> tuple cache and, per other input (ascending stream order), the
+    matching row list with the length it had then.  The
+    :class:`FrozenColumnGroup` argument makes the alias a snapshot: the
+    buffers and the per-key row buckets only ever grow by appends, which
+    land beyond the recorded bounds, and a purge swaps in new lists (and a
+    new cache) instead of editing the old ones.  ``row_size`` /
+    ``row_payload`` recorded as ``None`` mean every row below the bounds
+    had size ``usize`` / an empty payload, which a later promotion to an
+    explicit column does not change.  A windowed record owns its
+    ``matches`` lists (the rows within ``window`` of ``ts``).
+    """
+
+    ts: float
+    count: int
+    sid: int
+    seq: int
+    key: int
+    size: int
+    payload: tuple
+    window: float | None
+    streams: tuple[str, ...]
+    row_seq: list[int]
+    row_ts: list[float]
+    row_size: list[int] | None
+    usize: int
+    row_payload: list[tuple] | None
+    mat: dict[int, StreamTuple]
+    #: flat ``(rows, bound, rows, bound, ...)``, a pair per other input:
+    #: read ``rows[:bound]`` only
+    matches: tuple
+
+
+def _box_record(record: ProbeRecord, out: list[JoinResult]) -> None:
+    """Append the record's join results to ``out`` — the one place the
+    columnar representation turns matches into ``JoinResult`` rows."""
+    (ts, _count, sid, seq, key, size, payload, window, streams,
+     row_seq, row_ts, row_size, usize, row_payload, mat, matches) = record
+    probing = StreamTuple(streams[sid], seq, key, ts, size, payload)
+    other_streams = [s for j, s in enumerate(streams) if j != sid]
+    match_lists: list[list[StreamTuple]] = []
+    for stream, rows, bound in zip(other_streams, matches[::2], matches[1::2]):
+        boxed = []
+        for row in rows[:bound]:
+            tup = mat.get(row)
+            if tup is None:
+                mat[row] = tup = StreamTuple(
+                    stream, row_seq[row], key, row_ts[row],
+                    row_size[row] if row_size is not None else usize,
+                    row_payload[row] if row_payload is not None else (),
+                )
+            boxed.append(tup)
+        match_lists.append(boxed)
+    for combo in product(*match_lists):
+        if window is not None:
+            lo = hi = ts
+            for part in combo:
+                if part.ts < lo:
+                    lo = part.ts
+                elif part.ts > hi:
+                    hi = part.ts
+            if hi - lo > window:
+                continue
+        out.append(JoinResult(key, combo[:sid] + (probing,) + combo[sid:], ts))
+
+
+class ResultBatch(Sequence):
+    """Join results held as one :class:`ProbeRecord` per probing row.
+
+    What the columnar materialising probe returns: a read-only
+    ``Sequence[JoinResult]`` in result order whose ``JoinResult`` /
+    ``StreamTuple`` objects come into existence only when something
+    iterates or indexes it — once per batch, then cached, so every holder
+    of the same batch object (folded queries' collectors) shares one
+    materialisation.  Counting (``len``, truthiness), concatenation
+    (:meth:`extend`) and the latency tracker's per-row view
+    (:meth:`ts_counts`) never box anything.  A held batch keeps the
+    buffers its records alias alive in host memory, superseded or not;
+    simulated memory accounting never sees them.
+    """
+
+    __slots__ = ("_records", "_count", "_rows")
+
+    def __init__(self, records: Iterable[ProbeRecord] = ()) -> None:
+        self._records = list(records)
+        self._count = sum(record.count for record in self._records)
+        self._rows: list[JoinResult] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _boxed(self) -> list[JoinResult]:
+        rows = self._rows
+        if rows is None:
+            rows = []
+            for record in self._records:
+                _box_record(record, rows)
+            self._rows = rows
+        return rows
+
+    def __iter__(self) -> Iterator[JoinResult]:
+        return iter(self._boxed())
+
+    def __getitem__(self, index):
+        """One result, or — for a slice — a plain list of them."""
+        return self._boxed()[index]
+
+    def extend(self, other: "ResultBatch") -> None:
+        """Append another batch's results without boxing either."""
+        self._records.extend(other._records)
+        self._count += other._count
+        self._rows = None
+
+    def ts_counts(self) -> Iterator[tuple[float, int]]:
+        """``(ts, result count)`` per probing row, in result order: every
+        result of one probing row carries that row's event time."""
+        for record in self._records:
+            yield record.ts, record.count
+
+
+def concat_results(chunks: list) -> Sequence[JoinResult]:
+    """One result sequence over ``chunks`` — result lists and lazy batches —
+    in order.  Lazy batches are joined record by record, not iterated;
+    only a boxed list among them forces the rows into existence."""
+    if len(chunks) == 1:
+        return chunks[0]
+    if chunks and all(type(chunk) is ResultBatch for chunk in chunks):
+        merged = ResultBatch()
+        for chunk in chunks:
+            merged.extend(chunk)
+        return merged
+    return [result for chunk in chunks for result in chunk]

@@ -150,7 +150,8 @@ class MJoinInstance:
 
         Produces exactly the results and statistics of calling
         :meth:`process` per row in batch order, operating on flat columns
-        throughout (see
+        throughout; materialised results come back as a lazy
+        :class:`~repro.engine.columns.ResultBatch` (see
         :meth:`~repro.engine.state_store.StateStore.probe_insert_columns`).
         """
         self.tuples_in += len(cb)

@@ -73,7 +73,7 @@ from repro.recovery.protocol import (
 )
 from repro.engine.operators.split import Split
 from repro.engine.streams import OutputCollector
-from repro.engine.columns import ColumnBatch
+from repro.engine.columns import ColumnBatch, concat_results
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -160,6 +160,8 @@ class QueryEngine:
         #: set via attach_checkpointer when checkpointing is enabled;
         #: its presence switches the engine to output-commit-at-checkpoint
         self.checkpointer: "CheckpointManager | None" = None
+        #: credited result batches awaiting the output commit, as handed
+        #: over by the store (lists or lazy ``ResultBatch``es, not iterated)
         self._output_buffer: list = []
         self._output_buffer_count = 0
         #: the machine that ordered the in-flight forced spill (a per-query
@@ -481,7 +483,7 @@ class QueryEngine:
                 # never have released results it cannot regenerate.
                 self._output_buffer_count += total
                 if collected:
-                    self._output_buffer.extend(collected)
+                    self._output_buffer.append(collected)
             elif self.app_server is not None and total:
                 from repro.engine.app_server import RESULT_WIRE_BYTES
 
@@ -503,7 +505,7 @@ class QueryEngine:
             return
         if self._lat is not None:
             self._lat.flush_pending(self.sim.now)
-        collected = self._output_buffer
+        collected = concat_results(self._output_buffer)
         self._output_buffer = []
         self._output_buffer_count = 0
         if self.app_server is not None:

@@ -22,6 +22,8 @@ from repro.cluster.machine import Machine
 from repro.engine.columns import (
     ColumnBatch,
     ColumnarPartitionGroup,
+    ProbeRecord,
+    ResultBatch,
     others_table,
 )
 from repro.engine.partitions import (
@@ -364,7 +366,7 @@ class StateStore:
         now: float = 0.0,
         materialize: bool = False,
         window: float | None = None,
-    ) -> tuple[int, list[JoinResult]]:
+    ) -> tuple[int, "list[JoinResult] | ResultBatch"]:
         """Probe-insert a whole routed :class:`ColumnBatch` (columnar path).
 
         Semantically identical to :meth:`probe_insert` per row in batch
@@ -374,8 +376,11 @@ class StateStore:
         columns: per row it is one dict lookup, an integer product and a
         handful of list appends, with group counters, memory accounting
         and :meth:`_touch` amortised to one update per touched group.
-        ``StreamTuple`` objects are only created when results materialise
-        or a window forces timestamp enumeration.
+        No ``StreamTuple`` or ``JoinResult`` is created here either way:
+        with ``materialize`` the results come back as a lazy
+        :class:`~repro.engine.columns.ResultBatch` — one record per
+        probing row that matched — which boxes them when a consumer reads
+        rows.
         """
         n = len(cb)
         if n == 0:
@@ -395,7 +400,6 @@ class StateStore:
         m = len(self.streams)
         others = others_table(m)
         total = 0
-        collected: list[JoinResult] = []
         if window is None and not materialize and sizes is None and pays is None:
             # Hot path: uniform sizes, no payloads, count-only probes — no
             # results to order, so the batch's pid-segmented storage order
@@ -473,9 +477,9 @@ class StateStore:
             return total, []
         # General path: per-row sizes/payloads, windows or materialisation.
         # Result order is observable here, so rows are processed in arrival
-        # order (through ``perm``); still column-native for counting, with
-        # tuples materialised only at the result-emission boundary.
-        stream_names = cb.streams
+        # order (through ``perm``); column-native throughout — matches are
+        # recorded, not boxed.
+        records: list[ProbeRecord] = []
         perm = cb.perm
         added = 0
         touched: dict[int, int] = {}
@@ -491,28 +495,24 @@ class StateStore:
             size = sizes[i] if sizes is not None else usize
             payload = pays[i] if pays is not None else ()
             if materialize:
-                tup = StreamTuple(stream=stream_names[sid], seq=seqs[i],
-                                  key=key, ts=ts, size=size, payload=payload)
-                if window is None:
-                    count, results = grp.probe(tup, materialize=True)
+                record = grp.probe_record(sid, seqs[i], key, ts, size,
+                                          payload, window)
+                if record is None:
+                    count = 0
                 else:
-                    count, results = grp.probe_windowed(tup, window,
-                                                        materialize=True)
-                if results:
-                    collected.extend(results)
-                grp.insert(tup)
+                    count = record.count
+                    records.append(record)
+            elif window is None:
+                c = grp._counts.get(key)
+                if c is None:
+                    count = 0
+                else:
+                    count = 1
+                    for j in others[sid]:
+                        count *= c[j]
             else:
-                if window is None:
-                    c = grp._counts.get(key)
-                    if c is None:
-                        count = 0
-                    else:
-                        count = 1
-                        for j in others[sid]:
-                            count *= c[j]
-                else:
-                    count = grp.probe_windowed_count(sid, key, ts, window)
-                grp.insert_cols(sid, seqs[i], key, ts, size, payload)
+                count = grp.probe_windowed_count(sid, key, ts, window)
+            grp.insert_cols(sid, seqs[i], key, ts, size, payload)
             grp.output_count += count
             total += count
             added += size
@@ -524,7 +524,7 @@ class StateStore:
         self.tuples_processed += n
         for pid, mutation_count in touched.items():
             self._touch(pid, mutation_count)
-        return total, collected
+        return total, (ResultBatch(records) if materialize else [])
 
     # ------------------------------------------------------------------
     # Adaptation paths

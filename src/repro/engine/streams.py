@@ -11,7 +11,7 @@ operators (union -> aggregate for Query 1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.cluster.simulation import Simulator
 from repro.engine.operators.base import Operator
@@ -42,10 +42,28 @@ class OutputCollector:
         self.downstream = downstream or []
         self.collect = collect
         self.total = 0
-        self.results: list[JoinResult] = []
+        self._results: list[JoinResult] = []
+        #: result batches absorbed since :attr:`results` was last read,
+        #: exactly as they were handed over (not iterated)
+        self._kept: list[Sequence[JoinResult]] = []
         self.downstream_outputs: list = []
 
-    def add(self, count: int, results: list[JoinResult], now: float,
+    @property
+    def results(self) -> list[JoinResult]:
+        """Every collected result, in delivery order.
+
+        The collector keeps the batches it is handed and flattens them
+        here, so the rows of a lazy
+        :class:`~repro.engine.columns.ResultBatch` are boxed on first read
+        (once per batch, however many collectors hold it) and cached.
+        """
+        if self._kept:
+            kept, self._kept = self._kept, []
+            for batch in kept:
+                self._results.extend(batch)
+        return self._results
+
+    def add(self, count: int, results: Sequence[JoinResult], now: float,
             source: str | None = None) -> None:
         """Absorb one batch of join outputs produced at time ``now``.
 
@@ -55,15 +73,16 @@ class OutputCollector:
         self.total += count
         if results:
             if self.collect:
-                self.results.extend(results)
-            for result in results:
-                items = [result]
-                for op in self.downstream:
-                    nxt = []
-                    for item in items:
-                        nxt.extend(op.process(item))
-                    items = nxt
-                self.downstream_outputs.extend(items)
+                self._kept.append(results)
+            if self.downstream:
+                for result in results:
+                    items = [result]
+                    for op in self.downstream:
+                        nxt = []
+                        for item in items:
+                            nxt.extend(op.process(item))
+                        items = nxt
+                    self.downstream_outputs.extend(items)
 
 
 class StreamSource:

@@ -11,8 +11,11 @@ traces and run files — the PR 3/5 zero-overhead contract.
 
 Latency model
 -------------
-Every emitted join result carries its triggering tuple's ingest
-timestamp ``ts``.  The engine's task model makes the decomposition
+Every emitted join result carries its triggering (probing) tuple's ingest
+timestamp ``ts``, so all results of one probing row share one latency
+and are recorded as a single observation weighted by their count —
+sketch records are integer adds, which makes that bit-identical to one
+observation per result.  The engine's task model makes the decomposition
 exact: a batch's processing task *begins* at ``t_run`` and *credits* its
 results at ``credit = t_run + duration``; checkpointed engines hold the
 results in the output buffer until the commit ``flush`` at ``emit``.
@@ -65,6 +68,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.obs.sketch import BUCKET_BOUNDS, LatencySketch
@@ -312,11 +317,23 @@ class EngineTracker:
 
     def observe(self, t_run: float, credit: float, emit: float, *,
                 results=None, count: int = 0, ts_rep: float = 0.0) -> None:
-        """Record one credited batch: per result when materialized, one
-        weighted observation at the batch's max event time otherwise."""
+        """Record one credited batch: per probing row when materialized —
+        all results of one row share its event time, so each maximal run
+        of equal ``ts`` is one weighted observation — and one weighted
+        observation at the batch's max event time otherwise.
+
+        ``results`` is a sequence of join results; a lazy
+        :class:`~repro.engine.columns.ResultBatch` is read through its
+        ``ts_counts()`` (one pair per probing row) and never boxed.  Row
+        lists and lazy batches merge the same runs, so every data path
+        makes the same observations."""
         if results:
-            for r in results:
-                self._observe_one(r.ts, t_run, credit, emit, 1)
+            ts_counts = getattr(results, "ts_counts", None)
+            pairs = (ts_counts() if ts_counts is not None
+                     else ((r.ts, 1) for r in results))
+            for ts, run in groupby(pairs, key=itemgetter(0)):
+                self._observe_one(ts, t_run, credit, emit,
+                                  sum(map(itemgetter(1), run)))
             return
         if count <= 0:
             return
@@ -406,9 +423,9 @@ class LatencyHub:
     enabled = True
 
     def __init__(self, *, materialize: bool = True) -> None:
-        #: record per-result latencies from materialized batches when True;
-        #: one weighted observation per batch otherwise (the O(1) mode the
-        #: overhead benchmark runs)
+        #: record every result of a materialized batch at its own probing
+        #: row's event time when True; one weighted observation per batch
+        #: otherwise (the O(1) mode the overhead benchmark runs)
         self.materialize = materialize
         self.trackers: dict[str, EngineTracker] = {}
         self.monitors: dict[str, SLOMonitor] = {}

@@ -19,7 +19,7 @@ are therefore transparently survived by every member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.streams import OutputCollector
 from repro.engine.tuples import JoinResult
@@ -66,13 +66,14 @@ class FanOutCollector:
     outputs once (the shared runtime's own figure series); each member's
     private collector receives every batch, in member-attach order, so
     per-query totals and materialised results match isolated runs
-    exactly.
+    exactly.  The fan-out holds no rows itself: every member is handed
+    the *same* batch object, so a lazy
+    :class:`~repro.engine.columns.ResultBatch` is boxed once for all of
+    them, by whichever member reads its results first.
     """
 
     def __init__(self) -> None:
         self.total = 0
-        self.results: list[JoinResult] = []
-        self.downstream_outputs: list = []
         self._members: dict[str, OutputCollector] = {}
 
     def attach(self, qid: str, collector: OutputCollector) -> None:
@@ -90,7 +91,7 @@ class FanOutCollector:
     def member_ids(self) -> tuple[str, ...]:
         return tuple(self._members)
 
-    def add(self, count: int, results: list[JoinResult], now: float,
+    def add(self, count: int, results: Sequence[JoinResult], now: float,
             source: str | None = None) -> None:
         self.total += count
         for collector in self._members.values():

@@ -118,6 +118,10 @@ class QueryHandle:
 
     @property
     def results(self) -> list:
+        """This query's collected results in delivery order (see
+        :attr:`OutputCollector.results
+        <repro.engine.streams.OutputCollector.results>`: rows are boxed
+        on first read and cached; folded members share the boxed rows)."""
         return self.collector.results if self.collector is not None else []
 
 

@@ -347,34 +347,41 @@ class TestDeploymentEquivalence:
         assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
 
 
+def run_crash_deployment(data_path, **kwargs):
+    """Checkpointed three-worker run with a crash and restart of m2."""
+    tracer = Tracer()
+    dep = small_deployment(
+        strategy=StrategyName.LAZY_DISK,
+        workers=3,
+        n_partitions=8,
+        join_rate=3.0,
+        tuple_range=240,
+        interarrival=0.05,
+        collect=True,
+        data_path=data_path,
+        tracer=tracer,
+        config_overrides=dict(
+            checkpoint_enabled=True,
+            checkpoint_interval=6.0,
+            failure_timeout=5.0,
+        ),
+        **kwargs,
+    )
+    FaultSchedule([
+        MachineCrash(time=15.0, engine=dep.engines["m2"]),
+        MachineRestart(time=25.0, engine=dep.engines["m2"]),
+    ]).arm(dep.sim)
+    dep.run(duration=45.0, sample_interval=5.0)
+    return dep, tracer
+
+
 class TestCrashEquivalence:
     def test_checkpointed_crash_run_is_identical(self):
         """Crash + recovery from checkpoints: same outputs, same traces,
         same canonical checkpoint registry either way."""
 
         def run(data_path):
-            tracer = Tracer()
-            dep = small_deployment(
-                strategy=StrategyName.LAZY_DISK,
-                workers=3,
-                n_partitions=8,
-                join_rate=3.0,
-                tuple_range=240,
-                interarrival=0.05,
-                collect=True,
-                data_path=data_path,
-                tracer=tracer,
-                config_overrides=dict(
-                    checkpoint_enabled=True,
-                    checkpoint_interval=6.0,
-                    failure_timeout=5.0,
-                ),
-            )
-            FaultSchedule([
-                MachineCrash(time=15.0, engine=dep.engines["m2"]),
-                MachineRestart(time=25.0, engine=dep.engines["m2"]),
-            ]).arm(dep.sim)
-            dep.run(duration=45.0, sample_interval=5.0)
+            dep, tracer = run_crash_deployment(data_path)
             registry = tuple(
                 (e.pid, e.owner, e.holder, e.time, e.live,
                  canonical_frozen(e.frozen))
@@ -390,6 +397,38 @@ class TestCrashEquivalence:
                 == [r.ident for r in dep_b.collector.results])
         assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
         assert registry_a == registry_b
+
+    def test_results_first_read_after_cleanup(self):
+        """Spill + relocation + crash/recovery, latency on, and nobody
+        looks at ``.results`` until the run *and* the cleanup are over:
+        the lazy batches the collector kept — commit-interval
+        concatenations whose groups have since been spilled, shipped,
+        lost in the crash, restored and merged from disk — still read
+        back as exactly the rows the batched path boxed on the spot."""
+
+        def run(data_path):
+            dep, tracer = run_crash_deployment(
+                data_path, latency=True, memory_threshold=9_000,
+                assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2},
+            )
+            report = dep.cleanup(materialize=True)
+            return dep, tracer, report
+
+        dep_a, tracer_a, report_a = run("batched")
+        dep_b, tracer_b, report_b = run("columnar")
+        assert dep_b.spill_count > 0 and dep_b.relocation_count > 0
+        assert dep_b.recovery_count > 0 and dep_b.checkpoint_count > 0
+        assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
+        results_a, results_b = dep_a.collector.results, dep_b.collector.results
+        assert len(results_b) == dep_b.total_outputs > 0
+        assert results_b == results_a  # idents, order, sizes, timestamps
+        assert ([r.ident for r in report_a.results]
+                == [r.ident for r in report_b.results])
+        hub_a, hub_b = dep_a.metrics.latency, dep_b.metrics.latency
+        for machine, tracker in hub_a.trackers.items():
+            for cause, sketch in tracker.sketches.items():
+                assert (hub_b.trackers[machine].sketches[cause].to_bytes()
+                        == sketch.to_bytes()), (machine, cause)
 
 
 def source_fingerprint(dep, tracer, report):

@@ -19,6 +19,7 @@ Covers the observability acceptance battery:
 
 import copy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.obs.sketch import BUCKET_BOUNDS, LatencySketch
 from repro.obs.slo import (
     ADAPT_CAUSES,
     CAUSES,
+    EngineTracker,
     LatencyHub,
     SLOConfig,
     SLOMonitor,
@@ -288,6 +290,44 @@ class TestCauseAttribution:
         for cause in CAUSES:
             assert (fast.sketches[cause].to_bytes()
                     == slow.sketches[cause].to_bytes()), cause
+
+    def test_materialized_batch_is_one_weighted_observation_per_row(
+            self, monkeypatch):
+        """All results of one probing row share its ``ts``: a row list and
+        a lazy batch (read through ``ts_counts``) both merge each run of
+        equal ``ts`` into one weighted observation, and the sketches equal
+        one observation per result — with a blocking window in the past,
+        so the per-cause walk is what gets amortised."""
+        per_row = [(0.5, 3), (0.5, 2), (2.0, 1), (0.5, 4)]  # (ts, results)
+        rows = [SimpleNamespace(ts=ts) for ts, n in per_row for _ in range(n)]
+
+        class Lazy(list):  # a ResultBatch, as far as the tracker can tell
+            def ts_counts(self):
+                return iter(per_row)
+
+        weights = []
+        observe_one = EngineTracker._observe_one
+
+        def spy(self, ts, t_run, credit, emit, weight):
+            weights.append((self.machine, weight))
+            observe_one(self, ts, t_run, credit, emit, weight)
+
+        monkeypatch.setattr(EngineTracker, "_observe_one", spy)
+        hub = LatencyHub()
+        trackers = {name: hub.tracker(name) for name in ("list", "lazy", "each")}
+        for tracker in trackers.values():
+            tracker.clock.begin("spilled", 1.0)
+            tracker.clock.end("spilled", 3.0)
+        trackers["list"].observe(4.0, 4.5, 5.0, results=rows)
+        trackers["lazy"].observe(4.0, 4.5, 5.0, results=Lazy(rows))
+        for row in rows:
+            trackers["each"]._observe_one(row.ts, 4.0, 4.5, 5.0, 1)
+        for name in ("list", "lazy"):
+            assert [w for m, w in weights if m == name] == [5, 1, 4]
+            for cause in CAUSES:
+                assert (trackers[name].sketches[cause].to_bytes()
+                        == trackers["each"].sketches[cause].to_bytes()), cause
+        assert trackers["each"].sketches["spilled"].sum() > 0
 
     def test_deferred_batches_fold_bounded_and_exact(self):
         """The fast path parks batches in a bounded list; folding them —
