@@ -51,6 +51,7 @@ so results and statistics are byte-identical to the row representation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -316,6 +317,7 @@ class ColumnarPartitionGroup:
         "_counts",
         "_chunks",
         "_index",
+        "_ordered",
         "_mat",
         "_sid_of",
         "_others",
@@ -355,6 +357,12 @@ class ColumnarPartitionGroup:
         self._chunks: list[tuple] = []
         #: Lazy per-stream ``{key: [row, ...]}`` index (insertion order).
         self._index: list[dict[int, list[int]]] | None = None
+        #: Whether every ``_index`` bucket has been *observed* in timestamp
+        #: order (insertion order is, except when a flush and a replay
+        #: interleave): cleared by an indexed append that goes backwards,
+        #: recomputed whenever the index is rebuilt.  While it holds, the
+        #: windowed probes bisect; see :meth:`_window_matches`.
+        self._ordered = True
         #: Lazy row -> StreamTuple materialisation cache.
         self._mat: dict[int, StreamTuple] = {}
         self._sid_of = {stream: i for i, stream in enumerate(streams)}
@@ -413,6 +421,8 @@ class ColumnarPartitionGroup:
                     if bucket is None:
                         index[sids[i]][keys[i]] = [base + off]
                     else:
+                        if row_ts[bucket[-1]] > tss[i]:
+                            self._ordered = False
                         bucket.append(base + off)
         del chunks[:]
 
@@ -470,6 +480,8 @@ class ColumnarPartitionGroup:
             if bucket is None:
                 index[sid][key] = [len(self.row_sid) - 1]
             else:
+                if self.row_ts[bucket[-1]] > ts:
+                    self._ordered = False
                 bucket.append(len(self.row_sid) - 1)
         self.tuple_count += 1
         self.size_bytes += size
@@ -488,13 +500,18 @@ class ColumnarPartitionGroup:
         index = self._index
         if index is None:
             index = [dict() for _ in self.streams]
+            row_ts = self.row_ts
+            ordered = True
             for row, (sid, key) in enumerate(zip(self.row_sid, self.row_key)):
                 bucket = index[sid].get(key)
                 if bucket is None:
                     index[sid][key] = [row]
                 else:
+                    if row_ts[bucket[-1]] > row_ts[row]:
+                        ordered = False
                     bucket.append(row)
             self._index = index
+            self._ordered = ordered
         return index
 
     def tuple_at(self, row: int) -> StreamTuple:
@@ -535,28 +552,87 @@ class ColumnarPartitionGroup:
             return count, []
         return self._probe_rows(sid, tup, None)
 
-    def probe_windowed_count(self, sid: int, key: int, ts: float,
-                             window: float) -> int:
-        """Count-only windowed probe over raw columns (no tuple objects)."""
+    def _window_matches(self, sid: int, key: int, ts: float, window: float
+                        ) -> tuple[int, list[tuple[list[int], int, int]]]:
+        """The windowed probe proper: ``(count, spans)`` for a probing row.
+
+        ``spans`` holds, per other input, ``(rows, lo, hi)`` — the rows of
+        its ``key`` bucket within ``window`` of ``ts`` are ``rows[lo:hi]``
+        — and ``count`` the combinations of one candidate per input that
+        together with ``ts`` span at most ``window``; ``(0, [])`` as soon
+        as one input has no candidate.
+
+        While the buckets are in timestamp order (``_ordered``) the
+        candidates are a contiguous run of the bucket itself.  ``bisect``
+        on ``ts - window`` / ``ts + window`` only gets *near* its ends:
+        those are different float expressions from the filter
+        ``abs(row_ts[r] - ts) <= window`` and can disagree with it in the
+        last place, so each end is settled with the filter itself, which
+        is monotone on either side of ``ts`` over an ordered bucket.  When
+        every input's last candidate is at or before ``ts`` — arrivals in
+        timestamp order: nearly every probe — the probing row is the
+        maximum of any combination and the span ``ts - min`` is exactly
+        what the filter tested, so every combination passes and the count
+        is the product of the run lengths.  Otherwise the combinations are
+        walked.  A group whose buckets were observed out of order scans
+        each bucket whole with the same filter.
+        """
         c = self._counts.get(key)
         if c is None:
-            return 0
+            return 0, []
         others = self._others[sid]
         for j in others:
             if not c[j]:
-                return 0
-        index = self._ensure_index()
+                return 0, []
+        index = self._index
+        if index is None or self._chunks:
+            index = self._ensure_index()
         row_ts = self.row_ts
-        cand_ts: list[list[float]] = []
+        ordered = self._ordered
+        ts_of = row_ts.__getitem__
+        spans: list[tuple[list[int], int, int]] = []
+        closed = ordered
+        count = 1
         for j in others:
-            bucket = index[j].get(key)
-            if not bucket:
-                return 0
-            cands = [row_ts[r] for r in bucket if abs(row_ts[r] - ts) <= window]
-            if not cands:
-                return 0
-            cand_ts.append(cands)
-        return _window_count(cand_ts, ts, window)
+            rows = index[j][key]
+            if not ordered:
+                rows = [r for r in rows if abs(row_ts[r] - ts) <= window]
+                lo = 0
+                hi = len(rows)
+            else:
+                n = len(rows)
+                lo = bisect_left(rows, ts - window, key=ts_of)
+                while lo and abs(row_ts[rows[lo - 1]] - ts) <= window:
+                    lo -= 1
+                while (lo < n and row_ts[rows[lo]] < ts
+                       and abs(row_ts[rows[lo]] - ts) > window):
+                    lo += 1
+                if row_ts[rows[-1]] <= ts:
+                    hi = n
+                else:
+                    hi = bisect_right(rows, ts + window, lo, key=ts_of)
+                    while hi < n and abs(row_ts[rows[hi]] - ts) <= window:
+                        hi += 1
+                    while (hi > lo and row_ts[rows[hi - 1]] > ts
+                           and abs(row_ts[rows[hi - 1]] - ts) > window):
+                        hi -= 1
+                    if hi > lo and row_ts[rows[hi - 1]] > ts:
+                        closed = False
+            if hi <= lo:
+                return 0, []
+            count *= hi - lo
+            spans.append((rows, lo, hi))
+        if not closed:
+            count = _window_count(
+                [[row_ts[r] for r in rows[lo:hi]] for rows, lo, hi in spans],
+                ts, window,
+            )
+        return count, spans
+
+    def probe_windowed_count(self, sid: int, key: int, ts: float,
+                             window: float) -> int:
+        """Count-only windowed probe over raw columns (no tuple objects)."""
+        return self._window_matches(sid, key, ts, window)[0]
 
     def probe_windowed(
         self, tup: StreamTuple, window: float, *, materialize: bool = False
@@ -594,18 +670,18 @@ class ColumnarPartitionGroup:
         bounded by their current lengths; windowed, it owns the
         window-filtered candidate rows.
         """
-        c = self._counts.get(key)
-        if c is None:
-            return None
-        others = self._others[sid]
-        for j in others:
-            if not c[j]:
-                return None
-        index = self._index
-        if index is None or self._chunks:
-            index = self._ensure_index()
         matches: list = []
         if window is None:
+            c = self._counts.get(key)
+            if c is None:
+                return None
+            others = self._others[sid]
+            for j in others:
+                if not c[j]:
+                    return None
+            index = self._index
+            if index is None or self._chunks:
+                index = self._ensure_index()
             count = 1
             for j in others:
                 bucket = index[j][key]
@@ -613,18 +689,11 @@ class ColumnarPartitionGroup:
                 count *= n
                 matches += (bucket, n)
         else:
-            row_ts = self.row_ts
-            cand_ts: list[list[float]] = []
-            for j in others:
-                cands = [r for r in index[j][key]
-                         if abs(row_ts[r] - ts) <= window]
-                if not cands:
-                    return None
-                matches += (cands, len(cands))
-                cand_ts.append([row_ts[r] for r in cands])
-            count = _window_count(cand_ts, ts, window)
+            count, spans = self._window_matches(sid, key, ts, window)
             if not count:
                 return None
+            for rows, lo, hi in spans:
+                matches += (rows[lo:hi], hi - lo)
         return ProbeRecord(
             ts, count, sid, seq, key, size, payload, window, self.streams,
             self.row_seq, self.row_ts, self.row_size, self._usize,
@@ -831,13 +900,15 @@ class FrozenColumnGroup:
         self.counts = counts
         self._data: Mapping[str, Mapping[int, tuple[StreamTuple, ...]]] | None = None
 
-    def idents(self) -> frozenset[tuple[str, int]]:
-        """Global ``(stream, seq)`` identities — straight off the columns."""
+    def idents(self, start: int = 0) -> frozenset[tuple[str, int]]:
+        """Global ``(stream, seq)`` identities — straight off the columns —
+        of the rows from ``start`` on (all of them by default)."""
         streams = self.streams
         row_sid = self.row_sid
         row_seq = self.row_seq
         return frozenset(
-            (streams[row_sid[row]], row_seq[row]) for row in range(self.nrows)
+            (streams[row_sid[row]], row_seq[row])
+            for row in range(start, self.nrows)
         )
 
     def key_counts(self, stream: str) -> dict[int, int]:

@@ -22,7 +22,7 @@ component reads another machine's state directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping
 
 from repro.cluster.disk import Disk
 from repro.cluster.machine import PRIORITY_CONTROL, DynamicTask, Machine
@@ -70,6 +70,7 @@ from repro.recovery.protocol import (
     RestoreRequest,
     TransferAborted,
     TrimRequest,
+    TupleIdent,
 )
 from repro.engine.operators.split import Split
 from repro.engine.streams import OutputCollector
@@ -1086,6 +1087,125 @@ class QueryEngine:
             ).set_total(self.checkpointer.bytes_checkpointed)
 
 
+class ReplayLog:
+    """Upstream backup (repro.recovery): the forwarded input not yet covered
+    by durable state, filed per partition ID in forwarding order.
+
+    The class owns the entry format.  The column route files one
+    ``(ArrivalBatch, rows)`` reference per routed group — no row object;
+    the cold paths file the ``StreamTuple`` rows they already hold.
+    Identities are read off either form; rows are boxed only where they
+    have to travel as rows again: a recovery's replay, a split's
+    re-bucketing, a merge's sort.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, list] = {}
+
+    def record_columns(self, pid: int, batch: ArrivalBatch, rows: list[int]
+                       ) -> None:
+        """File rows ``rows`` of ``batch`` under ``pid`` (both kept by
+        reference, neither ever edited)."""
+        self._entries.setdefault(pid, []).append((batch, rows))
+
+    def record_row(self, pid: int, tup: StreamTuple) -> None:
+        self._entries.setdefault(pid, []).append(tup)
+
+    def idents(self, pid: int) -> Iterator[TupleIdent]:
+        """``(stream, seq)`` of every row filed under ``pid``, in order."""
+        for entry in self._entries.get(pid, ()):
+            if type(entry) is tuple:
+                batch, rows = entry
+                stream = batch.stream
+                seq0 = batch.seq0
+                for r in rows:
+                    yield stream, seq0 + r
+            else:
+                yield entry.ident
+
+    def rows(self, pid: int, exclude: Container[TupleIdent] = ()
+             ) -> list[StreamTuple]:
+        """The rows filed under ``pid`` as tuples, in order, minus those
+        whose identity is in ``exclude``."""
+        out: list[StreamTuple] = []
+        for entry in self._entries.get(pid, ()):
+            if type(entry) is tuple:
+                batch, rows = entry
+                stream = batch.stream
+                seq0 = batch.seq0
+                out.extend(
+                    batch.row(r) for r in rows
+                    if (stream, seq0 + r) not in exclude
+                )
+            elif entry.ident not in exclude:
+                out.append(entry)
+        return out
+
+    def items(self) -> list[tuple[int, list[StreamTuple]]]:
+        """The whole log boxed: ``(pid, rows)`` in filing order."""
+        return [(pid, self.rows(pid)) for pid in self._entries]
+
+    def trim(self, covered: Mapping[int, Container[TupleIdent]]) -> int:
+        """Drop the rows whose identity is covered; returns how many.
+
+        A covered set is applied to the log of its pid — or, when nothing
+        is filed under that pid, to the rows wherever they are filed now:
+        the owner of a split or merge trims the *new* pids in the commit
+        that precedes the remap re-bucketing this log, and every trim has
+        to take effect on arrival because none is ever repeated.
+        """
+        dropped = 0
+        for pid, idents in covered.items():
+            if not idents:
+                continue
+            for filed in (pid,) if pid in self._entries else list(self._entries):
+                dropped += self._trim_pid(filed, idents)
+        return dropped
+
+    def _trim_pid(self, pid: int, covered: Container[TupleIdent]) -> int:
+        kept: list = []
+        dropped = 0
+        for entry in self._entries[pid]:
+            if type(entry) is tuple:
+                batch, rows = entry
+                stream = batch.stream
+                seq0 = batch.seq0
+                left = [r for r in rows if (stream, seq0 + r) not in covered]
+                if len(left) != len(rows):
+                    dropped += len(rows) - len(left)
+                    if not left:
+                        continue
+                    entry = (batch, left)
+            elif entry.ident in covered:
+                dropped += 1
+                continue
+            kept.append(entry)
+        if kept:
+            self._entries[pid] = kept
+        else:
+            del self._entries[pid]
+        return dropped
+
+    def split(self, parent: int, route) -> None:
+        """Re-file ``parent``'s rows under ``route(key)`` (arrival order
+        preserved per child)."""
+        rows = self.rows(parent)
+        self._entries.pop(parent, None)
+        for tup in rows:
+            self.record_row(route(tup.key), tup)
+
+    def merge(self, children: Iterable[int], parent: int) -> None:
+        """Re-file the children's rows under ``parent``, interleaved by
+        ``(ts, stream, seq)`` — the order the buffer flush uses."""
+        merged: list[StreamTuple] = []
+        for child in children:
+            merged.extend(self.rows(child))
+            self._entries.pop(child, None)
+        if merged:
+            merged.sort(key=lambda t: (t.ts, t.stream, t.seq))
+            self._entries.setdefault(parent, []).extend(merged)
+
+
 class SourceHost:
     """The machine hosting the split operators of every input stream.
 
@@ -1148,7 +1268,7 @@ class SourceHost:
         #: tuples, trimmed as workers report durable coverage — at any
         #: instant it holds exactly the input suffix a recovery must replay
         self.keep_replay_log = keep_replay_log
-        self._replay_log: dict[int, list[StreamTuple]] = {}
+        self._replay_log = ReplayLog()
         self.replayed_total = 0
         self.trimmed_total = 0
         network.register(machine.name, self.deliver)
@@ -1229,7 +1349,7 @@ class SourceHost:
         per owner — :meth:`_forward` without the rows."""
         if self.keep_replay_log:
             for pid, __, rows in groups:
-                self._replay_log.setdefault(pid, []).extend(map(batch.row, rows))
+                self._replay_log.record_columns(pid, batch, rows)
         by_owner: dict[str, list[tuple[int, list[int]]]] = {}
         for pid, owner, rows in groups:
             by_owner.setdefault(owner, []).append((pid, rows))
@@ -1243,7 +1363,7 @@ class SourceHost:
     ) -> None:
         if self.keep_replay_log and record:
             for __, pid, tup in routed:
-                self._replay_log.setdefault(pid, []).append(tup)
+                self._replay_log.record_row(pid, tup)
         by_owner: dict[str, list[tuple[int, StreamTuple]]] = {}
         for owner, pid, tup in routed:
             by_owner.setdefault(owner, []).append((pid, tup))
@@ -1394,25 +1514,15 @@ class SourceHost:
         The log must always be keyed by the *current* routing function:
         recovery replays per-pid suffixes, and a suffix parked under a
         retired pid would never be replayed.  Split re-routes the parent's
-        entries through the refined table (arrival order preserved per
-        child); merge interleaves the children's entries by
-        ``(ts, stream, seq)`` — the same deterministic order the buffer
-        flush uses."""
+        entries through the refined table; merge interleaves the
+        children's entries deterministically."""
         if not self.keep_replay_log:
             return
-        route = next(iter(self.splits.values())).route
         if request.kind == "split":
-            log = self._replay_log.pop(request.parent, None)
-            if log:
-                for tup in log:
-                    self._replay_log.setdefault(route(tup.key), []).append(tup)
+            route = next(iter(self.splits.values())).route
+            self._replay_log.split(request.parent, route)
         else:
-            merged: list[StreamTuple] = []
-            for child in request.children:
-                merged.extend(self._replay_log.pop(child, ()))
-            if merged:
-                merged.sort(key=lambda t: (t.ts, t.stream, t.seq))
-                self._replay_log.setdefault(request.parent, []).extend(merged)
+            self._replay_log.merge(request.children, request.parent)
 
     # ------------------------------------------------------------------
     # Recovery protocol (split-host side, repro.recovery)
@@ -1420,16 +1530,7 @@ class SourceHost:
     def _on_trim(self, message: Message) -> None:
         """Drop replay-log entries now covered by a worker's durable state."""
         request: TrimRequest = message.payload
-        for pid, covered in request.covered.items():
-            log = self._replay_log.get(pid)
-            if not log:
-                continue
-            kept = [t for t in log if t.ident not in covered]
-            self.trimmed_total += len(log) - len(kept)
-            if kept:
-                self._replay_log[pid] = kept
-            else:
-                del self._replay_log[pid]
+        self.trimmed_total += self._replay_log.trim(request.covered)
 
     def _on_pause_owned(self, message: Message) -> None:
         """Buffer every partition routed to the (presumed dead) machine."""
@@ -1462,19 +1563,9 @@ class SourceHost:
         tuples, and replay the input suffix not covered by the restored
         snapshots."""
         request: RecoverRouteRequest = message.payload
-        # Snapshot the log *before* flushing: buffered tuples enter the log
-        # on forward and must not also be treated as replayable history.
-        suffix = {
-            pid: tuple(self._replay_log.get(pid, ()))
-            for pid, __ in request.assignments
-        }
-        flushed: list[tuple[str, int, StreamTuple]] = []
-        for pid, owner in request.assignments:
-            for split in self.splits.values():
-                for p, o, tup in split.resume([pid], owner):
-                    flushed.append((o, p, tup))
-        if flushed:
-            self._forward(flushed)
+        # Read the log *before* flushing: buffered tuples enter the log on
+        # forward and must not also be treated as replayable history.
+        log = self._replay_log
         resident = set(request.resident)
         replay: list[tuple[str, int, StreamTuple]] = []
         tracer = self.metrics.tracer
@@ -1487,20 +1578,25 @@ class SourceHost:
                 # The owner of a *resident* partition already holds the live
                 # group and processed every forwarded tuple — replay would
                 # duplicate results.
-                for tup in suffix[pid]:
-                    if tup.ident not in covered:
-                        replay.append((owner, pid, tup))
-                        replayed += 1
+                rows = log.rows(pid, exclude=covered)
+                replay.extend((owner, pid, tup) for tup in rows)
+                replayed = len(rows)
             if trace_on:
+                suffix = list(log.idents(pid))
                 detail[str(pid)] = {
-                    "suffix": len(suffix[pid]),
-                    "covered": sum(
-                        1 for t in suffix[pid] if t.ident in covered
-                    ),
+                    "suffix": len(suffix),
+                    "covered": sum(1 for ident in suffix if ident in covered),
                     "replayed": replayed,
                     "resident": pid in resident,
                     "owner": owner,
                 }
+        flushed: list[tuple[str, int, StreamTuple]] = []
+        for pid, owner in request.assignments:
+            for split in self.splits.values():
+                for p, o, tup in split.resume([pid], owner):
+                    flushed.append((o, p, tup))
+        if flushed:
+            self._forward(flushed)
         if replay:
             # Replayed tuples are already in the log — do not re-record.
             self._forward(replay, record=False)

@@ -23,7 +23,10 @@ Two cooperating pieces:
      can never have emitted results it cannot regenerate);
   3. ``trim`` the source host's replay log of every tuple identity now
      covered by durable state — snapshots *and* the spill segments parked
-     on this machine's disk.
+     on this machine's disk.  A trim carries what is *new* since the last
+     one: a columnar snapshot shares its live group's append-only columns,
+     so only the rows past the previous commit's bound can still be in
+     the log, and a spill segment never changes after its first trim.
 
 The commit runs as a control-priority machine task, so it is atomic with
 respect to tuple processing and is simply lost (never half-applied) if the
@@ -251,8 +254,18 @@ class CheckpointManager:
         self._last_snapshot: dict[int, int] = {}
         #: partitions this machine currently has registry entries for
         self._registered: set[int] = set()
+        #: per live pid, the identity column (``row_seq`` buffer) and row
+        #: bound of the last snapshot a trim was sent for.  The buffer is a
+        #: held reference, so "the next snapshot shares it" is an ``is``
+        #: test that no recycled ``id()`` can fool.
+        self._trim_marks: dict[int, tuple[list, int]] = {}
+        #: spill segments a trim was already sent for, by ``id()`` (held
+        #: for the same reason): a segment is immutable
+        self._trimmed_segments: dict[int, object] = {}
         self.checkpoints = 0
         self.bytes_checkpointed = 0
+        #: tuple identities shipped to the source in ``trim`` messages
+        self.trim_idents_sent = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,6 +288,8 @@ class CheckpointManager:
         restores from."""
         self._last_snapshot.clear()
         self._registered.clear()
+        self._trim_marks.clear()
+        self._trimmed_segments.clear()
 
     def _periodic(self) -> None:
         self.commit("interval")
@@ -360,9 +375,9 @@ class CheckpointManager:
                 self._registered = set(live)
                 for pid in dirty:
                     self._last_snapshot[pid] = self.store.mutations.get(pid, 0)
-                for pid in list(self._last_snapshot):
-                    if pid not in live:
-                        del self._last_snapshot[pid]
+                for table in (self._last_snapshot, self._trim_marks):
+                    for pid in [pid for pid in table if pid not in live]:
+                        del table[pid]
                 if self.on_flush is not None:
                     self.on_flush()
                 self._send_trim(snapshots, handoff)
@@ -399,20 +414,48 @@ class CheckpointManager:
         )
 
     def _send_trim(self, snapshots, handoff) -> None:
+        """Tell the source which logged identities just became durable.
+
+        Every trim is effective on arrival (the source applies a covered
+        set to the entries wherever they are filed), so nothing is ever
+        sent twice: a live snapshot whose identity column is the one the
+        previous trim of its pid read ships only the rows past that
+        trim's bound — the first commit of a group, a thawed/installed or
+        purged group (fresh buffers), a row-format snapshot and a hand-off
+        ship the full set — and a spill segment goes into the first trim
+        after it landed on this disk.
+        """
         covered: dict[int, frozenset[TupleIdent]] = {}
-        for frozen in (*snapshots, *handoff):
-            covered[frozen.pid] = covered.get(frozen.pid, frozenset()) | frozen_idents(
-                frozen
-            )
-        # Spill segments on this disk are durable too; trimming them at
-        # every commit is idempotent and keeps the replay log an exact
-        # complement of durable state.
-        for segment in self.disk.segments:
-            covered[segment.partition_id] = covered.get(
-                segment.partition_id, frozenset()
-            ) | frozen_idents(segment.frozen)
-        if not covered:
+
+        def cover(pid: int, idents: frozenset[TupleIdent]) -> None:
+            if idents:
+                covered[pid] = covered.get(pid, frozenset()) | idents
+                self.trim_idents_sent += len(idents)
+
+        marks = self._trim_marks
+        for frozen in snapshots:
+            buffer = getattr(frozen, "row_seq", None)
+            if buffer is None:
+                # a row-format snapshot copied its rows: nothing shared
+                # with the live group to recognise next time
+                cover(frozen.pid, frozen_idents(frozen))
+                continue
+            mark = marks.get(frozen.pid)
+            start = mark[1] if mark is not None and mark[0] is buffer else 0
+            marks[frozen.pid] = (buffer, frozen.nrows)
+            cover(frozen.pid, frozen.idents(start))
+        for frozen in handoff:
+            cover(frozen.pid, frozen_idents(frozen))
+        trimmed = self._trimmed_segments
+        segments = self.disk.segments
+        for segment in segments:
+            if id(segment) not in trimmed:
+                cover(segment.partition_id, frozen_idents(segment.frozen))
+        self._trimmed_segments = {id(segment): segment for segment in segments}
+        if not (snapshots or handoff or segments):
             return
+        # sent even when nothing is new: the message is simulated traffic,
+        # and simulated behaviour does not depend on how a trim is encoded
         self.network.send(
             self.machine.name,
             self.source_name,

@@ -11,17 +11,23 @@ that, at the store level and over full deployments, mirroring
 ``test_batched_path.py`` one representation further down.
 """
 
+import math
 import random
+from collections import defaultdict, deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import AdaptationConfig, Deployment, StrategyName
 from repro.cluster.faults import FaultSchedule, MachineCrash, MachineRestart
 from repro.cluster.machine import Machine
 from repro.cluster.simulation import Simulator
-from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup
+from repro.engine import columns
+from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup, ResultBatch
 from repro.engine.operators.select import Select
 from repro.engine.operators.split import PartitionMap, Split
+from repro.engine.partitions import PartitionGroup
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 from repro.obs.trace import Tracer
@@ -292,6 +298,186 @@ class TestZeroCopySnapshots:
                                 for p in fresh.partition_ids())))
 
 
+# ----------------------------------------------------------------------
+# Windowed probe: bisected bounds + closed-form count ≡ the row-format scan
+# ----------------------------------------------------------------------
+STREAMS4 = ("A", "B", "C", "D")
+
+#: Event times on a coarse grid — duplicates, rows exactly ``window`` apart
+#: — including the triples where ``ts -/+ window`` and the filter
+#: ``abs(row - ts) <= window`` disagree in the last place.  Below the
+#: probe: ts 0.8 / row 0.3 / window 0.5 (bisect says out, the filter in)
+#: and ts 0.9 / row 0.7 / window 0.2 (the reverse); above it: ts 0.2 /
+#: row 0.9 / window 0.7 and ts 0.6 / row 0.8 / window 0.2.
+GRID_TS = st.sampled_from(
+    [0.2, 0.3, 0.6, 0.7, 0.8, 0.9, 1.0, 1.3, 1.5, 2.0, 2.5, 3.0])
+WINDOW_OPS = st.lists(
+    st.one_of(
+        # probe (count, record, boxed rows) then insert; the timestamp is
+        # the clock after a step (in order) or a grid point (any order)
+        st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 1),
+                  st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.5, 1.0]),
+                            st.tuples(GRID_TS))),
+        # unwindowed count-only batch: rows parked as ``_consolidate`` chunks
+        st.tuples(st.just("chunk"), st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1),
+                      st.one_of(st.sampled_from([0.0, 0.1, 0.5]),
+                                st.tuples(GRID_TS))),
+            min_size=1, max_size=5)),
+        st.tuples(st.just("purge"), st.sampled_from([0.5, 1.0, 2.0])),
+        st.tuples(st.just("thaw")),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def windowed_probe_twins(m, window, ops):
+    """Drive a columnar group (inside a one-partition store) and a
+    row-format twin through ``ops``; every probe must agree."""
+    streams = STREAMS4[:m]
+    store = StateStore(Machine(Simulator(), "m"), streams, columnar=True)
+    twin = PartitionGroup(0, streams)
+    seq = dict.fromkeys(streams, 0)
+    clock = 0.0
+    flag_values = set()
+
+    def make(sid, key, when):
+        nonlocal clock
+        if isinstance(when, tuple):
+            ts = when[0]
+        else:
+            clock += when
+            ts = clock
+        stream = streams[sid % m]
+        seq[stream] += 1
+        return StreamTuple(stream, seq[stream], key, ts)
+
+    for op in ops:
+        group = store.peek(0)
+        if op[0] == "row":
+            tup = make(*op[1:])
+            want_count, want_rows = twin.probe_windowed(
+                tup, window, materialize=True)
+            if group is not None:
+                sid = streams.index(tup.stream)
+                assert group.probe_windowed_count(
+                    sid, tup.key, tup.ts, window) == want_count
+                record = group.probe_record(sid, tup.seq, tup.key, tup.ts,
+                                            tup.size, tup.payload, window)
+                assert (record.count if record else 0) == want_count
+                got = list(ResultBatch([record] if record else []))
+                assert got == want_rows  # identity *and* order
+                assert [r.ident for r in got] == [r.ident for r in want_rows]
+                if record is not None:  # the candidate sets, bit for bit
+                    others = [s for s in streams if s != tup.stream]
+                    for other, rows in zip(others, record.matches[::2]):
+                        assert [record.row_seq[r] for r in rows] == [
+                            t.seq for t in twin.tuples_of(other)
+                            if t.key == tup.key
+                            and abs(t.ts - tup.ts) <= window]
+                flag_values.add(group._ordered)
+            else:
+                assert want_count == 0
+            store.probe_insert_columns(
+                ColumnBatch.from_routed([(0, tup)], streams), window=window)
+            twin.insert(tup)
+        elif op[0] == "chunk":
+            rows = [make(*draw) for draw in op[1]]
+            store.probe_insert_columns(
+                ColumnBatch.from_routed([(0, t) for t in rows], streams))
+            for tup in rows:
+                twin.insert(tup)
+        elif op[0] == "purge":
+            store.purge_window(clock - op[1])
+            twin.purge_older_than(clock - op[1])
+        elif op[0] == "thaw":
+            for frozen in store.evict([0]):  # freeze(share=True) → thaw
+                store.install(frozen)
+    return flag_values
+
+
+class TestWindowProbe:
+    @pytest.mark.parametrize("m", [3, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(window=st.sampled_from([0.2, 0.5, 0.7, 1.0]), ops=WINDOW_OPS)
+    # the four disagreement triples: probe newer than the stored rows ...
+    @example(window=0.5, ops=[("row", 1, 0, (0.3,)), ("row", 2, 0, (0.3,)),
+                              ("row", 0, 0, (0.8,)), ("row", 1, 0, (0.8,)),
+                              ("row", 2, 0, (0.3,))])
+    @example(window=0.2, ops=[("row", 1, 0, (0.7,)), ("row", 2, 0, (0.7,)),
+                              ("row", 0, 0, (0.9,)), ("row", 1, 0, (0.9,)),
+                              ("row", 2, 0, (0.7,))])
+    # ... and older (buckets still ordered: the probing stream is new)
+    @example(window=0.7, ops=[("row", 1, 0, (0.9,)), ("row", 2, 0, (0.9,)),
+                              ("row", 1, 0, (3.0,)), ("row", 0, 0, (0.2,))])
+    @example(window=0.2, ops=[("row", 1, 0, (0.6,)), ("row", 2, 0, (0.6,)),
+                              ("row", 1, 0, (0.8,)), ("row", 2, 0, (0.8,)),
+                              ("row", 0, 0, (0.6,))])
+    def test_every_probe_equals_the_row_format_twin(self, m, window, ops):
+        windowed_probe_twins(m, window, ops)
+
+    def test_order_flag_drops_and_comes_back(self):
+        """In-order appends keep the flag; one indexed append that goes
+        backwards clears it (the scan takes over, same answers); a purge
+        that removes the offender rebuilds the index and restores it."""
+        in_order = [("row", sid, 0, 0.5) for sid in (0, 1, 2, 0, 1, 2)]
+        assert windowed_probe_twins(3, 1.0, in_order) == {True}
+        late = in_order + [("row", 1, 0, (0.3,)), ("row", 2, 0, 0.1),
+                           ("row", 0, 0, 0.1)]
+        assert windowed_probe_twins(3, 1.0, late) == {True, False}
+        # consolidating a parked chunk into a live index observes it too
+        chunked = in_order + [("chunk", [(1, 0, 0.1)]), ("row", 0, 0, 0.0)]
+        assert windowed_probe_twins(3, 1.0, chunked) == {True}
+        chunked += [("chunk", [(1, 0, (0.3,))]), ("row", 0, 0, 0.1)]
+        assert windowed_probe_twins(3, 1.0, chunked) == {True, False}
+        group = ColumnarPartitionGroup(0, STREAMS)
+        for seq, ts in enumerate([1.0, 2.0, 0.2, 3.0]):
+            group.insert(StreamTuple("B", seq, 5, ts))
+            group.insert(StreamTuple("C", seq, 5, 3.0))
+        assert group.probe_windowed_count(0, 5, 3.0, 1.0) == 8  # builds the index
+        assert not group._ordered
+        group.purge_older_than(0.5)
+        assert group.probe_windowed_count(0, 5, 3.0, 1.0) == 8
+        assert group._ordered
+
+    def test_ordered_probe_touches_a_logarithm_of_the_bucket(self, monkeypatch):
+        """10 000 rows under one key per input, a window that holds three
+        of them: the probe bisects instead of scanning, and counts in
+        closed form instead of walking combinations."""
+
+        class CountingList(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingList.reads += 1
+                return list.__getitem__(self, index)
+
+        n = 10_000
+        group = ColumnarPartitionGroup(0, STREAMS)
+        for row in range(n):
+            for stream in ("B", "C"):
+                group.insert(StreamTuple(stream, row, 7, float(row)))
+        ts, window = float(n - 1), 2.0
+        assert group.probe_windowed_count(0, 7, ts, window) == 9  # index built
+        assert group._ordered
+        group.row_ts = CountingList(group.row_ts)
+        monkeypatch.setattr(
+            columns, "_window_count",
+            lambda *args: pytest.fail("combinations walked"))
+        assert group.probe_windowed_count(0, 7, ts, window) == 9
+        per_bucket = CountingList.reads / 2
+        assert per_bucket <= 2 * math.log2(n)  # a scan would read 10 000
+        record = group.probe_record(0, 0, 7, ts, 64, (), window)
+        assert record.count == 9
+        assert [len(rows) for rows in record.matches[::2]] == [3, 3]
+        twin = PartitionGroup(0, STREAMS)
+        for row in range(n - 5, n):
+            for stream in ("B", "C"):
+                twin.insert(StreamTuple(stream, row, 7, float(row)))
+        assert list(ResultBatch([record])) == twin.probe_windowed(
+            StreamTuple("A", 0, 7, ts), window, materialize=True)[1]
+
+
 def run_deployment(data_path, **kwargs):
     tracer = Tracer()
     dep = small_deployment(collect=True, data_path=data_path,
@@ -447,7 +633,7 @@ def source_fingerprint(dep, tracer, report):
         replayed=host.replayed_total,
         trimmed=host.trimmed_total,
         inputs=host.inputs,
-        replay_log=list(host._replay_log.items()),
+        replay_log=host._replay_log.items(),
         splits=[
             (name, split.inputs_seen, split.outputs_emitted,
              split.buffered_total, list(split._buffers.items()),
@@ -478,6 +664,26 @@ def assert_same_source_behaviour(run):
     return dep
 
 
+def split_merge_crash_deployment(window, **deployment_kwargs):
+    """Split and merge sessions with a crash + restart of the owner in
+    between (not yet run)."""
+    from tests.test_repartition_differential import build, skewed_workload
+
+    plain = dict(
+        workload=skewed_workload(alternating=False, weight=6.0),
+        config_overrides=dict(memory_threshold=40_000),
+    )
+    dep = build(
+        join=three_way_join(window=window), checkpoint=True,
+        **deployment_kwargs, **({} if window else plain),
+    )
+    FaultSchedule([
+        MachineCrash(time=25.03, engine=dep.engines["m1"]),
+        MachineRestart(time=33.03, engine=dep.engines["m1"]),
+    ]).arm(dep.sim)
+    return dep
+
+
 class TestColumnSourceDifferential:
     """Whole runs, column source vs ``data_path="batched"``: byte-identical
     trace, outputs, counters, buffers, replay log and checkpoint registry
@@ -501,22 +707,10 @@ class TestColumnSourceDifferential:
 
     @pytest.mark.parametrize("window", [None, 10.0])
     def test_split_merge_crash_and_replay(self, window):
-        from tests.test_repartition_differential import build, skewed_workload
-
         def run(data_path):
             tracer = Tracer()
-            plain = dict(
-                workload=skewed_workload(alternating=False, weight=6.0),
-                config_overrides=dict(memory_threshold=40_000),
-            )
-            dep = build(
-                join=three_way_join(window=window), data_path=data_path,
-                checkpoint=True, tracer=tracer, **({} if window else plain),
-            )
-            FaultSchedule([
-                MachineCrash(time=25.03, engine=dep.engines["m1"]),
-                MachineRestart(time=33.03, engine=dep.engines["m1"]),
-            ]).arm(dep.sim)
+            dep = split_merge_crash_deployment(window, data_path=data_path,
+                                               tracer=tracer)
             dep.run(duration=90, sample_interval=10)
             return dep, tracer, dep.cleanup(materialize=True)
 
@@ -559,3 +753,254 @@ class TestColumnSourceDifferential:
         dep = assert_same_source_behaviour(run)
         assert dep.source_host.tuples_dropped > 0
         assert dep.spill_count > 0
+
+
+# ----------------------------------------------------------------------
+# Trims carry only what is new: same log as trimming by full sets
+# ----------------------------------------------------------------------
+class ShadowLog:
+    """A flat twin of the source's replay log, trimmed the way every commit
+    used to trim it: by the *full* identity set of every snapshot, hand-off
+    and disk segment of the committing machine.  After every ``trim``
+    delivery the real log — fed incremental sets, each segment once — must
+    hold exactly the same rows."""
+
+    def __init__(self, dep):
+        self.idents = set()
+        self.deliveries = 0
+        self._full = defaultdict(deque)  # machine -> full sets in flight
+        host = self.host = dep.source_host
+        forward_columns, forward = host._forward_columns, host._forward
+        on_trim = host._on_trim
+
+        def shadow_forward_columns(batch, groups):
+            self.add((batch.stream, batch.seq0 + r)
+                     for __, __, rows in groups for r in rows)
+            forward_columns(batch, groups)
+
+        def shadow_forward(routed, *, record=True):
+            if record:
+                self.add(tup.ident for __, __, tup in routed)
+            forward(routed, record=record)
+
+        def shadow_on_trim(message):
+            on_trim(message)
+            self.idents -= self._full[message.payload.machine].popleft()
+            self.deliveries += 1
+            assert self.logged() == sorted(self.idents)
+
+        host._forward_columns = shadow_forward_columns
+        host._forward = shadow_forward
+        host._on_trim = shadow_on_trim
+        for engine in dep.engines.values():
+            self.shadow_manager(engine.checkpointer)
+
+    def add(self, idents):
+        for ident in idents:
+            assert ident not in self.idents, f"{ident} forwarded twice"
+            self.idents.add(ident)
+
+    def logged(self):
+        return sorted(tup.ident for __, rows in self.host._replay_log.items()
+                      for tup in rows)
+
+    def shadow_manager(self, manager):
+        from repro.recovery import frozen_idents
+
+        send_trim = manager._send_trim
+
+        def shadow_send_trim(snapshots, handoff):
+            durable = [*snapshots, *handoff,
+                       *(s.frozen for s in manager.disk.segments)]
+            if durable:  # a trim message is on its way
+                self._full[manager.machine.name].append(
+                    frozenset().union(*map(frozen_idents, durable)))
+            send_trim(snapshots, handoff)
+
+        manager._send_trim = shadow_send_trim
+
+
+def purging_windowed_deployment(**deployment_kwargs):
+    """Windowed crash + restart with the expired state purged every 4 s
+    (each purge swaps in new column buffers)."""
+    from repro.cluster.simulation import Timer
+    from tests.test_windowed_checkpoint import windowed_checkpointed_deployment
+
+    dep = windowed_checkpointed_deployment(
+        crash={"m2": 25.0}, restart={"m2": 32.0}, **deployment_kwargs)
+
+    def purge():
+        for instance in dep.instances.values():
+            instance.purge_window(dep.sim.now)
+
+    timer = Timer(dep.sim, 4.0, purge)
+    dep.sim.schedule_at(60.0, timer.stop)
+    return dep
+
+
+def trim_scenarios():
+    from tests.test_recovery import _skewed_deployment, checkpointed_deployment
+    from tests.test_windowed_checkpoint import windowed_checkpointed_deployment
+    from tests.test_windowed_differential import build
+
+    def spill_relocation_crash(**kwargs):
+        dep = build(
+            three_way_join(window=20.0), workers=3,
+            assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2},
+            config_overrides=dict(
+                memory_threshold=30_000, checkpoint_enabled=True,
+                checkpoint_interval=6.0, failure_timeout=5.0,
+            ),
+            **kwargs,
+        )
+        FaultSchedule([
+            MachineCrash(time=25.0, engine=dep.engines["m1"]),
+            MachineRestart(time=32.0, engine=dep.engines["m1"]),
+        ]).arm(dep.sim)
+        return dep
+
+    return {
+        "crash": (50, lambda **kw: checkpointed_deployment(
+            assignment={"m1": 0.5, "m2": 0.3, "m3": 0.2},
+            crash={"m2": 25.0}, **kw)),
+        "windowed crash + restart": (60, lambda **kw:
+            windowed_checkpointed_deployment(
+                crash={"m2": 25.0}, restart={"m2": 32.0}, **kw)),
+        "spilled state + crash": (50, lambda **kw: checkpointed_deployment(
+            memory_threshold=8_000, crash={"m2": 25.0}, **kw)),
+        "hand-off, receiver dies": (50, lambda **kw: _skewed_deployment(
+            crash={"m3": 25.03}, **kw)),
+        "hand-off, sender dies after": (50, lambda **kw: _skewed_deployment(
+            crash={"m2": 25.1}, **kw)),
+        "windowed spill + relocation + crash": (60, spill_relocation_crash),
+        "split + merge + crash": (90, lambda **kw:
+            split_merge_crash_deployment(None, **kw)),
+        "windowed split + merge + crash": (90, lambda **kw:
+            split_merge_crash_deployment(10.0, **kw)),
+        "purge + crash + restart": (60, purging_windowed_deployment),
+    }
+
+
+class TestIncrementalTrim:
+    @pytest.mark.parametrize("scenario", list(trim_scenarios()))
+    def test_log_equals_full_trim_after_every_delivery(self, scenario):
+        duration, build = trim_scenarios()[scenario]
+        seen = {}
+        for data_path in ("batched", "columnar"):
+            tracer = Tracer()
+            dep = build(data_path=data_path, tracer=tracer)
+            shadow = ShadowLog(dep)
+            dep.run(duration=duration, sample_interval=10)
+            host = dep.source_host
+            assert shadow.deliveries > 5 and host.trimmed_total > 0
+            assert dep.recovery_count > 0
+            seen[data_path] = dict(
+                trimmed=host.trimmed_total,
+                replayed=host.replayed_total,
+                replays=[e.fields["detail"] for e in tracer.events
+                         if e.name == "recovery.replay"],
+                log=host._replay_log.items(),
+                deliveries=shadow.deliveries,
+            )
+            assert seen[data_path]["replays"]
+        assert seen["columnar"] == seen["batched"]
+
+    def test_trim_volume_is_proportional_to_new_rows(self):
+        """50 commits over state that is never purged: every identity is
+        shipped about once, not once per commit it has lived through."""
+        dep = small_deployment(
+            workers=2, n_partitions=8, join_rate=3.0, tuple_range=240,
+            interarrival=0.05, memory_threshold=10**7, data_path="columnar",
+            config_overrides=dict(
+                checkpoint_enabled=True, checkpoint_interval=2.0,
+                failure_timeout=5.0,
+            ),
+        )
+        dep.run(duration=51.0, sample_interval=10.0)
+        managers = [engine.checkpointer for engine in dep.engines.values()]
+        assert sum(m.checkpoints for m in managers) == 50
+        sent = sum(m.trim_idents_sent for m in managers)
+        routed = dep.source_host.tuples_routed
+        assert routed == dep.source_host.trimmed_total + sum(
+            len(rows) for __, rows in dep.source_host._replay_log.items())
+        assert dep.source_host.trimmed_total <= sent <= 2.5 * routed
+
+    def test_segments_ship_once_and_marks_follow_the_live_groups(self):
+        """A spill segment goes into exactly one trim; an evicted group's
+        mark (a held buffer) is forgotten; ``reset()`` forgets everything,
+        so a restarted machine starts over with full sets."""
+        dep = small_deployment(
+            workers=2, n_partitions=8, join_rate=3.0, tuple_range=240,
+            interarrival=0.05, memory_threshold=8_000, data_path="columnar",
+            config_overrides=dict(
+                checkpoint_enabled=True, checkpoint_interval=6.0,
+                failure_timeout=5.0,
+            ),
+        )
+        dep.run(duration=40.0, sample_interval=10.0)
+        assert dep.spill_count > 0
+        manager = next(engine.checkpointer for engine in dep.engines.values()
+                       if engine.checkpointer.disk.segments)
+
+        def commit():
+            before = manager.trim_idents_sent
+            manager.commit("test")
+            dep.sim.run()
+            return manager.trim_idents_sent - before
+
+        commit()  # whatever arrived after the last tick
+        assert commit() == 0  # nothing new: no live row, no segment again
+        gone, *live = manager.store.partition_ids()
+        assert set(manager._trim_marks) == {gone, *live}
+        manager.store.evict([gone])
+        assert commit() == 0 and set(manager._trim_marks) == set(live)
+        manager.reset()
+        assert commit() == (
+            sum(manager.store.peek(pid).tuple_count for pid in live)
+            + sum(s.frozen.tuple_count for s in manager.disk.segments))
+
+    def test_trim_for_child_pids_lands_before_the_remap(self):
+        """The owner of a split trims the *children* in the commit that
+        precedes the source's ``rremap``: the covered rows are still filed
+        under the parent and have to go now — the trim is never repeated."""
+        from repro.cluster.network import Message
+        from repro.core.repartition import RepartitionRemap
+        from repro.recovery.protocol import TrimRequest
+
+        dep = small_deployment(
+            workers=2, n_partitions=4, data_path="columnar",
+            config_overrides=dict(
+                checkpoint_enabled=True, checkpoint_interval=50.0,
+                failure_timeout=5.0,
+            ),
+        )
+        dep.run(duration=5.0, sample_interval=5.0)
+        host = dep.source_host
+        log = host._replay_log
+        logged = dict(log.items())
+        parent, children = 1, (101, 102)
+        rows = logged[parent]
+        assert len(rows) > 10 and host.trimmed_total == 0
+        kept = rows[-3:]
+        covered = {
+            child: frozenset(t.ident for t in rows[:-3] if t.seq % 2 == odd)
+            for odd, child in enumerate(children)
+        }
+
+        def deliver(kind, payload):
+            host.deliver(Message("m1", host.name, kind, payload, 64, 0.0))
+
+        deliver("trim", TrimRequest(machine="m1", covered=covered))
+        assert host.trimmed_total == len(rows) - 3
+        assert dict(log.items())[parent] == kept
+        others = {pid: r for pid, r in logged.items() if pid != parent}
+        assert {pid: r for pid, r in log.items() if pid != parent} == others
+        owner = dep.splits["A"].partition_map.owner(parent)
+        deliver("rremap", RepartitionRemap("split", parent, children, owner))
+        refiled = dict(log.items())
+        assert parent not in refiled
+        route = dep.splits["A"].route
+        assert sorted(refiled[101] + refiled[102], key=lambda t: t.ident) == \
+            sorted(kept, key=lambda t: t.ident)
+        assert all(route(t.key) == pid for pid in children
+                   for t in refiled.get(pid, []))

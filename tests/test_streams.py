@@ -3,6 +3,7 @@
 import pytest
 
 from repro import StrategyName
+from repro.cluster.faults import FaultSchedule, MachineCrash
 from repro.cluster.simulation import Simulator
 from repro.engine.operators.select import Select
 from repro.engine.streams import OutputCollector, StreamSource
@@ -151,6 +152,45 @@ class TestArrivalBatchHandOff:
         assert dep.source_host.tuples_routed == 1200
         assert dep.total_outputs > 0
         assert len(built) == (1200 if expect_rows else 0)
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_checkpointed_columnar_source_boxes_only_what_it_replays(
+            self, monkeypatch, crash):
+        """With the replay log on, the column route still builds no
+        ``StreamTuple``: the log keeps column references and trims them by
+        identity.  A crash boxes exactly the suffix it replays (plus the
+        rows the splits buffered while the partitions were paused)."""
+        built = []
+        init = StreamTuple.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        dep = small_deployment(workers=2, n_partitions=8, join_rate=3.0,
+                               tuple_range=240, interarrival=0.05,
+                               memory_threshold=10**7, data_path="columnar",
+                               config_overrides=dict(
+                                   checkpoint_enabled=True,
+                                   checkpoint_interval=2.0,
+                                   failure_timeout=5.0,
+                               ))
+        if crash:
+            FaultSchedule([
+                MachineCrash(time=11.0, engine=dep.engines["m2"]),
+            ]).arm(dep.sim)
+        monkeypatch.setattr(StreamTuple, "__init__", counting_init)
+        dep.run(duration=21, sample_interval=10)
+        monkeypatch.undo()
+        host = dep.source_host
+        assert host.tuples_routed == 1260 and host.trimmed_total > 630
+        if crash:
+            buffered = sum(s.buffered_total for s in dep.splits.values())
+            assert host.replayed_total > 0 and buffered > 0
+            assert len(built) == host.replayed_total + buffered
+        else:
+            assert dep.checkpoint_count == 20
+            assert len(built) == 0
 
 
 class TestOutputCollector:

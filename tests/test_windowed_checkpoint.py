@@ -118,7 +118,8 @@ class TestPurgeWindowAccounting:
 # ----------------------------------------------------------------------
 # End to end: windowed crash recovery is exactly-once
 # ----------------------------------------------------------------------
-def windowed_checkpointed_deployment(*, crash=None, restart=None, seed=7):
+def windowed_checkpointed_deployment(*, crash=None, restart=None, seed=7,
+                                     **deployment_kwargs):
     dep = Deployment(
         join=three_way_join(window=20.0),
         workload=WorkloadSpec.uniform(n_partitions=8, join_rate=3.0,
@@ -140,6 +141,7 @@ def windowed_checkpointed_deployment(*, crash=None, restart=None, seed=7):
         ),
         collect_results=True,
         record_inputs=True,
+        **deployment_kwargs,
     )
     faults = []
     for name, time in (crash or {}).items():

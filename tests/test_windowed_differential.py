@@ -25,7 +25,8 @@ def four_way_join(*, window=None):
     return MJoin("ABCD", schemas, window=window)
 
 
-def build(join, *, workers=2, assignment=None, config_overrides=None, seed=7):
+def build(join, *, workers=2, assignment=None, config_overrides=None, seed=7,
+          **deployment_kwargs):
     overrides = dict(
         strategy=StrategyName.LAZY_DISK,
         memory_threshold=20_000,
@@ -48,6 +49,7 @@ def build(join, *, workers=2, assignment=None, config_overrides=None, seed=7):
         assignment=assignment,
         collect_results=True,
         record_inputs=True,
+        **deployment_kwargs,
     )
 
 
