@@ -21,6 +21,7 @@ import sys
 from repro.bench.harness import run_experiment, sample_times
 from repro.bench.report import kv_block, series_table
 from repro.core.config import SpillPolicyName, StrategyName
+from repro.engine.query_engine import DATA_PATHS
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold-kb", type=float, default=500.0,
                         help="spill threshold per machine in KB (default 500)")
     parser.add_argument("--data-path", default="batched",
-                        choices=["tuple", "batched", "columnar"],
+                        choices=DATA_PATHS,
                         help="delivery representation: per-tuple, "
                              "micro-batched (default) or columnar "
                              "structure-of-arrays; results are identical, "

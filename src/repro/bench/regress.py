@@ -4,20 +4,19 @@ Everything else in :mod:`repro.bench` measures *simulated* time; this
 module measures the repository's own wall-clock performance, seeding the
 perf trajectory the ROADMAP asks for.  Five hot paths are timed:
 
-* ``join_*_tuples_per_s`` — tuples/sec through a 3-way join instance, on
-  the per-tuple reference path, the micro-batched path and the columnar
-  structure-of-arrays path (ratios are ``join_batch_speedup`` — batched
-  over per-tuple — and ``join_columnar_speedup`` — columnar over batched);
+* ``join_*_tuples_per_s`` — tuples/sec through a 3-way join instance by
+  each of the store's three entry points — one row, a routed row batch, a
+  routed column batch — over the same columnar state (ratios are
+  ``join_batch_speedup`` — batched over per-tuple — and
+  ``join_columnar_speedup`` — columnar over batched);
 * ``spill_bytes_per_s`` — spill victim selection + evict + freeze + disk
   write, repeated until a populated store drains;
 * ``cleanup_tuples_per_s`` — the cleanup merge's incremental missing-count
   over a chain of spill generations;
 * ``relocation_bytes_per_s`` — a full pack/install round trip (evict on
   the sender, thaw-install on the receiver);
-* ``serialize_*_bytes_per_s`` — the spill/restore serialization cycle
-  (snapshot every group, evict, install into a fresh store) on row-format
-  vs columnar state, isolating the zero-copy snapshot win
-  (``serialize_columnar_speedup``).
+* ``serialize_columnar_bytes_per_s`` — the spill/restore serialization
+  cycle (snapshot every group, evict, install into a fresh store).
 
 ``elastic_scale_events_per_s`` is the kernel-hardening gate: simulator
 events/sec through a 64-machine elastic run (48 workers scale out to 64
@@ -84,7 +83,6 @@ HIGHER_IS_BETTER = (
     "spill_bytes_per_s",
     "cleanup_tuples_per_s",
     "relocation_bytes_per_s",
-    "serialize_row_bytes_per_s",
     "serialize_columnar_bytes_per_s",
     "fold_state_bytes_saved",
     "repartition_throughput_recovery",
@@ -164,7 +162,8 @@ def _quiesced():
 # Micro-benchmarks (each returns a metrics fragment)
 # ----------------------------------------------------------------------
 def bench_join(n_tuples: int, batch_size: int, repeats: int) -> dict:
-    """Tuples/sec through a fresh 3-way join instance, all three data paths.
+    """Tuples/sec through a fresh 3-way join instance, by each of the three
+    store entry points (the state they fill is the same columnar store).
 
     Column batches are built outside the timed region, mirroring the
     deployment (the source host builds them once; the engine's hot loop
@@ -181,9 +180,7 @@ def bench_join(n_tuples: int, batch_size: int, repeats: int) -> dict:
         best = 0.0
         for __ in range(repeats):
             sim = Simulator()
-            instance = three_way_join().make_instance(
-                Machine(sim, "bench"), columnar=mode == "columnar"
-            )
+            instance = three_way_join().make_instance(Machine(sim, "bench"))
             with _quiesced():
                 start = time.perf_counter()
                 if mode == "columnar":
@@ -296,11 +293,9 @@ def bench_serialize(n_tuples: int, batch_size: int, repeats: int) -> dict:
     """Bytes/sec through a full spill/restore serialization cycle —
     snapshot every live group (checkpoint-style ``state_of``), evict every
     group (spill/relocation pack) and install the evicted snapshots into a
-    fresh store — on row-format vs columnar state.
+    fresh store.
 
-    This isolates what the columnar representation buys on the state
-    movement paths: snapshots copy (or, on evict, steal) flat column
-    buffers instead of re-materialising per-tuple objects.  The columnar
+    Snapshots copy (or, on evict, steal) flat column buffers.  The column
     ingest defers splicing batch chunks into the group buffers until the
     first reader; a warm-up snapshot pass flushes that deferred *ingest*
     work during setup so the timed cycle measures serialization in the
@@ -310,40 +305,28 @@ def bench_serialize(n_tuples: int, batch_size: int, repeats: int) -> dict:
     batches = synth_batches(n_tuples, batch_size=batch_size, n_partitions=32)
     streams = ("A", "B", "C")
     column_batches = [ColumnBatch.from_routed(b, streams) for b in batches]
-    rates: dict[str, float] = {}
-    for mode in ("row", "columnar"):
-        columnar = mode == "columnar"
-        best = 0.0
-        for __ in range(repeats):
-            sim = Simulator()
-            store = StateStore(Machine(sim, "src"), streams, columnar=columnar)
-            if columnar:
-                for cb in column_batches:
-                    store.probe_insert_columns(cb)
-            else:
-                _fill_store(store, batches)
-            receiver = StateStore(Machine(sim, "dst"), streams,
-                                  columnar=columnar)
-            for pid in store.partition_ids():  # consolidate deferred ingest
-                store.state_of(pid)
-            pids = store.partition_ids()
-            # one snapshot pass + one evict pass + one install pass
-            cycle_bytes = 3 * store.total_bytes
-            with _quiesced():
-                start = time.perf_counter()
-                snapshots = [store.state_of(pid) for pid in pids]
-                frozen = store.evict(pids)
-                for snapshot in frozen:
-                    receiver.install(snapshot)
-                elapsed = time.perf_counter() - start
-            del snapshots
-            best = max(best, cycle_bytes / elapsed)
-        rates[mode] = best
-    return {
-        "serialize_row_bytes_per_s": rates["row"],
-        "serialize_columnar_bytes_per_s": rates["columnar"],
-        "serialize_columnar_speedup": rates["columnar"] / rates["row"],
-    }
+    best = 0.0
+    for __ in range(repeats):
+        sim = Simulator()
+        store = StateStore(Machine(sim, "src"), streams)
+        for cb in column_batches:
+            store.probe_insert_columns(cb)
+        receiver = StateStore(Machine(sim, "dst"), streams)
+        for pid in store.partition_ids():  # consolidate deferred ingest
+            store.state_of(pid)
+        pids = store.partition_ids()
+        # one snapshot pass + one evict pass + one install pass
+        cycle_bytes = 3 * store.total_bytes
+        with _quiesced():
+            start = time.perf_counter()
+            snapshots = [store.state_of(pid) for pid in pids]
+            frozen = store.evict(pids)
+            for snapshot in frozen:
+                receiver.install(snapshot)
+            elapsed = time.perf_counter() - start
+        del snapshots
+        best = max(best, cycle_bytes / elapsed)
+    return {"serialize_columnar_bytes_per_s": best}
 
 
 def bench_folding() -> dict:
@@ -353,7 +336,7 @@ def bench_folding() -> dict:
 
     Unlike the wall-clock benchmarks this is *simulated* data — fully
     deterministic for a fixed seed — so the regress gate pins it the same
-    way it pins the columnar speedup floors: a drop means folding stopped
+    way it pins the join speedup floors: a drop means folding stopped
     sharing state, not that the machine was slow.
     """
     from repro.bench.harness import run_serving
@@ -675,7 +658,6 @@ def main(argv: list[str] | None = None) -> int:
             continue  # printed with the ratios below
         print(f"  {name:<30} {metrics[name]:>14,.0f}{_unit(name)}")
     for name in ("join_batch_speedup", "join_columnar_speedup",
-                 "serialize_columnar_speedup",
                  "repartition_throughput_recovery"):
         print(f"  {name:<30} {metrics[name]:>13.2f}x")
     print(f"  {'latency_overhead_frac':<30} {metrics['latency_overhead_frac']:>13.2%}"

@@ -24,12 +24,12 @@ from repro.core.productivity import (
     WindowedProductivity,
 )
 from repro.core.spill import SpillExecutor, SpillOutcome, SpillPolicy, make_spill_policy
-from repro.engine.partitions import PartitionGroup
+from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.state_store import StateStore
 
 
 def select_relocation_parts(
-    groups: Sequence[PartitionGroup],
+    groups: Sequence[ColumnarPartitionGroup],
     amount: int,
     estimator: ProductivityEstimator,
 ) -> tuple[tuple[int, ...], int]:

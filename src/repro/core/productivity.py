@@ -25,24 +25,28 @@ import math
 from abc import ABC, abstractmethod
 from typing import Iterable
 
-from repro.engine.partitions import PartitionGroup
+from repro.engine.columns import ColumnarPartitionGroup
 
 
 class ProductivityEstimator(ABC):
     """Ranks partition groups by estimated productivity."""
 
     @abstractmethod
-    def score(self, group: PartitionGroup) -> float:
+    def score(self, group: ColumnarPartitionGroup) -> float:
         """Estimated productivity of one group (higher = more productive)."""
 
-    def rank_ascending(self, groups: Iterable[PartitionGroup]) -> list[PartitionGroup]:
+    def rank_ascending(
+        self, groups: Iterable[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         """Groups ordered least-productive first (spill-victim order).
 
         Ties break on partition ID for determinism.
         """
         return sorted(groups, key=lambda g: (self.score(g), g.pid))
 
-    def rank_descending(self, groups: Iterable[PartitionGroup]) -> list[PartitionGroup]:
+    def rank_descending(
+        self, groups: Iterable[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         """Groups ordered most-productive first (relocation-pick order)."""
         return sorted(groups, key=lambda g: (-self.score(g), g.pid))
 
@@ -50,7 +54,7 @@ class ProductivityEstimator(ABC):
 class CumulativeProductivity(ProductivityEstimator):
     """The paper's §2 metric: lifetime ``P_output / P_size``."""
 
-    def score(self, group: PartitionGroup) -> float:
+    def score(self, group: ColumnarPartitionGroup) -> float:
         return group.productivity
 
 
@@ -73,7 +77,7 @@ class WindowedProductivity(ProductivityEstimator):
         self._last_output: dict[int, int] = {}
         self._last_size: dict[int, int] = {}
 
-    def observe(self, groups: Iterable[PartitionGroup]) -> None:
+    def observe(self, groups: Iterable[ColumnarPartitionGroup]) -> None:
         """Record one statistics pass (call on each stats-timer tick)."""
         for group in groups:
             d_out = group.output_count - self._last_output.get(group.pid, 0)
@@ -97,7 +101,7 @@ class WindowedProductivity(ProductivityEstimator):
         self._last_output.pop(pid, None)
         self._last_size.pop(pid, None)
 
-    def score(self, group: PartitionGroup) -> float:
+    def score(self, group: ColumnarPartitionGroup) -> float:
         value = self._ewma.get(group.pid)
         if value is None:
             return group.productivity

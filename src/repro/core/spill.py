@@ -26,7 +26,7 @@ from repro.cluster.disk import Disk, SpillSegment
 from repro.cluster.machine import PRIORITY_CONTROL, DynamicTask, Machine
 from repro.core.config import CostModel, SpillPolicyName
 from repro.core.productivity import CumulativeProductivity, ProductivityEstimator
-from repro.engine.partitions import PartitionGroup
+from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.state_store import (
     ORDER_PRODUCTIVITY_ASC,
     ORDER_PRODUCTIVITY_DESC,
@@ -42,10 +42,14 @@ class SpillPolicy(ABC):
     name: SpillPolicyName
 
     @abstractmethod
-    def order(self, groups: Sequence[PartitionGroup]) -> list[PartitionGroup]:
+    def order(
+        self, groups: Sequence[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         """All candidate groups in victim order (first = spill first)."""
 
-    def select(self, groups: Sequence[PartitionGroup], amount: int) -> list[int]:
+    def select(
+        self, groups: Sequence[ColumnarPartitionGroup], amount: int
+    ) -> list[int]:
         """Victim partition IDs whose sizes accumulate to ``amount`` bytes.
 
         The group that crosses the boundary is included, so at least one
@@ -86,7 +90,9 @@ class RandomSpillPolicy(SpillPolicy):
     def __init__(self, seed: int = 11) -> None:
         self._rng = random.Random(seed)
 
-    def order(self, groups: Sequence[PartitionGroup]) -> list[PartitionGroup]:
+    def order(
+        self, groups: Sequence[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         shuffled = list(groups)
         self._rng.shuffle(shuffled)
         return shuffled
@@ -97,7 +103,9 @@ class LargestFirstSpillPolicy(SpillPolicy):
 
     name = SpillPolicyName.LARGEST
 
-    def order(self, groups: Sequence[PartitionGroup]) -> list[PartitionGroup]:
+    def order(
+        self, groups: Sequence[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         return sorted(groups, key=lambda g: (-g.size_bytes, g.pid))
 
     def select_victims(self, store: StateStore, amount: int) -> list[int]:
@@ -112,7 +120,9 @@ class LessProductiveSpillPolicy(SpillPolicy):
     def __init__(self, estimator: ProductivityEstimator | None = None) -> None:
         self.estimator = estimator or CumulativeProductivity()
 
-    def order(self, groups: Sequence[PartitionGroup]) -> list[PartitionGroup]:
+    def order(
+        self, groups: Sequence[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         return self.estimator.rank_ascending(groups)
 
     def select_victims(self, store: StateStore, amount: int) -> list[int]:
@@ -131,7 +141,9 @@ class MoreProductiveSpillPolicy(SpillPolicy):
     def __init__(self, estimator: ProductivityEstimator | None = None) -> None:
         self.estimator = estimator or CumulativeProductivity()
 
-    def order(self, groups: Sequence[PartitionGroup]) -> list[PartitionGroup]:
+    def order(
+        self, groups: Sequence[ColumnarPartitionGroup]
+    ) -> list[ColumnarPartitionGroup]:
         return self.estimator.rank_descending(groups)
 
     def select_victims(self, store: StateStore, amount: int) -> list[int]:

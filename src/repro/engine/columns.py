@@ -1,10 +1,8 @@
 """Columnar (structure-of-arrays) batch and partition-group state.
 
-The per-tuple and micro-batched data paths move ``StreamTuple`` objects:
-every probe hashes a boxed key, every insert appends an object pointer into
-a per-(stream, key) bucket, and every spill/checkpoint re-walks those
-buckets.  The columnar path replaces the moving parts with flat parallel
-columns:
+Partition-group state is flat parallel columns under every data path; the
+per-tuple and micro-batched paths deliver ``StreamTuple`` rows into it, the
+columnar path delivers columns as well:
 
 ``ColumnBatch``
     What travels from a source host to an engine: one flat column per
@@ -17,14 +15,14 @@ columns:
     to a scalar/``None`` instead of a column.
 
 ``ColumnarPartitionGroup``
-    Drop-in replacement for :class:`~repro.engine.partitions.PartitionGroup`
-    storing group state as row-major append-only columns plus a per-key
-    match-count table ``{key: [count per stream]}``.  The unwindowed
-    count-only probe — the hot path — is a dict lookup and an integer
-    product; no per-tuple objects are created.  A per-(stream, key) row
-    index is built lazily, only when a windowed or materialising probe
-    (or the cleanup oracle) needs it, and a row -> StreamTuple cache only
-    when somebody reads rows.
+    The live partition group: row-major append-only columns plus a per-key
+    match-count table ``{key: [count per stream]}``
+    (:class:`~repro.engine.partitions.PartitionGroup` is its row-format
+    reference twin).  The unwindowed count-only probe — the hot path — is
+    a dict lookup and an integer product; no per-tuple objects are
+    created.  A per-(stream, key) row index is built lazily, only when a
+    windowed or materialising probe (or the cleanup oracle) needs it, and
+    a row -> StreamTuple cache only when somebody reads rows.
 
 ``FrozenColumnGroup``
     Immutable snapshot whose payload *is* the column buffers.  Because the
@@ -44,8 +42,8 @@ columns:
     ``collector.results``), never by the probe, the latency tracker, the
     output-commit buffer or the collectors that merely hold it.
 
-Row order within a group is insertion order, which both probe paths respect,
-so results and statistics are byte-identical to the row representation.
+Row order within a group is insertion order, which every probe respects,
+so results and statistics are byte-identical to the row-format twin's.
 """
 
 from __future__ import annotations
@@ -648,8 +646,8 @@ class ColumnarPartitionGroup:
 
     def _probe_rows(self, sid: int, tup: StreamTuple, window: float | None
                     ) -> tuple[int, list[JoinResult]]:
-        """Eager materialising probe (cold row-delivery paths): the lazy
-        record of :meth:`probe_record`, read on the spot."""
+        """Eager materialising probe (row delivery): the lazy record of
+        :meth:`probe_record`, read on the spot."""
         record = self.probe_record(sid, tup.seq, tup.key, tup.ts, tup.size,
                                    tup.payload, window)
         if record is None:
@@ -825,7 +823,8 @@ class ColumnarPartitionGroup:
 
         Columnar snapshots thaw by copying the column buffers; row-format
         :class:`~repro.engine.partitions.FrozenPartitionGroup` snapshots
-        (cross-representation installs) fall back to per-tuple inserts.
+        (the children of a split, the parent of a merge) fall back to
+        per-tuple inserts.
         """
         group = cls(frozen.pid, frozen.streams, generation=frozen.generation,
                     created_at=created_at)
@@ -870,9 +869,9 @@ class FrozenColumnGroup:
     reader stays below it (appends are the only in-place buffer mutation;
     purge swaps in replacement lists, leaving the snapshot intact).
     ``.data`` lazily materialises the row-format bucket view —
-    ``{stream: {key: (StreamTuple, ...)}}`` — for the cleanup merge and for
-    cross-representation thaws; nothing on the spill/checkpoint write path
-    touches it.
+    ``{stream: {key: (StreamTuple, ...)}}`` — for the cleanup merge and the
+    split/merge/rebucket transforms; nothing on the spill/checkpoint write
+    path touches it.
     """
 
     __slots__ = ("pid", "streams", "generation", "size_bytes", "tuple_count",

@@ -75,10 +75,9 @@ class MJoin(Operator):
             "partitioned MJoinInstance objects created by deployment"
         )
 
-    def make_instance(self, machine: Machine, *,
-                      columnar: bool = False) -> "MJoinInstance":
+    def make_instance(self, machine: Machine) -> "MJoinInstance":
         """Create the physical instance hosted on ``machine``."""
-        return MJoinInstance(self, machine, columnar=columnar)
+        return MJoinInstance(self, machine)
 
 
 class MJoinInstance:
@@ -90,11 +89,10 @@ class MJoinInstance:
     store.
     """
 
-    def __init__(self, join: MJoin, machine: Machine, *,
-                 columnar: bool = False) -> None:
+    def __init__(self, join: MJoin, machine: Machine) -> None:
         self.join = join
         self.machine = machine
-        self.store = StateStore(machine, join.stream_names, columnar=columnar)
+        self.store = StateStore(machine, join.stream_names)
         self.results_count = 0
         self.tuples_in = 0
 
@@ -146,7 +144,7 @@ class MJoinInstance:
         materialize: bool = False,
     ) -> tuple[int, list[JoinResult]]:
         """Probe-then-insert a routed :class:`~repro.engine.columns.ColumnBatch`
-        (columnar path; requires ``columnar=True``).
+        (column delivery).
 
         Produces exactly the results and statistics of calling
         :meth:`process` per row in batch order, operating on flat columns

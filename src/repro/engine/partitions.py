@@ -7,10 +7,16 @@ group together (a) keeps every probe local to one machine after relocation
 and (b) makes spill cleanup timestamp-free, because a tuple only ever joins
 against co-resident tuples of its own group instance.
 
-:class:`PartitionGroup` is the live, in-memory representation inside a join
-instance's :class:`~repro.engine.state_store.StateStore`.
-:class:`FrozenPartitionGroup` is an immutable snapshot used as the payload
-of a spill segment or a relocation transfer.
+The live representation inside a join instance's
+:class:`~repro.engine.state_store.StateStore` is
+:class:`~repro.engine.columns.ColumnarPartitionGroup`.  This module holds
+its row-format counterparts: :class:`PartitionGroup`, the reference twin
+the tests compare the live class against (nothing under ``repro``
+instantiates it, as :func:`~repro.engine.reference.reference_join` is the
+oracle for whole runs), and :class:`FrozenPartitionGroup`, the row-format
+snapshot :func:`split_frozen` / :func:`merge_frozen` /
+:func:`rebucket_frozen` emit and the live class thaws — the cold
+interchange of repartitioning and cleanup.
 
 The module also provides the small amount of join arithmetic shared by the
 run-time probe and the cleanup merge: per-key match counting and (optional)
@@ -33,7 +39,10 @@ GROUP_OVERHEAD_BYTES = 128
 
 
 class PartitionGroup:
-    """Live in-memory state of one partition ID across all join inputs.
+    """Row-format state of one partition ID across all join inputs: one
+    ``{key: [tuple, ...]}`` table per input.  The reference twin of
+    :class:`~repro.engine.columns.ColumnarPartitionGroup` — same interface,
+    same observable behaviour, the obvious implementation.
 
     Parameters
     ----------
@@ -260,7 +269,7 @@ class PartitionGroup:
     @classmethod
     def thaw(cls, frozen: "FrozenPartitionGroup", *, created_at: float = 0.0
              ) -> "PartitionGroup":
-        """Rebuild a live group from a snapshot (relocation install path)."""
+        """Rebuild a group from a snapshot."""
         group = cls(frozen.pid, frozen.streams, generation=frozen.generation,
                     created_at=created_at)
         for stream, table in frozen.data.items():
@@ -281,11 +290,14 @@ class PartitionGroup:
 
 @dataclass(frozen=True)
 class FrozenPartitionGroup:
-    """Immutable snapshot of a partition group.
+    """Immutable row-format snapshot of a partition group.
 
-    Used as the payload of spill segments (parked on disk until cleanup) and
-    of relocation state transfers (shipped over the network and thawed at
-    the receiver).
+    What :func:`split_frozen`, :func:`merge_frozen` and
+    :func:`rebucket_frozen` build (and :meth:`PartitionGroup.freeze`
+    returns); a store installs one by thawing it into columns.  Spill
+    segments, relocation transfers and checkpoints of live groups carry
+    :class:`~repro.engine.columns.FrozenColumnGroup` instead, which
+    exposes the same reading interface.
     """
 
     pid: int

@@ -40,9 +40,9 @@ from repro.core.cleanup import merge_missing_count, merge_missing_results
 from repro.core.config import AdaptationConfig, CostModel
 from repro.core.coordinator import GlobalCoordinator
 from repro.core.strategies import profile_of, trace_strategy
+from repro.engine.columns import ColumnarPartitionGroup, FrozenColumnGroup
 from repro.engine.operators.mjoin import MJoin
 from repro.engine.operators.split import PartitionMap, Split
-from repro.engine.partitions import FrozenPartitionGroup, PartitionGroup
 from repro.engine.query_engine import QueryEngine, SourceHost
 from repro.engine.streams import OutputCollector, StreamSource
 from repro.engine.tuples import JoinResult, StreamTuple
@@ -466,7 +466,7 @@ class PipelineDeployment:
         late_by_pid: dict[int, list[StreamTuple]] = {}
         for tup in late_inputs:
             late_by_pid.setdefault(split.route(tup.key), []).append(tup)
-        memory_by_pid: dict[int, FrozenPartitionGroup] = {}
+        memory_by_pid: dict[int, FrozenColumnGroup] = {}
         for worker in stage.workers:
             for group in self.instances[stage.name][worker].store.groups():
                 if group.tuple_count > 0:
@@ -480,7 +480,7 @@ class PipelineDeployment:
         total = 0
         collected: list[JoinResult] = []
         for pid in pids:
-            parts: list[FrozenPartitionGroup] = []
+            parts: list[FrozenColumnGroup] = []
             segs = sorted(segments_by_pid.get(pid, ()),
                           key=lambda s: (s.spilled_at, s.generation))
             parts.extend(s.frozen for s in segs)
@@ -488,7 +488,7 @@ class PipelineDeployment:
                 parts.append(memory_by_pid[pid])
             late = late_by_pid.get(pid)
             if late:
-                late_group = PartitionGroup(pid, streams)
+                late_group = ColumnarPartitionGroup(pid, streams)
                 for tup in late:
                     late_group.insert(tup)
                 parts.append(late_group.freeze())

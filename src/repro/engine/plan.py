@@ -39,11 +39,11 @@ from repro.core.cleanup import CleanupExecutor, CleanupReport
 from repro.core.config import AdaptationConfig, CostModel
 from repro.core.coordinator import GC_NAME, GlobalCoordinator
 from repro.core.strategies import profile_of, trace_strategy
+from repro.engine.columns import FrozenColumnGroup
 from repro.engine.operators.base import Operator
 from repro.engine.operators.mjoin import MJoin
 from repro.engine.operators.split import PartitionMap, Split
-from repro.engine.partitions import FrozenPartitionGroup
-from repro.engine.query_engine import QueryEngine, SourceHost
+from repro.engine.query_engine import QueryEngine, SourceHost, check_data_path
 from repro.engine.streams import OutputCollector, StreamSource
 from repro.workloads.generator import StreamWorkloadSpec, TupleGenerator, WorkloadSpec
 
@@ -87,12 +87,15 @@ class Deployment:
         the producing engine.  Off by default — delivery cost is not a
         studied factor in the paper's figures.
     data_path:
-        Data-path selector: ``"tuple"`` (per-tuple reference path),
-        ``"batched"`` (amortised store entry point, the default) or
-        ``"columnar"`` (structure-of-arrays batches end to end, including
-        columnar partition-group state and zero-copy spill/relocation/
-        checkpoint snapshots).  All three paths produce byte-identical
-        outputs and traces on the same seed.
+        Delivery format between the source host and the engines
+        (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"tuple"`` (rows
+        on the wire, probed one by one — the reference entry point),
+        ``"batched"`` (rows on the wire, one amortised store call per
+        delivered batch, the default) or ``"columnar"`` (structure-of-arrays
+        column batches built at the source).  Partition-group state is
+        columnar under all three — zero-copy spill/relocation/checkpoint
+        snapshots included — and all three produce byte-identical outputs
+        and traces on the same seed.
     payload_fn:
         Optional payload builder passed to the tuple generators.
     memory_capacity:
@@ -176,12 +179,7 @@ class Deployment:
         latency: bool = False,
         slo=None,
     ) -> None:
-        if data_path not in ("tuple", "batched", "columnar"):
-            raise ValueError(
-                f"unknown data path {data_path!r} "
-                "(expected 'tuple', 'batched' or 'columnar')"
-            )
-        self.data_path = data_path
+        self.data_path = check_data_path(data_path)
         if isinstance(workers, int):
             if workers <= 0:
                 raise ValueError("need at least one worker")
@@ -507,9 +505,7 @@ class Deployment:
             read_bandwidth=self.cost.disk_read_bandwidth,
             seek_time=self.cost.disk_seek_time,
         )
-        instance = self.join.make_instance(
-            machine, columnar=self.data_path == "columnar"
-        )
+        instance = self.join.make_instance(machine)
         engine = QueryEngine(
             self.sim,
             self.network,
@@ -636,9 +632,9 @@ class Deployment:
     # ------------------------------------------------------------------
     # Cleanup phase
     # ------------------------------------------------------------------
-    def memory_parts(self) -> dict[int, tuple[str, FrozenPartitionGroup]]:
+    def memory_parts(self) -> dict[int, tuple[str, FrozenColumnGroup]]:
         """Final memory-resident group per partition ID (cleanup input)."""
-        parts: dict[int, tuple[str, FrozenPartitionGroup]] = {}
+        parts: dict[int, tuple[str, FrozenColumnGroup]] = {}
         for name, instance in self.instances.items():
             for group in instance.store.groups():
                 if group.tuple_count > 0:

@@ -84,6 +84,21 @@ MODE_NORMAL = "normal"
 MODE_SS = "ss_mode"
 MODE_SR = "sr_mode"
 
+#: Delivery formats between the source host and the engines: rows shipped
+#: as ``(pid, tuple)`` lists and probed one by one (``tuple``) or a batch
+#: at a time (``batched``), or structure-of-arrays column batches
+#: (``columnar``).  The state they land in is the same columnar store.
+DATA_PATHS = ("tuple", "batched", "columnar")
+
+
+def check_data_path(data_path: str) -> str:
+    """``data_path`` if it names a delivery format, else ``ValueError``."""
+    if data_path not in DATA_PATHS:
+        raise ValueError(
+            f"unknown data path {data_path!r} (expected one of {DATA_PATHS!r})"
+        )
+    return data_path
+
 
 class QueryEngine:
     """Worker engine: join instance + local adaptation controller."""
@@ -118,13 +133,10 @@ class QueryEngine:
         self.collector = collector
         self.coordinator_name = coordinator_name
         self.materialize = materialize
-        #: which store entry point processes delivered batches: ``tuple``
-        #: (per-tuple reference path), ``batched`` (amortised row path) or
-        #: ``columnar`` (structure-of-arrays path).  All three produce
-        #: byte-identical outputs and traces.
-        if data_path not in ("tuple", "batched", "columnar"):
-            raise ValueError(f"unknown data path {data_path!r}")
-        self.data_path = data_path
+        #: which store entry point processes delivered batches (see
+        #: :data:`DATA_PATHS`).  All three produce byte-identical outputs
+        #: and traces.
+        self.data_path = check_data_path(data_path)
         self.batched = data_path != "tuple"
         #: when set, result batches ship over the network to this machine
         #: (the paper's application server) instead of being credited
@@ -1233,8 +1245,6 @@ class SourceHost:
     ) -> None:
         if not splits:
             raise ValueError("source host needs at least one split")
-        if data_path not in ("tuple", "batched", "columnar"):
-            raise ValueError(f"unknown data path {data_path!r}")
         if transforms:
             unknown = set(transforms) - set(splits)
             if unknown:
@@ -1254,7 +1264,7 @@ class SourceHost:
         #: :class:`~repro.engine.columns.ColumnBatch` messages, built once
         #: here at the source (from the arrival columns where it can);
         #: other paths ship ``(pid, tuple)`` lists.
-        self.data_path = data_path
+        self.data_path = check_data_path(data_path)
         #: join input order — the stream-index space of column batches
         self._stream_order = tuple(splits)
         #: per-stream stateless operator chains (select/project) applied
@@ -1419,24 +1429,35 @@ class SourceHost:
         )
         self._send_gc(ack_kind, ack)
 
-    def _on_remap(self, message: Message) -> None:
-        request: RemapRequest = message.payload
-        flushed: list[tuple[str, int, StreamTuple]] = []
-        for split in self.splits.values():
-            for pid, owner, tup in split.resume(request.partition_ids, request.new_owner):
-                flushed.append((owner, pid, tup))
+    def _flush(self, released, event: str = "", span: int = 0, **fields) -> None:
+        """Forward the buffered rows a routing change released — the
+        ``(pid, owner, tuple)`` triples of ``Split.resume`` /
+        ``apply_split`` / ``apply_merge`` — tracing ``event`` with their
+        count first: the flush half of the relocation remap, the
+        repartition remap and the recovery re-route."""
+        flushed = [(owner, pid, tup) for pid, owner, tup in released]
         tracer = self.metrics.tracer
-        if tracer.enabled and request.trace_span:
+        if tracer.enabled and span:
             tracer.event(
-                "split.flush",
-                machine=self.name,
-                span=request.trace_span,
-                pids=request.partition_ids,
-                new_owner=request.new_owner,
+                event, machine=self.name, span=span, **fields,
                 flushed=len(flushed),
             )
         if flushed:
             self._forward(flushed)
+
+    def _on_remap(self, message: Message) -> None:
+        request: RemapRequest = message.payload
+        self._flush(
+            (
+                row
+                for split in self.splits.values()
+                for row in split.resume(request.partition_ids, request.new_owner)
+            ),
+            "split.flush",
+            request.trace_span,
+            pids=request.partition_ids,
+            new_owner=request.new_owner,
+        )
         self._send_gc("resumed", ResumeAck(host=self.name))
 
     # ------------------------------------------------------------------
@@ -1463,15 +1484,13 @@ class SourceHost:
             fresh = request.parent not in first.refinement
         else:
             fresh = first.refinement.get(request.parent) == children
-        flushed: list[tuple[str, int, StreamTuple]] = []
         if fresh:
+            released: list[tuple[int, str, StreamTuple]] = []
             for split in self.splits.values():
-                if request.kind == "split":
-                    out = split.apply_split(request.parent, children, request.owner)
-                else:
-                    out = split.apply_merge(request.parent, children, request.owner)
-                for pid, owner, tup in out:
-                    flushed.append((owner, pid, tup))
+                apply = (
+                    split.apply_split if request.kind == "split" else split.apply_merge
+                )
+                released += apply(request.parent, children, request.owner)
             self._rebucket_replay_log(request)
             tracer = self.metrics.tracer
             if tracer.enabled and request.trace_span:
@@ -1494,18 +1513,12 @@ class SourceHost:
                         span=request.trace_span,
                         pid=pid,
                     )
-                tracer.event(
-                    "repartition.flush",
-                    machine=self.name,
-                    span=request.trace_span,
-                    pids=(
-                        children if request.kind == "split"
-                        else (request.parent,)
-                    ),
-                    flushed=len(flushed),
-                )
-        if flushed:
-            self._forward(flushed)
+            self._flush(
+                released,
+                "repartition.flush",
+                request.trace_span,
+                pids=children if request.kind == "split" else (request.parent,),
+            )
         self._send_gc("rresumed", RepartitionResumed(host=self.name))
 
     def _rebucket_replay_log(self, request: RepartitionRemap) -> None:
@@ -1590,13 +1603,12 @@ class SourceHost:
                     "resident": pid in resident,
                     "owner": owner,
                 }
-        flushed: list[tuple[str, int, StreamTuple]] = []
-        for pid, owner in request.assignments:
-            for split in self.splits.values():
-                for p, o, tup in split.resume([pid], owner):
-                    flushed.append((o, p, tup))
-        if flushed:
-            self._forward(flushed)
+        self._flush(
+            row
+            for pid, owner in request.assignments
+            for split in self.splits.values()
+            for row in split.resume([pid], owner)
+        )
         if replay:
             # Replayed tuples are already in the log — do not re-record.
             self._forward(replay, record=False)

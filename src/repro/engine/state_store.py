@@ -22,15 +22,12 @@ from repro.cluster.machine import Machine
 from repro.engine.columns import (
     ColumnBatch,
     ColumnarPartitionGroup,
+    FrozenColumnGroup,
     ProbeRecord,
     ResultBatch,
     others_table,
 )
-from repro.engine.partitions import (
-    GROUP_OVERHEAD_BYTES,
-    FrozenPartitionGroup,
-    PartitionGroup,
-)
+from repro.engine.partitions import GROUP_OVERHEAD_BYTES, FrozenPartitionGroup
 from repro.engine.tuples import JoinResult, StreamTuple
 
 #: The two "other inputs" of each stream of a 3-way join, unrolled for the
@@ -56,13 +53,13 @@ class _LazyOrderHeap:
     invalidated their position without observing a mutation.
 
     The ordering produced depends only on the current group statistics —
-    never on when reads happened — so batched and per-tuple data paths
-    drive identical victim selections.
+    never on when reads happened — so all three store entry points drive
+    identical victim selections.
     """
 
     __slots__ = ("_key", "_heap", "_latest", "_dirty")
 
-    def __init__(self, key: Callable[[PartitionGroup], tuple]) -> None:
+    def __init__(self, key: Callable[[ColumnarPartitionGroup], tuple]) -> None:
         self._key = key
         self._heap: list[tuple] = []
         self._latest: dict[int, int] = {}
@@ -82,8 +79,8 @@ class _LazyOrderHeap:
         self._dirty.clear()
 
     def iterate(
-        self, groups: dict[int, PartitionGroup], counter
-    ) -> Iterator[PartitionGroup]:
+        self, groups: dict[int, ColumnarPartitionGroup], counter
+    ) -> Iterator[ColumnarPartitionGroup]:
         """Yield live groups in key order (lazy repair happens here)."""
         heap, latest, key = self._heap, self._latest, self._key
         if len(heap) > 64 and len(heap) > 4 * len(groups):
@@ -126,26 +123,26 @@ class _LazyOrderHeap:
 class StateStore:
     """All in-memory partition groups of one join instance.
 
+    Live state has one format, decided here: every group is a
+    :class:`~repro.engine.columns.ColumnarPartitionGroup`, whichever of
+    the three entry points — :meth:`probe_insert` (one row),
+    :meth:`probe_insert_batch` (a routed row batch),
+    :meth:`probe_insert_columns` (a routed column batch) — delivered its
+    rows.  Results, order, counters and victim orderings are the same
+    through all three.
+
     Parameters
     ----------
     machine:
         The hosting machine; every byte of group state is allocated from it.
     streams:
         Ordered input-stream names of the owning join.
-    columnar:
-        Store partition-group state in the columnar (structure-of-arrays)
-        representation.  Observable behaviour — results, order, counters,
-        victim orderings — is identical to the row representation; only
-        the storage layout and the hot-path cost differ.
     """
 
-    def __init__(self, machine: Machine, streams: tuple[str, ...],
-                 *, columnar: bool = False) -> None:
+    def __init__(self, machine: Machine, streams: tuple[str, ...]) -> None:
         self.machine = machine
         self.streams = streams
-        self.columnar = columnar
-        self._group_cls = ColumnarPartitionGroup if columnar else PartitionGroup
-        self._groups: dict[int, PartitionGroup] = {}
+        self._groups: dict[int, ColumnarPartitionGroup] = {}
         #: next spill generation per partition ID on this machine
         self._next_generation: dict[int, int] = {}
         self.total_bytes = 0
@@ -187,11 +184,11 @@ class StateStore:
         self._heap_marks = tuple(
             heap._dirty.add for heap in self._victim_heaps.values()
         )
-        #: Columnar hot-loop context per live group: ``(group, counts,
+        #: Column-batch hot-loop context per live group: ``(group, counts,
         #: counts.get, _chunks.append)``.  Valid while the count table's
         #: *identity* holds; every site that replaces it (purge rebuilds
         #: the table) or retires the group (evict, install, crash)
-        #: invalidates the entry.  Only populated on columnar stores.
+        #: invalidates the entry.
         self._colhot: dict[int, tuple] = {}
 
     def attach_sharer(self) -> None:
@@ -220,14 +217,15 @@ class StateStore:
     # ------------------------------------------------------------------
     # Group access
     # ------------------------------------------------------------------
-    def group(self, pid: int, *, now: float = 0.0) -> PartitionGroup:
+    def group(self, pid: int, *, now: float = 0.0) -> ColumnarPartitionGroup:
         """The live group for ``pid``, created (and its overhead charged)
         on first touch."""
         grp = self._groups.get(pid)
         if grp is None:
             generation = self._next_generation.get(pid, 0)
-            grp = self._group_cls(pid, self.streams, generation=generation,
-                                  created_at=now)
+            grp = ColumnarPartitionGroup(
+                pid, self.streams, generation=generation, created_at=now
+            )
             self._groups[pid] = grp
             self.machine.allocate(GROUP_OVERHEAD_BYTES)
             self.total_bytes += GROUP_OVERHEAD_BYTES
@@ -237,7 +235,7 @@ class StateStore:
                 mark(pid)
         return grp
 
-    def peek(self, pid: int) -> PartitionGroup | None:
+    def peek(self, pid: int) -> ColumnarPartitionGroup | None:
         """The live group for ``pid`` or ``None`` (no side effects)."""
         return self._groups.get(pid)
 
@@ -250,7 +248,7 @@ class StateStore:
     def partition_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._groups))
 
-    def groups(self) -> Iterator[PartitionGroup]:
+    def groups(self) -> Iterator[ColumnarPartitionGroup]:
         return iter(self._groups.values())
 
     # ------------------------------------------------------------------
@@ -308,8 +306,6 @@ class StateStore:
         ``(total_count, results)`` summed over the batch.
         """
         groups = self._groups
-        streams = self.streams
-        row_groups = not self.columnar
         total = 0
         collected: list[JoinResult] = []
         added = 0
@@ -319,32 +315,13 @@ class StateStore:
             if grp is None:
                 grp = self.group(pid, now=now)
             if window is None:
-                # inlined PartitionGroup.probe fast path: count the product
-                # of the other inputs' match-list lengths
-                if materialize:
-                    count, results = grp.probe(tup, materialize=True)
-                    if results:
-                        collected.extend(results)
-                elif row_groups:
-                    data = grp._data
-                    key = tup.key
-                    count = 1
-                    for stream in streams:
-                        if stream == tup.stream:
-                            continue
-                        matches = data[stream].get(key)
-                        if not matches:
-                            count = 0
-                            break
-                        count *= len(matches)
-                else:
-                    count, __ = grp.probe(tup)
+                count, results = grp.probe(tup, materialize=materialize)
             else:
                 count, results = grp.probe_windowed(
                     tup, window, materialize=materialize
                 )
-                if results:
-                    collected.extend(results)
+            if results:
+                collected.extend(results)
             grp.insert(tup)
             grp.output_count += count
             total += count
@@ -367,7 +344,7 @@ class StateStore:
         materialize: bool = False,
         window: float | None = None,
     ) -> tuple[int, "list[JoinResult] | ResultBatch"]:
-        """Probe-insert a whole routed :class:`ColumnBatch` (columnar path).
+        """Probe-insert a whole routed :class:`ColumnBatch` (column delivery).
 
         Semantically identical to :meth:`probe_insert` per row in batch
         order — same probe/insert interleaving, same per-pid mutation
@@ -385,9 +362,6 @@ class StateStore:
         n = len(cb)
         if n == 0:
             return 0, []
-        if not self.columnar:
-            raise ValueError("probe_insert_columns requires a columnar store "
-                             "(StateStore(columnar=True))")
         groups = self._groups
         pids = cb.pids
         sids = cb.sids
@@ -529,7 +503,7 @@ class StateStore:
     # ------------------------------------------------------------------
     # Adaptation paths
     # ------------------------------------------------------------------
-    def evict(self, pids: Iterable[int]) -> list[FrozenPartitionGroup]:
+    def evict(self, pids: Iterable[int]) -> list[FrozenColumnGroup]:
         """Remove the given live groups, releasing their memory.
 
         Used by both adaptations: spill parks the returned snapshots on the
@@ -537,20 +511,15 @@ class StateStore:
         in-memory instance of an evicted ID gets the following generation
         number, preserving merge order for cleanup.
         """
-        frozen: list[FrozenPartitionGroup] = []
-        columnar = self.columnar
+        frozen: list[FrozenColumnGroup] = []
         for pid in pids:
             grp = self._groups.pop(pid, None)
             if grp is None:
                 continue
-            if columnar:
-                # the live group is discarded right here, so the snapshot
-                # can steal its column buffers outright (zero-copy spill /
-                # relocation payload)
-                snapshot = grp.freeze(share=True)
-            else:
-                snapshot = grp.freeze()
-            frozen.append(snapshot)
+            # the live group is discarded right here, so the snapshot can
+            # steal its column buffers outright (zero-copy spill /
+            # relocation payload)
+            frozen.append(grp.freeze(share=True))
             self._next_generation[pid] = grp.generation + 1
             self.machine.release(grp.size_bytes)
             self.total_bytes -= grp.size_bytes
@@ -560,14 +529,18 @@ class StateStore:
                 heap.discard(pid)
         return frozen
 
-    def install(self, frozen: FrozenPartitionGroup, *, now: float = 0.0) -> PartitionGroup:
-        """Install a relocated snapshot as a live group on this machine."""
+    def install(
+        self, frozen: FrozenColumnGroup | FrozenPartitionGroup, *, now: float = 0.0
+    ) -> ColumnarPartitionGroup:
+        """Install a snapshot as a live group on this machine: a relocated
+        or restored columnar one, or the row-format one a split/merge
+        emits."""
         if frozen.pid in self._groups:
             raise ValueError(
                 f"partition {frozen.pid} already live on machine "
                 f"{self.machine.name!r}; relocation mapping is inconsistent"
             )
-        grp = self._group_cls.thaw(frozen, created_at=now)
+        grp = ColumnarPartitionGroup.thaw(frozen, created_at=now)
         self._groups[frozen.pid] = grp
         self._colhot.pop(frozen.pid, None)
         nxt = self._next_generation.get(frozen.pid, 0)
@@ -584,13 +557,13 @@ class StateStore:
     ) -> tuple[FrozenPartitionGroup, FrozenPartitionGroup]:
         """Split one live group into two child groups in place (repartition).
 
-        The parent is evicted (its snapshot taken zero-copy on columnar
-        stores) and the two child snapshots produced by ``chooser`` are
-        installed immediately, so the memory-accounting invariant holds at
-        the call boundary and both children flow through the standard
-        :meth:`install` funnel — fresh mutation counters, victim-heap
-        marks, and generation bookkeeping included.  Returns the two child
-        snapshots (the checkpoint payloads of the ``split`` commit).
+        The parent is evicted (its snapshot taken zero-copy) and the two
+        child snapshots produced by ``chooser`` are installed immediately,
+        so the memory-accounting invariant holds at the call boundary and
+        both children flow through the standard :meth:`install` funnel —
+        fresh mutation counters, victim-heap marks, and generation
+        bookkeeping included.  Returns the two child snapshots (the
+        checkpoint payloads of the ``split`` commit).
         """
         if parent not in self._groups:
             raise KeyError(f"cannot split partition {parent}: not live here")
@@ -629,7 +602,7 @@ class StateStore:
         expired tuples — and their duplicate results — after a crash) and
         victim orderings see the post-purge statistics.  The productivity
         normalisation lives in
-        :meth:`~repro.engine.partitions.PartitionGroup.purge_older_than`.
+        :meth:`~repro.engine.columns.ColumnarPartitionGroup.purge_older_than`.
         """
         purged = 0
         for pid, group in list(self._groups.items()):
@@ -648,7 +621,7 @@ class StateStore:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def iter_in_order(self, order: str) -> Iterator[PartitionGroup]:
+    def iter_in_order(self, order: str) -> Iterator[ColumnarPartitionGroup]:
         """Live groups in one of the victim-index orders
         (:data:`ORDER_PRODUCTIVITY_ASC` / :data:`ORDER_PRODUCTIVITY_DESC` /
         :data:`ORDER_SIZE_DESC`), served incrementally from the lazy heap.
@@ -710,7 +683,7 @@ class StateStore:
     def group_count(self) -> int:
         return len(self._groups)
 
-    def state_of(self, pid: int) -> FrozenPartitionGroup | None:
+    def state_of(self, pid: int) -> FrozenColumnGroup | None:
         """Non-destructive snapshot of one live group (test helper)."""
         grp = self._groups.get(pid)
         return None if grp is None else grp.freeze()

@@ -421,9 +421,9 @@ class CheckpointManager:
         sent twice: a live snapshot whose identity column is the one the
         previous trim of its pid read ships only the rows past that
         trim's bound — the first commit of a group, a thawed/installed or
-        purged group (fresh buffers), a row-format snapshot and a hand-off
-        ship the full set — and a spill segment goes into the first trim
-        after it landed on this disk.
+        purged group (fresh buffers) and a hand-off ship the full set —
+        and a spill segment goes into the first trim after it landed on
+        this disk.
         """
         covered: dict[int, frozenset[TupleIdent]] = {}
 
@@ -434,12 +434,7 @@ class CheckpointManager:
 
         marks = self._trim_marks
         for frozen in snapshots:
-            buffer = getattr(frozen, "row_seq", None)
-            if buffer is None:
-                # a row-format snapshot copied its rows: nothing shared
-                # with the live group to recognise next time
-                cover(frozen.pid, frozen_idents(frozen))
-                continue
+            buffer = frozen.row_seq
             mark = marks.get(frozen.pid)
             start = mark[1] if mark is not None and mark[0] is buffer else 0
             marks[frozen.pid] = (buffer, frozen.nrows)

@@ -1,14 +1,15 @@
 """Equivalence of the columnar (structure-of-arrays) data path.
 
-The columnar path rebuilds the whole delivery pipeline — ``ColumnBatch``
-at the source, vectorized probe/insert in the store, zero-copy bounded
-snapshots on the spill/relocation/checkpoint paths — and every bit of it
-is only legal if it is *unobservable*: same results in the same order,
-same counters and victim orderings, same snapshots, and — end to end —
+Live state is columnar under every data path; the columnar path also
+rebuilds the delivery pipeline — ``ColumnBatch`` at the source, a
+vectorized probe/insert entry point in the store — and every bit of it is
+only legal if it is *unobservable*: same results in the same order, same
+counters and victim orderings, same snapshots, and — end to end —
 byte-identical outputs and adaptation traces for the same seeds, under
 spills, relocations, purges and crashes.  These tests assert exactly
-that, at the store level and over full deployments, mirroring
-``test_batched_path.py`` one representation further down.
+that: the store's three entry points against each other, the live group
+against its row-format twin, and column delivery against row delivery
+over full deployments — down to the stored columns.
 """
 
 import math
@@ -57,9 +58,8 @@ def synth_batches(n, *, batch_size=50, n_partitions=6, key_range=12, seed=3,
     return batches
 
 
-def fresh_store(*, columnar=False):
-    sim = Simulator()
-    return StateStore(Machine(sim, "m"), STREAMS, columnar=columnar)
+def fresh_store():
+    return StateStore(Machine(Simulator(), "m"), STREAMS)
 
 
 def store_fingerprint(store):
@@ -79,21 +79,30 @@ def store_fingerprint(store):
     )
 
 
-def run_per_tuple(store, batches, **kwargs):
+def _per_tuple(store, batch, **kwargs):
     total, results = 0, []
-    for batch in batches:
-        for pid, tup in batch:
-            count, rs = store.probe_insert(pid, tup, **kwargs)
-            total += count
-            results.extend(rs)
+    for pid, tup in batch:
+        count, rs = store.probe_insert(pid, tup, **kwargs)
+        total += count
+        results.extend(rs)
     return total, results
 
 
-def run_columnar(store, batches, **kwargs):
+#: The store's three entry points, each as ``(store, routed rows) ->
+#: (count, results)``.
+ENTRY_POINTS = {
+    "tuple": _per_tuple,
+    "batch": lambda store, batch, **kwargs: store.probe_insert_batch(
+        batch, **kwargs),
+    "columns": lambda store, batch, **kwargs: store.probe_insert_columns(
+        ColumnBatch.from_routed(batch, STREAMS), **kwargs),
+}
+
+
+def run_entry(entry, store, batches, **kwargs):
     total, results = 0, []
     for batch in batches:
-        cb = ColumnBatch.from_routed(batch, STREAMS)
-        count, rs = store.probe_insert_columns(cb, **kwargs)
+        count, rs = ENTRY_POINTS[entry](store, batch, **kwargs)
         total += count
         results.extend(rs)
     return total, results
@@ -191,6 +200,9 @@ class TestColumnSourceUnits:
 
 
 class TestStoreColumnarEquivalence:
+    """The three entry points — one row, a row batch, a column batch —
+    fill the one kind of store identically."""
+
     @pytest.mark.parametrize("window", [None, 5.0])
     @pytest.mark.parametrize("materialize", [False, True])
     @pytest.mark.parametrize("nonuniform", [False, True])
@@ -198,17 +210,18 @@ class TestStoreColumnarEquivalence:
         batches = synth_batches(600, nonuniform=nonuniform,
                                 payloads=nonuniform)
         per_tuple = fresh_store()
-        total_a, results_a = run_per_tuple(
-            per_tuple, batches, materialize=materialize, window=window)
-        columnar = fresh_store(columnar=True)
-        total_b, results_b = run_columnar(
-            columnar, batches, materialize=materialize, window=window)
-        assert total_b == total_a
-        assert results_b == results_a  # same results, same order
-        assert store_fingerprint(columnar) == store_fingerprint(per_tuple)
+        total_a, results_a = run_entry(
+            "tuple", per_tuple, batches, materialize=materialize, window=window)
+        for entry in ("batch", "columns"):
+            store = fresh_store()
+            total_b, results_b = run_entry(
+                entry, store, batches, materialize=materialize, window=window)
+            assert total_b == total_a
+            assert results_b == results_a  # same results, same order
+            assert store_fingerprint(store) == store_fingerprint(per_tuple)
 
     def test_empty_batch_is_a_no_op(self):
-        store = fresh_store(columnar=True)
+        store = fresh_store()
         cb = ColumnBatch.from_routed([], STREAMS)
         assert store.probe_insert_columns(cb) == (0, [])
         assert store.total_bytes == 0
@@ -216,27 +229,23 @@ class TestStoreColumnarEquivalence:
 
     def test_batch_split_points_do_not_matter(self):
         rows = [pair for b in synth_batches(240) for pair in b]
-        whole = fresh_store(columnar=True)
+        whole = fresh_store()
         whole.probe_insert_columns(ColumnBatch.from_routed(rows, STREAMS))
-        pieces = fresh_store(columnar=True)
+        pieces = fresh_store()
         for start in range(0, len(rows), 17):
             pieces.probe_insert_columns(
                 ColumnBatch.from_routed(rows[start:start + 17], STREAMS))
         assert store_fingerprint(pieces) == store_fingerprint(whole)
 
     def test_churn_equivalence(self):
-        """Purge + evict/install mid-stream stay byte-identical."""
+        """Purge + evict/install mid-stream stay byte-identical, and the
+        entry points can take turns on one store."""
         batches = synth_batches(900)
 
-        def run(columnar):
-            store = fresh_store(columnar=columnar)
+        def run(pick):
+            store = fresh_store()
             for i, batch in enumerate(batches):
-                if columnar:
-                    store.probe_insert_columns(
-                        ColumnBatch.from_routed(batch, STREAMS))
-                else:
-                    for pid, tup in batch:
-                        store.probe_insert(pid, tup)
+                ENTRY_POINTS[pick(i)](store, batch)
                 if i == 7:
                     store.purge_window(60.0)
                 if i == 12:
@@ -244,13 +253,16 @@ class TestStoreColumnarEquivalence:
                         store.install(frozen)
             return store_fingerprint(store)
 
-        assert run(True) == run(False)
+        want = run(lambda i: "tuple")
+        assert run(lambda i: "batch") == want
+        assert run(lambda i: "columns") == want
+        assert run(lambda i: list(ENTRY_POINTS)[i % 3]) == want
 
 
 class TestZeroCopySnapshots:
     def test_snapshot_is_immune_to_later_appends_and_purges(self):
         batches = synth_batches(600)
-        store = fresh_store(columnar=True)
+        store = fresh_store()
         snaps = {}
         for i, batch in enumerate(batches):
             store.probe_insert_columns(ColumnBatch.from_routed(batch, STREAMS))
@@ -266,7 +278,7 @@ class TestZeroCopySnapshots:
 
     def test_thaw_is_bounded_by_the_snapshot(self):
         batches = synth_batches(300)
-        store = fresh_store(columnar=True)
+        store = fresh_store()
         store.probe_insert_columns(ColumnBatch.from_routed(batches[0], STREAMS))
         pid = store.partition_ids()[0]
         frozen = store.state_of(pid)
@@ -279,23 +291,25 @@ class TestZeroCopySnapshots:
         assert canonical_frozen(thawed.freeze()) == before
 
     def test_cross_representation_install(self):
-        """A row-format snapshot installs into a columnar store and back."""
+        """A row-format snapshot — what split/merge emit — installs into
+        the store as columns."""
         batches = synth_batches(300)
-        row = fresh_store()
-        run_per_tuple(row, batches)
-        columnar = fresh_store(columnar=True)
-        for frozen in row.evict(row.partition_ids()):
-            columnar.install(frozen)
-        col_frozen = columnar.evict(columnar.partition_ids())
-        back = fresh_store()
-        for frozen in col_frozen:
-            back.install(frozen)
+        twins = {}
+        for batch in batches:
+            for pid, tup in batch:
+                twin = twins.setdefault(pid, PartitionGroup(pid, STREAMS))
+                twin.record_output(twin.probe(tup)[0])
+                twin.insert(tup)
+        installed = fresh_store()
+        for twin in twins.values():
+            installed.install(twin.freeze())
         fresh = fresh_store()
-        run_per_tuple(fresh, batches)
-        assert (tuple(sorted(canonical_frozen(back.state_of(p))
-                             for p in back.partition_ids()))
+        run_entry("tuple", fresh, batches)
+        assert (tuple(sorted(canonical_frozen(installed.state_of(p))
+                             for p in installed.partition_ids()))
                 == tuple(sorted(canonical_frozen(fresh.state_of(p))
                                 for p in fresh.partition_ids())))
+        assert installed.total_bytes == installed.machine.memory_used
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +349,7 @@ def windowed_probe_twins(m, window, ops):
     """Drive a columnar group (inside a one-partition store) and a
     row-format twin through ``ops``; every probe must agree."""
     streams = STREAMS4[:m]
-    store = StateStore(Machine(Simulator(), "m"), streams, columnar=True)
+    store = StateStore(Machine(Simulator(), "m"), streams)
     twin = PartitionGroup(0, streams)
     seq = dict.fromkeys(streams, 0)
     clock = 0.0
@@ -753,6 +767,82 @@ class TestColumnSourceDifferential:
         dep = assert_same_source_behaviour(run)
         assert dep.source_host.tuples_dropped > 0
         assert dep.spill_count > 0
+
+
+# ----------------------------------------------------------------------
+# One state class under every data path: the stored columns themselves agree
+# ----------------------------------------------------------------------
+def frozen_columns(frozen):
+    """A columnar snapshot column for column (buffers read up to their
+    bound; they may be shared with a group that kept appending)."""
+    n = frozen.nrows
+    return (
+        frozen.pid, frozen.generation, frozen.tuple_count, frozen.size_bytes,
+        frozen.output_count, n, frozen.row_sid[:n], frozen.row_seq[:n],
+        frozen.row_key[:n], frozen.row_ts[:n], frozen.counts, frozen.usize,
+        frozen.row_size and frozen.row_size[:n],
+        frozen.row_payload and frozen.row_payload[:n],
+    )
+
+
+def stored_state(dep):
+    """Every live group of every engine and every segment of every disk."""
+    live = {name: [frozen_columns(group.freeze())
+                   for group in instance.store.groups()]
+            for name, instance in dep.instances.items()}
+    disk = {name: [(segment.partition_id, segment.generation,
+                    segment.spilled_at, frozen_columns(segment.frozen))
+                   for segment in disk.segments]
+            for name, disk in dep.disks.items()}
+    return live, disk
+
+
+class TestStateForState:
+    """Row delivery and column delivery fill the same state class, so the
+    differential goes below outputs and traces: at end of run the rows are
+    filed in the same order in the same columns, in memory and on disk.
+    That holds on the cold paths too.  A group thawed from the row-format
+    snapshot of a split or merge is re-filed stream by stream rather than
+    in arrival order — by every store alike, so even there the columns are
+    compared as they are and not through ``canonical_frozen``."""
+
+    def scenarios(self):
+        from tests.test_windowed_checkpoint import windowed_checkpointed_deployment
+
+        def spill_relocation_crash(data_path):
+            dep, __ = run_crash_deployment(
+                data_path, memory_threshold=9_000,
+                assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2})
+            assert dep.spill_count > 0 and dep.relocation_count > 0
+            return dep
+
+        def windowed(data_path):
+            dep = windowed_checkpointed_deployment(
+                crash={"m2": 25.0}, restart={"m2": 32.0}, data_path=data_path)
+            dep.run(duration=60, sample_interval=10)
+            return dep
+
+        def split_merge_crash(data_path):
+            dep = split_merge_crash_deployment(None, data_path=data_path)
+            dep.run(duration=90, sample_interval=10)
+            children = {c for pair in dep.splits["A"].refinement.values()
+                        for c in pair}
+            assert children & {pid for instance in dep.instances.values()
+                               for pid in instance.store.partition_ids()}
+            return dep
+
+        return spill_relocation_crash, windowed, split_merge_crash
+
+    def test_live_groups_and_segments_equal_column_for_column(self):
+        for scenario in self.scenarios():
+            dep = scenario("batched")
+            assert dep.recovery_count > 0
+            live, disk = want = stored_state(dep)
+            assert sum(map(len, live.values())) > 0
+            assert sum(map(len, disk.values())) > 0
+            for data_path in ("tuple", "columnar"):
+                assert stored_state(scenario(data_path)) == want, (
+                    scenario.__name__, data_path)
 
 
 # ----------------------------------------------------------------------

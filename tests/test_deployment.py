@@ -40,6 +40,13 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             small_deployment(workers=0)
 
+    def test_unknown_data_path_rejected(self):
+        from repro.engine.query_engine import DATA_PATHS, check_data_path
+
+        assert [check_data_path(name) for name in DATA_PATHS] == list(DATA_PATHS)
+        with pytest.raises(ValueError, match="unknown data path 'rows'"):
+            small_deployment(data_path="rows")
+
     def test_int_workers_named_m1_m2(self):
         dep = small_deployment(workers=3)
         assert dep.worker_names == ["m1", "m2", "m3"]

@@ -36,10 +36,6 @@ from tests.test_serving import serving_config, small_workload
 N_PIDS = 2
 
 
-def columnar_store():
-    return fresh_store(columnar=True)
-
-
 def routed_rows(n, *, key=1, ts0=0.0):
     """``n`` rows of one key cycling through the streams, 1 s apart."""
     return [
@@ -50,7 +46,7 @@ def routed_rows(n, *, key=1, ts0=0.0):
 
 def lazy_batch(rows, *, store=None, window=None):
     if store is None:
-        store = columnar_store()
+        store = fresh_store()
     count, batch = store.probe_insert_columns(
         ColumnBatch.from_routed(rows, STREAMS), materialize=True, window=window
     )
@@ -114,7 +110,7 @@ class TestResultBatchSequence:
             batch[len(want)]
 
     def test_extend_after_reading_appends_in_order(self):
-        store = columnar_store()
+        store = fresh_store()
         rows = routed_rows(12)
         head = lazy_batch(rows[:7], store=store)
         tail = lazy_batch(rows[7:], store=store)
@@ -126,7 +122,7 @@ class TestResultBatchSequence:
         assert len(joined) == len(head) + len(tail)
 
     def test_concat_results(self):
-        store = columnar_store()
+        store = fresh_store()
         rows = routed_rows(12)
         a = lazy_batch(rows[:6], store=store)
         b = lazy_batch(rows[6:], store=store)
@@ -139,7 +135,7 @@ class TestResultBatchSequence:
         assert concat_results([boxed, b]) == eager_results(rows)
 
     def test_eager_group_probe_is_the_same_enumeration(self):
-        store = columnar_store()
+        store = fresh_store()
         rows = routed_rows(10)
         lazy_batch(rows[:-1], store=store)
         __, last = rows[-1]
@@ -174,7 +170,7 @@ class LazyBatchMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = columnar_store()
+        self.store = fresh_store()
         self.twins: dict[int, PartitionGroup] = {}
         self.seq = dict.fromkeys(STREAMS, 0)
         self.now = 0.0

@@ -226,18 +226,8 @@ class TestBugReproduction:
         group = instance.store.peek(0)
         productivity_before = group.productivity
         # pre-fix purge: shrink contents and sizes, leave output_count
-        for stream in group.streams:
-            table = group._data[stream]
-            for key in list(table):
-                kept = [t for t in table[key] if t.ts >= 50.0]
-                freed = sum(t.size for t in table[key] if t.ts < 50.0)
-                group.tuple_count -= len(table[key]) - len(kept)
-                group.size_bytes -= freed
-                instance.store.total_bytes -= freed
-                instance.machine.release(freed)
-                if kept:
-                    table[key] = kept
-                else:
-                    del table[key]
+        outputs = group.output_count
+        assert instance.purge_window(watermark=60.0) == 3
+        group.output_count = outputs
         assert group.productivity != pytest.approx(productivity_before,
                                                    rel=0.05)
