@@ -75,6 +75,9 @@ class Network:
     DEFAULT_CONTROL_KINDS = frozenset(
         {"stats", "cptv", "ptv", "pause", "paused", "marker", "transfer",
          "installed", "remap", "resumed", "start_ss", "ss_done",
+         # split/merge order and its ack (the rest of that protocol is the
+         # shared pause/marker/installed/remap/resumed bracket above)
+         "repartition", "repartition_ack",
          # recovery protocol (repro.recovery); bulk "restore" and "ckpt"
          # payloads are deliberately excluded — state traffic, like "state"
          "trim", "pause_owned", "owned_paused", "restored",

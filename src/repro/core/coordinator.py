@@ -6,16 +6,27 @@ query engine and makes the *coarse-grained* adaptation decisions:
 * **relocation** (all integrated strategies): when the reported state
   volumes satisfy ``M_least / M_max < θ_r`` — and at least ``τ_m`` seconds
   have passed since the previous relocation — move ``(M_max − M_least)/2``
-  bytes from the fullest machine (*sender*) to the emptiest (*receiver*),
-  running the 8-step protocol of :mod:`repro.core.relocation`;
+  bytes from the fullest machine (*sender*) to the emptiest (*receiver*);
 * **forced spill** (active-disk only, Algorithm 2): when memory is balanced
   but the machines' average productivity rates ``R`` differ by more than
   ``λ``, order the least productive machine to spill, within the cumulative
-  cap that guarantees data fitting in cluster memory stays there.
+  cap that guarantees data fitting in cluster memory stays there;
+* **split / merge** (:mod:`repro.core.repartition`) and **drain** (elastic
+  scale-in) — beyond the paper.
 
 The rules themselves are the pure functions of :mod:`repro.core.policy`;
 this class gathers their inputs from the latest reports, records the
 decision in the ledger and drives the protocol that carries it out.
+
+Every decision that moves state — relocate, drain, split, merge — runs
+through one session slot (:attr:`GlobalCoordinator.session`) and one
+bracket: ``_begin_pause`` → ``_on_paused`` → (``transfer``, where the GC
+orders the move) → ``_on_installed`` → ``_on_resumed``, with one
+``_abort_session`` for a participant dying in any phase.  A kind supplies
+only its *select* step (what to pause, ending in ``_begin_pause``), its
+labels (:class:`~repro.core.relocation.MotionKind`) and the bookkeeping of
+how a session landed (``self._landed``).  Crash recovery
+(:mod:`repro.recovery.manager`) keeps its own driver.
 
 The GC never sees per-partition statistics — choosing concrete partition
 groups is the sender's local controller's job — which is what keeps it
@@ -26,6 +37,7 @@ light-weight running statistics").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.obs.hub import ObsHub
 from repro.cluster.network import Message, Network
@@ -33,7 +45,7 @@ from repro.cluster.simulation import Simulator, Timer
 from repro.core.config import AdaptationConfig, CostModel
 from repro.core.policy import decide_gc, decide_membership, with_choice
 from repro.core.productivity import machine_productivity_rate
-from repro.core.repartition import RepartitionManager
+from repro.core.repartition import RepartitionAck, RepartitionManager
 from repro.recovery.protocol import AbortTransferRequest, PauseOwnedRequest
 from repro.core.relocation import (
     STEP_NAMES,
@@ -41,12 +53,13 @@ from repro.core.relocation import (
     ForcedSpillDone,
     ForcedSpillRequest,
     InstalledAck,
+    MotionSession,
     PartsList,
     PauseAck,
     PauseRequest,
-    RelocationSession,
     RemapRequest,
     ResumeAck,
+    Session,
     StatsReport,
     TransferRequest,
 )
@@ -76,20 +89,24 @@ DRAIN_PHASES = (
 
 
 @dataclass
-class DrainSession:
+class DrainSession(Session):
     """GC-side state of one graceful scale-in.
 
-    A drain is a coordinator-driven super-session over the standard
-    relocation protocol: an operator-scope ``cptv`` asks the leaving
-    machine for everything its store holds (and parks it in relocation
-    mode, gated against concurrent spills), a ``pause_owned`` sweep
-    collects *every* partition the routing tables still point at it
-    (including empty never-touched ones), and the union then runs the
-    ordinary 8-step pause/transfer/remap flow to the chosen receiver.
-    Only after step 8 is the machine retired from the failure detector —
-    so a drain is never misclassified as a crash, and a crash mid-drain
-    simply aborts the drain and falls back to recovery.
+    A drain is a long *select* step in front of the shared state-motion
+    bracket: an operator-scope ``cptv`` asks the leaving machine for
+    everything its store holds (and parks it in relocation mode, gated
+    against concurrent spills), a ``pause_owned`` sweep collects *every*
+    partition the routing tables still point at it (including empty
+    never-touched ones), and the union then runs the ordinary
+    pause/transfer/remap flow to the chosen receiver as a ``drain``
+    :class:`~repro.core.relocation.MotionSession`.  Only after its last
+    step is the machine retired from the failure detector — so a drain is
+    never misclassified as a crash, and a crash mid-drain simply aborts
+    the drain and falls back to recovery.
     """
+
+    noun = "drain"
+    phases = DRAIN_PHASES
 
     machine: str
     requested_at: float
@@ -101,21 +118,19 @@ class DrainSession:
     owned_pids: tuple[int, ...] = ()
     pending_collect_acks: set[str] = field(default_factory=set)
     ledger_entry: int = 0
-    reloc: RelocationSession | None = None
+    #: the motion session the collected pid union was handed to
+    reloc: MotionSession | None = None
     completed_at: float | None = None
 
-    def advance(self, phase: str) -> None:
-        if phase not in DRAIN_PHASES:
-            raise ValueError(f"unknown drain phase {phase!r}")
-        if DRAIN_PHASES.index(phase) < DRAIN_PHASES.index(self.phase) and (
-            phase != "aborted"
-        ):
-            raise ValueError(f"cannot regress from {self.phase!r} to {phase!r}")
-        self.phase = phase
 
-    @property
-    def terminal(self) -> bool:
-        return self.phase in ("done", "aborted")
+class _Landing(NamedTuple):
+    """What the state-motion bracket calls when a session of one kind has
+    landed: events row, ledger ``realize``, counters, spacing clocks."""
+
+    done: Callable[[MotionSession], None]
+    #: ``(session, phase_reached, outcome)``, the outcome one of
+    #: ``remapped_back`` / ``adopted`` / ``left_paused``
+    aborted: Callable[[MotionSession, str, str], None]
 
 
 class GlobalCoordinator:
@@ -163,7 +178,8 @@ class GlobalCoordinator:
         self.split_hosts = list(split_hosts)
         self.name = name
         self.latest: dict[str, StatsReport] = {}
-        self.session: RelocationSession | None = None
+        #: the one state motion in flight (relocate, drain, split or merge)
+        self.session: MotionSession | None = None
         self.last_relocation_time = -float("inf")
         self.stats = CoordinatorStats()
         self._timer: Timer | None = None
@@ -182,8 +198,16 @@ class GlobalCoordinator:
         #: the same deterministic evaluation loop — one per query with an
         #: SLO served by this runtime (folded members each get their own)
         self.slo_monitors: list = []
-        #: split/merge protocol driver (inert unless repartition_enabled)
+        #: split/merge policy (inert unless repartition_enabled)
         self.repartition = RepartitionManager(self, n_partitions)
+        #: per-kind bookkeeping of how a motion session landed
+        repartitioned = _Landing(self.repartition.done, self.repartition.aborted)
+        self._landed = {
+            "relocate": _Landing(self._relocation_done, self._relocation_aborted),
+            "drain": _Landing(self._drain_done, self._drain_aborted),
+            "split": repartitioned,
+            "merge": repartitioned,
+        }
         network.register(name, self.deliver)
 
     def attach_recovery(self, recovery) -> None:
@@ -341,9 +365,8 @@ class GlobalCoordinator:
             )
 
     def _drain_relocate(self, session: DrainSession) -> None:
-        """Run the collected pid union through the standard 8-step
-        relocation protocol (markers and all), or finish immediately when
-        the machine owns nothing."""
+        """Hand the collected pid union to the shared bracket (markers and
+        all), or finish immediately when the machine owns nothing."""
         pids = tuple(sorted(set(session.store_pids) | set(session.owned_pids)))
         if not pids:
             if self.metrics.ledger.enabled:
@@ -353,15 +376,14 @@ class GlobalCoordinator:
                 )
             self._finish_drain(session)
             return
-        reloc = RelocationSession(
+        reloc = session.reloc = self.session = MotionSession(
+            kind="drain",
             sender=session.machine,
             receiver=session.target,
-            amount=0,
             split_hosts=tuple(self.split_hosts),
             started_at=self.sim.now,
             ledger_entry=session.ledger_entry,
         )
-        reloc.partition_ids = pids
         tracer = self.metrics.tracer
         if tracer.enabled:
             reloc.trace_span = tracer.begin_span(
@@ -376,36 +398,16 @@ class GlobalCoordinator:
                 self.metrics.ledger.annotate(
                     session.ledger_entry, trace_span=reloc.trace_span
                 )
-        session.reloc = reloc
         session.advance("relocating")
-        self.session = reloc
-        reloc.advance("pausing")
-        reloc.pending_pause_acks = set(reloc.split_hosts)
         # steps 1-2 (operator-scope cptv / ptv) ran before the span could
         # exist — the pid union needed the owned-pid sweep too — so they
         # are recorded here, preserving the checker's step-order contract
         self._trace_step(reloc, 1, sender=session.machine, scope="operator")
         self._trace_step(reloc, 2, sender=session.machine, pids=len(pids))
-        self._trace_step(reloc, 3, hosts=reloc.split_hosts)
-        for host in reloc.split_hosts:
-            self._send(
-                host,
-                "pause",
-                PauseRequest(
-                    partition_ids=pids,
-                    sender=session.machine,
-                    trace_span=reloc.trace_span,
-                ),
-            )
-
-    def _drain_for_session(self, reloc: RelocationSession) -> DrainSession | None:
-        for session in self.draining.values():
-            if session.reloc is reloc:
-                return session
-        return None
+        self._begin_pause(reloc, pids)
 
     def _finish_drain(self, session: DrainSession) -> None:
-        """Step 8 landed (or the machine owned nothing): retire it."""
+        """The motion landed (or the machine owned nothing): retire it."""
         session.advance("done")
         session.completed_at = self.sim.now
         machine = session.machine
@@ -516,8 +518,6 @@ class GlobalCoordinator:
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
         handler = getattr(self, f"_on_{message.kind}", None)
-        if handler is None:
-            handler = getattr(self.repartition, f"_on_{message.kind}", None)
         if handler is None and self.recovery is not None:
             handler = getattr(self.recovery, f"_on_{message.kind}", None)
         if handler is None:
@@ -534,7 +534,7 @@ class GlobalCoordinator:
         self.latest[report.machine] = report
         if self.recovery is not None:
             self.recovery.note_report(
-                report.machine, self.sim.now, getattr(report, "incarnation", 0)
+                report.machine, self.sim.now, report.incarnation
             )
 
     # ------------------------------------------------------------------
@@ -552,8 +552,8 @@ class GlobalCoordinator:
             for machine in self.recovery.dead:
                 self.latest.pop(machine, None)
             # A drain racing a crash of the same machine: the crash wins —
-            # the drain aborts here (pre-relocation phases) or via the
-            # session-abort hook (relocating), and recovery re-homes.
+            # the drain aborts here (its select phases) or with its motion
+            # session below (relocating), and recovery re-homes.
             for drain in list(self.draining.values()):
                 if (
                     drain.machine in self.recovery.dead
@@ -567,21 +567,16 @@ class GlobalCoordinator:
                 and {self.session.sender, self.session.receiver} & self.recovery.dead
             ):
                 self._abort_session()
-            if (
-                self.repartition.active
-                and self.repartition.session.owner in self.recovery.dead
-            ):
-                self.repartition.abort_dead()
             if self.recovery.active:
                 # all other adaptations are deferred while a recovery runs
                 if ledger.enabled:
                     self._ledger_deferred("recovery_active")
                 return
         for drain in list(self.draining.values()):
-            # drain_timeout guards the pre-relocation phases; once the
-            # 8-step protocol is in flight it is allowed to land (the
-            # machine is provably empty at step 8, so finishing is correct
-            # even past the deadline).
+            # drain_timeout guards the select phases; once the motion is
+            # in flight it is allowed to land (the machine is provably
+            # empty at its last step, so finishing is correct even past
+            # the deadline).
             if (
                 drain.phase in ("queued", "cptv_sent", "collecting")
                 and self.sim.now > drain.deadline
@@ -590,13 +585,7 @@ class GlobalCoordinator:
         if self.session is not None and not self.session.terminal:
             if ledger.enabled:
                 self._ledger_deferred(
-                    "relocation_in_flight", phase=self.session.phase
-                )
-            return
-        if self.repartition.active:
-            if ledger.enabled:
-                self._ledger_deferred(
-                    "repartition_in_flight", phase=self.repartition.session.phase
+                    f"{self.session.noun}_in_flight", phase=self.session.phase
                 )
             return
         drain = self._active_drain("cptv_sent", "collecting")
@@ -676,7 +665,8 @@ class GlobalCoordinator:
     def _start_relocation(
         self, rule: str, choice: dict, inputs: dict, alts: list[dict]
     ) -> None:
-        self.session = RelocationSession(
+        self.session = MotionSession(
+            kind="relocate",
             sender=choice["sender"],
             receiver=choice["receiver"],
             amount=choice["amount"],
@@ -708,9 +698,9 @@ class GlobalCoordinator:
             ),
         )
 
-    def _trace_step(self, session: RelocationSession, step: int, **fields) -> None:
+    def _trace_step(self, session: MotionSession, step: int, **fields) -> None:
         tracer = self.metrics.tracer
-        if tracer.enabled and session.trace_span:
+        if tracer.enabled and session.trace_span and session.spec.traces_steps:
             tracer.event(
                 "relocation.step",
                 machine=self.name,
@@ -720,7 +710,7 @@ class GlobalCoordinator:
                 **fields,
             )
 
-    def _trace_end(self, session: RelocationSession, status: str, **fields) -> None:
+    def _trace_end(self, session: MotionSession, status: str, **fields) -> None:
         tracer = self.metrics.tracer
         if tracer.enabled and session.trace_span:
             tracer.end_span(session.trace_span, status=status, **fields)
@@ -742,26 +732,169 @@ class GlobalCoordinator:
             ForcedSpillRequest(amount=choice["amount"], ledger_entry=entry),
         )
 
+    # ------------------------------------------------------------------
+    # Select steps: each ends by handing its pids to the bracket
+    # ------------------------------------------------------------------
+    def _on_ptv(self, message: Message) -> None:
+        parts: PartsList = message.payload
+        drain = self._active_drain("cptv_sent")
+        if drain is not None and parts.sender == drain.machine:
+            drain.store_pids = parts.partition_ids
+            self._drain_collect(drain)
+            return
+        session = self._session_in_phase("cptv_sent")
+        if session is None:
+            return
+        if not parts.partition_ids:
+            self._close(session, "aborted")
+            self.stats.relocations_aborted += 1
+            self._trace_end(session, "aborted", reason="no_parts")
+            if self.metrics.ledger.enabled:
+                self.metrics.ledger.realize(
+                    session.ledger_entry,
+                    status="aborted",
+                    reason="no_parts",
+                    bytes_moved=0,
+                )
+            return
+        session.state_bytes = parts.total_bytes
+        self._trace_step(
+            session, 2, pids=parts.partition_ids, bytes=parts.total_bytes
+        )
+        self._begin_pause(session, parts.partition_ids)
+
+    def _on_repartition_ack(self, message: Message) -> None:
+        ack: RepartitionAck = message.payload
+        session = self._session_in_phase("ordered")
+        if session is None:
+            return
+        if not ack.accepted:
+            self._close(session, "aborted")
+            self.repartition.rejected(session, ack.reason or "rejected")
+            return
+        self._begin_pause(session, session.partition_ids)
+
+    def _on_owned_paused(self, message: Message) -> None:
+        """Drain collect acks take this kind when a drain is collecting;
+        everything else belongs to the recovery manager's sweep."""
+        ack = message.payload
+        drain = self._active_drain("collecting")
+        if drain is not None and ack.machine == drain.machine:
+            drain.pending_collect_acks.discard(ack.host)
+            drain.owned_pids = tuple(
+                sorted(set(drain.owned_pids) | set(ack.partition_ids))
+            )
+            if not drain.pending_collect_acks:
+                self._drain_relocate(drain)
+            return
+        if self.recovery is not None:
+            self.recovery._on_owned_paused(message)
+            return
+        self.stats.protocol_ignored += 1
+
+    # ------------------------------------------------------------------
+    # The state-motion bracket: pause → marker → install → remap → resume
+    # ------------------------------------------------------------------
+    def _begin_pause(self, session: MotionSession, pids: tuple[int, ...]) -> None:
+        """Buffer ``pids`` at every split host; each drains a marker to the
+        sender, so whatever was forwarded before the pause is processed
+        before the state moves."""
+        session.partition_ids = pids
+        session.step()
+        session.pending = set(session.split_hosts)
+        self._trace_step(session, 3, hosts=session.split_hosts)
+        for host in session.split_hosts:
+            self._send(
+                host,
+                "pause",
+                PauseRequest(
+                    partition_ids=pids,
+                    sender=session.sender,
+                    trace_span=session.trace_span,
+                    event=session.spec.pause_event,
+                ),
+            )
+
+    def _on_paused(self, message: Message) -> None:
+        ack: PauseAck = message.payload
+        session = self._session_in_phase("pausing")
+        if session is None:
+            return
+        session.pending.discard(ack.host)
+        if session.pending:
+            return
+        session.paused_at = self.sim.now
+        self._trace_step(session, 4)
+        session.step()
+        self._trace_step(session, 5, receiver=session.receiver)
+        if session.spec.orders_transfer:
+            self._send(
+                session.sender,
+                "transfer",
+                TransferRequest(
+                    partition_ids=session.partition_ids,
+                    receiver=session.receiver,
+                    marker_hosts=session.split_hosts,
+                    trace_span=session.trace_span,
+                ),
+            )
+
+    def _on_installed(self, message: Message) -> None:
+        ack: InstalledAck = message.payload
+        session = self._session_in_phase("transferring", "installing")
+        if session is None:
+            return
+        session.state_bytes = ack.total_bytes
+        self._trace_step(session, 6, bytes=ack.total_bytes)
+        session.step()
+        session.pending = set(session.split_hosts)
+        self._trace_step(session, 7, new_owner=session.receiver)
+        for host in session.split_hosts:
+            self._send(
+                host,
+                "remap",
+                RemapRequest(
+                    partition_ids=session.partition_ids,
+                    new_owner=session.receiver,
+                    trace_span=session.trace_span,
+                    refinement=session.refinement,
+                ),
+            )
+
+    def _on_resumed(self, message: Message) -> None:
+        ack: ResumeAck = message.payload
+        session = self._session_in_phase("remapping")
+        if session is None:
+            return
+        session.pending.discard(ack.host)
+        if session.pending:
+            return
+        self._trace_step(session, 8)
+        self._close(session, "done")
+        self._landed[session.kind].done(session)
+
     def _abort_session(self) -> None:
-        """Abort the in-flight relocation because a participant died.
+        """Abort the in-flight session because a participant died.
 
-        What happens to the moving partitions depends on how far the
-        protocol got when the *receiver* died (the sender is alive):
+        What happens to the paused partitions depends on how far the
+        bracket got and on who died.  With the *sender* alive (so the
+        receiver died — never the case for a split or merge, whose owner
+        is both):
 
-        * ``cptv_sent`` / ``pausing`` — the transfer request is only sent
-          once every split acked the pause, so the state never left the
-          sender: ``remap`` the paused partitions straight back and send
-          ``abort_transfer`` so the sender drops its marker/cptv
-          bookkeeping instead of idling in relocation mode forever.
-        * ``transferring`` — the sender may already have evicted the
-          groups towards the dead receiver; fold them into the active
-          recovery session (:meth:`RecoveryManager.adopt_relocation`),
-          which cancels a still-pending pack and otherwise restores them
-          from the hand-off checkpoint entries.
-        * ``remapping`` — the partitions already route to the dead
-          receiver, so the recovery session's own ``pause_owned`` sweep
-          picks them up; remapping them back to the sender would resume
-          tuple flow into state the sender no longer holds.
+        * select / pausing — the move is only ordered once every split
+          acked the pause, so the state never left the sender: ``remap``
+          the paused partitions straight back and send ``abort_transfer``
+          so the sender drops its marker/cptv bookkeeping instead of
+          idling in relocation mode forever.
+        * moving — the sender may already have evicted the groups towards
+          the dead receiver; fold them into the active recovery session
+          (:meth:`RecoveryManager.adopt_relocation`), which cancels a
+          still-pending pack and otherwise restores them from the hand-off
+          checkpoint entries.
+        * remapping — the partitions already route to the dead receiver,
+          so the recovery session's own ``pause_owned`` sweep picks them
+          up; remapping them back to the sender would resume tuple flow
+          into state the sender no longer holds.
 
         If the *sender* died, the partitions are left paused in every
         phase: they route to the dead machine, so recovery re-homes and
@@ -771,13 +904,12 @@ class GlobalCoordinator:
         session = self.session
         assert session is not None
         phase_reached = session.phase
-        sender_dead = self.recovery is not None and session.sender in self.recovery.dead
-        adopted = False
-        remapped_back = False
-        if not sender_dead:
-            if phase_reached in ("cptv_sent", "pausing"):
+        reached = session.phases.index(phase_reached)
+        outcome = "left_paused"
+        if session.sender not in self.recovery.dead:
+            if reached <= 1:
                 if session.partition_ids:
-                    remapped_back = True
+                    outcome = "remapped_back"
                     for host in session.split_hosts:
                         self._send(
                             host,
@@ -797,148 +929,24 @@ class GlobalCoordinator:
                         receiver=session.receiver,
                     ),
                 )
-            elif phase_reached == "transferring":
-                adopted = self.recovery.adopt_relocation(
-                    sender=session.sender,
-                    receiver=session.receiver,
-                    partition_ids=session.partition_ids,
-                )
-        session.advance("aborted")
-        session.completed_at = self.sim.now
-        self.stats.relocations_aborted += 1
-        self.metrics.events.record(
-            self.sim.now,
-            "relocation_aborted",
-            session.sender,
-            receiver=session.receiver,
-            phase_reached=phase_reached,
-            partition_ids=session.partition_ids,
-            adopted=adopted,
-        )
-        self._trace_end(
-            session,
-            "aborted",
-            phase_reached=phase_reached,
-            adopted=adopted,
-            # splits stay paused for the recovery session to resume: the
-            # pause/flush invariant is discharged there, not here
-            pause_handoff=(
-                phase_reached in ("pausing", "transferring") and not remapped_back
-            ),
-        )
-        if self.metrics.ledger.enabled:
-            self.metrics.ledger.realize(
-                session.ledger_entry,
-                status="aborted",
-                reason="participant_died",
-                phase_reached=phase_reached,
-                adopted=adopted,
-            )
-        self.session = None
-        drain = self._drain_for_session(session)
-        if drain is not None and not drain.terminal:
-            self._abort_drain(drain, "participant_died")
-
-    # ------------------------------------------------------------------
-    # Relocation protocol steps (GC side)
-    # ------------------------------------------------------------------
-    def _on_ptv(self, message: Message) -> None:
-        parts: PartsList = message.payload
-        drain = self._active_drain("cptv_sent")
-        if drain is not None and parts.sender == drain.machine:
-            drain.store_pids = parts.partition_ids
-            self._drain_collect(drain)
-            return
-        session = self._session_in_phase("cptv_sent")
-        if session is None:
-            return
-        if not parts.partition_ids:
-            session.advance("aborted")
-            self.stats.relocations_aborted += 1
-            self._trace_end(session, "aborted", reason="no_parts")
-            if self.metrics.ledger.enabled:
-                self.metrics.ledger.realize(
-                    session.ledger_entry,
-                    status="aborted",
-                    reason="no_parts",
-                    bytes_moved=0,
-                )
-            self.session = None
-            return
-        session.partition_ids = parts.partition_ids
-        session.state_bytes = parts.total_bytes
-        self._trace_step(
-            session, 2, pids=parts.partition_ids, bytes=parts.total_bytes
-        )
-        session.advance("pausing")
-        session.pending_pause_acks = set(session.split_hosts)
-        self._trace_step(session, 3, hosts=session.split_hosts)
-        for host in session.split_hosts:
-            self._send(
-                host,
-                "pause",
-                PauseRequest(
-                    partition_ids=parts.partition_ids,
-                    sender=session.sender,
-                    trace_span=session.trace_span,
-                ),
-            )
-
-    def _on_paused(self, message: Message) -> None:
-        ack: PauseAck = message.payload
-        session = self._session_in_phase("pausing")
-        if session is None:
-            return
-        session.pending_pause_acks.discard(ack.host)
-        if session.pending_pause_acks:
-            return
-        session.paused_at = self.sim.now
-        self._trace_step(session, 4)
-        session.advance("transferring")
-        self._trace_step(session, 5, receiver=session.receiver)
-        self._send(
-            session.sender,
-            "transfer",
-            TransferRequest(
-                partition_ids=session.partition_ids,
+            elif reached == 2 and self.recovery.adopt_relocation(
+                sender=session.sender,
                 receiver=session.receiver,
-                marker_hosts=session.split_hosts,
-                trace_span=session.trace_span,
-            ),
-        )
+                partition_ids=session.partition_ids,
+            ):
+                outcome = "adopted"
+        self._close(session, "aborted")
+        self._landed[session.kind].aborted(session, phase_reached, outcome)
 
-    def _on_installed(self, message: Message) -> None:
-        ack: InstalledAck = message.payload
-        session = self._session_in_phase("transferring")
-        if session is None:
-            return
-        session.state_bytes = ack.total_bytes
-        self._trace_step(session, 6, bytes=ack.total_bytes)
-        session.advance("remapping")
-        session.pending_resume_acks = set(session.split_hosts)
-        self._trace_step(session, 7, new_owner=session.receiver)
-        for host in session.split_hosts:
-            self._send(
-                host,
-                "remap",
-                RemapRequest(
-                    partition_ids=session.partition_ids,
-                    new_owner=session.receiver,
-                    trace_span=session.trace_span,
-                ),
-            )
-
-    def _on_resumed(self, message: Message) -> None:
-        ack: ResumeAck = message.payload
-        session = self._session_in_phase("remapping")
-        if session is None:
-            return
-        session.pending_resume_acks.discard(ack.host)
-        if session.pending_resume_acks:
-            return
-        self._trace_step(session, 8)
-        session.advance("done")
+    def _close(self, session: MotionSession, phase: str) -> None:
+        session.advance(phase)
         session.completed_at = self.sim.now
+        self.session = None
+
+    # ------------------------------------------------------------------
+    # How a relocation or drain landed
+    # ------------------------------------------------------------------
+    def _relocation_done(self, session: MotionSession) -> None:
         self.last_relocation_time = self.sim.now
         self.stats.relocations_completed += 1
         self.metrics.events.record(
@@ -957,34 +965,53 @@ class GlobalCoordinator:
                 status="done",
                 bytes_moved=session.state_bytes,
                 duration=session.duration,
-                pause_duration=(
-                    self.sim.now - session.paused_at
-                    if session.paused_at is not None
-                    else None
-                ),
+                pause_duration=self.sim.now - session.paused_at,
             )
-        self.session = None
-        drain = self._drain_for_session(session)
-        if drain is not None and not drain.terminal:
-            self._finish_drain(drain)
 
-    def _on_owned_paused(self, message: Message) -> None:
-        """Drain collect acks take this kind when a drain is collecting;
-        everything else belongs to the recovery manager's sweep."""
-        ack = message.payload
-        drain = self._active_drain("collecting")
-        if drain is not None and ack.machine == drain.machine:
-            drain.pending_collect_acks.discard(ack.host)
-            drain.owned_pids = tuple(
-                sorted(set(drain.owned_pids) | set(ack.partition_ids))
+    def _relocation_aborted(
+        self, session: MotionSession, phase_reached: str, outcome: str
+    ) -> None:
+        adopted = outcome == "adopted"
+        self.stats.relocations_aborted += 1
+        self.metrics.events.record(
+            self.sim.now,
+            "relocation_aborted",
+            session.sender,
+            receiver=session.receiver,
+            phase_reached=phase_reached,
+            partition_ids=session.partition_ids,
+            adopted=adopted,
+        )
+        self._trace_end(
+            session,
+            "aborted",
+            phase_reached=phase_reached,
+            adopted=adopted,
+            # splits stay paused for the recovery session to resume: the
+            # pause/flush invariant is discharged there, not here
+            pause_handoff=(
+                phase_reached in ("pausing", "transferring")
+                and outcome != "remapped_back"
+            ),
+        )
+        if self.metrics.ledger.enabled:
+            self.metrics.ledger.realize(
+                session.ledger_entry,
+                status="aborted",
+                reason="participant_died",
+                phase_reached=phase_reached,
+                adopted=adopted,
             )
-            if not drain.pending_collect_acks:
-                self._drain_relocate(drain)
-            return
-        if self.recovery is not None:
-            self.recovery._on_owned_paused(message)
-            return
-        self.stats.protocol_ignored += 1
+
+    def _drain_done(self, session: MotionSession) -> None:
+        self._relocation_done(session)
+        self._finish_drain(self.draining[session.sender])
+
+    def _drain_aborted(
+        self, session: MotionSession, phase_reached: str, outcome: str
+    ) -> None:
+        self._relocation_aborted(session, phase_reached, outcome)
+        self._abort_drain(self.draining[session.sender], "participant_died")
 
     def _on_ss_done(self, message: Message) -> None:
         done: ForcedSpillDone = message.payload
@@ -1046,14 +1073,14 @@ class GlobalCoordinator:
         if self.config.repartition_enabled:
             self.repartition.publish_metrics(registry)
 
-    def _session_in_phase(self, expected_phase: str) -> RelocationSession | None:
-        """The active session if it is in ``expected_phase``, else ``None``.
+    def _session_in_phase(self, *phases: str) -> MotionSession | None:
+        """The active session if it is in one of ``phases``, else ``None``.
 
         A distributed coordinator must tolerate unsolicited or stale
         protocol messages (a QE answering after its session aborted, a
         duplicate ack): they are counted and dropped, never fatal.
         """
-        if self.session is None or self.session.phase != expected_phase:
+        if self.session is None or self.session.phase not in phases:
             self.stats.protocol_ignored += 1
             return None
         return self.session

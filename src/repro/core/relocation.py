@@ -1,26 +1,32 @@
-"""State-relocation protocol: typed messages and the 8-step session.
+"""State motion: the wire messages and the coordinator-side session.
 
 The paper coordinates run-time state movement with a protocol between the
 global coordinator (GC) and the involved query engines (QEs) so that "no
-operator states should be missing or corrupted" (§4.1, Figure 8).  The
-concrete 8 steps implemented here:
+operator states should be missing or corrupted" (§4.1, Figure 8).  Every
+motion this system performs — a pair-wise relocation, a graceful drain, a
+partition-group split or merge — is that one bracket around a per-kind
+*select* step (see DESIGN.md, "State motion"):
 
-1. **GC → sender** ``cptv`` — compute partitions to move (the coarse-grained
-   decision: *how much*; the sender's local controller decides *which*).
-2. **sender → GC** ``ptv`` — the chosen partition IDs and their volume.
-3. **GC → split hosts** ``pause`` — buffer arriving tuples of those IDs.
-4. **split hosts → GC** ``paused`` — all acks collected.
-5. **GC → sender** ``transfer`` — ship the state to the receiver.
-6. **sender → receiver** ``state`` (bulk transfer); **receiver → GC**
-   ``installed`` once the groups are thawed into its store.
-7. **GC → split hosts** ``remap`` — update routing tables to the receiver
-   and flush the buffered tuples to it.
-8. **split hosts → GC** ``resumed`` — session complete; the GC stamps
-   ``last_relocation_time`` (enforcing the paper's ``τ_m`` spacing).
+1. **select** — who moves what: ``cptv``/``ptv`` (relocate: the GC says
+   *how much*, the sender's local controller *which*), an operator-scope
+   ``cptv`` plus an owned-pid sweep (drain), or an accepted
+   ``repartition`` order (split/merge: the owner is sender and receiver).
+2. **GC → split hosts** ``pause`` — buffer arriving tuples of those IDs;
+   each host drains a :class:`Marker` down its data link to the sender
+   and acks ``paused``.
+3. **move** — once every marker has drained through the sender's data
+   queue the state is packed and shipped (``transfer`` → ``state``) or
+   rebuilt in place (split/merge); the new home acks ``installed``.
+4. **GC → split hosts** ``remap`` — update the routing tables (and the
+   refinement trie, for split/merge) and flush the buffered tuples.
+5. **split hosts → GC** ``resumed`` — session complete.
 
-Safety argument: tuples of the affected partitions are buffered from step 3
-until step 7, so no tuple can probe a half-moved state; unaffected
-partitions flow throughout — relocation is not a global stall.
+Relocation traces these as its 8 steps (cptv, ptv, pause, paused,
+transfer, installed, remap, resumed).
+
+Safety argument: tuples of the affected partitions are buffered from
+``pause`` until ``remap``, so no tuple can probe a half-moved state;
+unaffected partitions flow throughout — state motion is not a global stall.
 """
 
 from __future__ import annotations
@@ -104,10 +110,12 @@ class PauseRequest:
 
     partition_ids: tuple[int, ...]
     sender: str
-    #: trace span of the relocation session this pause belongs to (0 when
-    #: tracing is disabled) — carried in the message so split hosts can
-    #: attribute their pause/flush events to the causing session.
+    #: trace span of the session this pause belongs to (0 when tracing is
+    #: disabled) — carried in the message so split hosts can attribute
+    #: their pause/flush events to the causing session.
     trace_span: int = 0
+    #: name the split host gives its pause trace event (per-kind label)
+    event: str = "split.pause"
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,10 @@ class StateTransfer:
 
 @dataclass(frozen=True)
 class InstalledAck:
-    """Step 6 completion (``installed``): receiver thawed the groups."""
+    """Step 6 completion (``installed``): receiver thawed the groups — or,
+    for a split/merge, the owner rebuilt and durably committed the new
+    group(s).  That ack leaves from the commit's tail, so receipt implies
+    the registry flip (children registered, parent dropped) happened."""
 
     receiver: str
     partition_ids: tuple[int, ...]
@@ -161,11 +172,15 @@ class InstalledAck:
 @dataclass(frozen=True)
 class RemapRequest:
     """Step 7 (``remap``): route these partitions to ``new_owner`` and
-    flush the buffered tuples."""
+    flush the buffered tuples.  With a ``refinement`` the host first flips
+    its routing table (refinement + partition map, one atomic version
+    bump) and re-routes the buffer through it."""
 
     partition_ids: tuple[int, ...]
     new_owner: str
     trace_span: int = 0
+    #: ``(kind, parent, children)`` of a completed split or merge
+    refinement: tuple[str, int, tuple[int, int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -198,9 +213,6 @@ class ForcedSpillDone:
 # Session state machine (lives at the GC)
 # ----------------------------------------------------------------------
 
-#: Session phases, in protocol order.
-PHASES = ("cptv_sent", "pausing", "transferring", "remapping", "done", "aborted")
-
 #: Human names of the 8 protocol steps, for trace events.
 STEP_NAMES = {
     1: "cptv",
@@ -214,37 +226,19 @@ STEP_NAMES = {
 }
 
 
-@dataclass
-class RelocationSession:
-    """GC-side state of one in-flight pair-wise relocation.
+class Session:
+    """Phase bookkeeping shared by every GC-side session: a subclass names
+    its ``phases`` in protocol order and holds ``phase``, ``started_at``
+    and ``completed_at``."""
 
-    One session exists at a time (the paper's pair-wise model); the GC
-    refuses to start another until :attr:`phase` reaches a terminal state.
-    """
-
-    sender: str
-    receiver: str
-    amount: int
-    split_hosts: tuple[str, ...]
-    started_at: float
-    phase: str = "cptv_sent"
-    partition_ids: tuple[int, ...] = ()
-    state_bytes: int = 0
-    pending_pause_acks: set[str] = field(default_factory=set)
-    pending_resume_acks: set[str] = field(default_factory=set)
-    completed_at: float | None = None
-    #: id of this session's "relocation" trace span (0 = tracing disabled)
-    trace_span: int = 0
-    #: id of the GC's decision-ledger entry (0 = ledger disabled)
-    ledger_entry: int = 0
-    #: when the last split pause ack arrived (start of the paused window;
-    #: the ledger's realized pause duration runs from here to step 8)
-    paused_at: float | None = None
+    noun: str
+    phases: tuple[str, ...]
 
     def advance(self, phase: str) -> None:
-        if phase not in PHASES:
-            raise ValueError(f"unknown relocation phase {phase!r}")
-        if PHASES.index(phase) < PHASES.index(self.phase) and phase != "aborted":
+        order = self.phases
+        if phase not in order:
+            raise ValueError(f"unknown {self.noun} phase {phase!r}")
+        if order.index(phase) < order.index(self.phase) and phase != "aborted":
             raise ValueError(f"cannot regress from {self.phase!r} to {phase!r}")
         self.phase = phase
 
@@ -254,6 +248,102 @@ class RelocationSession:
 
     @property
     def duration(self) -> float | None:
-        if self.completed_at is None:
+        if self.completed_at is None or self.started_at is None:
             return None
         return self.completed_at - self.started_at
+
+
+@dataclass(frozen=True)
+class MotionKind:
+    """What one kind of state motion tells the shared bracket: its labels
+    (kept per kind so traces and ledgers read as they always did) and
+    whether the GC has a transfer order to send."""
+
+    #: the family's name in error messages and in the ledger's
+    #: ``<noun>_in_flight`` deferral reason
+    noun: str
+    #: select, pausing, moving, remapping, done, aborted — in that order
+    phases: tuple[str, ...]
+    #: trace event a split host emits when it pauses for this kind
+    pause_event: str
+    #: whether the GC traces the numbered ``relocation.step`` events
+    traces_steps: bool
+    #: whether the GC orders the move (``transfer``) once every host
+    #: paused; a split/merge owner already holds its order
+    orders_transfer: bool
+
+
+_RELOCATION = MotionKind(
+    noun="relocation",
+    phases=("cptv_sent", "pausing", "transferring", "remapping", "done", "aborted"),
+    pause_event="split.pause",
+    traces_steps=True,
+    orders_transfer=True,
+)
+_REPARTITION = MotionKind(
+    noun="repartition",
+    phases=("ordered", "pausing", "installing", "remapping", "done", "aborted"),
+    pause_event="repartition.pause",
+    traces_steps=False,
+    orders_transfer=False,
+)
+MOTION_KINDS = {
+    "relocate": _RELOCATION,
+    "drain": _RELOCATION,
+    "split": _REPARTITION,
+    "merge": _REPARTITION,
+}
+
+
+@dataclass
+class MotionSession(Session):
+    """GC-side state of one in-flight state motion.
+
+    One session exists at a time (the paper's pair-wise model); the GC
+    refuses to start another until :attr:`phase` reaches a terminal state.
+    A split or merge rebuilds state in place: its owner is both ``sender``
+    and ``receiver``.
+    """
+
+    kind: str  # "relocate" | "drain" | "split" | "merge"
+    sender: str
+    receiver: str
+    split_hosts: tuple[str, ...]
+    started_at: float
+    amount: int = 0
+    phase: str = field(init=False)
+    #: the partitions paused at the splits
+    partition_ids: tuple[int, ...] = ()
+    state_bytes: int = 0
+    #: split hosts whose ack for the current phase is still outstanding
+    pending: set[str] = field(default_factory=set)
+    completed_at: float | None = None
+    #: id of this session's trace span (0 = tracing disabled)
+    trace_span: int = 0
+    #: id of the GC's decision-ledger entry (0 = ledger disabled)
+    ledger_entry: int = 0
+    #: when the last split pause ack arrived (start of the paused window;
+    #: the ledger's realized pause duration runs from here to the end)
+    paused_at: float | None = None
+    #: split/merge only: ``(kind, parent, children)`` and the trie depth
+    refinement: tuple[str, int, tuple[int, int]] | None = None
+    depth: int = 0
+
+    def __post_init__(self) -> None:
+        self.phase = self.phases[0]
+
+    @property
+    def spec(self) -> MotionKind:
+        return MOTION_KINDS[self.kind]
+
+    @property
+    def noun(self) -> str:
+        return self.spec.noun
+
+    @property
+    def phases(self) -> tuple[str, ...]:
+        return self.spec.phases
+
+    def step(self) -> None:
+        """Advance to the next phase of the bracket."""
+        self.advance(self.phases[self.phases.index(self.phase) + 1])

@@ -48,16 +48,7 @@ from repro.core.relocation import (
     StatsReport,
     TransferRequest,
 )
-from repro.core.repartition import (
-    MergeOrder,
-    RepartitionAck,
-    RepartitionInstalled,
-    RepartitionPause,
-    RepartitionPaused,
-    RepartitionRemap,
-    RepartitionResumed,
-    SplitOrder,
-)
+from repro.core.repartition import RepartitionAck, RepartitionOrder
 from repro.core.spill import SpillExecutor, SpillOutcome
 from repro.engine.operators.mjoin import MJoinInstance
 from repro.recovery.protocol import (
@@ -155,9 +146,9 @@ class QueryEngine:
             instance.store, executor, config, seed=seed
         )
         self._pending_cptv: CptvRequest | None = None
-        self._pending_transfer: TransferRequest | None = None
-        #: an accepted split/merge order waiting for its markers to drain
-        self._pending_repartition: SplitOrder | MergeOrder | None = None
+        #: the move this engine is to make once every split host's marker
+        #: has drained: a transfer to ship, or an accepted split/merge order
+        self._pending_motion: TransferRequest | RepartitionOrder | None = None
         #: the transfer whose pack task is submitted; an ``abort_transfer``
         #: clears it, turning a queued-but-not-started pack into a no-op
         self._active_transfer: TransferRequest | None = None
@@ -228,7 +219,9 @@ class QueryEngine:
         self._mode = new_mode
         if self._lat is not None and new_mode != old:
             self._lat.on_mode(
-                new_mode, self._pending_repartition is not None, self.sim.now
+                new_mode,
+                isinstance(self._pending_motion, RepartitionOrder),
+                self.sim.now,
             )
 
     def attach_latency(self, tracker) -> None:
@@ -283,9 +276,8 @@ class QueryEngine:
         self._output_buffer = []
         self._output_buffer_count = 0
         self._pending_cptv = None
-        self._pending_transfer = None
+        self._pending_motion = None
         self._active_transfer = None
-        self._pending_repartition = None
         self._forced_spill_reply_to = None
         self._markers_seen.clear()
         self.mode = MODE_NORMAL
@@ -642,7 +634,7 @@ class QueryEngine:
     def _start_cptv(self, request: CptvRequest) -> None:
         self.mode = MODE_SR
         pids, total = self.controller.compute_parts_to_move(
-            request.amount, getattr(request, "scope", None)
+            request.amount, request.scope
         )
         ledger = self.metrics.ledger
         if ledger.enabled and request.ledger_entry:
@@ -672,26 +664,31 @@ class QueryEngine:
         def begin():
             def finish() -> None:
                 self._markers_seen.add(marker.host)
-                self._maybe_pack_state()
-                self._maybe_execute_repartition()
+                self._maybe_move()
 
             return 0.0, finish
 
         self.machine.submit(DynamicTask(begin, label="marker"))
 
     def _on_transfer(self, message: Message) -> None:
-        self._pending_transfer = message.payload
-        self._maybe_pack_state()
+        self._pending_motion = message.payload
+        self._maybe_move()
 
-    def _maybe_pack_state(self) -> None:
-        transfer = self._pending_transfer
-        if transfer is None:
+    def _maybe_move(self) -> None:
+        """The marker gate: start the pending move once the marker of every
+        split host has drained through the data queue."""
+        motion = self._pending_motion
+        if motion is None or not set(motion.marker_hosts) <= self._markers_seen:
             return
-        if not set(transfer.marker_hosts) <= self._markers_seen:
-            return
-        self._pending_transfer = None
-        self._active_transfer = transfer
+        self._pending_motion = None
         self._markers_seen.clear()
+        if isinstance(motion, TransferRequest):
+            self._pack_state(motion)
+        else:
+            self._execute_repartition(motion)
+
+    def _pack_state(self, transfer: TransferRequest) -> None:
+        self._active_transfer = transfer
 
         def begin():
             if self._active_transfer is not transfer:
@@ -762,11 +759,11 @@ class QueryEngine:
         def begin():
             def finish() -> None:
                 cancelled = (
-                    self._pending_transfer is not None
+                    self._pending_motion is not None
                     or self._active_transfer is not None
                     or bool(self._markers_seen)
                 )
-                self._pending_transfer = None
+                self._pending_motion = None
                 self._active_transfer = None
                 self._pending_cptv = None
                 self._markers_seen.clear()
@@ -826,20 +823,13 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Repartition protocol (split/merge), owner side
     # ------------------------------------------------------------------
-    def _on_csplit(self, message: Message) -> None:
-        order: SplitOrder = message.payload
-        self._begin_repartition(order, pids=(order.parent,))
-
-    def _on_cmerge(self, message: Message) -> None:
-        order: MergeOrder = message.payload
-        self._begin_repartition(order, pids=order.children)
-
-    def _begin_repartition(self, order, pids) -> None:
+    def _on_repartition(self, message: Message) -> None:
         """Validate a split/merge order against the live store and mode.
 
         The GC decides from statistics reports that may be a beat stale: a
         group can have relocated away, or the engine can be mid-spill.
         Rejects are cheap — nothing was paused yet."""
+        order: RepartitionOrder = message.payload
         store = self.instance.store
         if self.mode != MODE_NORMAL:
             self._send_gc(
@@ -847,7 +837,7 @@ class QueryEngine:
                 RepartitionAck(self.name, False, reason="engine_busy"),
             )
             return
-        if any(pid not in store for pid in pids):
+        if any(pid not in store for pid in order.affected_pids):
             self._send_gc(
                 "repartition_ack",
                 RepartitionAck(self.name, False, reason="stale_target"),
@@ -855,24 +845,17 @@ class QueryEngine:
             return
         # pending set before the mode flips so the latency tracker's mode
         # hook classifies the pause as "repartitioning", not "relocating"
-        self._pending_repartition = order
+        self._pending_motion = order
         self.mode = MODE_SR
         self._markers_seen.clear()
         self._send_gc("repartition_ack", RepartitionAck(self.name, True))
 
-    def _maybe_execute_repartition(self) -> None:
-        order = self._pending_repartition
-        if order is None:
-            return
-        if not set(order.marker_hosts) <= self._markers_seen:
-            return
-        self._pending_repartition = None
-        self._markers_seen.clear()
-
+    def _execute_repartition(self, order: RepartitionOrder) -> None:
         def begin():
             store = self.instance.store
             now = self.sim.now
-            if isinstance(order, SplitOrder):
+            reason = order.kind
+            if reason == "split":
                 modulus, depth = order.modulus, order.depth
                 new_groups = store.split_group(
                     order.parent,
@@ -880,11 +863,9 @@ class QueryEngine:
                     lambda key: (key // modulus >> depth) & 1,
                     now=now,
                 )
-                reason = "split"
             else:
                 merged = store.merge_groups(order.children, order.parent, now=now)
                 new_groups = (merged,)
-                reason = "merge"
             total = sum(f.size_bytes for f in new_groups)
             # the rebuild re-serialises the state once through the
             # evict/install funnel
@@ -913,18 +894,17 @@ class QueryEngine:
                         self.checkpointer.registry.note_merge(order.parent)
                 self.mode = MODE_NORMAL
                 self._send_gc(
-                    "rinstalled",
-                    RepartitionInstalled(
-                        machine=self.name,
-                        parent=order.parent,
-                        children=tuple(order.children),
+                    "installed",
+                    InstalledAck(
+                        receiver=self.name,
+                        partition_ids=tuple(f.pid for f in new_groups),
                         total_bytes=total,
                     ),
                 )
                 self._resume_pending_cptv()
 
             if self.checkpointer is not None:
-                # Commit before acking: receipt of ``rinstalled`` at the GC
+                # Commit before acking: receipt of ``installed`` at the GC
                 # then *implies* the registry flip is durable, which is the
                 # witness its crash handling relies on.
                 self.checkpointer.commit(reason, on_committed=committed)
@@ -1389,7 +1369,7 @@ class SourceHost:
             self.network.send(self.name, owner, "tuple_batch", batch, size)
 
     # ------------------------------------------------------------------
-    # Relocation protocol (split-host side)
+    # State motion: pause / remap (split-host side)
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
         handler = getattr(self, f"_on_{message.kind}", None)
@@ -1400,23 +1380,15 @@ class SourceHost:
         handler(message)
 
     def _on_pause(self, message: Message) -> None:
-        self._pause(
-            message.payload, "split.pause", "paused", PauseAck(host=self.name)
-        )
-
-    def _pause(
-        self, request: PauseRequest | RepartitionPause, event: str,
-        ack_kind: str, ack,
-    ) -> None:
         """Buffer the request's partitions at every split, drain a marker
-        to ``request.sender`` and ack the coordinator — the pause half of
-        both the relocation and the repartition protocol."""
+        to ``request.sender`` and ack the coordinator."""
+        request: PauseRequest = message.payload
         for split in self.splits.values():
             split.pause(request.partition_ids)
         tracer = self.metrics.tracer
         if tracer.enabled and request.trace_span:
             tracer.event(
-                event,
+                request.event,
                 machine=self.name,
                 span=request.trace_span,
                 pids=request.partition_ids,
@@ -1427,7 +1399,7 @@ class SourceHost:
             self.name, request.sender, "marker", Marker(host=self.name),
             self.cost.control_message_bytes,
         )
-        self._send_gc(ack_kind, ack)
+        self._send_gc("paused", PauseAck(host=self.name))
 
     def _flush(self, released, event: str = "", span: int = 0, **fields) -> None:
         """Forward the buffered rows a routing change released — the
@@ -1446,82 +1418,78 @@ class SourceHost:
             self._forward(flushed)
 
     def _on_remap(self, message: Message) -> None:
+        """Route the request's partitions to their new owner and flush.
+
+        A split/merge remap first flips the routing table: the refinement
+        entry, the partition-map edit and the buffer re-route happen inside
+        one ``apply_split``/``apply_merge`` call — no tuple can observe a
+        half-flipped table.  Re-delivery (the GC re-sends after losing an
+        ack) is detected via the refinement state and degrades to a bare
+        ack."""
         request: RemapRequest = message.payload
-        self._flush(
-            (
-                row
-                for split in self.splits.values()
-                for row in split.resume(request.partition_ids, request.new_owner)
-            ),
-            "split.flush",
-            request.trace_span,
-            pids=request.partition_ids,
-            new_owner=request.new_owner,
-        )
+        if request.refinement is None:
+            self._flush(
+                (
+                    row
+                    for split in self.splits.values()
+                    for row in split.resume(request.partition_ids, request.new_owner)
+                ),
+                "split.flush",
+                request.trace_span,
+                pids=request.partition_ids,
+                new_owner=request.new_owner,
+            )
+        else:
+            self._refine(request, *request.refinement)
         self._send_gc("resumed", ResumeAck(host=self.name))
 
-    # ------------------------------------------------------------------
-    # Repartition protocol (split-host side)
-    # ------------------------------------------------------------------
-    def _on_rpause(self, message: Message) -> None:
-        self._pause(
-            message.payload, "repartition.pause", "rpaused",
-            RepartitionPaused(host=self.name),
-        )
-
-    def _on_rremap(self, message: Message) -> None:
-        """Flip the routing table for a completed split/merge and flush.
-
-        The refinement entry, the partition-map edit and the buffer
-        re-route happen inside one ``apply_split``/``apply_merge`` call —
-        no tuple can observe a half-flipped table.  Re-delivery (the GC
-        re-sends after losing an ack) is detected via the refinement state
-        and degrades to a bare ack."""
-        request: RepartitionRemap = message.payload
-        children = tuple(request.children)
+    def _refine(
+        self, request: RemapRequest, kind: str, parent: int,
+        children: tuple[int, int],
+    ) -> None:
+        """Apply a split/merge refinement at every split and flush what it
+        released; a refinement already applied is left alone."""
         first = next(iter(self.splits.values()))
-        if request.kind == "split":
-            fresh = request.parent not in first.refinement
+        if kind == "split":
+            fresh = parent not in first.refinement
         else:
-            fresh = first.refinement.get(request.parent) == children
-        if fresh:
-            released: list[tuple[int, str, StreamTuple]] = []
-            for split in self.splits.values():
-                apply = (
-                    split.apply_split if request.kind == "split" else split.apply_merge
-                )
-                released += apply(request.parent, children, request.owner)
-            self._rebucket_replay_log(request)
-            tracer = self.metrics.tracer
-            if tracer.enabled and request.trace_span:
-                retired = (
-                    (request.parent,) if request.kind == "split" else children
-                )
+            fresh = first.refinement.get(parent) == children
+        if not fresh:
+            return
+        released: list[tuple[int, str, StreamTuple]] = []
+        for split in self.splits.values():
+            apply = split.apply_split if kind == "split" else split.apply_merge
+            released += apply(parent, children, request.new_owner)
+        self._rebucket_replay_log(kind, parent, children)
+        tracer = self.metrics.tracer
+        if tracer.enabled and request.trace_span:
+            tracer.event(
+                "repartition.route",
+                machine=self.name,
+                span=request.trace_span,
+                kind=kind,
+                parent=parent,
+                children=children,
+                version=first.routing_version,
+            )
+            # the request pauses exactly the pids the flip retires
+            for pid in request.partition_ids:
                 tracer.event(
-                    "repartition.route",
+                    "repartition.retire",
                     machine=self.name,
                     span=request.trace_span,
-                    kind=request.kind,
-                    parent=request.parent,
-                    children=children,
-                    version=first.routing_version,
+                    pid=pid,
                 )
-                for pid in retired:
-                    tracer.event(
-                        "repartition.retire",
-                        machine=self.name,
-                        span=request.trace_span,
-                        pid=pid,
-                    )
-            self._flush(
-                released,
-                "repartition.flush",
-                request.trace_span,
-                pids=children if request.kind == "split" else (request.parent,),
-            )
-        self._send_gc("rresumed", RepartitionResumed(host=self.name))
+        self._flush(
+            released,
+            "repartition.flush",
+            request.trace_span,
+            pids=children if kind == "split" else (parent,),
+        )
 
-    def _rebucket_replay_log(self, request: RepartitionRemap) -> None:
+    def _rebucket_replay_log(
+        self, kind: str, parent: int, children: tuple[int, int]
+    ) -> None:
         """Move replay-log entries of retired pids under their successors.
 
         The log must always be keyed by the *current* routing function:
@@ -1531,11 +1499,11 @@ class SourceHost:
         children's entries deterministically."""
         if not self.keep_replay_log:
             return
-        if request.kind == "split":
+        if kind == "split":
             route = next(iter(self.splits.values())).route
-            self._replay_log.split(request.parent, route)
+            self._replay_log.split(parent, route)
         else:
-            self._replay_log.merge(request.children, request.parent)
+            self._replay_log.merge(children, parent)
 
     # ------------------------------------------------------------------
     # Recovery protocol (split-host side, repro.recovery)

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.relocation import Session
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.checkpoint import CheckpointEntry
 
@@ -169,12 +171,15 @@ RECOVERY_PHASES = ("pausing", "restoring", "rerouting", "done")
 
 
 @dataclass
-class RecoverySession:
+class RecoverySession(Session):
     """GC-side state of one in-flight crash recovery.
 
     Like relocation, one session runs at a time; further failures queue
     behind it (see :class:`~repro.recovery.manager.RecoveryManager`).
     """
+
+    noun = "recovery"
+    phases = RECOVERY_PHASES
 
     machine: str
     started_at: float
@@ -195,20 +200,3 @@ class RecoverySession:
     completed_at: float | None = None
     #: id of this session's "recovery" trace span (0 = tracing disabled)
     trace_span: int = 0
-
-    def advance(self, phase: str) -> None:
-        if phase not in RECOVERY_PHASES:
-            raise ValueError(f"unknown recovery phase {phase!r}")
-        if RECOVERY_PHASES.index(phase) < RECOVERY_PHASES.index(self.phase):
-            raise ValueError(f"cannot regress from {self.phase!r} to {phase!r}")
-        self.phase = phase
-
-    @property
-    def terminal(self) -> bool:
-        return self.phase == "done"
-
-    @property
-    def duration(self) -> float | None:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at

@@ -1051,10 +1051,10 @@ class TestIncrementalTrim:
 
     def test_trim_for_child_pids_lands_before_the_remap(self):
         """The owner of a split trims the *children* in the commit that
-        precedes the source's ``rremap``: the covered rows are still filed
+        precedes the source's ``remap``: the covered rows are still filed
         under the parent and have to go now — the trim is never repeated."""
         from repro.cluster.network import Message
-        from repro.core.repartition import RepartitionRemap
+        from repro.core.relocation import RemapRequest
         from repro.recovery.protocol import TrimRequest
 
         dep = small_deployment(
@@ -1086,7 +1086,8 @@ class TestIncrementalTrim:
         others = {pid: r for pid, r in logged.items() if pid != parent}
         assert {pid: r for pid, r in log.items() if pid != parent} == others
         owner = dep.splits["A"].partition_map.owner(parent)
-        deliver("rremap", RepartitionRemap("split", parent, children, owner))
+        deliver("remap", RemapRequest(
+            (parent,), owner, refinement=("split", parent, children)))
         refiled = dict(log.items())
         assert parent not in refiled
         route = dep.splits["A"].route

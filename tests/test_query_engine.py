@@ -162,7 +162,7 @@ class TestFullProtocolThroughDeployment:
         )
         dep.run(duration=40, sample_interval=10)
         for engine in dep.engines.values():
-            assert engine._pending_transfer is None
+            assert engine._pending_motion is None
             assert engine.mode == MODE_NORMAL
 
     def test_split_buffers_empty_after_quiesce(self):

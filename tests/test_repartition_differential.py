@@ -186,6 +186,43 @@ class TestSplitMergeDifferential:
         assert any('"repartition"' in line for line in blobs[0].splitlines())
 
 
+class TestControlPlaneAccounting:
+    def test_split_session_is_booked_as_control_traffic(self):
+        """Everything one split session puts on the wire is control plane:
+        order, ack and installed, plus five per split host (pause, paused,
+        marker, remap, resumed) — the counters the "GC only needs
+        light-weight statistics" argument is tested with."""
+        from collections import Counter
+
+        dep = build()
+        net, sent = dep.network, []
+        send = net.send
+
+        def logging_send(src, dst, kind, payload, size_bytes):
+            before = net.stats.control_messages, net.stats.control_bytes
+            message = send(src, dst, kind, payload, size_bytes)
+            sent.append((dep.sim.now, kind, size_bytes,
+                         net.stats.control_messages - before[0],
+                         net.stats.control_bytes - before[1]))
+            return message
+
+        net.send = logging_send
+        dep.run(duration=30, sample_interval=10)
+        split = dep.metrics.events.of_kind("repartition")[0]
+        assert split.details["action"] == "split"
+        start = split.time - split.details["duration"]
+        session = [m for m in sent if start <= m[0] <= split.time
+                   and m[1] not in ("tuple_batch", "stats")]
+        hosts = len(dep.coordinator.split_hosts)
+        assert Counter(kind for __, kind, *__ in session) == {
+            "repartition": 1, "repartition_ack": 1, "installed": 1,
+            "pause": hosts, "paused": hosts, "marker": hosts,
+            "remap": hosts, "resumed": hosts,
+        }
+        assert sum(m[3] for m in session) == len(session) == 3 + 5 * hosts
+        assert sum(m[4] for m in session) == sum(m[2] for m in session)
+
+
 class TestCrashMidSplit:
     """A machine crash landing inside an active split session."""
 

@@ -363,6 +363,49 @@ class TestAdmission:
         assert handle.qid not in server.groups
         assert server.cluster_used == 0
 
+    def test_graceful_drain_mid_split(self):
+        """A split or merge is a session like any other: the last member
+        cancelling while one is in flight keeps the group — and its
+        ``cluster_charge`` — until the session lands; the next ``_reap``
+        retires it."""
+        from tests.test_repartition_differential import skewed_workload
+
+        server = make_server()
+        handle = server.submit(QuerySpec(
+            join=three_way_join(window=10.0),
+            workload=skewed_workload(),
+            config=serving_config(
+                theta_r=0.05, memory_threshold=60_000,
+                repartition_enabled=True, split_skew_factor=2.5,
+                split_min_bytes=4_000, merge_max_bytes=6_000, tau_p=8.0,
+            ),
+            workers=2, tenant="acme", duration=120.0, memory_demand=50_000,
+            assignment={"m1": 1.0, "m2": 1.0},
+        ))
+        group = server.groups[handle.group]
+        coordinator = group.deployment.coordinator
+        session = None
+        for _ in range(1200):
+            server.run_for(0.01, sample_interval=0.01)
+            session = coordinator.session
+            if session is not None and session.phase == "installing":
+                break
+        assert session is not None and session.kind == "split", (
+            "no split session went in flight; scenario too calm")
+        server.drain(handle.qid)
+        assert handle.status == "draining" and group.retiring
+        assert not session.terminal
+        assert handle.group in server.groups  # not reaped mid-split
+        assert group.cluster_charge == server.cluster_used == 50_000
+        server.sim.run(until=server.sim.now + 1.0)
+        assert session.phase == "done" and coordinator.session is None
+        assert coordinator.repartition.splits_completed == 1
+        assert handle.group in server.groups  # nothing reaps between ticks
+        server._reap()
+        assert handle.status == "retired"
+        assert handle.group not in server.groups
+        assert group.cluster_charge == server.cluster_used == 0
+
     def test_unknown_tenant_raises(self):
         server = make_server()
         with pytest.raises(ValueError, match="unknown tenant"):
