@@ -25,12 +25,14 @@ from typing import Any, Callable
 from repro.cluster.simulation import Simulator
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One network message.
 
     ``kind`` is a short routing tag (``"stats"``, ``"cptv"``, ``"state"``,
-    ``"tuple"`` ...); ``payload`` is interpreted by the receiver.
+    ``"tuple"`` ...); ``payload`` is interpreted by the receiver.  One is
+    built per send, so the class is a plain slotted record: a frozen
+    dataclass pays an ``object.__setattr__`` per field on construction.
     """
 
     src: str

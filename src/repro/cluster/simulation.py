@@ -68,9 +68,6 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -98,7 +95,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries: ``seq`` is unique, so ordering is
+        #: settled by float/int comparison and the event is never compared
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_in_heap = 0
@@ -118,8 +117,9 @@ class Simulator:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time!r}; clock is at {self.now!r}")
-        event = Event(time, next(self._seq), callback, args, self)
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def _note_cancel(self) -> None:
@@ -134,8 +134,9 @@ class Simulator:
         self._cancelled_in_heap += 1
         heap = self._heap
         if len(heap) >= self.COMPACT_FLOOR and self._cancelled_in_heap * 2 > len(heap):
-            self._heap = [e for e in heap if not e.cancelled]
-            heapq.heapify(self._heap)
+            # in place: ``run`` holds a reference to the list across callbacks
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
             self._cancelled_in_heap = 0
             self._compactions += 1
 
@@ -148,7 +149,7 @@ class Simulator:
         Returns ``True`` if an event fired, ``False`` if the heap is empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
@@ -173,18 +174,20 @@ class Simulator:
         self._running = True
         try:
             fired = 0
-            while self._heap:
+            heap = self._heap
+            heappop = heapq.heappop
+            while heap:
                 if max_events is not None and fired >= max_events:
                     break
-                nxt = self._heap[0]
+                time, _seq, nxt = heap[0]
                 if nxt.cancelled:
-                    heapq.heappop(self._heap)
+                    heappop(heap)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and nxt.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._heap)
-                self.now = nxt.time
+                heappop(heap)
+                self.now = time
                 nxt.fired = True
                 self._events_processed += 1
                 nxt.callback(*nxt.args)
@@ -220,10 +223,10 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next pending event, or ``None`` if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
             self._cancelled_in_heap -= 1
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 class Timer:

@@ -20,9 +20,12 @@ columnar path delivers columns as well:
     (:class:`~repro.engine.partitions.PartitionGroup` is its row-format
     reference twin).  The unwindowed count-only probe — the hot path — is
     a dict lookup and an integer product; no per-tuple objects are
-    created.  A per-(stream, key) row index is built lazily, only when a
-    windowed or materialising probe (or the cleanup oracle) needs it, and
-    a row -> StreamTuple cache only when somebody reads rows.
+    created, and a delivered batch's rows are *copied* onto the buffers
+    (:meth:`ColumnarPartitionGroup.append_rows`), so the batch dies with
+    its delivery.  A per-(stream, key) row index is built lazily, only
+    when a windowed or materialising probe (or the cleanup oracle) needs
+    it — and kept current by every append from then on — and a
+    row -> StreamTuple cache only when somebody reads rows.
 
 ``FrozenColumnGroup``
     Immutable snapshot whose payload *is* the column buffers.  Because the
@@ -244,19 +247,12 @@ class ColumnBatch:
             payloads = [payloads[i] or () for i in idx]
             if not any(payloads):
                 payloads = None
+        # positional (``__init__`` order): one of these is built per data
+        # message, and twelve keywords are a third of the call
         return cls(
-            streams=streams,
-            pids=pids,
-            sids=[sid] * n,
-            seqs=[seq0 + i for i in idx],
-            keys=[keys[i] for i in idx],
-            ts=[ts[i] for i in idx],
-            sizes=None,
-            usize=batch.size,
-            payloads=payloads,
-            total_size=n * batch.size,
-            segments=segments,
-            perm=perm,
+            streams, pids, [sid] * n,
+            [seq0 + i for i in idx], [keys[i] for i in idx], [ts[i] for i in idx],
+            None, batch.size, payloads, n * batch.size, segments, perm,
         )
 
     def storage_row(self, row: int) -> int:
@@ -294,7 +290,10 @@ class ColumnarPartitionGroup:
     row-major append-only columns (``row_sid``/``row_seq``/``row_key``/
     ``row_ts`` plus optional ``row_size``/``row_payload``) and a per-key
     count table ``_counts[key][sid]`` that makes the unwindowed count-only
-    probe O(m) with no tuple objects.
+    probe O(m) with no tuple objects.  Every insert — one row
+    (:meth:`insert_cols`) or a batch segment (:meth:`append_rows`) — lands
+    in the buffers at once: the buffers always hold ``tuple_count`` rows,
+    and nothing outside the group is referenced from it.
     """
 
     __slots__ = (
@@ -313,7 +312,6 @@ class ColumnarPartitionGroup:
         "row_payload",
         "_usize",
         "_counts",
-        "_chunks",
         "_index",
         "_ordered",
         "_mat",
@@ -350,9 +348,6 @@ class ColumnarPartitionGroup:
         #: Per-row payloads, or ``None`` while every payload is empty.
         self.row_payload: list[tuple] | None = None
         self._counts: dict[int, list[int]] = {}
-        #: Deferred column chunks from the batched hot path; see
-        #: :meth:`_consolidate`.
-        self._chunks: list[tuple] = []
         #: Lazy per-stream ``{key: [row, ...]}`` index (insertion order).
         self._index: list[dict[int, list[int]]] | None = None
         #: Whether every ``_index`` bucket has been *observed* in timestamp
@@ -378,56 +373,42 @@ class ColumnarPartitionGroup:
                 f"(expected one of {self.streams!r})"
             ) from None
 
-    def _consolidate(self) -> None:
-        """Flush deferred column chunks into the row buffers.
+    def append_rows(self, sids: list[int], seqs: list[int], keys: list[int],
+                    tss: list[float], start: int, end: int, usize: int) -> None:
+        """Copy rows ``start:end`` of a batch's columns onto the row buffers.
 
-        The batched hot path (:meth:`StateStore.probe_insert_columns
-        <repro.engine.state_store.StateStore.probe_insert_columns>`)
-        appends one ``(sids, seqs, keys, tss, start, end, usize)`` chunk
-        reference per batch segment instead of extending the four row
-        buffers — the count table, statistics and memory accounting stay
-        eager, so the count-only probe never needs the rows themselves.
-        The first reader that does (index build, materialisation, purge,
-        freeze, a per-row insert) splices the pending chunks in here, in
-        insertion order, making the deferral invisible.
+        The storage half of the count-only hot path
+        (:meth:`StateStore.probe_insert_columns
+        <repro.engine.state_store.StateStore.probe_insert_columns>`, which
+        keeps the count table, statistics and memory accounting itself):
+        rows of uniform size ``usize`` and empty payload, appended in
+        order, with the explicit size/payload columns and a live index
+        (and its ``_ordered`` observation) kept right.  The rows are
+        copied, so nothing of the batch outlives its delivery.
         """
-        chunks = self._chunks
-        if not chunks:
-            return
-        row_sid = self.row_sid
-        row_seq = self.row_seq
-        row_key = self.row_key
-        row_ts = self.row_ts
-        rs = self.row_size
-        rp = self.row_payload
+        base = len(self.row_sid)
+        self.row_sid += sids[start:end]
+        self.row_seq += seqs[start:end]
+        self.row_key += keys[start:end]
+        self.row_ts += tss[start:end]
+        if self.row_size is not None:
+            self.row_size += [usize] * (end - start)
+        if self.row_payload is not None:
+            self.row_payload += [()] * (end - start)
         index = self._index
-        for sids, seqs, keys, tss, start, end, usize in chunks:
-            base = len(row_sid)
-            row_sid.extend(sids[start:end])
-            row_seq.extend(seqs[start:end])
-            row_key.extend(keys[start:end])
-            row_ts.extend(tss[start:end])
-            n = end - start
-            if rs is not None:
-                rs.extend([usize] * n)
-            if rp is not None:
-                rp.extend([()] * n)
-            if index is not None:
-                for off in range(n):
-                    i = start + off
-                    bucket = index[sids[i]].get(keys[i])
-                    if bucket is None:
-                        index[sids[i]][keys[i]] = [base + off]
-                    else:
-                        if row_ts[bucket[-1]] > tss[i]:
-                            self._ordered = False
-                        bucket.append(base + off)
-        del chunks[:]
+        if index is not None:
+            row_ts = self.row_ts
+            for row, i in enumerate(range(start, end), base):
+                bucket = index[sids[i]].get(keys[i])
+                if bucket is None:
+                    index[sids[i]][keys[i]] = [row]
+                else:
+                    if row_ts[bucket[-1]] > tss[i]:
+                        self._ordered = False
+                    bucket.append(row)
 
     def promote_sizes(self) -> list[int]:
         """Switch from the uniform-size scalar to an explicit size column."""
-        if self._chunks:
-            self._consolidate()
         rs = self.row_size
         if rs is None:
             usize = self._usize if self._usize >= 0 else 0
@@ -436,8 +417,6 @@ class ColumnarPartitionGroup:
 
     def promote_payloads(self) -> list[tuple]:
         """Switch from implicit empty payloads to an explicit column."""
-        if self._chunks:
-            self._consolidate()
         rp = self.row_payload
         if rp is None:
             self.row_payload = rp = [()] * len(self.row_sid)
@@ -446,8 +425,6 @@ class ColumnarPartitionGroup:
     def insert_cols(self, sid: int, seq: int, key: int, ts: float,
                     size: int, payload: tuple) -> None:
         """Append one row given already-decomposed attribute values."""
-        if self._chunks:
-            self._consolidate()
         self.row_sid.append(sid)
         self.row_seq.append(seq)
         self.row_key.append(key)
@@ -493,8 +470,6 @@ class ColumnarPartitionGroup:
     # Probing
     # ------------------------------------------------------------------
     def _ensure_index(self) -> list[dict[int, list[int]]]:
-        if self._chunks:
-            self._consolidate()
         index = self._index
         if index is None:
             index = [dict() for _ in self.streams]
@@ -514,8 +489,6 @@ class ColumnarPartitionGroup:
 
     def tuple_at(self, row: int) -> StreamTuple:
         """Materialise (and cache) the tuple stored at ``row``."""
-        if self._chunks:
-            self._consolidate()
         tup = self._mat.get(row)
         if tup is None:
             rs = self.row_size
@@ -583,7 +556,7 @@ class ColumnarPartitionGroup:
             if not c[j]:
                 return 0, []
         index = self._index
-        if index is None or self._chunks:
+        if index is None:
             index = self._ensure_index()
         row_ts = self.row_ts
         ordered = self._ordered
@@ -678,7 +651,7 @@ class ColumnarPartitionGroup:
                 if not c[j]:
                     return None
             index = self._index
-            if index is None or self._chunks:
+            if index is None:
                 index = self._ensure_index()
             count = 1
             for j in others:
@@ -710,8 +683,6 @@ class ColumnarPartitionGroup:
         :meth:`PartitionGroup.purge_older_than
         <repro.engine.partitions.PartitionGroup.purge_older_than>` exactly.
         """
-        if self._chunks:
-            self._consolidate()
         row_ts = self.row_ts
         n = len(row_ts)
         keep = [row for row in range(n) if row_ts[row] >= horizon]
@@ -763,8 +734,6 @@ class ColumnarPartitionGroup:
 
     def tuples_of(self, stream: str) -> Iterator[StreamTuple]:
         """Iterate this group's tuples of one input stream (row order)."""
-        if self._chunks:
-            self._consolidate()
         sid = self._require_sid(stream)
         row_sid = self.row_sid
         for row in range(len(row_sid)):
@@ -795,8 +764,6 @@ class ColumnarPartitionGroup:
         copied); evict (``share=True``, the live group is discarded
         immediately after) additionally keeps the count table itself.
         """
-        if self._chunks:
-            self._consolidate()
         return FrozenColumnGroup(
             pid=self.pid,
             streams=self.streams,

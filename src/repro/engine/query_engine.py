@@ -364,12 +364,12 @@ class QueryEngine:
         if not self.alive:
             self.messages_dropped += 1
             return
-        handler = getattr(self, f"_on_{message.kind}", None)
+        handler = self._handlers.get(message.kind)
         if handler is None:
             raise ValueError(
                 f"query engine {self.name!r} cannot handle kind {message.kind!r}"
             )
-        handler(message)
+        handler(self, message)
 
     # ------------------------------------------------------------------
     # Data path
@@ -422,8 +422,9 @@ class QueryEngine:
         total, collected = self.instance.process_columns(
             cb, now=self.sim.now, materialize=self.materialize
         )
-        duration = len(cb) * self.cost.probe_cost + total * self.cost.result_cost
-        self._observe_batch(len(cb), total, duration)
+        n = len(cb)
+        duration = n * self.cost.probe_cost + total * self.cost.result_cost
+        self._observe_batch(n, total, duration)
         lat_ctx = None
         if self._lat is not None:
             # Same last-arrival frontier as the tuple path.  Storage
@@ -1077,6 +1078,12 @@ class QueryEngine:
                 "repro_checkpoint_bytes_total",
                 help="Bytes written by checkpoint commits", labels=labels,
             ).set_total(self.checkpointer.bytes_checkpointed)
+
+    #: wire kind -> ``_on_<kind>`` function; :meth:`deliver` looks handlers
+    #: up here instead of building a method name per message
+    _handlers = {name[len("_on_"):]: handler
+                 for name, handler in list(vars().items())
+                 if name.startswith("_on_")}
 
 
 class ReplayLog:

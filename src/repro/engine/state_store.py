@@ -185,11 +185,13 @@ class StateStore:
             heap._dirty.add for heap in self._victim_heaps.values()
         )
         #: Column-batch hot-loop context per live group: ``(group, counts,
-        #: counts.get, _chunks.append)``.  Valid while the count table's
+        #: counts.get)``.  Valid while the count table's
         #: *identity* holds; every site that replaces it (purge rebuilds
         #: the table) or retires the group (evict, install, crash)
         #: invalidates the entry.
         self._colhot: dict[int, tuple] = {}
+        #: ``_others[sid]`` = the other inputs' indices (probe products)
+        self._others = others_table(len(streams))
 
     def attach_sharer(self) -> None:
         """One more query now reads this store's state (join folding)."""
@@ -359,6 +361,92 @@ class StateStore:
         probing row that matched — which boxes them when a consumer reads
         rows.
         """
+        if (window is not None or materialize or cb.sizes is not None
+                or cb.payloads is not None):
+            return self._probe_insert_rows(cb, now, materialize, window)
+        # Hot path: uniform sizes, no payloads, count-only probes — no
+        # results to order, so the batch's pid-segmented storage order is
+        # the processing order (counting only ever interacts *within* a
+        # partition group, and segments preserve both the within-pid
+        # arrival order and the first-occurrence group creation order).
+        # Per segment: bind the count table once, run one tight loop over
+        # the column slice, copy the slice's rows onto the group's buffers
+        # (the batch dies with its delivery) and flush accounting in one
+        # update.
+        sids = cb.sids
+        seqs = cb.seqs
+        keys = cb.keys
+        tss = cb.ts
+        usize = cb.usize
+        m = len(self.streams)
+        pair = _PAIRS3 if m == 3 else None
+        colhot = self._colhot
+        total = 0
+        added = 0
+        for pid, start, end in cb.segments:
+            ctx = colhot.get(pid)
+            if ctx is None:
+                grp = self.group(pid, now=now)
+                counts = grp._counts
+                colhot[pid] = ctx = (grp, counts, counts.get)
+            grp, counts, counts_get = ctx
+            if grp.row_size is None:
+                if grp._usize < 0:
+                    grp._usize = usize
+                elif grp._usize != usize:
+                    # existing rows were recorded at another uniform
+                    # size; switch to an explicit size column first
+                    grp.promote_sizes()
+            out = 0
+            if pair is not None:
+                for i in range(start, end):
+                    key = keys[i]
+                    sid = sids[i]
+                    c = counts_get(key)
+                    if c is None:
+                        counts[key] = c = [0, 0, 0]
+                    else:
+                        j0, j1 = pair[sid]
+                        out += c[j0] * c[j1]
+                    c[sid] += 1
+            else:
+                others = self._others
+                for i in range(start, end):
+                    key = keys[i]
+                    sid = sids[i]
+                    c = counts_get(key)
+                    if c is None:
+                        counts[key] = c = [0] * m
+                    else:
+                        count = 1
+                        for j in others[sid]:
+                            count *= c[j]
+                        out += count
+                    c[sid] += 1
+            grp.append_rows(sids, seqs, keys, tss, start, end, usize)
+            nrows = end - start
+            nbytes = nrows * usize
+            grp.tuple_count += nrows
+            grp.size_bytes += nbytes
+            grp.output_count += out
+            added += nbytes
+            total += out
+            self._touch(pid, nrows)
+        if added:
+            self.machine.allocate(added)
+            self.total_bytes += added
+        self.outputs_total += total
+        self.tuples_processed += len(sids)
+        return total, []
+
+    def _probe_insert_rows(
+        self, cb: ColumnBatch, now: float, materialize: bool,
+        window: float | None,
+    ) -> tuple[int, "list[JoinResult] | ResultBatch"]:
+        """:meth:`probe_insert_columns` for batches with per-row sizes or
+        payloads, windows or materialisation.  Result order is observable
+        here, so rows are processed in arrival order (through ``perm``);
+        column-native throughout — matches are recorded, not boxed."""
         n = len(cb)
         if n == 0:
             return 0, []
@@ -371,88 +459,8 @@ class StateStore:
         sizes = cb.sizes
         usize = cb.usize
         pays = cb.payloads
-        m = len(self.streams)
-        others = others_table(m)
+        others = self._others
         total = 0
-        if window is None and not materialize and sizes is None and pays is None:
-            # Hot path: uniform sizes, no payloads, count-only probes — no
-            # results to order, so the batch's pid-segmented storage order
-            # is the processing order (counting only ever interacts
-            # *within* a partition group, and segments preserve both the
-            # within-pid arrival order and the first-occurrence group
-            # creation order).  Per segment: bind the count table once,
-            # run one tight loop over the column slice, then hand the
-            # group a single chunk *reference* into the batch's columns —
-            # the rows are spliced into the group's buffers lazily, by
-            # ``ColumnarPartitionGroup._consolidate``, only if something
-            # (index build, purge, freeze, materialisation) ever reads
-            # them — and flush accounting in one update.
-            added = 0
-            pair = _PAIRS3 if m == 3 else None
-            colhot = self._colhot
-            colhot_get = colhot.get
-            touch = self._touch
-            for pid, start, end in cb.segments:
-                ctx = colhot_get(pid)
-                if ctx is None:
-                    grp = groups.get(pid)
-                    if grp is None:
-                        grp = self.group(pid, now=now)
-                    counts = grp._counts
-                    colhot[pid] = ctx = (grp, counts, counts.get,
-                                         grp._chunks.append)
-                grp, counts, counts_get, add_chunk = ctx
-                if grp.row_size is None:
-                    if grp._usize < 0:
-                        grp._usize = usize
-                    elif grp._usize != usize:
-                        # existing rows were recorded at another uniform
-                        # size; switch to an explicit size column first
-                        grp.promote_sizes()
-                out = 0
-                if pair is not None:
-                    for i in range(start, end):
-                        key = keys[i]
-                        sid = sids[i]
-                        c = counts_get(key)
-                        if c is None:
-                            counts[key] = c = [0, 0, 0]
-                        else:
-                            j0, j1 = pair[sid]
-                            out += c[j0] * c[j1]
-                        c[sid] += 1
-                else:
-                    for i in range(start, end):
-                        key = keys[i]
-                        sid = sids[i]
-                        c = counts_get(key)
-                        if c is None:
-                            counts[key] = c = [0] * m
-                        else:
-                            count = 1
-                            for j in others[sid]:
-                                count *= c[j]
-                            out += count
-                        c[sid] += 1
-                nrows = end - start
-                add_chunk((sids, seqs, keys, tss, start, end, usize))
-                grp.tuple_count += nrows
-                nbytes = nrows * usize
-                grp.size_bytes += nbytes
-                grp.output_count += out
-                added += nbytes
-                total += out
-                touch(pid, nrows)
-            if added:
-                self.machine.allocate(added)
-                self.total_bytes += added
-            self.outputs_total += total
-            self.tuples_processed += n
-            return total, []
-        # General path: per-row sizes/payloads, windows or materialisation.
-        # Result order is observable here, so rows are processed in arrival
-        # order (through ``perm``); column-native throughout — matches are
-        # recorded, not boxed.
         records: list[ProbeRecord] = []
         perm = cb.perm
         added = 0

@@ -220,16 +220,19 @@ class Histogram(_Instrument):
 
     def __init__(self, family: "_Family", labels: tuple[tuple[str, str], ...]) -> None:
         super().__init__(family, labels)
+        self._buckets = family.buckets
         self.bucket_counts = [0] * (len(family.buckets) + 1)  # + the +Inf bucket
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float, *, ts: float | None = None) -> None:
-        idx = bisect.bisect_left(self.family.buckets, value)
-        self.bucket_counts[idx] += 1
+        self.bucket_counts[bisect.bisect_left(self._buckets, value)] += 1
         self.sum += value
         self.count += 1
-        self._stamp(ts)
+        if ts is None:
+            self._stamp(None)
+        else:  # the per-batch data path: three of these per delivery
+            self.last_ts = ts
 
     def set_counts(self, bucket_counts, *, sum: float, count: int,
                    ts: float | None = None) -> None:

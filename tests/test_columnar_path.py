@@ -12,8 +12,10 @@ against its row-format twin, and column delivery against row delivery
 over full deployments — down to the stored columns.
 """
 
+import gc
 import math
 import random
+import sys
 from collections import defaultdict, deque
 
 import pytest
@@ -259,6 +261,36 @@ class TestStoreColumnarEquivalence:
         assert run(lambda i: list(ENTRY_POINTS)[i % 3]) == want
 
 
+def test_count_only_delivery_keeps_nothing_of_the_batch():
+    """The hot path copies rows; it does not park references.  After a
+    delivery nothing in the store points at the batch's columns, and what
+    the collector tracks grows with groups and distinct keys, never with
+    the number of batches delivered."""
+    n_batches, n_partitions, key_range = 3000, 4, 8
+    store = fresh_store()
+    rng = random.Random(5)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    for seq in range(n_batches):
+        keys = [rng.randrange(key_range) for _ in range(2)]
+        cb = ColumnBatch.from_routed(
+            [(key % n_partitions, StreamTuple(STREAMS[seq % 3], 2 * seq + i,
+                                              key, float(seq)))
+             for i, key in enumerate(keys)], STREAMS)
+        held = [sys.getrefcount(col) for col in (cb.sids, cb.seqs, cb.keys, cb.ts)]
+        store.probe_insert_columns(cb)
+        assert held == [sys.getrefcount(col)
+                        for col in (cb.sids, cb.seqs, cb.keys, cb.ts)]
+    del cb
+    gc.collect()
+    assert store.tuples_processed == 2 * n_batches
+    assert sum(len(g.row_sid) for g in store.groups()) == 2 * n_batches
+    # per group: the group, its buffers, tables and hot-loop context; per
+    # (group, key): one count row — two orders of magnitude under one
+    # object per batch
+    assert len(gc.get_objects()) - tracked <= 16 * n_partitions + 2 * key_range
+
+
 class TestZeroCopySnapshots:
     def test_snapshot_is_immune_to_later_appends_and_purges(self):
         batches = synth_batches(600)
@@ -332,14 +364,16 @@ WINDOW_OPS = st.lists(
         st.tuples(st.just("row"), st.integers(0, 3), st.integers(0, 1),
                   st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.5, 1.0]),
                             st.tuples(GRID_TS))),
-        # unwindowed count-only batch: rows parked as ``_consolidate`` chunks
-        st.tuples(st.just("chunk"), st.lists(
+        # unwindowed count-only batch: the hot path copies its rows onto the
+        # buffers, under a live index if an earlier probe built one
+        st.tuples(st.just("batch"), st.lists(
             st.tuples(st.integers(0, 3), st.integers(0, 1),
                       st.one_of(st.sampled_from([0.0, 0.1, 0.5]),
                                 st.tuples(GRID_TS))),
             min_size=1, max_size=5)),
         st.tuples(st.just("purge"), st.sampled_from([0.5, 1.0, 2.0])),
         st.tuples(st.just("thaw")),
+        st.tuples(st.just("promote"), st.sampled_from(["sizes", "payloads"])),
     ),
     min_size=1, max_size=40,
 )
@@ -395,7 +429,7 @@ def windowed_probe_twins(m, window, ops):
             store.probe_insert_columns(
                 ColumnBatch.from_routed([(0, tup)], streams), window=window)
             twin.insert(tup)
-        elif op[0] == "chunk":
+        elif op[0] == "batch":
             rows = [make(*draw) for draw in op[1]]
             store.probe_insert_columns(
                 ColumnBatch.from_routed([(0, t) for t in rows], streams))
@@ -407,6 +441,12 @@ def windowed_probe_twins(m, window, ops):
         elif op[0] == "thaw":
             for frozen in store.evict([0]):  # freeze(share=True) → thaw
                 store.install(frozen)
+        elif op[0] == "promote" and group is not None:
+            getattr(group, f"promote_{op[1]}")()
+        group = store.peek(0)
+        if group is not None:  # explicit columns stay one entry per row
+            for column in (group.row_size, group.row_payload):
+                assert column is None or len(column) == len(group.row_sid)
     return flag_values
 
 
@@ -439,11 +479,11 @@ class TestWindowProbe:
         late = in_order + [("row", 1, 0, (0.3,)), ("row", 2, 0, 0.1),
                            ("row", 0, 0, 0.1)]
         assert windowed_probe_twins(3, 1.0, late) == {True, False}
-        # consolidating a parked chunk into a live index observes it too
-        chunked = in_order + [("chunk", [(1, 0, 0.1)]), ("row", 0, 0, 0.0)]
-        assert windowed_probe_twins(3, 1.0, chunked) == {True}
-        chunked += [("chunk", [(1, 0, (0.3,))]), ("row", 0, 0, 0.1)]
-        assert windowed_probe_twins(3, 1.0, chunked) == {True, False}
+        # a count-only batch appended under a live index observes it too
+        batched = in_order + [("batch", [(1, 0, 0.1)]), ("row", 0, 0, 0.0)]
+        assert windowed_probe_twins(3, 1.0, batched) == {True}
+        batched += [("batch", [(1, 0, (0.3,))]), ("row", 0, 0, 0.1)]
+        assert windowed_probe_twins(3, 1.0, batched) == {True, False}
         group = ColumnarPartitionGroup(0, STREAMS)
         for seq, ts in enumerate([1.0, 2.0, 0.2, 3.0]):
             group.insert(StreamTuple("B", seq, 5, ts))
@@ -453,6 +493,20 @@ class TestWindowProbe:
         group.purge_older_than(0.5)
         assert group.probe_windowed_count(0, 5, 3.0, 1.0) == 8
         assert group._ordered
+
+    @pytest.mark.parametrize("column", ["sizes", "payloads"])
+    def test_count_only_batch_lands_on_a_promoted_column(self, column):
+        """A count-only segment appended to a group whose sizes / payloads
+        are explicit columns extends that column too, index live or not:
+        the windowed materialising probes that read the rows afterwards
+        (before and after a freeze → thaw) agree with the twin, sizes and
+        payloads included."""
+        rows = [("row", sid, 0, 0.5) for sid in (0, 1, 2)]
+        for before in ([("batch", [(0, 0, 0.0)])], rows):  # no index / live
+            ops = (before
+                   + [("promote", column), ("batch", [(1, 0, 0.1), (2, 0, 0.0)])]
+                   + rows + [("thaw",), ("batch", [(0, 0, 0.0)])] + rows)
+            windowed_probe_twins(3, 1.0, ops)
 
     def test_ordered_probe_touches_a_logarithm_of_the_bucket(self, monkeypatch):
         """10 000 rows under one key per input, a window that holds three

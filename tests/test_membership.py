@@ -109,6 +109,8 @@ class TestCancelledEventCompaction:
             event.cancel()
         assert sim.compactions >= 1
         assert len(sim._heap) < 150  # cancelled entries physically removed
+        assert sum(event.cancelled for _, _, event in sim._heap) == (
+            len(sim._heap) - 50)  # ... and the rest are the live ones
         assert sim.pending == 50
         sim.run()
         assert fired == list(range(150, 200))  # order preserved
@@ -121,6 +123,7 @@ class TestCancelledEventCompaction:
             timer.reset()
         # pre-fix: 501 entries (500 cancelled); post-fix: bounded
         assert len(sim._heap) < 150
+        assert sum(not event.cancelled for _, _, event in sim._heap) == 1
         assert sim.pending == 1
         assert sim.compactions >= 1
         timer.stop()

@@ -217,7 +217,9 @@ class LazyBatchMachine(RuleBasedStateMachine):
 
     @rule(draws=ROWS)
     def count_only_batch(self, draws):
-        """Hot path: rows are parked as chunks until ``_consolidate``."""
+        """Hot path: the rows are copied onto the buffers at once — past
+        the bounds of every record captured so far, and into the per-key
+        buckets of a live index that later materialising probes alias."""
         routed = self.make_rows(draws, plain=True)
         self.store.probe_insert_columns(
             ColumnBatch.from_routed(routed, STREAMS))
@@ -279,6 +281,24 @@ class LazyBatchMachine(RuleBasedStateMachine):
             assert len(batch) == len(expected)
             assert list(batch) == expected  # idents, order, sizes, payloads
             assert [r.ident for r in batch] == [r.ident for r in expected]
+
+
+@pytest.mark.parametrize("payloads", [False, True])
+def test_count_only_batch_after_a_promotion_reads_back_right(payloads):
+    """A count-only segment landing on a group whose sizes / payloads were
+    promoted to explicit columns: batches captured before it still read as
+    they did then, and a materialising probe after it sees the new rows."""
+    machine = LazyBatchMachine()
+    key_rows = [(stream, 1, 0.5) for stream in STREAMS]
+    machine.materialising_batch(key_rows, None, True)  # builds the index
+    machine.promote(1 % N_PIDS, payloads)
+    machine.count_only_batch(key_rows + key_rows)
+    machine.materialising_batch(key_rows, 4.0, False)
+    machine.state_matches_twins()
+    group = machine.store.peek(1 % N_PIDS)
+    column = group.row_payload if payloads else group.row_size
+    assert len(column) == len(group.row_sid) == 12
+    machine.teardown()
 
 
 TestLazyBatchSnapshotStability = LazyBatchMachine.TestCase

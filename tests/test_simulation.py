@@ -21,6 +21,25 @@ class TestScheduling:
         sim.run()
         assert fired == ["x", "y", "z"]
 
+    def test_same_instant_order_never_compares_the_events(self, sim):
+        """1 000 events at one instant whose callbacks and arguments have
+        no ordering (lambdas, dicts): the heap settles them on (time, seq)
+        alone, through a compaction too."""
+        assert Event.__lt__ is object.__lt__
+        fired = []
+        events = [
+            sim.schedule_at(1.0, lambda tag, i=i: fired.append((i, tag["i"])),
+                            {"i": i})
+            for i in range(1000)
+        ]
+        for event in events:
+            if event.seq % 3:
+                event.cancel()
+        assert sim.compactions >= 1
+        assert sim.pending == 334
+        sim.run()
+        assert fired == [(i, i) for i in range(0, 1000, 3)]
+
     def test_clock_advances_to_event_time(self, sim):
         sim.schedule(2.5, lambda: None)
         sim.run()
