@@ -295,12 +295,8 @@ def bench_serialize(n_tuples: int, batch_size: int, repeats: int) -> dict:
     group (spill/relocation pack) and install the evicted snapshots into a
     fresh store.
 
-    Snapshots copy (or, on evict, steal) flat column buffers.  The column
-    ingest defers splicing batch chunks into the group buffers until the
-    first reader; a warm-up snapshot pass flushes that deferred *ingest*
-    work during setup so the timed cycle measures serialization in the
-    steady state (periodic checkpoints keep real groups consolidated),
-    not a tail of insert-side cost.
+    Snapshots share (or, on evict, steal) the flat column buffers and the
+    install copies them — typed arrays, so bytes, not references.
     """
     batches = synth_batches(n_tuples, batch_size=batch_size, n_partitions=32)
     streams = ("A", "B", "C")
@@ -312,8 +308,6 @@ def bench_serialize(n_tuples: int, batch_size: int, repeats: int) -> dict:
         for cb in column_batches:
             store.probe_insert_columns(cb)
         receiver = StateStore(Machine(sim, "dst"), streams)
-        for pid in store.partition_ids():  # consolidate deferred ingest
-            store.state_of(pid)
         pids = store.partition_ids()
         # one snapshot pass + one evict pass + one install pass
         cycle_bytes = 3 * store.total_bytes

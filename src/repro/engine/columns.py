@@ -15,7 +15,8 @@ columnar path delivers columns as well:
     to a scalar/``None`` instead of a column.
 
 ``ColumnarPartitionGroup``
-    The live partition group: row-major append-only columns plus a per-key
+    The live partition group: row-major append-only columns (typed
+    ``array`` buffers, no object per stored value) plus a per-key
     match-count table ``{key: [count per stream]}``
     (:class:`~repro.engine.partitions.PartitionGroup` is its row-format
     reference twin).  The unwindowed count-only probe — the hot path — is
@@ -52,6 +53,7 @@ so results and statistics are byte-identical to the row-format twin's.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from itertools import product
@@ -59,6 +61,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.engine.partitions import GROUP_OVERHEAD_BYTES
 from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
+
+#: Most input streams a group can hold: ``row_sid`` is a signed-byte array.
+MAX_STREAMS = 127
 
 _OTHERS_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -287,10 +292,16 @@ class ColumnarPartitionGroup:
 
     Same interface and observable behaviour as
     :class:`~repro.engine.partitions.PartitionGroup`; the storage is
-    row-major append-only columns (``row_sid``/``row_seq``/``row_key``/
-    ``row_ts`` plus optional ``row_size``/``row_payload``) and a per-key
-    count table ``_counts[key][sid]`` that makes the unwindowed count-only
-    probe O(m) with no tuple objects.  Every insert — one row
+    row-major append-only columns and a per-key count table
+    ``_counts[key][sid]`` that makes the unwindowed count-only probe O(m)
+    with no tuple objects.  The columns are typed arrays — ``row_sid``
+    ``'b'``, ``row_seq``/``row_key`` ``'q'``, ``row_ts`` ``'d'``, the
+    optional ``row_size`` ``'q'`` — so a stored row costs the 25 bytes its
+    values need and holds no Python object (``row_payload``, when present,
+    is a list: payloads are objects).  That fixes the domain: at most
+    :data:`MAX_STREAMS` inputs, keys/seqs/sizes within signed 64 bits —
+    a value outside it raises ``OverflowError`` and leaves the group as it
+    was.  Every insert — one row
     (:meth:`insert_cols`) or a batch segment (:meth:`append_rows`) — lands
     in the buffers at once: the buffers always hold ``tuple_count`` rows,
     and nothing outside the group is referenced from it.
@@ -331,6 +342,12 @@ class ColumnarPartitionGroup:
             raise ValueError("a partition group needs at least two input streams")
         if len(set(streams)) != len(streams):
             raise ValueError(f"duplicate stream names in {streams!r}")
+        if len(streams) > MAX_STREAMS:
+            raise ValueError(
+                f"a partition group holds at most {MAX_STREAMS} input "
+                f"streams (the stream-index column is a signed byte), "
+                f"got {len(streams)}"
+            )
         self.pid = pid
         self.streams = streams
         self.generation = generation
@@ -338,12 +355,12 @@ class ColumnarPartitionGroup:
         self.size_bytes = GROUP_OVERHEAD_BYTES
         self.tuple_count = 0
         self.output_count = 0
-        self.row_sid: list[int] = []
-        self.row_seq: list[int] = []
-        self.row_key: list[int] = []
-        self.row_ts: list[float] = []
+        self.row_sid = array("b")
+        self.row_seq = array("q")
+        self.row_key = array("q")
+        self.row_ts = array("d")
         #: Per-row sizes, or ``None`` while every row shares ``_usize``.
-        self.row_size: list[int] | None = None
+        self.row_size: array | None = None
         self._usize = -1
         #: Per-row payloads, or ``None`` while every payload is empty.
         self.row_payload: list[tuple] | None = None
@@ -387,14 +404,24 @@ class ColumnarPartitionGroup:
         copied, so nothing of the batch outlives its delivery.
         """
         base = len(self.row_sid)
-        self.row_sid += sids[start:end]
-        self.row_seq += seqs[start:end]
-        self.row_key += keys[start:end]
-        self.row_ts += tss[start:end]
-        if self.row_size is not None:
-            self.row_size += [usize] * (end - start)
-        if self.row_payload is not None:
-            self.row_payload += [()] * (end - start)
+        try:
+            # ``fromlist`` of a slice, not ``extend``: ``extend`` takes the
+            # generic-iterator route for a list and costs twice as much
+            # at the 1-3 rows a segment of a small batch holds
+            self.row_sid.fromlist(sids[start:end])
+            self.row_seq.fromlist(seqs[start:end])
+            self.row_key.fromlist(keys[start:end])
+            self.row_ts.fromlist(tss[start:end])
+            if self.row_size is not None:
+                self.row_size.fromlist([usize] * (end - start))
+            if self.row_payload is not None:
+                self.row_payload += [()] * (end - start)
+        except BaseException:
+            # a value outside its column's domain (key or seq beyond 64
+            # bits) raises after earlier columns grew: keep them aligned.
+            # The index only sees rows every column accepted.
+            self._truncate(base)
+            raise
         index = self._index
         if index is not None:
             row_ts = self.row_ts
@@ -407,12 +434,19 @@ class ColumnarPartitionGroup:
                         self._ordered = False
                     bucket.append(row)
 
-    def promote_sizes(self) -> list[int]:
+    def _truncate(self, nrows: int) -> None:
+        """Cut every row buffer back to ``nrows`` rows (a failed append)."""
+        for column in (self.row_sid, self.row_seq, self.row_key, self.row_ts,
+                       self.row_size, self.row_payload):
+            if column is not None:
+                del column[nrows:]
+
+    def promote_sizes(self) -> array:
         """Switch from the uniform-size scalar to an explicit size column."""
         rs = self.row_size
         if rs is None:
             usize = self._usize if self._usize >= 0 else 0
-            self.row_size = rs = [usize] * len(self.row_sid)
+            self.row_size = rs = array("q", (usize,)) * len(self.row_sid)
         return rs
 
     def promote_payloads(self) -> list[tuple]:
@@ -425,24 +459,31 @@ class ColumnarPartitionGroup:
     def insert_cols(self, sid: int, seq: int, key: int, ts: float,
                     size: int, payload: tuple) -> None:
         """Append one row given already-decomposed attribute values."""
-        self.row_sid.append(sid)
-        self.row_seq.append(seq)
-        self.row_key.append(key)
-        self.row_ts.append(ts)
-        rs = self.row_size
-        if rs is not None:
-            rs.append(size)
-        elif self._usize < 0:
-            self._usize = size
-        elif size != self._usize:
-            rs = [self._usize] * (len(self.row_sid) - 1)
-            rs.append(size)
-            self.row_size = rs
+        row = len(self.row_sid)
+        try:
+            self.row_sid.append(sid)
+            self.row_seq.append(seq)
+            self.row_key.append(key)
+            self.row_ts.append(ts)
+            rs = self.row_size
+            if rs is not None:
+                rs.append(size)
+            elif self._usize < 0:
+                self._usize = size
+            elif size != self._usize:
+                rs = array("q", (self._usize,)) * row
+                rs.append(size)
+                self.row_size = rs
+        except BaseException:
+            # a value outside its column's domain (key, seq or size beyond
+            # 64 bits) raises after earlier columns grew: keep them aligned
+            self._truncate(row)
+            raise
         rp = self.row_payload
         if rp is not None:
             rp.append(payload)
         elif payload:
-            rp = [()] * (len(self.row_sid) - 1)
+            rp = [()] * row
             rp.append(payload)
             self.row_payload = rp
         c = self._counts.get(key)
@@ -453,11 +494,11 @@ class ColumnarPartitionGroup:
         if index is not None:
             bucket = index[sid].get(key)
             if bucket is None:
-                index[sid][key] = [len(self.row_sid) - 1]
+                index[sid][key] = [row]
             else:
                 if self.row_ts[bucket[-1]] > ts:
                     self._ordered = False
-                bucket.append(len(self.row_sid) - 1)
+                bucket.append(row)
         self.tuple_count += 1
         self.size_bytes += size
 
@@ -694,11 +735,13 @@ class ColumnarPartitionGroup:
             freed = dropped * (self._usize if self._usize >= 0 else 0)
         else:
             freed = sum(rs[row] for row in range(n) if row_ts[row] < horizon)
-            self.row_size = [rs[row] for row in keep]
-        self.row_sid = [self.row_sid[row] for row in keep]
-        self.row_seq = [self.row_seq[row] for row in keep]
-        self.row_key = [self.row_key[row] for row in keep]
-        self.row_ts = [row_ts[row] for row in keep]
+            self.row_size = array("q", [rs[row] for row in keep])
+        # replacement arrays, never an in-place edit: snapshots and probe
+        # records keep reading the superseded ones
+        self.row_sid = array("b", [self.row_sid[row] for row in keep])
+        self.row_seq = array("q", [self.row_seq[row] for row in keep])
+        self.row_key = array("q", [self.row_key[row] for row in keep])
+        self.row_ts = array("d", [row_ts[row] for row in keep])
         rp = self.row_payload
         if rp is not None:
             self.row_payload = [rp[row] for row in keep]
@@ -755,11 +798,11 @@ class ColumnarPartitionGroup:
         """Snapshot the column buffers without copying them.
 
         The columns are append-only: live mutation either appends past the
-        current length or (purge) swaps in replacement lists.  A snapshot
+        current length or (purge) swaps in replacement arrays.  A snapshot
         can therefore *share* the live buffers and record only the row
         count at freeze time — later appends land beyond that bound and
         stay invisible to the snapshot, and a purge leaves the snapshot
-        holding the superseded lists.  Checkpoints and ``state_of`` get
+        holding the superseded arrays.  Checkpoints and ``state_of`` get
         O(keys) snapshots (only the in-place-mutated count table is
         copied); evict (``share=True``, the live group is discarded
         immediately after) additionally keeps the count table itself.
@@ -788,7 +831,8 @@ class ColumnarPartitionGroup:
              ) -> "ColumnarPartitionGroup":
         """Rebuild a live group from a snapshot.
 
-        Columnar snapshots thaw by copying the column buffers; row-format
+        Columnar snapshots thaw by copying the column buffers (a bounded
+        slice of a typed array: one ``memcpy`` a column); row-format
         :class:`~repro.engine.partitions.FrozenPartitionGroup` snapshots
         (the children of a split, the parent of a merge) fall back to
         per-tuple inserts.
@@ -830,11 +874,14 @@ class FrozenColumnGroup:
     """Immutable columnar snapshot of a partition group.
 
     The payload is the raw column buffers; serialization paths (spill
-    segments, relocation transfers, checkpoint snapshots) carry these lists
-    as-is.  The buffers may be *shared* with a live group that keeps
+    segments, relocation transfers, checkpoint snapshots) carry these typed
+    arrays as-is.  The buffers may be *shared* with a live group that keeps
     appending — ``nrows`` records the snapshot's row-count bound, and every
     reader stays below it (appends are the only in-place buffer mutation;
-    purge swaps in replacement lists, leaving the snapshot intact).
+    purge swaps in replacement arrays, leaving the snapshot intact).  The
+    sharing is of the array *objects*, read by index: nothing may export a
+    ``memoryview`` over one, which would make the live group's next append
+    raise ``BufferError``.
     ``.data`` lazily materialises the row-format bucket view —
     ``{stream: {key: (StreamTuple, ...)}}`` — for the cleanup merge and the
     split/merge/rebucket transforms; nothing on the spill/checkpoint write
@@ -856,11 +903,11 @@ class FrozenColumnGroup:
         self.tuple_count = tuple_count
         self.output_count = output_count
         self.nrows = nrows
-        self.row_sid = row_sid
-        self.row_seq = row_seq
-        self.row_key = row_key
-        self.row_ts = row_ts
-        self.row_size = row_size
+        self.row_sid: array = row_sid  # 'b'
+        self.row_seq: array = row_seq  # 'q'
+        self.row_key: array = row_key  # 'q'
+        self.row_ts: array = row_ts  # 'd'
+        self.row_size: array | None = row_size  # 'q'
         self.usize = usize
         self.row_payload = row_payload
         self.counts = counts
@@ -953,7 +1000,7 @@ class ProbeRecord(NamedTuple):
     matching row list with the length it had then.  The
     :class:`FrozenColumnGroup` argument makes the alias a snapshot: the
     buffers and the per-key row buckets only ever grow by appends, which
-    land beyond the recorded bounds, and a purge swaps in new lists (and a
+    land beyond the recorded bounds, and a purge swaps in new arrays (and a
     new cache) instead of editing the old ones.  ``row_size`` /
     ``row_payload`` recorded as ``None`` mean every row below the bounds
     had size ``usize`` / an empty payload, which a later promotion to an
@@ -970,9 +1017,9 @@ class ProbeRecord(NamedTuple):
     payload: tuple
     window: float | None
     streams: tuple[str, ...]
-    row_seq: list[int]
-    row_ts: list[float]
-    row_size: list[int] | None
+    row_seq: array  # 'q'
+    row_ts: array  # 'd'
+    row_size: array | None  # 'q'
     usize: int
     row_payload: list[tuple] | None
     mat: dict[int, StreamTuple]

@@ -397,6 +397,9 @@ class StateStore:
                     # existing rows were recorded at another uniform
                     # size; switch to an explicit size column first
                     grp.promote_sizes()
+            # rows first: a value the typed columns reject raises here,
+            # before the count table or any statistic has moved
+            grp.append_rows(sids, seqs, keys, tss, start, end, usize)
             out = 0
             if pair is not None:
                 for i in range(start, end):
@@ -423,7 +426,6 @@ class StateStore:
                             count *= c[j]
                         out += count
                     c[sid] += 1
-            grp.append_rows(sids, seqs, keys, tss, start, end, usize)
             nrows = end - start
             nbytes = nrows * usize
             grp.tuple_count += nrows

@@ -43,6 +43,8 @@ from repro.core.config import CheckpointMode, CheckpointTarget
 from repro.recovery.protocol import TrimRequest, TupleIdent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from array import array
+
     from repro.cluster.disk import Disk
     from repro.cluster.machine import Machine
     from repro.obs.hub import ObsHub
@@ -258,7 +260,7 @@ class CheckpointManager:
         #: bound of the last snapshot a trim was sent for.  The buffer is a
         #: held reference, so "the next snapshot shares it" is an ``is``
         #: test that no recycled ``id()`` can fool.
-        self._trim_marks: dict[int, tuple[list, int]] = {}
+        self._trim_marks: dict[int, tuple[array, int]] = {}
         #: spill segments a trim was already sent for, by ``id()`` (held
         #: for the same reason): a segment is immutable
         self._trimmed_segments: dict[int, object] = {}

@@ -16,6 +16,7 @@ import gc
 import math
 import random
 import sys
+from array import array
 from collections import defaultdict, deque
 
 import pytest
@@ -345,6 +346,221 @@ class TestZeroCopySnapshots:
 
 
 # ----------------------------------------------------------------------
+# Stored rows are unboxed: the row buffers are typed arrays by every route
+# ----------------------------------------------------------------------
+ROW_BUFFERS = (("row_sid", "b"), ("row_seq", "q"), ("row_key", "q"),
+               ("row_ts", "d"))
+
+
+def assert_typed_buffers(group):
+    for name, typecode in ROW_BUFFERS:
+        buf = getattr(group, name)
+        assert type(buf) is array and buf.typecode == typecode, name
+        assert len(buf) == group.tuple_count, name
+    if group.row_size is not None:
+        assert type(group.row_size) is array
+        assert group.row_size.typecode == "q"
+        assert len(group.row_size) == group.tuple_count
+    if group.row_payload is not None:
+        assert len(group.row_payload) == group.tuple_count
+
+
+def row_buffer_bytes(group):
+    """Host bytes allocated (not merely used) for the four row buffers."""
+    return sum(buf.buffer_info()[1] * buf.itemsize
+               for buf in (getattr(group, name) for name, __ in ROW_BUFFERS))
+
+
+def one_group_store(entry="columns", n=10_000, **kwargs):
+    """A store whose single group holds ``n`` rows delivered by ``entry``."""
+    store = fresh_store()
+    run_entry(entry, store, synth_batches(n, n_partitions=1, key_range=2500),
+              **kwargs)
+    return store
+
+
+def split_children():
+    store = one_group_store()
+    store.split_group(0, (8, 9), lambda key: key % 2)
+    return store
+
+
+def merged_parent():
+    store = split_children()
+    store.merge_groups((8, 9), 0)
+    return store
+
+
+def thawed_from_columns():
+    store = one_group_store()
+    for frozen in store.evict([0]):
+        store.install(frozen)
+    return store
+
+
+def purged():
+    store = one_group_store(n=20_000)
+    assert store.purge_window(5_000.0) == 10_000
+    return store
+
+
+def promoted_by_call():
+    store = one_group_store()
+    store.peek(0).promote_sizes()
+    return store
+
+
+def promoted_by_a_second_size():
+    store = one_group_store(n=9_999)
+    store.probe_insert(0, StreamTuple("A", 9_999, 1, 5_000.0, size=80))
+    return store
+
+
+TYPED_ROUTES = {
+    "count-only column delivery": one_group_store,
+    "row insert": lambda: one_group_store("tuple"),
+    "windowed _probe_insert_rows": lambda: one_group_store(window=2.0),
+    "materialising _probe_insert_rows": lambda: one_group_store(
+        materialize=True),
+    "thaw of a FrozenColumnGroup": thawed_from_columns,
+    "split children (row-format thaw)": split_children,
+    "merge parent (row-format thaw)": merged_parent,
+    "purge_older_than": purged,
+    "promote_sizes": promoted_by_call,
+    "second size through insert_cols": promoted_by_a_second_size,
+}
+
+
+class TestTypedBuffers:
+    @pytest.mark.parametrize("route", TYPED_ROUTES)
+    def test_row_buffers_are_typed_arrays_by_every_route(self, route):
+        store = TYPED_ROUTES[route]()
+        groups = list(store.groups())
+        assert sum(group.tuple_count for group in groups) == 10_000
+        for group in groups:
+            assert_typed_buffers(group)
+            # and snapshots share them
+            assert store.state_of(group.pid).row_seq is group.row_seq
+        # 25 bytes of values a row, plus the arrays' over-allocation
+        assert sum(map(row_buffer_bytes, groups)) <= 32 * 10_000
+        if route.startswith(("promote", "second size")):
+            assert groups[0].row_size is not None
+
+    def test_snapshot_and_unread_batch_survive_reallocation_and_purge(self):
+        """A checkpoint-style snapshot and a materialising batch nobody
+        has read alias the live arrays by object and read them by index,
+        so the buffers moving in memory (appends) or being superseded
+        (purge) changes nothing they see."""
+        batches = synth_batches(6_000, n_partitions=1, key_range=40)
+        store = fresh_store()
+        twin = PartitionGroup(0, STREAMS)
+        for batch in batches[:4]:
+            store.probe_insert_columns(ColumnBatch.from_routed(batch, STREAMS))
+            for __, tup in batch:
+                twin.insert(tup)
+        want_rows = []
+        for __, tup in batches[4]:
+            want_rows.extend(twin.probe(tup, materialize=True)[1])
+            twin.insert(tup)
+        count, lazy = store.probe_insert_columns(
+            ColumnBatch.from_routed(batches[4], STREAMS), materialize=True)
+        assert count == len(want_rows) > 0 and type(lazy) is ResultBatch
+        frozen = store.state_of(0)
+        group = store.peek(0)
+        assert frozen.row_seq is group.row_seq
+        want_idents = frozenset(
+            (t.stream, t.seq) for s in STREAMS for t in twin.tuples_of(s))
+        want_tuples = {s: sorted(twin.tuples_of(s), key=lambda t: t.seq)
+                       for s in STREAMS}
+        assert len(want_idents) == frozen.nrows == 250
+
+        shared = group.row_seq
+        reallocations, allocated = 0, sys.getsizeof(shared)
+        for batch in batches[5:]:
+            store.probe_insert_columns(ColumnBatch.from_routed(batch, STREAMS))
+            if sys.getsizeof(shared) != allocated:
+                reallocations, allocated = (reallocations + 1,
+                                            sys.getsizeof(shared))
+        assert reallocations >= 5 and len(shared) == 6_000
+        assert store.purge_window(50.0) == 100  # drops rows the aliases hold
+        assert store.peek(0).row_seq is not shared
+
+        assert frozen.idents() == want_idents
+        assert {s: list(frozen.tuples_of(s)) for s in STREAMS} == want_tuples
+        assert list(lazy) == want_rows
+        assert [r.ident for r in lazy] == [r.ident for r in want_rows]
+
+    @pytest.mark.parametrize("explicit", [False, True],
+                             ids=["scalar-size", "explicit-columns"])
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["no-index", "live-index"])
+    @pytest.mark.parametrize("bad", ["key", "seq"])
+    @pytest.mark.parametrize("route", ["insert_cols", "segment", "rows"])
+    def test_out_of_domain_value_leaves_everything_as_it_was(
+            self, route, bad, indexed, explicit):
+        """A key or seq beyond signed 64 bits is refused by its column
+        after earlier columns took the row: the group is cut back to where
+        it was — no ragged columns — and nothing else has moved."""
+        batches = synth_batches(400, n_partitions=1)
+        store, reference = fresh_store(), fresh_store()
+        for target in (store, reference):
+            run_entry("columns", target, batches[:4])
+            group = target.peek(0)
+            if explicit:
+                group.promote_sizes()
+                group.promote_payloads()
+            if indexed:
+                group._ensure_index()
+        group = store.peek(0)
+
+        def observed():
+            return (
+                group.tuple_count, group.size_bytes, group.output_count,
+                [len(getattr(group, name)) for name, __ in ROW_BUFFERS],
+                group.row_size and len(group.row_size),
+                group.row_payload and len(group.row_payload),
+                {key: c[:] for key, c in group._counts.items()},
+                # (a windowed probe may build the lazy index on its own)
+                indexed and [{key: rows[:] for key, rows in table.items()}
+                             for table in group._index],
+                store.total_bytes, dict(store.mutations),
+                store.tuples_processed, store.outputs_total,
+                store.machine.memory_used,
+            )
+
+        before = observed()
+        good = StreamTuple("B", 1_000, 3, 200.0)
+        rogue = StreamTuple("A", 2**63 if bad == "seq" else 1_001,
+                            2**63 if bad == "key" else 3, 200.0)
+        with pytest.raises(OverflowError):
+            if route == "insert_cols":
+                group.insert_cols(0, rogue.seq, rogue.key, rogue.ts,
+                                  rogue.size, rogue.payload)
+            elif route == "segment":  # the valid row ahead of it goes too
+                store.probe_insert_columns(ColumnBatch.from_routed(
+                    [(0, good), (0, rogue)], STREAMS))
+            else:
+                store.probe_insert_columns(ColumnBatch.from_routed(
+                    [(0, rogue)], STREAMS), window=50.0)
+        assert observed() == before
+        assert_typed_buffers(group)
+        # ... and the group works: the rest of the stream lands and probes
+        # as in a store that never saw the rogue row
+        for target in (store, reference):
+            run_entry("columns", target, batches[4:6])
+            run_entry("columns", target, batches[6:], window=50.0)
+        assert store_fingerprint(store) == store_fingerprint(reference)
+
+    def test_more_than_127_inputs_are_refused(self):
+        streams = tuple(f"S{i}" for i in range(128))
+        with pytest.raises(ValueError, match="127"):
+            ColumnarPartitionGroup(0, streams)
+        group = ColumnarPartitionGroup(0, streams[:127])
+        group.insert(StreamTuple("S126", 0, 1, 0.0))
+        assert group.row_sid[0] == 126
+
+
+# ----------------------------------------------------------------------
 # Windowed probe: bisected bounds + closed-form count ≡ the row-format scan
 # ----------------------------------------------------------------------
 STREAMS4 = ("A", "B", "C", "D")
@@ -444,9 +660,8 @@ def windowed_probe_twins(m, window, ops):
         elif op[0] == "promote" and group is not None:
             getattr(group, f"promote_{op[1]}")()
         group = store.peek(0)
-        if group is not None:  # explicit columns stay one entry per row
-            for column in (group.row_size, group.row_payload):
-                assert column is None or len(column) == len(group.row_sid)
+        if group is not None:  # typed, and one entry per row in every column
+            assert_typed_buffers(group)
     return flag_values
 
 
@@ -513,12 +728,12 @@ class TestWindowProbe:
         of them: the probe bisects instead of scanning, and counts in
         closed form instead of walking combinations."""
 
-        class CountingList(list):
+        class CountingArray(array):
             reads = 0
 
             def __getitem__(self, index):
-                CountingList.reads += 1
-                return list.__getitem__(self, index)
+                CountingArray.reads += 1
+                return array.__getitem__(self, index)
 
         n = 10_000
         group = ColumnarPartitionGroup(0, STREAMS)
@@ -528,12 +743,12 @@ class TestWindowProbe:
         ts, window = float(n - 1), 2.0
         assert group.probe_windowed_count(0, 7, ts, window) == 9  # index built
         assert group._ordered
-        group.row_ts = CountingList(group.row_ts)
+        group.row_ts = CountingArray("d", group.row_ts)
         monkeypatch.setattr(
             columns, "_window_count",
             lambda *args: pytest.fail("combinations walked"))
         assert group.probe_windowed_count(0, 7, ts, window) == 9
-        per_bucket = CountingList.reads / 2
+        per_bucket = CountingArray.reads / 2
         assert per_bucket <= 2 * math.log2(n)  # a scan would read 10 000
         record = group.probe_record(0, 0, 7, ts, 64, (), window)
         assert record.count == 9
