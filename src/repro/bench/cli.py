@@ -44,12 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated run length in minutes (default 10)")
     parser.add_argument("--threshold-kb", type=float, default=500.0,
                         help="spill threshold per machine in KB (default 500)")
-    parser.add_argument("--data-path", default="batched",
+    parser.add_argument("--data-path", default="columnar",
                         choices=DATA_PATHS,
                         help="delivery representation: per-tuple, "
-                             "micro-batched (default) or columnar "
-                             "structure-of-arrays; results are identical, "
-                             "only wall-clock cost differs")
+                             "micro-batched or columnar structure-of-arrays "
+                             "(default); results are identical, only "
+                             "wall-clock cost differs")
     parser.add_argument("--queries", type=int, default=1,
                         help="run N identical queries on one multi-tenant "
                              "QueryServer (one tenant per query) instead of "
@@ -167,18 +167,29 @@ def parse_assignment(spec: str | None, workers: list[str]) -> dict | None:
     return dict(zip(workers, weights))
 
 
+def _write_artifacts(args, tracer, ledger, registry, *, meta: dict) -> None:
+    """Write whichever of ``--trace`` / ``--trace-chrome`` / ``--ledger`` /
+    ``--metrics`` the run asked for (``meta`` heads the run file)."""
+    if tracer is not None:
+        if args.trace:
+            tracer.write_jsonl(args.trace)
+            print(f"[trace written to {args.trace}]")
+        if args.trace_chrome:
+            tracer.write_chrome(args.trace_chrome)
+            print(f"[chrome trace written to {args.trace_chrome}]")
+    if ledger is not None:
+        from repro.obs.ledger import write_run_jsonl
+
+        write_run_jsonl(args.ledger, ledger=ledger, registry=registry,
+                        meta=meta)
+        print(f"[run file written to {args.ledger}]")
+    if args.metrics:
+        registry.write_prometheus(args.metrics)
+        print(f"[metrics written to {args.metrics}]")
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: run one experiment and print its series + summary.
-
-    ``python -m repro.bench regress`` dispatches to the wall-clock
-    regression micro-benchmarks instead (see :mod:`repro.bench.regress`).
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "regress":
-        from repro.bench.regress import main as regress_main
-
-        return regress_main(argv[1:])
+    """Entry point: run one experiment and print its series + summary."""
     args = build_parser().parse_args(argv)
     if args.list:
         print("strategies:     " + ", ".join(s.value for s in StrategyName))
@@ -233,34 +244,18 @@ def main(argv: list[str] | None = None) -> int:
         slo=slo,
     )
 
-    if tracer is not None:
-        if args.trace:
-            tracer.write_jsonl(args.trace)
-            print(f"[trace written to {args.trace}]")
-        if args.trace_chrome:
-            tracer.write_chrome(args.trace_chrome)
-            print(f"[chrome trace written to {args.trace_chrome}]")
-    if ledger is not None:
-        from repro.obs.ledger import write_run_jsonl
-
-        write_run_jsonl(
-            args.ledger,
-            ledger=ledger,
-            registry=result.deployment.metrics.registry,
-            meta={
-                "strategy": args.strategy,
-                "spill_policy": args.spill_policy,
-                "workers": args.workers,
-                "duration_s": duration,
-                "threshold_bytes": int(args.threshold_kb * 1000),
-                "data_path": args.data_path,
-                "seed": args.seed,
-            },
-        )
-        print(f"[run file written to {args.ledger}]")
-    if args.metrics:
-        result.deployment.metrics.registry.write_prometheus(args.metrics)
-        print(f"[metrics written to {args.metrics}]")
+    _write_artifacts(
+        args, tracer, ledger, result.deployment.metrics.registry,
+        meta={
+            "strategy": args.strategy,
+            "spill_policy": args.spill_policy,
+            "workers": args.workers,
+            "duration_s": duration,
+            "threshold_bytes": int(args.threshold_kb * 1000),
+            "data_path": args.data_path,
+            "seed": args.seed,
+        },
+    )
 
     times = sample_times(duration, sample_interval)
     print(series_table({"outputs": result.outputs}, times))
@@ -359,37 +354,21 @@ def _serving_main(args, workload, duration, sample_interval,
     )
     server = serving.server
 
-    if tracer is not None:
-        if args.trace:
-            tracer.write_jsonl(args.trace)
-            print(f"[trace written to {args.trace}]")
-        if args.trace_chrome:
-            tracer.write_chrome(args.trace_chrome)
-            print(f"[chrome trace written to {args.trace_chrome}]")
-    if ledger is not None:
-        from repro.obs.ledger import write_run_jsonl
-
-        write_run_jsonl(
-            args.ledger,
-            ledger=ledger,
-            registry=server.metrics.registry,
-            meta={
-                "mode": "serving",
-                "queries": args.queries,
-                "fold": args.fold,
-                "strategy": args.strategy,
-                "workers": args.workers,
-                "duration_s": duration,
-                "threshold_bytes": int(args.threshold_kb * 1000),
-                "data_path": args.data_path,
-                "seed": args.seed,
-                "tenants": server.tenant_report(),
-            },
-        )
-        print(f"[run file written to {args.ledger}]")
-    if args.metrics:
-        server.metrics.registry.write_prometheus(args.metrics)
-        print(f"[metrics written to {args.metrics}]")
+    _write_artifacts(
+        args, tracer, ledger, server.metrics.registry,
+        meta={
+            "mode": "serving",
+            "queries": args.queries,
+            "fold": args.fold,
+            "strategy": args.strategy,
+            "workers": args.workers,
+            "duration_s": duration,
+            "threshold_bytes": int(args.threshold_kb * 1000),
+            "data_path": args.data_path,
+            "seed": args.seed,
+            "tenants": server.tenant_report(),
+        },
+    )
 
     for handle in serving.handles:
         line = handle.status

@@ -53,6 +53,35 @@ class RunResult:
         return self.deployment.memory_series(machine).value_at(time)
 
 
+def _latency_hooks(latency: bool, slo):
+    """``(latency, slo)`` after the ``REPRO_LATENCY`` / ``REPRO_SLO``
+    environment hooks; an SLO, argument or hook, implies latency."""
+    if slo is None:
+        env_slo = os.environ.get("REPRO_SLO")
+        if env_slo:
+            from repro.obs.slo import SLOConfig
+
+            slo = SLOConfig(target_p99=float(env_slo))
+    latency = bool(
+        latency or slo is not None or os.environ.get("REPRO_LATENCY")
+    )
+    return latency, slo
+
+
+def _harness_config(strategy, memory_threshold: int,
+                    config_overrides: dict | None) -> AdaptationConfig:
+    """The harness's adaptation cadence with the caller's overrides on top."""
+    overrides = dict(
+        memory_threshold=memory_threshold,
+        ss_interval=5.0,
+        stats_interval=5.0,
+        coordinator_interval=10.0,
+    )
+    if config_overrides:
+        overrides.update(config_overrides)
+    return AdaptationConfig(strategy=StrategyName(strategy), **overrides)
+
+
 def run_experiment(
     label: str,
     workload: WorkloadSpec,
@@ -64,7 +93,7 @@ def run_experiment(
     sample_interval: float = 120.0,
     memory_threshold: int = 3_000_000,
     batch_size: int = 50,
-    data_path: str = "batched",
+    data_path: str = "columnar",
     config_overrides: dict | None = None,
     cost: CostModel | None = None,
     with_cleanup: bool = False,
@@ -80,7 +109,7 @@ def run_experiment(
     This is the single entry point every benchmark uses, so all paper
     experiments share identical wiring and differ only in their declared
     parameters.  ``data_path`` selects the delivery representation —
-    ``tuple``, ``batched`` (default) or ``columnar`` — which changes
+    ``tuple``, ``batched`` or ``columnar`` (default) — which changes
     wall-clock cost only; outputs and adaptation behaviour are identical.
 
     Latency attribution hooks in the ``REPRO_TRACE=check`` style:
@@ -99,25 +128,8 @@ def run_experiment(
             from repro.obs.ledger import DecisionLedger
 
             ledger = DecisionLedger()
-    if not latency and os.environ.get("REPRO_LATENCY"):
-        latency = True
-    if slo is None:
-        env_slo = os.environ.get("REPRO_SLO")
-        if env_slo:
-            from repro.obs.slo import SLOConfig
-
-            slo = SLOConfig(target_p99=float(env_slo))
-    if slo is not None:
-        latency = True
-    overrides = dict(
-        memory_threshold=memory_threshold,
-        ss_interval=5.0,
-        stats_interval=5.0,
-        coordinator_interval=10.0,
-    )
-    if config_overrides:
-        overrides.update(config_overrides)
-    config = AdaptationConfig(strategy=StrategyName(strategy), **overrides)
+    latency, slo = _latency_hooks(latency, slo)
+    config = _harness_config(strategy, memory_threshold, config_overrides)
     deployment = Deployment(
         join=join if join is not None else three_way_join(),
         workload=workload,
@@ -182,7 +194,7 @@ def run_serving(
     duration: float = 120.0,
     sample_interval: float = 10.0,
     memory_threshold: int = 200_000,
-    data_path: str = "batched",
+    data_path: str = "columnar",
     config_overrides: dict | None = None,
     seed: int = 11,
     tenants=None,
@@ -196,25 +208,16 @@ def run_serving(
     """Run ``n_queries`` identical submissions on one :class:`QueryServer`.
 
     The single entry point for multi-tenant scenarios (CLI ``--queries``,
-    the folding regress benchmark, the examples): by default each query
-    belongs to its own tenant ``t1..tN`` with a budget of four nominal
-    demands, and the cluster holds twice the aggregate demand, so every
-    submission admits whether folding is on or off — the interesting
-    difference is *where* the state lives, which
-    ``ServingResult.fold_state_bytes_saved`` reports.
+    the examples): by default each query belongs to its own tenant
+    ``t1..tN`` with a budget of four nominal demands, and the cluster
+    holds twice the aggregate demand, so every submission admits whether
+    folding is on or off — the interesting difference is *where* the
+    state lives, which ``ServingResult.fold_state_bytes_saved`` reports.
     """
     from repro.serving import QueryServer, QuerySpec, Tenant
     from repro.workloads.queries import three_way_join as make_join
 
-    overrides = dict(
-        memory_threshold=memory_threshold,
-        ss_interval=5.0,
-        stats_interval=5.0,
-        coordinator_interval=10.0,
-    )
-    if config_overrides:
-        overrides.update(config_overrides)
-    config = AdaptationConfig(strategy=StrategyName(strategy), **overrides)
+    config = _harness_config(strategy, memory_threshold, config_overrides)
     if workload is None:
         workload = WorkloadSpec.uniform(
             n_partitions=24, join_rate=3.0, tuple_range=3000,
@@ -228,16 +231,7 @@ def run_serving(
         ]
     if cluster_capacity is None:
         cluster_capacity = demand * n_queries * 2
-    if not latency and os.environ.get("REPRO_LATENCY"):
-        latency = True
-    if slo is None:
-        env_slo = os.environ.get("REPRO_SLO")
-        if env_slo:
-            from repro.obs.slo import SLOConfig
-
-            slo = SLOConfig(target_p99=float(env_slo))
-    if slo is not None:
-        latency = True
+    latency, slo = _latency_hooks(latency, slo)
     server = QueryServer(
         tenants,
         cluster_capacity=cluster_capacity,

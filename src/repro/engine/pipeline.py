@@ -370,6 +370,8 @@ class PipelineDeployment:
         """Run the pipeline for ``duration`` simulated seconds + drain."""
         if duration <= 0:
             raise ValueError("duration must be positive")
+        if sample_interval <= 0:
+            raise ValueError("sample_interval must be positive")
         if self._finished:
             raise RuntimeError("pipeline already ran; build a fresh one")
         for source in self.sources:

@@ -91,8 +91,9 @@ class Deployment:
         (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"tuple"`` (rows
         on the wire, probed one by one — the reference entry point),
         ``"batched"`` (rows on the wire, one amortised store call per
-        delivered batch, the default) or ``"columnar"`` (structure-of-arrays
-        column batches built at the source).  Partition-group state is
+        delivered batch) or ``"columnar"`` (structure-of-arrays column
+        batches built at the source; the default, and the delivery every
+        end-to-end benchmark workload times).  Partition-group state is
         columnar under all three — zero-copy spill/relocation/checkpoint
         snapshots included — and all three produce byte-identical outputs
         and traces on the same seed.
@@ -165,7 +166,7 @@ class Deployment:
         payload_fn=None,
         memory_capacity: int | None = None,
         ship_results: bool = False,
-        data_path: str = "batched",
+        data_path: str = "columnar",
         seed: int = 11,
         tracer=None,
         ledger=None,

@@ -109,7 +109,7 @@ class QueryEngine:
         coordinator_name: str = GC_NAME,
         materialize: bool = False,
         app_server: str | None = None,
-        data_path: str = "batched",
+        data_path: str = "columnar",
         seed: int = 11,
         metric_labels: dict[str, str] | None = None,
     ) -> None:
@@ -432,7 +432,7 @@ class QueryEngine:
             # backwards through ``perm`` and stop once every stream has
             # been seen — interleaved sources make this O(#streams), not
             # O(batch), which keeps the enabled-mode overhead inside the
-            # ``latency_overhead`` regress budget.
+            # 5% budget of ``benchmarks/bench_latency_overhead.py``.
             sids, tss, perm = cb.sids, cb.ts, cb.perm
             names = cb.streams
             if sids and sids.count(sids[-1]) == len(sids):  # C speed
@@ -1227,7 +1227,7 @@ class SourceHost:
         record_inputs: bool = False,
         transforms: dict[str, list] | None = None,
         keep_replay_log: bool = False,
-        data_path: str = "batched",
+        data_path: str = "columnar",
         metric_labels: dict[str, str] | None = None,
     ) -> None:
         if not splits:

@@ -347,7 +347,7 @@ class EngineTracker:
             return
         # Deferred LatencySketch.record x3 + cause zeros: this runs once
         # per credited batch and is the bulk of the enabled mode's cost,
-        # gated <5% by the ``latency_overhead`` regress row.
+        # gated <5% by ``benchmarks/bench_latency_overhead.py``.
         fast = self._fast
         fast += (processing, budget, count)
         if len(fast) >= _FOLD_AT:

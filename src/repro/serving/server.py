@@ -75,7 +75,7 @@ class QuerySpec:
     #: nominal admission-control demand in bytes; 0 derives a default
     #: from the adaptation threshold and worker count
     memory_demand: int = 0
-    data_path: str = "batched"
+    data_path: str = "columnar"
     seed: int = 11
     collect_results: bool = True
     assignment: dict[str, float] | None = None

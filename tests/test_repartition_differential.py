@@ -172,6 +172,24 @@ class TestSplitMergeDifferential:
             produced[enabled] = check_against_reference(dep, report)
         assert produced[True] == produced[False]
 
+    def test_split_recovers_throughput_under_memory_pressure(self):
+        """What repartition is for: at half the memory and 6x skew the
+        unsplit monster group is an all-or-nothing spill victim, so
+        productive state rides to disk with it; split into children,
+        victim selection regains granularity.  Simulated, so exact for
+        the seed (22 790 vs 12 423 run-time outputs, 1.83x)."""
+        outputs = {}
+        for enabled in (True, False):
+            dep = build(workload=skewed_workload(weight=6.0),
+                        data_path="columnar", repartition=enabled,
+                        config_overrides=dict(memory_threshold=30_000))
+            dep.run(duration=90, sample_interval=10)
+            if enabled:
+                assert dep.coordinator.repartition.splits_completed > 0
+            assert dep.spill_count > 0, "scenario produced no spill"
+            outputs[enabled] = dep.total_outputs
+        assert outputs[True] >= 1.5 * outputs[False], outputs
+
     def test_same_seed_produces_byte_identical_traces(self):
         """Repartition sessions are deterministic: same seed + config →
         byte-identical trace JSONL, including every protocol event."""

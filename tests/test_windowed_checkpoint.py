@@ -210,10 +210,11 @@ class TestBugReproduction:
             return count, results
 
         monkeypatch.setattr(StateStore, "probe_insert", buggy)
+        # row delivery, probed one by one: everything goes through
+        # probe_insert
         dep = windowed_checkpointed_deployment(crash={"m2": 25.0},
-                                               restart={"m2": 32.0})
-        for engine in dep.engines.values():
-            engine.batched = False  # route everything through probe_insert
+                                               restart={"m2": 32.0},
+                                               data_path="tuple")
         dep.run(duration=60, sample_interval=10)
         report = dep.cleanup(materialize=True)
         with pytest.raises(AssertionError):
