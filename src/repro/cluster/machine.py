@@ -91,6 +91,10 @@ class Task:
         return self.service_time, None
 
 
+#: ``DynamicTask.arg`` when ``begin_fn`` takes no argument
+_NO_ARG = object()
+
+
 class DynamicTask:
     """A unit of CPU work that determines its own service time.
 
@@ -98,23 +102,35 @@ class DynamicTask:
     mutation) and returns ``(service_time, finish)``.  ``finish`` — if not
     ``None`` — runs when the service time has elapsed; it is where outputs
     are handed downstream.
+
+    ``begin_fn`` is called with ``arg`` when one is given, else with no
+    argument.  A data message waits in the queue as a task, so the data
+    handlers pass one handler bound per engine and the message payload
+    instead of a fresh closure: a waiting message is then the task and its
+    payload, not also a function, its closure tuple and a cell per
+    captured name.
     """
 
-    __slots__ = ("begin_fn", "priority", "label")
+    __slots__ = ("begin_fn", "arg", "priority", "label")
 
     def __init__(
         self,
-        begin_fn: Callable[[], BeginResult],
+        begin_fn: Callable[..., BeginResult],
+        arg: object = _NO_ARG,
         *,
         priority: int = PRIORITY_DATA,
         label: str = "",
     ) -> None:
         self.begin_fn = begin_fn
+        self.arg = arg
         self.priority = priority
         self.label = label
 
     def begin(self) -> BeginResult:
-        return self.begin_fn()
+        arg = self.arg
+        if arg is _NO_ARG:
+            return self.begin_fn()
+        return self.begin_fn(arg)
 
 
 class Machine:

@@ -6,13 +6,14 @@ columnar path delivers columns as well:
 
 ``ColumnBatch``
     What travels from a source host to an engine: one flat column per
-    attribute (pid, stream index, seq, key, ts) for a whole routed batch,
-    built once at the source — on the hot path from the generator's own
-    columns (:meth:`ColumnBatch.from_arrivals`), from rows only where rows
+    attribute (stream index, seq, key, ts) for a whole routed batch, rows
+    grouped into per-pid segments, built once at the source — on the hot
+    path from the generator's own columns
+    (:meth:`ColumnBatch.from_arrivals`), from rows only where rows
     already exist (:meth:`ColumnBatch.from_routed`: pause-buffer flush,
-    split/merge re-route, recovery replay).  Uniform tuple sizes and
-    empty payloads — the common case for the paper's benchmarks — collapse
-    to a scalar/``None`` instead of a column.
+    split/merge re-route, recovery replay).  One stream, uniform tuple
+    sizes and empty payloads — the common case for the paper's
+    benchmarks — collapse to a scalar/``None`` instead of a column.
 
 ``ColumnarPartitionGroup``
     The live partition group: row-major append-only columns (typed
@@ -104,28 +105,36 @@ class ColumnBatch:
 
     One flat column per attribute.  ``sids`` holds the per-row index into
     ``streams`` rather than the stream name, so the probe loop works on
-    small ints.  ``sizes``/``payloads`` are ``None`` when all rows share
-    one size (``usize``) / have empty payloads.
+    small ints.  Columns that hold one value collapse to a scalar or
+    ``None``: ``sids`` is ``None`` when every row is of stream ``usid``
+    (always so for a batch cut from one arrival batch; ``usid`` is ``-1``
+    while ``sids`` is a list), ``sizes`` when every row has size
+    ``usize``, ``payloads`` when every payload is empty.
 
     The columns are stored *segmented by partition ID*: ``segments`` is
-    ``[(pid, start, end), ...]`` in first-occurrence order of the pids,
-    and rows of one pid keep their arrival order within their segment.
+    the tuple ``((pid, start, end), ...)`` in first-occurrence order of
+    the pids, and rows of one pid keep their arrival order within their
+    segment — which is also the only place a row's pid is recorded.
     Grouping happens here — once, at the source — so the engine's hot loop
     is pure column slices, with no per-row routing work left.  ``perm``
     maps an *arrival-order* row number to its storage index (``None`` when
     storage order already equals arrival order); order-sensitive consumers
     (windowed/materialising probes, :meth:`iter_routed`) go through it.
+
+    A delivered batch waits in its engine's queue until a task runs it,
+    and on a backlogged 64-machine run tens of thousands wait at once, so
+    it keeps to three short lists for one or two rows.
     """
 
-    __slots__ = ("streams", "pids", "sids", "seqs", "keys", "ts",
+    __slots__ = ("streams", "sids", "usid", "seqs", "keys", "ts",
                  "sizes", "usize", "payloads", "total_size",
                  "segments", "perm")
 
-    def __init__(self, streams, pids, sids, seqs, keys, ts,
+    def __init__(self, streams, sids, usid, seqs, keys, ts,
                  sizes, usize, payloads, total_size, segments, perm):
         self.streams = streams
-        self.pids = pids
         self.sids = sids
+        self.usid = usid
         self.seqs = seqs
         self.keys = keys
         self.ts = ts
@@ -137,7 +146,7 @@ class ColumnBatch:
         self.perm = perm
 
     def __len__(self) -> int:
-        return len(self.pids)
+        return len(self.seqs)
 
     @classmethod
     def from_routed(cls, routed, streams: tuple[str, ...]) -> "ColumnBatch":
@@ -158,7 +167,6 @@ class ColumnBatch:
             else:
                 rows.append(entry)
         n = len(routed)
-        pids: list[int] = []
         sids: list[int] = []
         seqs: list[int] = []
         keys: list[int] = []
@@ -196,12 +204,12 @@ class ColumnBatch:
                     payloads.append(tup.payload)
                 else:
                     payloads.append(())
-            pids.extend([pid] * (storage - start))
             segments.append((pid, start, storage))
+        one_stream = n > 0 and sids.count(sids[0]) == n
         return cls(
             streams=streams,
-            pids=pids,
-            sids=sids,
+            sids=None if one_stream else sids,
+            usid=sids[0] if one_stream else -1,
             seqs=seqs,
             keys=keys,
             ts=tss,
@@ -209,7 +217,7 @@ class ColumnBatch:
             usize=usize if uniform else -1,
             payloads=payloads if any_payload else None,
             total_size=total,
-            segments=segments,
+            segments=tuple(segments),
             perm=None if in_order else perm,
         )
 
@@ -220,28 +228,27 @@ class ColumnBatch:
 
         ``groups`` is ``[(pid, row_indices), ...]`` — the rows of ``batch``
         (stream index ``sid``) routed to one owner, partitions in
-        first-occurrence order, indices ascending.  The result equals
-        :meth:`from_routed` over the same rows in arrival order, without a
-        ``StreamTuple`` ever existing.
+        first-occurrence order, indices ascending, at least one row.  The
+        result equals :meth:`from_routed` over the same rows in arrival
+        order — one stream, so with ``sids`` collapsed to ``usid`` — without
+        a ``StreamTuple`` ever existing.
         """
         if len(groups) == 1:
             pid, idx = groups[0]
             n = len(idx)
-            pids = [pid] * n
-            segments = [(pid, 0, n)]
+            segments = ((pid, 0, n),)
             perm = None
         else:
             idx = []
-            pids = []
-            segments = []
+            spans = []
             in_order = True
             for pid, rows in groups:
                 start = len(idx)
                 if start and rows[0] < idx[-1]:
                     in_order = False
                 idx += rows
-                pids += [pid] * len(rows)
-                segments.append((pid, start, len(idx)))
+                spans.append((pid, start, len(idx)))
+            segments = tuple(spans)
             n = len(idx)
             perm = None if in_order else sorted(range(n), key=idx.__getitem__)
         keys = batch.keys
@@ -255,23 +262,19 @@ class ColumnBatch:
         # positional (``__init__`` order): one of these is built per data
         # message, and twelve keywords are a third of the call
         return cls(
-            streams, pids, [sid] * n,
+            streams, None, sid,
             [seq0 + i for i in idx], [keys[i] for i in idx], [ts[i] for i in idx],
             None, batch.size, payloads, n * batch.size, segments, perm,
         )
 
-    def storage_row(self, row: int) -> int:
-        """Storage index of the ``row``-th tuple in arrival order."""
-        perm = self.perm
-        return row if perm is None else perm[row]
-
     def tuple_at(self, row: int) -> StreamTuple:
         """Materialise the ``row``-th tuple in arrival order."""
         st = self.perm[row] if self.perm is not None else row
+        sids = self.sids
         sizes = self.sizes
         payloads = self.payloads
         return StreamTuple(
-            stream=self.streams[self.sids[st]],
+            stream=self.streams[sids[st] if sids is not None else self.usid],
             seq=self.seqs[st],
             key=self.keys[st],
             ts=self.ts[st],
@@ -279,12 +282,24 @@ class ColumnBatch:
             payload=payloads[st] if payloads is not None else (),
         )
 
+    def arrival_rows(self) -> Iterator[tuple[int, int]]:
+        """``(pid, storage index)`` of every row, in arrival order."""
+        perm = self.perm
+        if perm is None:
+            for pid, start, end in self.segments:
+                for i in range(start, end):
+                    yield pid, i
+            return
+        pid_at = [0] * len(perm)
+        for pid, start, end in self.segments:
+            pid_at[start:end] = [pid] * (end - start)
+        for i in perm:
+            yield pid_at[i], i
+
     def iter_routed(self) -> Iterator[tuple[int, StreamTuple]]:
         """Materialise back into ``(pid, tuple)`` rows, in arrival order."""
-        perm = self.perm
-        for row in range(len(self.pids)):
-            st = perm[row] if perm is not None else row
-            yield self.pids[st], self.tuple_at(row)
+        for row, (pid, __) in enumerate(self.arrival_rows()):
+            yield pid, self.tuple_at(row)
 
 
 class ColumnarPartitionGroup:
@@ -390,9 +405,11 @@ class ColumnarPartitionGroup:
                 f"(expected one of {self.streams!r})"
             ) from None
 
-    def append_rows(self, sids: list[int], seqs: list[int], keys: list[int],
-                    tss: list[float], start: int, end: int, usize: int) -> None:
-        """Copy rows ``start:end`` of a batch's columns onto the row buffers.
+    def append_rows(self, sids: list[int] | None, usid: int, seqs: list[int],
+                    keys: list[int], tss: list[float], start: int, end: int,
+                    usize: int) -> None:
+        """Copy rows ``start:end`` of a batch's columns onto the row buffers
+        (``sids`` ``None``: every row is of stream ``usid``).
 
         The storage half of the count-only hot path
         (:meth:`StateStore.probe_insert_columns
@@ -408,7 +425,8 @@ class ColumnarPartitionGroup:
             # ``fromlist`` of a slice, not ``extend``: ``extend`` takes the
             # generic-iterator route for a list and costs twice as much
             # at the 1-3 rows a segment of a small batch holds
-            self.row_sid.fromlist(sids[start:end])
+            self.row_sid.fromlist(
+                [usid] * (end - start) if sids is None else sids[start:end])
             self.row_seq.fromlist(seqs[start:end])
             self.row_key.fromlist(keys[start:end])
             self.row_ts.fromlist(tss[start:end])
@@ -426,9 +444,10 @@ class ColumnarPartitionGroup:
         if index is not None:
             row_ts = self.row_ts
             for row, i in enumerate(range(start, end), base):
-                bucket = index[sids[i]].get(keys[i])
+                table = index[usid if sids is None else sids[i]]
+                bucket = table.get(keys[i])
                 if bucket is None:
-                    index[sids[i]][keys[i]] = [row]
+                    table[keys[i]] = [row]
                 else:
                     if row_ts[bucket[-1]] > tss[i]:
                         self._ordered = False

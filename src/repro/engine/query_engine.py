@@ -200,6 +200,10 @@ class QueryEngine:
             buckets=(1, 10, 100, 1000, 10000),
             labels=labels,
         )
+        #: the data tasks' begin functions, bound once: a queued data
+        #: message then holds its payload and nothing else of its own
+        self._run_batch = self._process_batch
+        self._run_columns = self._process_columns
         network.register(machine.name, self.deliver)
 
     @property
@@ -375,15 +379,13 @@ class QueryEngine:
     # Data path
     # ------------------------------------------------------------------
     def _on_tuple_batch(self, message: Message) -> None:
-        batch: list[tuple[int, StreamTuple]] = message.payload
         self.machine.submit(
-            DynamicTask(lambda: self._process_batch(batch), label="tuple_batch")
+            DynamicTask(self._run_batch, message.payload, label="tuple_batch")
         )
 
     def _on_column_batch(self, message: Message) -> None:
-        cb = message.payload
         self.machine.submit(
-            DynamicTask(lambda: self._process_columns(cb), label="column_batch")
+            DynamicTask(self._run_columns, message.payload, label="column_batch")
         )
 
     def _process_batch(self, batch: list[tuple[int, StreamTuple]]):
@@ -435,13 +437,13 @@ class QueryEngine:
             # 5% budget of ``benchmarks/bench_latency_overhead.py``.
             sids, tss, perm = cb.sids, cb.ts, cb.perm
             names = cb.streams
-            if sids and sids.count(sids[-1]) == len(sids):  # C speed
-                # sources batch per stream, so this is the common case:
-                # the frontier is just the arrival-order last row
+            if sids is None:
+                # one stream (the batch says so: every arrival batch is
+                # one stream's): the frontier is the arrival-order last row
                 row = perm[-1] if perm is not None else -1
                 lat_ctx = (
                     self.sim.now,
-                    self._lat.advance_one(names[sids[row]], tss[row]),
+                    self._lat.advance_one(names[cb.usid], tss[row]),
                 )
             else:
                 n_present = len(set(sids))

@@ -374,12 +374,18 @@ class StateStore:
         # (the batch dies with its delivery) and flush accounting in one
         # update.
         sids = cb.sids
+        usid = cb.usid
         seqs = cb.seqs
         keys = cb.keys
         tss = cb.ts
         usize = cb.usize
         m = len(self.streams)
-        pair = _PAIRS3 if m == 3 else None
+        one3 = m == 3 and sids is None
+        if one3:
+            # a 3-way join over one stream — every batch cut from an
+            # arrival batch: the two other inputs are the same for every row
+            j0, j1 = _PAIRS3[usid]
+        others = self._others
         colhot = self._colhot
         total = 0
         added = 0
@@ -399,24 +405,21 @@ class StateStore:
                     grp.promote_sizes()
             # rows first: a value the typed columns reject raises here,
             # before the count table or any statistic has moved
-            grp.append_rows(sids, seqs, keys, tss, start, end, usize)
+            grp.append_rows(sids, usid, seqs, keys, tss, start, end, usize)
             out = 0
-            if pair is not None:
+            if one3:
                 for i in range(start, end):
                     key = keys[i]
-                    sid = sids[i]
                     c = counts_get(key)
                     if c is None:
                         counts[key] = c = [0, 0, 0]
                     else:
-                        j0, j1 = pair[sid]
                         out += c[j0] * c[j1]
-                    c[sid] += 1
+                    c[usid] += 1
             else:
-                others = self._others
                 for i in range(start, end):
                     key = keys[i]
-                    sid = sids[i]
+                    sid = usid if sids is None else sids[i]
                     c = counts_get(key)
                     if c is None:
                         counts[key] = c = [0] * m
@@ -438,7 +441,7 @@ class StateStore:
             self.machine.allocate(added)
             self.total_bytes += added
         self.outputs_total += total
-        self.tuples_processed += len(sids)
+        self.tuples_processed += len(seqs)
         return total, []
 
     def _probe_insert_rows(
@@ -453,8 +456,7 @@ class StateStore:
         if n == 0:
             return 0, []
         groups = self._groups
-        pids = cb.pids
-        sids = cb.sids
+        sids = cb.sids if cb.sids is not None else [cb.usid] * n
         seqs = cb.seqs
         keys = cb.keys
         tss = cb.ts
@@ -464,12 +466,9 @@ class StateStore:
         others = self._others
         total = 0
         records: list[ProbeRecord] = []
-        perm = cb.perm
         added = 0
         touched: dict[int, int] = {}
-        for orig in range(n):
-            i = perm[orig] if perm is not None else orig
-            pid = pids[i]
+        for pid, i in cb.arrival_rows():
             grp = groups.get(pid)
             if grp is None:
                 grp = self.group(pid, now=now)

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 from repro import AdaptationConfig, Deployment, StrategyName
 from repro.cluster.faults import FaultSchedule, MachineCrash, MachineRestart
-from repro.cluster.machine import Machine
+from repro.cluster.machine import Machine, Task
+from repro.cluster.network import Message
 from repro.cluster.simulation import Simulator
 from repro.engine import columns
 from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup, ResultBatch
@@ -58,6 +59,21 @@ def synth_batches(n, *, batch_size=50, n_partitions=6, key_range=12, seed=3,
             current = []
     if current:
         batches.append(current)
+    return batches
+
+
+def cut_by_stream(rows, chunk_size=30):
+    """``rows`` in chunks, each cut into one-stream batches — except every
+    fifth, which keeps its A and B rows together, as a pause flush can."""
+    batches = []
+    for n, start in enumerate(range(0, len(rows), chunk_size)):
+        chunk = rows[start:start + chunk_size]
+        if n % 5 == 2:
+            batches.append([p for p in chunk if p[1].stream != "C"])
+            batches.append([p for p in chunk if p[1].stream == "C"])
+        else:
+            batches += [[p for p in chunk if p[1].stream == s]
+                        for s in STREAMS]
     return batches
 
 
@@ -122,13 +138,19 @@ class TestColumnBatch:
     def test_segments_group_by_pid_in_first_occurrence_order(self):
         batch = synth_batches(90, batch_size=90)[0]
         cb = ColumnBatch.from_routed(batch, STREAMS)
+        assert type(cb.segments) is tuple
         seen = []
+        stored = 0
         for pid, start, end in cb.segments:
-            assert pid not in seen
+            assert pid not in seen and start == stored < end
             seen.append(pid)
-            assert all(cb.pids[i] == pid for i in range(start, end))
+            stored = end
+        assert stored == len(cb)
         first_occurrence = list(dict.fromkeys(pid for pid, _ in batch))
         assert seen == first_occurrence
+        # the segments are the only record of a row's pid
+        assert [pid for pid, __ in cb.iter_routed()] == [pid for pid, _ in batch]
+        assert not hasattr(cb, "pids")
 
     def test_uniform_collapse(self):
         batch = synth_batches(60, batch_size=60)[0]
@@ -138,6 +160,17 @@ class TestColumnBatch:
             synth_batches(60, batch_size=60, nonuniform=True,
                           payloads=True)[0], STREAMS)
         assert mixed.sizes is not None and mixed.payloads is not None
+
+    def test_one_stream_collapses_the_stream_index(self):
+        batch = synth_batches(60, batch_size=60)[0]
+        mixed = ColumnBatch.from_routed(batch, STREAMS)
+        assert mixed.sids is not None and mixed.usid == -1
+        one = [(pid, tup) for pid, tup in batch if tup.stream == "B"]
+        cb = ColumnBatch.from_routed(one, STREAMS)
+        assert cb.sids is None and cb.usid == 1
+        assert list(cb.iter_routed()) == one
+        empty = ColumnBatch.from_routed([], STREAMS)
+        assert empty.sids == [] and empty.usid == -1
 
 
 def refined_paused_split():
@@ -184,6 +217,9 @@ class TestColumnSourceUnits:
             for owner, owned in by_owner_cols.items():
                 got = ColumnBatch.from_arrivals(batch, owned, 1, STREAMS)
                 want = ColumnBatch.from_routed(by_owner_rows[owner], STREAMS)
+                # slot for slot — ``usid`` included: one arrival batch is
+                # one stream, and both builders collapse the stream index
+                assert got.sids is None and got.usid == 1
                 for slot in ColumnBatch.__slots__:
                     assert getattr(got, slot) == getattr(want, slot), slot
         for counter in ("inputs_seen", "outputs_emitted", "buffered_total"):
@@ -212,6 +248,14 @@ class TestStoreColumnarEquivalence:
     def test_columnar_matches_per_tuple(self, nonuniform, materialize, window):
         batches = synth_batches(600, nonuniform=nonuniform,
                                 payloads=nonuniform)
+        # the first half in mixed-stream batches, the second cut as an
+        # arrival batch is (one stream: ``sids`` collapses to ``usid``)
+        # with a two-stream pause flush now and then (a ``sids`` list)
+        batches = batches[:6] + cut_by_stream(
+            [pair for b in batches[6:] for pair in b])
+        one_stream = [ColumnBatch.from_routed(b, STREAMS).sids is None
+                      for b in batches]
+        assert one_stream.count(True) > one_stream.count(False) > 6
         per_tuple = fresh_store()
         total_a, results_a = run_entry(
             "tuple", per_tuple, batches, materialize=materialize, window=window)
@@ -278,10 +322,13 @@ def test_count_only_delivery_keeps_nothing_of_the_batch():
             [(key % n_partitions, StreamTuple(STREAMS[seq % 3], 2 * seq + i,
                                               key, float(seq)))
              for i, key in enumerate(keys)], STREAMS)
-        held = [sys.getrefcount(col) for col in (cb.sids, cb.seqs, cb.keys, cb.ts)]
+        # a collapsed column is ``None``, whose refcount says nothing
+        cols = [col for col in (cb.sids, cb.seqs, cb.keys, cb.ts)
+                if col is not None]
+        held = [sys.getrefcount(col) for col in cols]
         store.probe_insert_columns(cb)
-        assert held == [sys.getrefcount(col)
-                        for col in (cb.sids, cb.seqs, cb.keys, cb.ts)]
+        assert held == [sys.getrefcount(col) for col in cols]
+        del cols
     del cb
     gc.collect()
     assert store.tuples_processed == 2 * n_batches
@@ -290,6 +337,43 @@ def test_count_only_delivery_keeps_nothing_of_the_batch():
     # (group, key): one count row — two orders of magnitude under one
     # object per batch
     assert len(gc.get_objects()) - tracked <= 16 * n_partitions + 2 * key_range
+
+
+def test_a_waiting_column_batch_is_its_task_and_three_columns():
+    """A data message waiting behind a busy engine holds the task, the
+    batch and its seq/key/ts lists: no closure over the payload, no pid
+    column, no stream-index column.  What the collector tracks grows by
+    at most six containers per waiting message, and running the queue
+    gives every one of them back."""
+    n_messages = 400
+    dep = small_deployment()
+    engine = dep.engines["m1"]
+    streams = dep.instances["m1"].store.streams
+
+    def deliver_all():
+        for i in range(n_messages):
+            batch = ArrivalBatch("B", 2 * i, keys=[i % 8, (i + 3) % 8],
+                                 ts=[0.0, 0.0], size=64)
+            cb = ColumnBatch.from_arrivals(batch, [(i % 4, [0, 1])], 1, streams)
+            engine.deliver(Message("src", "m1", "column_batch", cb,
+                                   cb.total_size, dep.sim.now))
+
+    # first pass: every group and count row the batches touch exists, so
+    # the measured pass creates no state container of its own
+    deliver_all()
+    dep.sim.run()
+    engine.machine.submit(Task(1.0, label="busy"))
+    gc.collect()
+    baseline = len(gc.get_objects())
+    deliver_all()
+    assert engine.machine.queue_depth == n_messages
+    gc.collect()
+    assert len(gc.get_objects()) - baseline <= 6 * n_messages
+    dep.sim.run()
+    assert engine.machine.queue_depth == 0
+    assert dep.instances["m1"].store.tuples_processed == 4 * n_messages
+    gc.collect()
+    assert len(gc.get_objects()) <= baseline
 
 
 class TestZeroCopySnapshots:
