@@ -8,9 +8,9 @@ A market-surveillance flavour of the paper's integration scenario:
 * **Stage 2** joins stage 1's matches with a reference stream D (e.g.
   instrument master data), re-keyed on the same domain.
 
-Each stage is an independently partitioned symmetric hash join with its
-own split operators, query engines and adaptation coordinator — spills and
-relocations happen per stage.  The interesting part is the **cross-stage
+Each stage is a full deployment of its own — split operators, query
+engines, adaptation coordinator — under the stage's name prefix, so spills
+and relocations happen per stage.  The interesting part is the **cross-stage
 cleanup**: results that stage 1 recovers from disk after the run are fed
 into stage 2's merge as a *late part*, so the pipeline's final answer is
 complete and duplicate-free even though both stages spilled.
@@ -24,7 +24,7 @@ from repro.engine.tuples import Schema
 from repro.workloads import WorkloadSpec, three_way_join
 
 
-def main() -> None:
+def main(duration: float = 240.0) -> None:
     stage2_join = MJoin(
         "enrich",
         (
@@ -60,8 +60,8 @@ def main() -> None:
     )
     pipeline = PipelineDeployment(stages, workload, config)
 
-    print("running the 2-stage pipeline for 4 simulated minutes ...")
-    pipeline.run(duration=240, sample_interval=60)
+    print(f"running the 2-stage pipeline for {duration:g} simulated seconds ...")
+    pipeline.run(duration=duration, sample_interval=60)
 
     print(f"\nstage-1 matches produced   : {pipeline.stage_outputs('orders'):,}")
     print(f"final enriched results     : {pipeline.total_outputs:,}")

@@ -40,4 +40,5 @@ __all__ = [
     "Simulator",
     "SpillSegment",
     "Task",
+    "Timer",
 ]

@@ -19,7 +19,7 @@ never sent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cluster.simulation import Simulator

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.cluster.disk import Disk, SpillSegment
 from repro.core.config import CostModel
@@ -218,7 +218,8 @@ class CleanupExecutor:
         #: materialisation internally
         self.window = window
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: pipeline stage label carried in trace events ("" when flat)
+        #: label carried in trace events: the owning deployment's
+        #: namespace without its colon ("" standalone)
         self.stage = stage
 
     def run(
@@ -228,6 +229,7 @@ class CleanupExecutor:
         *,
         materialize: bool = False,
         route=None,
+        late: Mapping[int, FrozenPartitionGroup] | None = None,
     ) -> CleanupReport:
         """Merge all spilled segments with their final memory parts.
 
@@ -247,7 +249,13 @@ class CleanupExecutor:
             holds both children's keys, so its parts are re-bucketed by the
             final routing before the per-pid merge.  ``None`` (no
             repartitioning) keeps the segment's own pid.
+        late:
+            Partition ID -> part of input tuples that arrived after the run
+            (a pipeline stage's share of its predecessor's cleanup
+            results), merged after the disk and memory parts.  A pid with
+            no disk part merges where its memory part lives.
         """
+        late = late or {}
         report = CleanupReport()
         tracer = self.tracer
         span = 0
@@ -266,7 +274,8 @@ class CleanupExecutor:
                 for pid, part in sorted(buckets.items()):
                     by_pid.setdefault(pid, []).append((segment, part))
         charged: set[int] = set()
-        for pid, entries in sorted(by_pid.items()):
+        for pid in sorted(by_pid.keys() | late.keys()):
+            entries = by_pid.get(pid, [])
             # child parts inherit their segment's spill order
             entries.sort(key=lambda e: (e[0].spilled_at, e[0].generation))
             parts: list[FrozenPartitionGroup] = [part for __, part in entries]
@@ -290,12 +299,13 @@ class CleanupExecutor:
                 bytes_per_machine[segment.machine_name] = (
                     bytes_per_machine.get(segment.machine_name, 0) + size
                 )
-            owner = max(sorted(bytes_per_machine), key=bytes_per_machine.get)
             mem = memory_parts.get(pid)
             if mem is not None:
                 __, mem_part = mem
                 if mem_part.tuple_count > 0:
                     parts.append(mem_part)
+            if pid in late:
+                parts.append(late[pid])
             if len(parts) < 2:
                 if span:
                     tracer.event(
@@ -303,6 +313,8 @@ class CleanupExecutor:
                         stage=self.stage, segments=len(entries),
                     )
                 continue
+            owner = (max(sorted(bytes_per_machine), key=bytes_per_machine.get)
+                     if bytes_per_machine else mem[0])
             # 2-3. incremental merge producing the missing results
             if materialize:
                 missing = merge_missing_results(parts, self.streams,

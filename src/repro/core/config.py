@@ -17,7 +17,7 @@ Two dataclasses carry every knob of the reproduced system:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 

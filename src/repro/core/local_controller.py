@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.config import AdaptationConfig, CostModel
+from repro.core.config import AdaptationConfig
 from repro.core.productivity import (
     CumulativeProductivity,
     ProductivityEstimator,

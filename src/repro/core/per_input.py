@@ -34,9 +34,9 @@ against the partition-group design's delta merge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.engine.tuples import JoinResult, StreamTuple
 

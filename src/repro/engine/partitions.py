@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.engine.tuples import JoinResult, StreamTuple
 

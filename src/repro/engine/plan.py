@@ -39,12 +39,13 @@ from repro.core.cleanup import CleanupExecutor, CleanupReport
 from repro.core.config import AdaptationConfig, CostModel
 from repro.core.coordinator import GC_NAME, GlobalCoordinator
 from repro.core.strategies import profile_of, trace_strategy
-from repro.engine.columns import FrozenColumnGroup
+from repro.engine.columns import ColumnarPartitionGroup, FrozenColumnGroup
 from repro.engine.operators.base import Operator
 from repro.engine.operators.mjoin import MJoin
 from repro.engine.operators.split import PartitionMap, Split
 from repro.engine.query_engine import QueryEngine, SourceHost, check_data_path
 from repro.engine.streams import OutputCollector, StreamSource
+from repro.engine.tuples import StreamTuple
 from repro.workloads.generator import StreamWorkloadSpec, TupleGenerator, WorkloadSpec
 
 SOURCE_NAME = "source"
@@ -249,7 +250,12 @@ class Deployment:
         if assignment is None:
             base_map = PartitionMap.round_robin(n, workers)
         elif isinstance(assignment, PartitionMap):
+            # an explicit map brings its own partition count
+            unknown = set(assignment.machines()) - set(workers)
+            if unknown:
+                raise ValueError(f"assignment names unknown workers {sorted(unknown)!r}")
             base_map = assignment
+            n = base_map.n_partitions
         else:
             # callers name workers without the serving namespace prefix
             assignment = {namespace + w: weight
@@ -341,7 +347,7 @@ class Deployment:
             workers=workers,
             split_hosts=[self.source_name],
             name=self.coordinator_name,
-            n_partitions=workload.n_partitions,
+            n_partitions=n,
         )
         # graceful scale-in: once the coordinator finished relocating a
         # draining machine's state, retire its engine (flush + stop)
@@ -642,19 +648,36 @@ class Deployment:
                     parts[group.pid] = (name, group.freeze())
         return parts
 
-    def cleanup(self, *, materialize: bool = False) -> CleanupReport:
-        """Run the post-run-time cleanup phase over all spilled state."""
-        executor = CleanupExecutor(self.join.stream_names, self.cost,
+    def cleanup(self, *, materialize: bool = False,
+                late: Sequence[StreamTuple] = ()) -> CleanupReport:
+        """Run the post-run-time cleanup phase over all spilled state.
+
+        ``late`` holds input tuples that reach the query only after its
+        run — a pipeline stage's share of its predecessor's cleanup
+        results.  They are routed by the final split into one extra part
+        per partition.  Trace events are labelled with the namespace
+        (without its colon; ``""`` standalone).
+        """
+        streams = self.join.stream_names
+        executor = CleanupExecutor(streams, self.cost,
                                    window=self.join.window,
-                                   tracer=self.metrics.tracer)
+                                   tracer=self.metrics.tracer,
+                                   stage=self.namespace.rstrip(":"))
         # Once the run repartitioned, segments spilled under a retired
         # parent pid must be re-bucketed by the final routing table (the
         # splits converge, so any one's route function is authoritative).
         final_split = next(iter(self.splits.values()))
         route = final_split.route if final_split.refinement else None
+        late_groups: dict[int, ColumnarPartitionGroup] = {}
+        for tup in late:
+            pid = final_split.route(tup.key)
+            if pid not in late_groups:
+                late_groups[pid] = ColumnarPartitionGroup(pid, streams)
+            late_groups[pid].insert(tup)
         report = executor.run(
             self.disks, self.memory_parts(), materialize=materialize,
             route=route,
+            late={pid: group.freeze() for pid, group in late_groups.items()},
         )
         self.metrics.events.record(
             self.sim.now,

@@ -1341,6 +1341,12 @@ class SourceHost:
 
         self.machine.submit(DynamicTask(begin, label=f"split:{stream}"))
 
+    def _on_ingest(self, message: Message) -> None:
+        """Rows shipped over the network (an upstream pipeline stage's
+        results) enter the same path as a stream source's batches."""
+        payload = message.payload
+        self.inject(payload["stream"], payload["tuples"])
+
     def _forward_columns(
         self, batch: ArrivalBatch, groups: list[tuple[int, str, list[int]]]
     ) -> None:

@@ -14,7 +14,7 @@ large-scale benchmarks keep payloads empty and only account their size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 #: Default accounted size of one tuple in bytes.  The paper's experiments

@@ -12,16 +12,17 @@ adaptation protocols, independent of any particular workload:
    flushed exactly once per session (on remap for a completed hand-off,
    on remap-back for an aborted one); never zero times, never twice.
 3. **Single residency** — no partition's state is live on two machines
-   at once (within one serving namespace and pipeline stage: every
-   tenant runtime numbers its partitions from 0, so ``q1:m2`` and
-   ``q2:m2`` may both hold pid 5).  Packing evicts it from the sender (it is *in flight* until
-   the receiver installs), a crash evicts everything on the dead
-   machine, and a recovery restore may only re-materialise state whose
-   owner is gone.
-4. **Spill ↔ cleanup matching** — when a cleanup phase runs, every
-   partition that ever spilled to disk is either merged exactly once or
-   explicitly skipped (fewer than two parts on disk); nothing parked on
-   disk is silently forgotten, and nothing is merged twice.
+   at once (within one namespace: every namespaced runtime — a serving
+   fold group or a pipeline stage — numbers its partitions from 0, so
+   ``q1:m2`` and ``q2:m2`` may both hold pid 5).  Packing evicts it from
+   the sender (it is *in flight* until the receiver installs), a crash
+   evicts everything on the dead machine, and a recovery restore may
+   only re-materialise state whose owner is gone.
+4. **Spill ↔ cleanup matching** — when a namespace's cleanup phase
+   runs, every partition of that namespace that ever spilled to disk is
+   either merged exactly once or explicitly skipped (fewer than two
+   parts); nothing parked on disk is silently forgotten, and nothing is
+   merged twice.
 5. **Checkpoint / crash-epoch atomicity** — a machine emits no trace
    activity (in particular no checkpoint commits) between its crash and
    its restart; commits happen entirely before a crash or not at all.
@@ -142,15 +143,27 @@ class _RepartitionState:
         return {self.parent} if self.kind == "split" else set(self.children)
 
 
+def _namespace(machine: str) -> str:
+    """What a pid is unique within: the machine's namespace (``q1:`` of
+    ``q1:m2``, ``""`` standalone) — every namespaced runtime numbers its
+    partitions from 0."""
+    namespace, colon, _ = machine.rpartition(":")
+    return namespace + colon
+
+
+def _cleanup_label(machine: str) -> str:
+    """The ``stage`` label the cleanup of the machine's namespace carries:
+    the namespace without its colon."""
+    return _namespace(machine).rstrip(":")
+
+
 class InvariantChecker:
     """Replays a trace event stream and accumulates violations."""
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
-        # machine -> pipeline stage label ("" for flat deployments)
-        self._stage_of: dict[str, str] = {}
         # (scope, pid) -> machine currently holding live state; the scope
-        # is the machine's serving namespace + stage (see _scope)
+        # is the machine's namespace (see _namespace)
         self._resident: dict[tuple[str, int], str] = {}
         # (span, scope, pid) -> sender, for state packed but not installed
         self._in_flight: dict[tuple[int, str, int], str] = {}
@@ -162,19 +175,20 @@ class InvariantChecker:
         self._relocations: dict[int, _RelocationState] = {}
         self._recoveries: dict[int, _RecoveryState] = {}
         self._repartitions: dict[int, _RepartitionState] = {}
-        # (stage, pid) -> spill count / merge count / skip count
+        # (cleanup label, pid) -> spill count / merge count / skip count
         self._spilled: dict[tuple[str, int], int] = {}
         self._merged: dict[tuple[str, int], int] = {}
         self._skipped: dict[tuple[str, int], int] = {}
-        # final routing refinement per stage: (stage, parent) -> children.
+        # final routing refinement: (cleanup label, parent) -> children.
         # A segment spilled under a later-split pid re-buckets to the
         # refinement's leaves during cleanup, so spill/cleanup matching
         # resolves pids through this trie.
         self._refinement: dict[tuple[str, int], tuple[int, ...]] = {}
-        # (stage, child) -> parent for merged-away groups: a child's disk
-        # bytes route to the surviving parent after the merge
+        # (cleanup label, child) -> parent for merged-away groups: a
+        # child's disk bytes route to the surviving parent after the merge
         self._merge_redirect: dict[tuple[str, int], int] = {}
-        self._cleanup_ran_stages: set[str] = set()
+        # labels of the namespaces whose cleanup ran
+        self._cleaned: set[str] = set()
         # check 11: (machine, stream) -> (incarnation, watermark) last seen
         self._watermarks: dict[tuple[str, str], tuple[int, float]] = {}
         # spill/relocation begin events + slo.alert instants, kept for
@@ -186,16 +200,6 @@ class InvariantChecker:
         self.violations.append(
             Violation(check, message, event.seq if event is not None else None)
         )
-
-    def _stage(self, machine: str, event: TraceEvent) -> str:
-        return str(event.get("stage", self._stage_of.get(machine, "")))
-
-    def _scope(self, machine: str, event: TraceEvent) -> str:
-        """What a pid is unique within: the machine's serving namespace
-        (``q1:`` of ``q1:m2``; every tenant runtime numbers its partitions
-        from 0) plus its pipeline stage."""
-        namespace, colon, _ = machine.rpartition(":")
-        return namespace + colon + self._stage(machine, event)
 
     # ------------------------------------------------------------------
     def feed(self, events: Iterable[TraceEvent]) -> None:
@@ -225,7 +229,7 @@ class InvariantChecker:
             elif e.name == "spill":
                 self._on_spill(e)
             elif e.name == "cleanup":
-                self._cleanup_ran_stages.add(str(e.get("stage", "")))
+                self._cleaned.add(str(e.get("stage", "")))
         elif e.phase == PHASE_END:
             if e.span in self._relocations and e.name == "relocation":
                 state = self._relocations[e.span]
@@ -294,8 +298,7 @@ class InvariantChecker:
     # Residency bookkeeping (check 3)
     # ------------------------------------------------------------------
     def _on_assignment(self, e: TraceEvent) -> None:
-        self._stage_of[e.machine] = str(e.get("stage", ""))
-        scope = self._scope(e.machine, e)
+        scope = _namespace(e.machine)
         # the initial placement doubles as the founding membership roster
         self._members.add(e.machine)
         for pid in e.get("pids", ()):
@@ -311,7 +314,7 @@ class InvariantChecker:
             self._resident[key] = e.machine
 
     def _on_pack(self, e: TraceEvent) -> None:
-        scope = self._scope(e.machine, e)
+        scope = _namespace(e.machine)
         span = e.span or 0
         for pid in e.get("pids", ()):
             key = (scope, int(pid))
@@ -321,7 +324,7 @@ class InvariantChecker:
 
     def _on_install(self, e: TraceEvent) -> None:
         self._check_ownership_target(e.machine, "installed", e)
-        scope = self._scope(e.machine, e)
+        scope = _namespace(e.machine)
         span = e.span or 0
         for pid in e.get("pids", ()):
             key = (scope, int(pid))
@@ -347,7 +350,7 @@ class InvariantChecker:
 
     def _on_restore(self, e: TraceEvent) -> None:
         self._check_ownership_target(e.machine, "restored", e)
-        scope = self._scope(e.machine, e)
+        scope = _namespace(e.machine)
         for pid in e.get("installed", ()):
             key = (scope, int(pid))
             holder = self._resident.get(key)
@@ -458,14 +461,13 @@ class InvariantChecker:
     # Spill / cleanup matching (check 4)
     # ------------------------------------------------------------------
     def _on_spill(self, e: TraceEvent) -> None:
-        stage = self._stage(e.machine, e)
+        scope = _cleanup_label(e.machine)
         for pid in e.get("pids", ()):
-            key = (stage, int(pid))
+            key = (scope, int(pid))
             self._spilled[key] = self._spilled.get(key, 0) + 1
 
     def _on_merge(self, e: TraceEvent) -> None:
-        stage = str(e.get("stage", ""))
-        key = (stage, int(e.get("pid", -1)))
+        key = (str(e.get("stage", "")), int(e.get("pid", -1)))
         self._merged[key] = self._merged.get(key, 0) + 1
         if self._merged[key] > 1:
             self._fail(
@@ -475,8 +477,7 @@ class InvariantChecker:
             )
 
     def _on_skip(self, e: TraceEvent) -> None:
-        stage = str(e.get("stage", ""))
-        key = (stage, int(e.get("pid", -1)))
+        key = (str(e.get("stage", "")), int(e.get("pid", -1)))
         self._skipped[key] = self._skipped.get(key, 0) + 1
 
     # ------------------------------------------------------------------
@@ -560,7 +561,7 @@ class InvariantChecker:
         if state is None:
             return
         self._check_ownership_target(e.machine, "installed", e)
-        scope = self._scope(e.machine, e)
+        scope = _namespace(e.machine)
         pid = int(e.get("pid", -1))
         if pid not in state.expected_installs:
             self._fail(
@@ -603,14 +604,14 @@ class InvariantChecker:
                 e,
             )
             return
-        stage = self._stage(e.machine, e)
+        scope = _cleanup_label(e.machine)
         if kind == "split":
-            self._refinement[(stage, parent)] = children
-            self._merge_redirect.pop((stage, parent), None)
+            self._refinement[(scope, parent)] = children
+            self._merge_redirect.pop((scope, parent), None)
         else:
-            self._refinement.pop((stage, parent), None)
+            self._refinement.pop((scope, parent), None)
             for child in children:
-                self._merge_redirect[(stage, child)] = parent
+                self._merge_redirect[(scope, child)] = parent
 
     def _on_repartition_retire(self, e: TraceEvent) -> None:
         state = self._repartition_for(e)
@@ -790,34 +791,34 @@ class InvariantChecker:
         self.violations.extend(found)
         return found
 
-    def _routing_leaves(self, stage: str, pid: int) -> list[int]:
+    def _routing_leaves(self, scope: str, pid: int) -> list[int]:
         """Pids a partition's disk bytes resolve to under the final
         routing: itself when unrefined, otherwise the refinement leaves
         its keys re-bucket into during cleanup."""
-        while (stage, pid) in self._merge_redirect:
-            pid = self._merge_redirect[(stage, pid)]
-        children = self._refinement.get((stage, pid))
+        while (scope, pid) in self._merge_redirect:
+            pid = self._merge_redirect[(scope, pid)]
+        children = self._refinement.get((scope, pid))
         if children is None:
             return [pid]
         leaves: list[int] = []
         for child in children:
-            leaves.extend(self._routing_leaves(stage, child))
+            leaves.extend(self._routing_leaves(scope, child))
         return leaves
 
     def _finish_spill_cleanup(self) -> None:
-        if not self._cleanup_ran_stages:
+        if not self._cleaned:
             return  # cleanup never ran; nothing to match against
         for key in sorted(self._spilled):
-            stage, pid = key
-            if stage not in self._cleanup_ran_stages:
+            scope, pid = key
+            if scope not in self._cleaned:
                 continue
             # an unrefined pid must itself be merged or skipped; a refined
             # one re-buckets into its leaves, and only leaves that received
             # keys surface in cleanup, so any handled leaf discharges it
             handled = any(
-                self._merged.get((stage, leaf))
-                or self._skipped.get((stage, leaf))
-                for leaf in self._routing_leaves(stage, pid)
+                self._merged.get((scope, leaf))
+                or self._skipped.get((scope, leaf))
+                for leaf in self._routing_leaves(scope, pid)
             )
             if not handled:
                 self._fail(

@@ -70,13 +70,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.obs.sketch import BUCKET_BOUNDS, LatencySketch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.ledger import DecisionLedger
-    from repro.obs.trace import Tracer
 
 __all__ = [
     "ADAPT_CAUSES",

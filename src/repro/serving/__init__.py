@@ -43,6 +43,7 @@ __all__ = [
     "QueryHandle",
     "QueryServer",
     "QuerySpec",
+    "RelocationArbiter",
     "Tenant",
     "fold_signature",
 ]

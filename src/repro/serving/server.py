@@ -24,7 +24,7 @@ relocation session in flight (graceful drain mid-relocation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cluster.network import Message, Network

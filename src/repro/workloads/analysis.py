@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.workloads.generator import PartitionWorkload, WorkloadSpec, distinct_values
+from repro.workloads.generator import WorkloadSpec, distinct_values
 
 
 def partition_output(n_per_stream: int, pool_size: int, arity: int) -> int:

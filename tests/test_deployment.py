@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AdaptationConfig, Deployment, StrategyName
+from repro.engine.operators.split import PartitionMap
 from repro.workloads import WorkloadSpec, three_way_join
 
 from tests.helpers import small_deployment
@@ -61,6 +62,24 @@ class TestLifecycle:
     def test_unknown_assignment_machine_rejected(self):
         with pytest.raises(ValueError):
             small_deployment(workers=["m1"], assignment={"ghost": 1.0})
+
+    def test_explicit_partition_map_sets_partition_count(self):
+        # the map, not the 8-partition workload, sizes the splits
+        dep = small_deployment(workers=["m1", "m2"], n_partitions=8,
+                               assignment=PartitionMap.round_robin(
+                                   4, ["m1", "m2"]))
+        assert {s.n_partitions for s in dep.splits.values()} == {4}
+        dep.run(duration=10, sample_interval=5)
+        assert dep.total_outputs > 0
+        routed = {pid for inst in dep.instances.values()
+                  for pid in inst.store.partition_ids()}
+        assert routed == {0, 1, 2, 3}
+
+    def test_explicit_partition_map_unknown_worker_rejected(self):
+        with pytest.raises(ValueError, match="unknown workers"):
+            small_deployment(workers=["m1", "m2"],
+                             assignment=PartitionMap.round_robin(
+                                 4, ["m1", "m9"]))
 
 
 class TestStrategyBehaviour:

@@ -1,10 +1,11 @@
 """Smoke tests for the scripts in ``examples/``.
 
 Every example must at least import cleanly (it is documentation that
-executes), and the two headline ones — ``quickstart.py`` and
-``adaptive_cluster.py`` — are run end-to-end at a drastically shortened
-simulated duration so a refactor that breaks the public API surface they
-exercise fails the suite, not the first user.
+executes), and the headline ones — ``quickstart.py``,
+``adaptive_cluster.py``, ``pipeline_integration.py`` and more — are run
+end-to-end at a drastically shortened simulated duration so a refactor
+that breaks the public API surface they exercise fails the suite, not
+the first user.
 """
 
 import importlib.util
@@ -52,6 +53,14 @@ def test_quickstart_runs_short(capsys):
     out = capsys.readouterr().out
     assert "complete answer" in out
     assert "cleanup phase" in out
+
+
+def test_pipeline_integration_runs_short(capsys):
+    module = load_example("pipeline_integration.py")
+    module.main(duration=20.0)
+    out = capsys.readouterr().out
+    assert "cross-stage cleanup" in out
+    assert "complete pipeline answer" in out
 
 
 def test_adaptive_cluster_runs_short(capsys):

@@ -294,6 +294,49 @@ def test_checker_flags_double_merge_and_forgotten_spill():
     assert sum(1 for v in violations if v.check == "spill-cleanup") == 2
 
 
+def test_checker_scopes_spill_cleanup_by_namespace():
+    """Two namespaced runtimes on one hub spill the same pids and each
+    runs its cleanup: every pid is merged once per namespace, which is
+    not a double merge."""
+    from repro import AdaptationConfig, Deployment
+    from repro.cluster.network import Network
+    from repro.cluster.simulation import Simulator
+    from repro.obs.hub import ObsHub
+    from repro.workloads import WorkloadSpec, three_way_join
+
+    sim = Simulator()
+    hub = ObsHub()
+    hub.tracer = tracer = Tracer()
+    tracer.bind_clock(lambda: sim.now)
+    network = Network(sim)
+    config = AdaptationConfig(strategy=StrategyName.NO_RELOCATION,
+                              memory_threshold=5_000, ss_interval=2.0,
+                              stats_interval=2.0)
+    workload = WorkloadSpec.uniform(n_partitions=4, join_rate=2.0,
+                                    tuple_range=120, interarrival=0.05)
+    deps = [
+        Deployment(three_way_join(), workload, 2, config, sim=sim,
+                   network=network, metrics=hub, namespace=namespace)
+        for namespace in ("q1:", "q2:")
+    ]
+    for dep in deps:
+        dep.launch(40.0)
+    sim.run(until=40.0)
+    for dep in deps:
+        dep.stop_components()
+    sim.run()
+    for dep in deps:
+        dep.cleanup()
+
+    merged = {}
+    for e in tracer.events:
+        if e.name == "cleanup.merge":
+            merged.setdefault(e.get("stage"), set()).add(e.get("pid"))
+    assert set(merged) == {"q1", "q2"}
+    assert merged["q1"] & merged["q2"], "the runtimes merged no common pid"
+    assert check_trace(tracer.events) == []
+
+
 # ----------------------------------------------------------------------
 # Repartition protocol (invariant 9): synthetic sessions + mutations
 # ----------------------------------------------------------------------
