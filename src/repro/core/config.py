@@ -102,6 +102,68 @@ class StrategyName(str, Enum):
 
 
 @dataclass(frozen=True)
+class StrategyProfile:
+    """Declarative description of one strategy's armed mechanisms."""
+
+    name: StrategyName
+    description: str
+    local_spill: bool
+    relocation: bool
+    forced_spill: bool
+    unbounded_memory: bool
+
+
+STRATEGIES: dict[StrategyName, StrategyProfile] = {
+    StrategyName.ALL_MEMORY: StrategyProfile(
+        name=StrategyName.ALL_MEMORY,
+        description="No adaptation; memory assumed sufficient (reference).",
+        local_spill=False,
+        relocation=False,
+        forced_spill=False,
+        unbounded_memory=True,
+    ),
+    StrategyName.NO_RELOCATION: StrategyProfile(
+        name=StrategyName.NO_RELOCATION,
+        description="Local state spill only; no coordinator involvement.",
+        local_spill=True,
+        relocation=False,
+        forced_spill=False,
+        unbounded_memory=False,
+    ),
+    StrategyName.RELOCATION_ONLY: StrategyProfile(
+        name=StrategyName.RELOCATION_ONLY,
+        description="Pair-wise state relocation only; never touches disk.",
+        local_spill=False,
+        relocation=True,
+        forced_spill=False,
+        unbounded_memory=False,
+    ),
+    StrategyName.LAZY_DISK: StrategyProfile(
+        name=StrategyName.LAZY_DISK,
+        description=(
+            "Integrated: relocate first, spill locally as a last resort "
+            "(Algorithm 1)."
+        ),
+        local_spill=True,
+        relocation=True,
+        forced_spill=False,
+        unbounded_memory=False,
+    ),
+    StrategyName.ACTIVE_DISK: StrategyProfile(
+        name=StrategyName.ACTIVE_DISK,
+        description=(
+            "Integrated: relocate first, plus coordinator-forced spills of "
+            "the least productive machine's state (Algorithm 2)."
+        ),
+        local_spill=True,
+        relocation=True,
+        forced_spill=True,
+        unbounded_memory=False,
+    ),
+}
+
+
+@dataclass(frozen=True)
 class CostModel:
     """Simulated hardware and per-operation CPU costs.
 
@@ -243,11 +305,6 @@ class AdaptationConfig:
     #: imbalance rule (θ_r) may immediately target the empty joiner instead
     #: of waiting out a possibly long τ_m window.
     rebalance_on_join: bool = True
-    #: Upper bound in seconds on a graceful drain: if the drain session's
-    #: relocations have not emptied the machine by then, the coordinator
-    #: aborts the drain (remaining groups stay where they are) rather than
-    #: blocking membership forever behind a stuck transfer.
-    drain_timeout: float = 120.0
 
     # ----- shared -------------------------------------------------------
     #: Smoothing factor for the windowed productivity estimator (None uses
@@ -287,7 +344,6 @@ class AdaptationConfig:
             "coordinator_interval",
             "checkpoint_interval",
             "failure_timeout",
-            "drain_timeout",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -306,25 +362,12 @@ class AdaptationConfig:
     # ----- derived behaviour flags -------------------------------------
     @property
     def spill_enabled(self) -> bool:
-        return self.strategy in (
-            StrategyName.NO_RELOCATION,
-            StrategyName.LAZY_DISK,
-            StrategyName.ACTIVE_DISK,
-        )
+        return STRATEGIES[self.strategy].local_spill
 
     @property
     def relocation_enabled(self) -> bool:
-        return self.strategy in (
-            StrategyName.RELOCATION_ONLY,
-            StrategyName.LAZY_DISK,
-            StrategyName.ACTIVE_DISK,
-        )
+        return STRATEGIES[self.strategy].relocation
 
     @property
     def forced_spill_enabled(self) -> bool:
-        return self.strategy is StrategyName.ACTIVE_DISK
-
-    @property
-    def recovery_enabled(self) -> bool:
-        """Checkpointing and crash recovery always ship together."""
-        return self.checkpoint_enabled
+        return STRATEGIES[self.strategy].forced_spill

@@ -66,6 +66,12 @@ from repro.core.relocation import (
 
 GC_NAME = "gc"
 
+#: Upper bound in seconds on a graceful drain's select phases: a drain
+#: that has not started moving state by then is aborted (its groups stay
+#: where they are) rather than blocking membership forever behind a
+#: receiver that never frees up.
+DRAIN_TIMEOUT = 120.0
+
 
 @dataclass
 class CoordinatorStats:
@@ -278,7 +284,7 @@ class GlobalCoordinator:
         session = DrainSession(
             machine=machine,
             requested_at=self.sim.now,
-            deadline=self.sim.now + self.config.drain_timeout,
+            deadline=self.sim.now + DRAIN_TIMEOUT,
         )
         self.draining[machine] = session
         if self.recovery is not None:
@@ -573,7 +579,7 @@ class GlobalCoordinator:
                     self._ledger_deferred("recovery_active")
                 return
         for drain in list(self.draining.values()):
-            # drain_timeout guards the select phases; once the motion is
+            # DRAIN_TIMEOUT guards the select phases; once the motion is
             # in flight it is allowed to land (the machine is provably
             # empty at its last step, so finishing is correct even past
             # the deadline).

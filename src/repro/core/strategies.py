@@ -23,77 +23,20 @@ Strategy             local spill  relocation   forced spill  paper role
   partitions — capped so that data that fits in cluster memory stays there.
 
 The mechanics live in :mod:`repro.core.coordinator` (global half) and
-:mod:`repro.core.local_controller` (local half); this module carries the
-declarative profiles plus factory helpers the benchmarks use.
+:mod:`repro.core.local_controller` (local half).  The declarative profiles
+(:data:`STRATEGIES`) sit beside :class:`StrategyName` in
+:mod:`repro.core.config`, whose ``*_enabled`` flags read them; this module
+re-exports them with the factory helpers the benchmarks use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.config import AdaptationConfig, StrategyName
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Declarative description of one strategy's armed mechanisms."""
-
-    name: StrategyName
-    description: str
-    local_spill: bool
-    relocation: bool
-    forced_spill: bool
-    unbounded_memory: bool
-
-
-STRATEGIES: dict[StrategyName, StrategyProfile] = {
-    StrategyName.ALL_MEMORY: StrategyProfile(
-        name=StrategyName.ALL_MEMORY,
-        description="No adaptation; memory assumed sufficient (reference).",
-        local_spill=False,
-        relocation=False,
-        forced_spill=False,
-        unbounded_memory=True,
-    ),
-    StrategyName.NO_RELOCATION: StrategyProfile(
-        name=StrategyName.NO_RELOCATION,
-        description="Local state spill only; no coordinator involvement.",
-        local_spill=True,
-        relocation=False,
-        forced_spill=False,
-        unbounded_memory=False,
-    ),
-    StrategyName.RELOCATION_ONLY: StrategyProfile(
-        name=StrategyName.RELOCATION_ONLY,
-        description="Pair-wise state relocation only; never touches disk.",
-        local_spill=False,
-        relocation=True,
-        forced_spill=False,
-        unbounded_memory=False,
-    ),
-    StrategyName.LAZY_DISK: StrategyProfile(
-        name=StrategyName.LAZY_DISK,
-        description=(
-            "Integrated: relocate first, spill locally as a last resort "
-            "(Algorithm 1)."
-        ),
-        local_spill=True,
-        relocation=True,
-        forced_spill=False,
-        unbounded_memory=False,
-    ),
-    StrategyName.ACTIVE_DISK: StrategyProfile(
-        name=StrategyName.ACTIVE_DISK,
-        description=(
-            "Integrated: relocate first, plus coordinator-forced spills of "
-            "the least productive machine's state (Algorithm 2)."
-        ),
-        local_spill=True,
-        relocation=True,
-        forced_spill=True,
-        unbounded_memory=False,
-    ),
-}
+from repro.core.config import (
+    STRATEGIES,
+    AdaptationConfig,
+    StrategyName,
+    StrategyProfile,
+)
 
 
 def profile_of(config: AdaptationConfig) -> StrategyProfile:

@@ -236,19 +236,14 @@ class Split(StatelessOperator):
     # ------------------------------------------------------------------
     # Repartition hooks (driven by the split/merge protocol)
     # ------------------------------------------------------------------
-    def apply_split(self, parent: int, children: tuple[int, int], owner: str,
-                    *, flush: bool = True
+    def apply_split(self, parent: int, children: tuple[int, int], owner: str
                     ) -> list[tuple[int, str, StreamTuple]]:
         """Refine ``parent`` into ``children`` and re-route its buffer.
 
         The refinement entry, the partition-map edit and the buffer
         re-routing happen in one call, so no tuple can ever observe a
-        half-flipped table.  With ``flush`` (the normal path) the parent's
-        buffered tuples are returned re-routed through the *new* table in
-        arrival order; with ``flush=False`` (owner died mid-session — the
-        routing flip still must complete so recovery restores child pids)
-        they are moved into the children's buffers and the children stay
-        paused for the recovery protocol to resume.
+        half-flipped table.  The parent's buffered tuples are returned
+        re-routed through the *new* table in arrival order.
         """
         if parent in self._refine:
             return []  # idempotent: a crashed session may re-send the remap
@@ -258,20 +253,9 @@ class Split(StatelessOperator):
         self.partition_map.remove(parent)
         self.routing_version += 1
         self._paused.discard(parent)
-        buffered = self._buffers.pop(parent, [])
-        flushed: list[tuple[int, str, StreamTuple]] = []
-        for tup in buffered:
-            pid = self.route(tup.key)
-            if flush:
-                flushed.append((pid, owner, tup))
-                self.outputs_emitted += 1
-            else:
-                self._paused.add(pid)
-                self._buffers.setdefault(pid, []).append(tup)
-        return flushed
+        return self._reroute(self._buffers.pop(parent, []), owner)
 
-    def apply_merge(self, parent: int, children: tuple[int, int], owner: str,
-                    *, flush: bool = True
+    def apply_merge(self, parent: int, children: tuple[int, int], owner: str
                     ) -> list[tuple[int, str, StreamTuple]]:
         """Collapse a refinement node: ``children`` fold back into
         ``parent``.  Buffered child tuples are interleaved deterministically
@@ -289,16 +273,13 @@ class Split(StatelessOperator):
             buffered.extend(self._buffers.pop(child, []))
         self.routing_version += 1
         buffered.sort(key=lambda t: (t.ts, t.stream, t.seq))
-        flushed: list[tuple[int, str, StreamTuple]] = []
-        for tup in buffered:
-            pid = self.route(tup.key)
-            if flush:
-                flushed.append((pid, owner, tup))
-                self.outputs_emitted += 1
-            else:
-                self._paused.add(pid)
-                self._buffers.setdefault(pid, []).append(tup)
-        return flushed
+        return self._reroute(buffered, owner)
+
+    def _reroute(self, buffered: list[StreamTuple], owner: str
+                 ) -> list[tuple[int, str, StreamTuple]]:
+        """Release buffered tuples through the current routing table."""
+        self.outputs_emitted += len(buffered)
+        return [(self.route(tup.key), owner, tup) for tup in buffered]
 
     @property
     def refinement(self) -> dict[int, tuple[int, int]]:

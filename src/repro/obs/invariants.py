@@ -84,6 +84,23 @@ RELOCATION_STEPS = (1, 2, 3, 4, 5, 6, 7, 8)
 #: Legal forward order of recovery session phases.
 RECOVERY_PHASE_ORDER = ("pausing", "restoring", "rerouting", "done")
 
+#: Every span-bound instant event: the session family whose span it must
+#: sit inside, and the check a stray one (no span, or another family's
+#: span) violates.  A family is the name of the span that opens it; a
+#: drain runs as a ``relocation`` span.
+_SPAN_EVENTS: dict[str, tuple[str, str]] = {
+    "relocation.step": ("relocation", "relocation-steps"),
+    "split.pause": ("relocation", "relocation-steps"),
+    "split.flush": ("relocation", "relocation-steps"),
+    "repartition.pause": ("repartition", "repartition-protocol"),
+    "repartition.install": ("repartition", "repartition-protocol"),
+    "repartition.route": ("repartition", "repartition-protocol"),
+    "repartition.retire": ("repartition", "repartition-protocol"),
+    "repartition.flush": ("repartition", "repartition-protocol"),
+    "recovery.phase": ("recovery", "recovery-phases"),
+    "recovery.replay": ("recovery", "recovery-phases"),
+}
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -99,40 +116,28 @@ class Violation:
 
 
 @dataclass
-class _RelocationState:
+class _Session:
+    """One protocol span: a ``relocation`` (drains included), a
+    ``repartition`` or a ``recovery``.  The pause/flush counters serve the
+    first two; ``steps`` is read for relocations only, ``phases`` for
+    recoveries only, and the ordered refinement (``kind`` … ``retires``)
+    for repartitions only."""
+
     span: int
-    machine: str
-    steps: list[int] = field(default_factory=list)
-    pauses: int = 0
-    flushes: int = 0
-    last_pause_seq: int = -1
+    family: str
     status: str | None = None
     #: aborted with splits left paused for a recovery session to resume
     pause_handoff: bool = False
-
-
-@dataclass
-class _RecoveryState:
-    span: int
-    phases: list[str] = field(default_factory=list)
-    status: str | None = None
-
-
-@dataclass
-class _RepartitionState:
-    span: int
-    kind: str  # "split" | "merge"
-    owner: str
-    parent: int
-    children: tuple[int, ...]
     pauses: int = 0
     flushes: int = 0
     last_pause_seq: int = -1
+    steps: list[int] = field(default_factory=list)
+    phases: list[str] = field(default_factory=list)
+    kind: str = ""  # "split" | "merge"
+    parent: int = -1
+    children: tuple[int, ...] = ()
     installs: set[int] = field(default_factory=set)
     retires: set[int] = field(default_factory=set)
-    status: str | None = None
-    #: aborted with splits left paused for a recovery session to resume
-    pause_handoff: bool = False
 
     @property
     def expected_installs(self) -> set[int]:
@@ -165,16 +170,13 @@ class InvariantChecker:
         # (scope, pid) -> machine currently holding live state; the scope
         # is the machine's namespace (see _namespace)
         self._resident: dict[tuple[str, int], str] = {}
-        # (span, scope, pid) -> sender, for state packed but not installed
-        self._in_flight: dict[tuple[int, str, int], str] = {}
         self._dead: set[str] = set()
         # check 10: cluster membership as seen by the trace
         self._members: set[str] = set()
         self._retired_members: set[str] = set()
         self._drained_engines: set[str] = set()
-        self._relocations: dict[int, _RelocationState] = {}
-        self._recoveries: dict[int, _RecoveryState] = {}
-        self._repartitions: dict[int, _RepartitionState] = {}
+        # span -> the relocation / repartition / recovery it opened
+        self._sessions: dict[int, _Session] = {}
         # (cleanup label, pid) -> spill count / merge count / skip count
         self._spilled: dict[tuple[str, int], int] = {}
         self._merged: dict[tuple[str, int], int] = {}
@@ -191,9 +193,44 @@ class InvariantChecker:
         self._cleaned: set[str] = set()
         # check 11: (machine, stream) -> (incarnation, watermark) last seen
         self._watermarks: dict[tuple[str, str], tuple[int, float]] = {}
-        # spill/relocation begin events + slo.alert instants, kept for
-        # check_ledger (check 8)
+        # spill/relocation/repartition begin events + slo.alert instants,
+        # kept for check_ledger (check 8)
         self._adaptation_spans: list[TraceEvent] = []
+        self._on_begin = {
+            "relocation": self._open_session,
+            "repartition": self._open_session,
+            "recovery": self._open_session,
+            "spill": self._on_spill,
+            "cleanup": self._on_cleanup,
+        }
+        self._on_instant = {
+            "deploy.assignment": self._on_assignment,
+            "relocation.step": self._on_step,
+            "split.pause": self._on_pause,
+            "split.flush": self._on_flush,
+            "relocation.pack": self._on_pack,
+            "relocation.install": self._on_install,
+            "cleanup.merge": self._on_merge,
+            "cleanup.skip": self._on_skip,
+            "engine.crash": self._on_crash,
+            "engine.restart": self._on_restart,
+            "recovery.phase": self._on_recovery_phase,
+            "recovery.restore": self._on_restore,
+            "recovery.replay": self._on_replay,
+            "repartition.pause": self._on_pause,
+            "repartition.install": self._on_repartition_install,
+            "repartition.route": self._on_repartition_route,
+            "repartition.retire": self._on_repartition_retire,
+            "repartition.flush": self._on_flush,
+            "membership.join": self._on_member_join,
+            "membership.retire": self._on_member_retire,
+            "engine.drained": self._on_engine_drained,
+            "engine.revive": self._on_engine_revive,
+            "engine.watermark": self._on_watermark,
+            # kept for the ledger bijection: every alert event must name
+            # exactly one breaching slo_check entry (check_ledger_trace)
+            "slo.alert": self._adaptation_spans.append,
+        }
 
     # ------------------------------------------------------------------
     def _fail(self, check: str, message: str, event: TraceEvent | None = None) -> None:
@@ -212,64 +249,19 @@ class InvariantChecker:
         if e.phase == PHASE_BEGIN:
             if e.name in ("relocation", "spill", "repartition"):
                 self._adaptation_spans.append(e)
-            if e.name == "relocation":
-                self._relocations[e.span] = _RelocationState(e.span, e.machine)
-            elif e.name == "recovery":
-                self._recoveries[e.span] = _RecoveryState(e.span)
-            elif e.name == "repartition":
-                # the replaced pid travels as "parent_pid" ("parent" is the
-                # tracer's span-hierarchy field)
-                self._repartitions[e.span] = _RepartitionState(
-                    e.span,
-                    str(e.get("kind", "")),
-                    str(e.get("owner", "")),
-                    int(e.get("parent_pid", -1)),
-                    tuple(int(c) for c in e.get("children", ())),
-                )
-            elif e.name == "spill":
-                self._on_spill(e)
-            elif e.name == "cleanup":
-                self._cleaned.add(str(e.get("stage", "")))
+            handler = self._on_begin.get(e.name)
         elif e.phase == PHASE_END:
-            if e.span in self._relocations and e.name == "relocation":
-                state = self._relocations[e.span]
-                state.status = str(e.get("status", ""))
-                state.pause_handoff = bool(e.get("pause_handoff", False))
-            elif e.span in self._recoveries and e.name == "recovery":
-                self._recoveries[e.span].status = str(e.get("status", ""))
-            elif e.span in self._repartitions and e.name == "repartition":
-                state = self._repartitions[e.span]
-                state.status = str(e.get("status", ""))
-                state.pause_handoff = bool(e.get("pause_handoff", False))
+            session = self._sessions.get(e.span)
+            if session is not None and session.family == e.name:
+                session.status = str(e.get("status", ""))
+                session.pause_handoff = bool(e.get("pause_handoff", False))
+            return
         elif e.phase == PHASE_INSTANT:
-            handler = {
-                "deploy.assignment": self._on_assignment,
-                "relocation.step": self._on_step,
-                "split.pause": self._on_pause,
-                "split.flush": self._on_flush,
-                "relocation.pack": self._on_pack,
-                "relocation.install": self._on_install,
-                "cleanup.merge": self._on_merge,
-                "cleanup.skip": self._on_skip,
-                "engine.crash": self._on_crash,
-                "engine.restart": self._on_restart,
-                "recovery.phase": self._on_recovery_phase,
-                "recovery.restore": self._on_restore,
-                "recovery.replay": self._on_replay,
-                "repartition.pause": self._on_repartition_pause,
-                "repartition.install": self._on_repartition_install,
-                "repartition.route": self._on_repartition_route,
-                "repartition.retire": self._on_repartition_retire,
-                "repartition.flush": self._on_repartition_flush,
-                "membership.join": self._on_member_join,
-                "membership.retire": self._on_member_retire,
-                "engine.drained": self._on_engine_drained,
-                "engine.revive": self._on_engine_revive,
-                "engine.watermark": self._on_watermark,
-                "slo.alert": self._on_slo_alert,
-            }.get(e.name)
-            if handler is not None:
-                handler(e)
+            handler = self._on_instant.get(e.name)
+        else:
+            return
+        if handler is not None:
+            handler(e)
 
     # ------------------------------------------------------------------
     # Check 5: no activity from a crashed machine until it restarts.
@@ -314,30 +306,35 @@ class InvariantChecker:
             self._resident[key] = e.machine
 
     def _on_pack(self, e: TraceEvent) -> None:
+        # packed state is in flight: resident nowhere until it lands
         scope = _namespace(e.machine)
-        span = e.span or 0
         for pid in e.get("pids", ()):
             key = (scope, int(pid))
             if self._resident.get(key) == e.machine:
                 del self._resident[key]
-            self._in_flight[(span, scope, int(pid))] = e.machine
 
-    def _on_install(self, e: TraceEvent) -> None:
-        self._check_ownership_target(e.machine, "installed", e)
+    def _land(self, e: TraceEvent, pids: Iterable, verb: str) -> None:
+        """State of ``pids`` lands on ``e.machine``, which must be a member
+        (check 10) while no live machine still holds it (check 3)."""
+        self._check_ownership_target(e.machine, verb, e)
         scope = _namespace(e.machine)
-        span = e.span or 0
-        for pid in e.get("pids", ()):
+        for pid in pids:
             key = (scope, int(pid))
-            self._in_flight.pop((span, scope, int(pid)), None)
             holder = self._resident.get(key)
             if holder is not None and holder != e.machine and holder not in self._dead:
                 self._fail(
                     "single-residency",
-                    f"partition {key} installed on {e.machine!r} while still "
-                    f"live on {holder!r}",
+                    f"{e.name!r} {verb} partition {key} on {e.machine!r} "
+                    f"while still live on {holder!r}",
                     e,
                 )
             self._resident[key] = e.machine
+
+    def _on_install(self, e: TraceEvent) -> None:
+        self._land(e, e.get("pids", ()), "installed")
+
+    def _on_restore(self, e: TraceEvent) -> None:
+        self._land(e, e.get("installed", ()), "restored")
 
     def _on_crash(self, e: TraceEvent) -> None:
         self._dead.add(e.machine)
@@ -347,21 +344,6 @@ class InvariantChecker:
 
     def _on_restart(self, e: TraceEvent) -> None:
         self._dead.discard(e.machine)
-
-    def _on_restore(self, e: TraceEvent) -> None:
-        self._check_ownership_target(e.machine, "restored", e)
-        scope = _namespace(e.machine)
-        for pid in e.get("installed", ()):
-            key = (scope, int(pid))
-            holder = self._resident.get(key)
-            if holder is not None and holder != e.machine and holder not in self._dead:
-                self._fail(
-                    "single-residency",
-                    f"recovery restored partition {key} on {e.machine!r} while "
-                    f"still live on {holder!r}",
-                    e,
-                )
-            self._resident[key] = e.machine
 
     # ------------------------------------------------------------------
     # Elastic membership (check 10)
@@ -399,121 +381,89 @@ class InvariantChecker:
             )
 
     # ------------------------------------------------------------------
-    # Relocation protocol (checks 1 and 2)
+    # State-motion sessions (checks 1, 2, 6, 7 and 9)
     # ------------------------------------------------------------------
-    def _relocation_for(self, e: TraceEvent) -> _RelocationState | None:
-        if e.span is None:
-            self._fail("relocation-steps", f"{e.name!r} event without a span", e)
+    def _open_session(self, e: TraceEvent) -> None:
+        # a repartition's replaced pid travels as "parent_pid" ("parent"
+        # is the tracer's span-hierarchy field)
+        self._sessions[e.span] = _Session(
+            e.span,
+            e.name,
+            kind=str(e.get("kind", "")),
+            parent=int(e.get("parent_pid", -1)),
+            children=tuple(int(c) for c in e.get("children", ())),
+        )
+
+    def _session(self, e: TraceEvent) -> _Session | None:
+        """The open session of the family ``e`` belongs to, or None after
+        flagging ``e`` as a stray event."""
+        family, check = _SPAN_EVENTS[e.name]
+        session = self._sessions.get(e.span)
+        if session is None or session.family != family:
+            self._fail(check, f"{e.name!r} event outside any {family} span", e)
             return None
-        state = self._relocations.get(e.span)
-        if state is None:
+        return session
+
+    def _on_pause(self, e: TraceEvent) -> None:
+        session = self._session(e)
+        if session is not None:
+            session.pauses += 1
+            session.last_pause_seq = e.seq
+
+    def _on_flush(self, e: TraceEvent) -> None:
+        session = self._session(e)
+        if session is None:
+            return
+        session.flushes += 1
+        label = f"{session.family} span {session.span}"
+        if session.flushes > session.pauses:
             self._fail(
-                "relocation-steps",
-                f"{e.name!r} event for unknown relocation span {e.span}",
+                "pause-flush",
+                f"{label}: flushed more times than paused "
+                f"({session.flushes} > {session.pauses})",
                 e,
             )
-        return state
+        if e.seq < session.last_pause_seq:
+            self._fail("pause-flush", f"{label}: flush before pause", e)
 
     def _on_step(self, e: TraceEvent) -> None:
-        state = self._relocation_for(e)
-        if state is None:
+        session = self._session(e)
+        if session is None:
             return
         step = int(e.get("step", -1))
         if step not in RELOCATION_STEPS:
             self._fail("relocation-steps", f"step number {step} out of range", e)
             return
-        if state.steps and step <= state.steps[-1]:
+        if session.steps and step <= session.steps[-1]:
             self._fail(
                 "relocation-steps",
-                f"relocation span {state.span}: step {step} after step "
-                f"{state.steps[-1]}",
+                f"relocation span {session.span}: step {step} after step "
+                f"{session.steps[-1]}",
                 e,
             )
-        state.steps.append(step)
-
-    def _on_pause(self, e: TraceEvent) -> None:
-        state = self._relocation_for(e)
-        if state is None:
-            return
-        state.pauses += 1
-        state.last_pause_seq = e.seq
-
-    def _on_flush(self, e: TraceEvent) -> None:
-        state = self._relocation_for(e)
-        if state is None:
-            return
-        state.flushes += 1
-        if state.flushes > state.pauses:
-            self._fail(
-                "pause-flush",
-                f"relocation span {state.span}: flushed more times than paused "
-                f"({state.flushes} > {state.pauses})",
-                e,
-            )
-        if e.seq < state.last_pause_seq:
-            self._fail(
-                "pause-flush",
-                f"relocation span {state.span}: flush before pause",
-                e,
-            )
-
-    # ------------------------------------------------------------------
-    # Spill / cleanup matching (check 4)
-    # ------------------------------------------------------------------
-    def _on_spill(self, e: TraceEvent) -> None:
-        scope = _cleanup_label(e.machine)
-        for pid in e.get("pids", ()):
-            key = (scope, int(pid))
-            self._spilled[key] = self._spilled.get(key, 0) + 1
-
-    def _on_merge(self, e: TraceEvent) -> None:
-        key = (str(e.get("stage", "")), int(e.get("pid", -1)))
-        self._merged[key] = self._merged.get(key, 0) + 1
-        if self._merged[key] > 1:
-            self._fail(
-                "spill-cleanup",
-                f"partition {key} merged {self._merged[key]} times during cleanup",
-                e,
-            )
-
-    def _on_skip(self, e: TraceEvent) -> None:
-        key = (str(e.get("stage", "")), int(e.get("pid", -1)))
-        self._skipped[key] = self._skipped.get(key, 0) + 1
-
-    # ------------------------------------------------------------------
-    # Recovery (checks 6 and 7)
-    # ------------------------------------------------------------------
-    def _recovery_for(self, e: TraceEvent) -> _RecoveryState | None:
-        if e.span is None or e.span not in self._recoveries:
-            self._fail(
-                "recovery-phases",
-                f"{e.name!r} event outside any recovery span",
-                e,
-            )
-            return None
-        return self._recoveries[e.span]
+        session.steps.append(step)
 
     def _on_recovery_phase(self, e: TraceEvent) -> None:
-        state = self._recovery_for(e)
-        if state is None:
+        session = self._session(e)
+        if session is None:
             return
         phase = str(e.get("phase", ""))
         if phase not in RECOVERY_PHASE_ORDER:
             self._fail("recovery-phases", f"unknown recovery phase {phase!r}", e)
             return
-        if state.phases:
-            prev = RECOVERY_PHASE_ORDER.index(state.phases[-1])
+        if session.phases:
+            prev = RECOVERY_PHASE_ORDER.index(session.phases[-1])
             if RECOVERY_PHASE_ORDER.index(phase) < prev:
                 self._fail(
                     "recovery-phases",
-                    f"recovery span {state.span}: phase {phase!r} after "
-                    f"{state.phases[-1]!r}",
+                    f"recovery span {session.span}: phase {phase!r} after "
+                    f"{session.phases[-1]!r}",
                     e,
                 )
-        state.phases.append(phase)
+        session.phases.append(phase)
 
     def _on_replay(self, e: TraceEvent) -> None:
-        self._recovery_for(e)
+        self._session(e)
         detail = e.get("detail", {})
         for pid, row in detail.items():
             suffix = int(row.get("suffix", 0))
@@ -536,71 +486,42 @@ class InvariantChecker:
                     e,
                 )
 
-    # ------------------------------------------------------------------
-    # Repartition protocol (check 9)
-    # ------------------------------------------------------------------
-    def _repartition_for(self, e: TraceEvent) -> _RepartitionState | None:
-        if e.span is None or e.span not in self._repartitions:
-            self._fail(
-                "repartition-protocol",
-                f"{e.name!r} event outside any repartition span",
-                e,
-            )
-            return None
-        return self._repartitions[e.span]
-
-    def _on_repartition_pause(self, e: TraceEvent) -> None:
-        state = self._repartition_for(e)
-        if state is None:
-            return
-        state.pauses += 1
-        state.last_pause_seq = e.seq
-
     def _on_repartition_install(self, e: TraceEvent) -> None:
-        state = self._repartition_for(e)
-        if state is None:
+        session = self._session(e)
+        if session is None:
             return
-        self._check_ownership_target(e.machine, "installed", e)
-        scope = _namespace(e.machine)
         pid = int(e.get("pid", -1))
-        if pid not in state.expected_installs:
+        if pid not in session.expected_installs:
             self._fail(
                 "repartition-protocol",
-                f"repartition span {state.span} installed pid {pid}, which is "
-                f"not among its new group(s) {sorted(state.expected_installs)}",
+                f"repartition span {session.span} installed pid {pid}, which "
+                f"is not among its new group(s) "
+                f"{sorted(session.expected_installs)}",
                 e,
             )
-        key = (scope, pid)
-        holder = self._resident.get(key)
-        if holder is not None and holder != e.machine and holder not in self._dead:
-            self._fail(
-                "single-residency",
-                f"repartition installed partition {key} on {e.machine!r} "
-                f"while still live on {holder!r}",
-                e,
-            )
-        self._resident[key] = e.machine
-        state.installs.add(pid)
+        self._land(e, (pid,), "installed")
+        session.installs.add(pid)
         # the replaced group(s) dissolve with the rebuild on the owner
-        for old in state.expected_retires:
-            okey = (scope, old)
-            if self._resident.get(okey) == e.machine:
-                del self._resident[okey]
+        scope = _namespace(e.machine)
+        for old in session.expected_retires:
+            if self._resident.get((scope, old)) == e.machine:
+                del self._resident[(scope, old)]
 
     def _on_repartition_route(self, e: TraceEvent) -> None:
-        state = self._repartition_for(e)
-        if state is None:
+        session = self._session(e)
+        if session is None:
             return
         kind = str(e.get("kind", ""))
         parent = int(e.get("parent", -1))
         children = tuple(int(c) for c in e.get("children", ()))
-        if (kind, parent, children) != (state.kind, state.parent, state.children):
+        ordered = (session.kind, session.parent, session.children)
+        if (kind, parent, children) != ordered:
             self._fail(
                 "repartition-routing",
-                f"repartition span {state.span}: host {e.machine!r} flipped "
+                f"repartition span {session.span}: host {e.machine!r} flipped "
                 f"routing to {kind} {parent} -> {children}, session ordered "
-                f"{state.kind} {state.parent} -> {state.children} (a key "
-                f"could route to two live groups)",
+                f"{session.kind} {session.parent} -> {session.children} (a "
+                f"key could route to two live groups)",
                 e,
             )
             return
@@ -614,50 +535,57 @@ class InvariantChecker:
                 self._merge_redirect[(scope, child)] = parent
 
     def _on_repartition_retire(self, e: TraceEvent) -> None:
-        state = self._repartition_for(e)
-        if state is None:
+        session = self._session(e)
+        if session is None:
             return
         pid = int(e.get("pid", -1))
-        if pid not in state.expected_retires:
+        if pid not in session.expected_retires:
             self._fail(
                 "repartition-protocol",
-                f"repartition span {state.span} retired pid {pid}, which is "
+                f"repartition span {session.span} retired pid {pid}, which is "
                 f"not among its replaced group(s) "
-                f"{sorted(state.expected_retires)}",
+                f"{sorted(session.expected_retires)}",
                 e,
             )
             return
-        if not state.installs >= state.expected_installs:
+        if not session.installs >= session.expected_installs:
             self._fail(
                 "repartition-protocol",
-                f"repartition span {state.span}: pid {pid} retired before the "
-                f"new group(s) installed ({sorted(state.installs)} of "
-                f"{sorted(state.expected_installs)})",
+                f"repartition span {session.span}: pid {pid} retired before "
+                f"the new group(s) installed ({sorted(session.installs)} of "
+                f"{sorted(session.expected_installs)})",
                 e,
             )
-        state.retires.add(pid)
-
-    def _on_repartition_flush(self, e: TraceEvent) -> None:
-        state = self._repartition_for(e)
-        if state is None:
-            return
-        state.flushes += 1
-        if state.flushes > state.pauses:
-            self._fail(
-                "pause-flush",
-                f"repartition span {state.span}: flushed more times than "
-                f"paused ({state.flushes} > {state.pauses})",
-                e,
-            )
-        if e.seq < state.last_pause_seq:
-            self._fail(
-                "pause-flush",
-                f"repartition span {state.span}: flush before pause",
-                e,
-            )
+        session.retires.add(pid)
 
     # ------------------------------------------------------------------
-    # Watermarks (check 11) and SLO alerts (check 8 extension)
+    # Spill / cleanup matching (check 4)
+    # ------------------------------------------------------------------
+    def _on_spill(self, e: TraceEvent) -> None:
+        scope = _cleanup_label(e.machine)
+        for pid in e.get("pids", ()):
+            key = (scope, int(pid))
+            self._spilled[key] = self._spilled.get(key, 0) + 1
+
+    def _on_cleanup(self, e: TraceEvent) -> None:
+        self._cleaned.add(str(e.get("stage", "")))
+
+    def _on_merge(self, e: TraceEvent) -> None:
+        key = (str(e.get("stage", "")), int(e.get("pid", -1)))
+        self._merged[key] = self._merged.get(key, 0) + 1
+        if self._merged[key] > 1:
+            self._fail(
+                "spill-cleanup",
+                f"partition {key} merged {self._merged[key]} times during cleanup",
+                e,
+            )
+
+    def _on_skip(self, e: TraceEvent) -> None:
+        key = (str(e.get("stage", "")), int(e.get("pid", -1)))
+        self._skipped[key] = self._skipped.get(key, 0) + 1
+
+    # ------------------------------------------------------------------
+    # Watermarks (check 11)
     # ------------------------------------------------------------------
     def _on_watermark(self, e: TraceEvent) -> None:
         incarnation = int(e.get("incarnation", 0))
@@ -687,91 +615,57 @@ class InvariantChecker:
                     continue
             self._watermarks[key] = (incarnation, wm)
 
-    def _on_slo_alert(self, e: TraceEvent) -> None:
-        # kept for the ledger bijection: every alert event must name
-        # exactly one breaching slo_check entry (check_ledger_trace)
-        self._adaptation_spans.append(e)
-
     # ------------------------------------------------------------------
     # End-of-trace checks
     # ------------------------------------------------------------------
     def finish(self) -> list[Violation]:
-        for state in self._relocations.values():
-            self._finish_relocation(state)
-        for state in self._recoveries.values():
-            self._finish_recovery(state)
-        for state in self._repartitions.values():
-            self._finish_repartition(state)
+        for session in self._sessions.values():
+            self._finish_session(session)
         self._finish_spill_cleanup()
         return self.violations
 
-    def _finish_relocation(self, state: _RelocationState) -> None:
-        if state.status == "done":
-            if state.steps != list(RELOCATION_STEPS):
+    def _finish_session(self, s: _Session) -> None:
+        done = s.status == "done"
+        label = f"{s.family} span {s.span}"
+        if s.family == "recovery":
+            if done and not s.phases:
+                self._fail("recovery-phases", f"{label} completed without phase events")
+            return
+        if s.family == "relocation":
+            if done and s.steps != list(RELOCATION_STEPS):
                 self._fail(
                     "relocation-steps",
-                    f"relocation span {state.span} completed with step sequence "
-                    f"{state.steps}, expected {list(RELOCATION_STEPS)}",
+                    f"{label} completed with step sequence {s.steps}, "
+                    f"expected {list(RELOCATION_STEPS)}",
                 )
-            if state.pauses < 1 or state.pauses != state.flushes:
+        elif done:
+            for what, got, expected in (
+                ("installs", s.installs, s.expected_installs),
+                ("retires", s.retires, s.expected_retires),
+            ):
+                if got != expected:
+                    self._fail(
+                        "repartition-protocol",
+                        f"{label} ({s.kind}) completed with {what} "
+                        f"{sorted(got)}, expected {sorted(expected)}",
+                    )
+        # pause/flush (check 2): one flush per pause; a completed session
+        # paused at least one host, and one that handed its paused splits
+        # to a recovery session is discharged by that session's reroute
+        if done:
+            if s.pauses < 1 or s.pauses != s.flushes:
                 self._fail(
                     "pause-flush",
-                    f"relocation span {state.span} completed with "
-                    f"{state.pauses} pauses / {state.flushes} flushes "
-                    f"(expected one flush per pause, at least one host)",
+                    f"{label} completed with {s.pauses} pauses / {s.flushes} "
+                    f"flushes (expected one flush per pause, at least one host)",
                 )
-        elif state.pause_handoff:
-            # splits were deliberately left paused for recovery to resume;
-            # the flush happens inside the recovery session's reroute
-            pass
-        elif state.pauses != state.flushes:
-            # Aborted sessions must still release buffered tuples exactly
-            # once per pause (remap-back), or the split leaks its buffer.
+        elif not s.pause_handoff and s.pauses != s.flushes:
+            # an aborted session must still release buffered tuples exactly
+            # once per pause (remap-back), or the split leaks its buffer
             self._fail(
                 "pause-flush",
-                f"relocation span {state.span} ({state.status or 'unclosed'}) "
-                f"paused {state.pauses}x but flushed {state.flushes}x",
-            )
-
-    def _finish_recovery(self, state: _RecoveryState) -> None:
-        if state.status == "done" and not state.phases:
-            self._fail(
-                "recovery-phases",
-                f"recovery span {state.span} completed without phase events",
-            )
-
-    def _finish_repartition(self, state: _RepartitionState) -> None:
-        if state.status == "done":
-            if state.installs != state.expected_installs:
-                self._fail(
-                    "repartition-protocol",
-                    f"repartition span {state.span} ({state.kind}) completed "
-                    f"with installs {sorted(state.installs)}, expected "
-                    f"{sorted(state.expected_installs)}",
-                )
-            if state.retires != state.expected_retires:
-                self._fail(
-                    "repartition-protocol",
-                    f"repartition span {state.span} ({state.kind}) completed "
-                    f"with retires {sorted(state.retires)}, expected "
-                    f"{sorted(state.expected_retires)}",
-                )
-            if state.pauses < 1 or state.pauses != state.flushes:
-                self._fail(
-                    "pause-flush",
-                    f"repartition span {state.span} completed with "
-                    f"{state.pauses} pauses / {state.flushes} flushes "
-                    f"(expected one flush per pause, at least one host)",
-                )
-        elif state.pause_handoff:
-            # the owner died mid-session; the pause buffers are discharged
-            # by the recovery session's reroute, not by this session
-            pass
-        elif state.pauses != state.flushes:
-            self._fail(
-                "pause-flush",
-                f"repartition span {state.span} ({state.status or 'unclosed'})"
-                f" paused {state.pauses}x but flushed {state.flushes}x",
+                f"{label} ({s.status or 'unclosed'}) paused {s.pauses}x but "
+                f"flushed {s.flushes}x",
             )
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The per-query :class:`~repro.core.coordinator.GlobalCoordinator` only
 balances state *within* its own deployment.  When many tenants share the
 cluster, someone has to arbitrate *between* them: the :class:`ClusterGC`
 extends the coordinator's evaluation-loop pattern to the serving layer.
-Every ``interval`` seconds it
+Every :data:`GC_INTERVAL` seconds it
 
 1. snapshots per-tenant live state (a fold group's bytes are split evenly
    across its members — shared state is shared cost);
@@ -13,7 +13,7 @@ Every ``interval`` seconds it
    ``overuse_ratio x state_bytes / (1 + productivity_rate)`` — the
    fairness-weighted analogue of the paper's forced-spill rule: evict
    where the budget pressure is worst and the state earns least;
-3. orders the top victim to spill ``spill_fraction`` of its state over
+3. orders the top victim to spill :data:`GC_SPILL_FRACTION` of its state over
    the same ``start_ss`` wire protocol the per-query coordinator uses
    (the engine acks ``ss_done`` back to the *requester*, so the reply
    returns here, not to the query's own coordinator);
@@ -40,6 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ClusterGC", "ClusterGCStats"]
 
+#: Seconds between two cross-query GC passes.
+GC_INTERVAL = 5.0
+#: Fraction of the victim engine's resident state one order spills.
+GC_SPILL_FRACTION = 0.5
+#: Orders smaller than this many bytes are not worth sending.
+GC_MIN_SPILL_BYTES = 1024
+
 
 @dataclass
 class ClusterGCStats:
@@ -54,22 +61,8 @@ class ClusterGCStats:
 class ClusterGC:
     """The serving layer's periodic cross-deployment memory arbiter."""
 
-    def __init__(
-        self,
-        server: "QueryServer",
-        *,
-        interval: float = 5.0,
-        spill_fraction: float = 0.5,
-        min_spill_bytes: int = 1024,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if not 0 < spill_fraction <= 1:
-            raise ValueError("spill_fraction must be in (0, 1]")
+    def __init__(self, server: "QueryServer") -> None:
         self.server = server
-        self.interval = interval
-        self.spill_fraction = spill_fraction
-        self.min_spill_bytes = min_spill_bytes
         self.stats = ClusterGCStats()
         self._timer: Timer | None = None
 
@@ -78,9 +71,7 @@ class ClusterGC:
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._timer is None:
-            self._timer = Timer(
-                self.server.sim, self.interval, self.evaluate
-            )
+            self._timer = Timer(self.server.sim, GC_INTERVAL, self.evaluate)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -165,8 +156,8 @@ class ClusterGC:
             "now": server.sim.now,
             "tenants": tenants,
             "victims": victims,
-            "spill_fraction": self.spill_fraction,
-            "min_spill_bytes": self.min_spill_bytes,
+            "spill_fraction": GC_SPILL_FRACTION,
+            "min_spill_bytes": GC_MIN_SPILL_BYTES,
         }
         action, rule, choice, alts = decide_cluster_gc(inputs, ledger.enabled)
         entry = 0

@@ -137,9 +137,6 @@ class QueryServer:
         tracer=None,
         ledger=None,
         fold_enabled: bool = True,
-        gc_interval: float = 5.0,
-        gc_spill_fraction: float = 0.5,
-        gc_min_spill_bytes: int = 1024,
         latency: bool = False,
     ) -> None:
         if cluster_capacity <= 0:
@@ -174,12 +171,7 @@ class QueryServer:
         self.network.register(self.name, self._deliver)
 
         self.arbiter = RelocationArbiter()
-        self.cluster_gc = ClusterGC(
-            self,
-            interval=gc_interval,
-            spill_fraction=gc_spill_fraction,
-            min_spill_bytes=gc_min_spill_bytes,
-        )
+        self.cluster_gc = ClusterGC(self)
         self.cluster_gc.start()
 
         self.queries: dict[str, QueryHandle] = {}

@@ -33,7 +33,12 @@ from repro.cluster.faults import (
 from repro.cluster.network import Network
 from repro.cluster.simulation import Simulator, Timer
 from repro.core.config import CostModel
-from repro.engine.reference import reference_join, result_idents
+from repro.core.coordinator import DRAIN_TIMEOUT
+from repro.engine.reference import (
+    reference_join,
+    reference_join_count,
+    result_idents,
+)
 from repro.obs.hub import ObsHub
 from repro.obs.invariants import InvariantChecker
 from repro.obs.ledger import DecisionLedger, verify_replay
@@ -430,6 +435,47 @@ class TestMembershipEdgeCases:
         assert dep.recovery.crashes_detected == 1
         report = dep.cleanup(materialize=True)
         assert_exactly_once(dep, report)
+
+    def test_drains_without_a_receiver_time_out(self):
+        """Draining both machines at once leaves each drain without a
+        receiver (the other is leaving too): both stay queued, abort once
+        the drain timeout passes, and no result is lost."""
+        tracer, ledger = Tracer(), DecisionLedger()
+        dep = Deployment(
+            join=three_way_join(),
+            workload=WorkloadSpec.uniform(
+                8, join_rate=2, tuple_range=300, interarrival=0.05, seed=3,
+            ),
+            workers=2,
+            config=AdaptationConfig(
+                strategy=StrategyName.LAZY_DISK,
+                memory_threshold=10**9,
+                stats_interval=2.0,
+                coordinator_interval=4.0,
+            ),
+            record_inputs=True,
+            tracer=tracer,
+            ledger=ledger,
+        )
+        membership_schedule(
+            dep, drains=[(10.0, "m1"), (10.0, "m2")]
+        ).arm(dep.sim)
+        dep.run(duration=10.0 + DRAIN_TIMEOUT + 20.0)
+        aborted = dep.metrics.events.of_kind("drain_aborted")
+        assert sorted(e.machine for e in aborted) == ["m1", "m2"]
+        for event in aborted:
+            assert event.details == {"reason": "timeout",
+                                     "phase_reached": "queued"}
+            assert event.time > 10.0 + DRAIN_TIMEOUT
+        assert dep.coordinator.stats.drains_aborted == 2
+        assert any(
+            e["inputs"].get("reason") == "drain_no_target"
+            for e in ledger.entries
+        )
+        assert dep.total_outputs == reference_join_count(
+            dep.source_host.inputs, dep.join.stream_names
+        )
+        assert check_trace(tracer.events, ledger_entries=ledger.entries) == []
 
     def test_rejoin_after_drain_has_fresh_incarnation(self):
         dep = elastic_deployment(workers=3, checkpoint=True, collect=True)

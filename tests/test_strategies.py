@@ -16,13 +16,6 @@ class TestProfiles:
     def test_every_strategy_has_a_profile(self):
         assert set(STRATEGIES) == set(StrategyName)
 
-    def test_profiles_match_config_flags(self):
-        for name, profile in STRATEGIES.items():
-            config = AdaptationConfig(strategy=name)
-            assert profile.local_spill == config.spill_enabled
-            assert profile.relocation == config.relocation_enabled
-            assert profile.forced_spill == config.forced_spill_enabled
-
     def test_only_all_memory_is_unbounded(self):
         unbounded = [n for n, p in STRATEGIES.items() if p.unbounded_memory]
         assert unbounded == [StrategyName.ALL_MEMORY]

@@ -11,8 +11,10 @@ tracing-enabled run being observationally identical to the disabled run,
 both export formats, and the bench CLI ``--trace`` flag.
 """
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -257,13 +259,22 @@ def test_checker_flags_recovery_phase_regression():
 
 
 def test_checker_flags_pause_without_flush():
+    """An aborted session that paused a host but never flushed it leaks
+    the buffer, whichever motion family paused."""
     def author(t):
         span = t.begin_span("relocation", machine="gc")
         t.event("relocation.step", machine="gc", span=span, step=1)
         t.event("split.pause", machine="src", span=span, pids=(0,))
         t.end_span(span, status="aborted", phase_reached="pausing")
 
+    def repartition(t):
+        span = t.begin_span("repartition", machine="gc", kind="split",
+                            owner="m1", parent_pid=0, children=(8, 9))
+        t.event("repartition.pause", machine="src", span=span, pids=(0,))
+        t.end_span(span, status="aborted", phase_reached="pausing")
+
     assert any(v.check == "pause-flush" for v in synthetic(author))
+    assert [v.check for v in synthetic(repartition)] == ["pause-flush"]
 
 
 def test_checker_allows_pause_handoff_to_recovery():
@@ -441,11 +452,32 @@ def test_checker_flags_install_on_second_machine():
 
 
 def test_checker_flags_repartition_event_outside_span():
+    """A span-bound event counts only inside a span of its own family: one
+    family's flush never discharges the other family's pause."""
     def author(t):
         t.event("repartition.install", machine="m1", span=999, pid=8,
                 bytes=128, tuples=2)
 
+    def pause_in_relocation(t):
+        span = t.begin_span("relocation", machine="gc")
+        t.event("repartition.pause", machine="src", span=span, pids=(0,))
+        t.end_span(span, status="aborted", phase_reached="pausing")
+
+    def flush_in_repartition(t):
+        span = t.begin_span("repartition", machine="gc", kind="split",
+                            owner="m1", parent_pid=0, children=(8, 9))
+        t.event("repartition.pause", machine="src", span=span, pids=(0,))
+        t.event("split.flush", machine="src", span=span, pids=(0,),
+                flushed=0)
+        t.end_span(span, status="aborted", phase_reached="pausing")
+
     assert any(v.check == "repartition-protocol" for v in synthetic(author))
+    # the stray pause is not the relocation's: nothing is left unflushed
+    assert ([v.check for v in synthetic(pause_in_relocation)]
+            == ["repartition-protocol"])
+    # the stray flush is not the repartition's: its pause stays unflushed
+    assert (sorted(v.check for v in synthetic(flush_in_repartition))
+            == ["pause-flush", "relocation-steps"])
 
 
 def completed_repartition_trace():
@@ -508,6 +540,55 @@ def test_mutated_real_trace_duplicated_flush_is_caught():
                  if e.name == "repartition.flush" and e.span == span)
     assert any(v.check == "pause-flush"
                for v in check_trace(events + [flush]))
+
+
+def _dispatched_names(tree):
+    """Event and span names a checker dispatches on: the string keys of
+    its dict literals and the literals it compares an event's ``name``
+    with (``==`` / ``in`` / ``startswith``)."""
+    def is_name(node):
+        return isinstance(node, ast.Attribute) and node.attr == "name"
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            found = node.keys
+        elif isinstance(node, ast.Compare) and is_name(node.left):
+            found = []
+            for comp in node.comparators:
+                found += comp.elts if isinstance(comp, ast.Tuple) else [comp]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "startswith"
+              and is_name(node.func.value)):
+            found = node.args
+        else:
+            continue
+        names.update(k.value for k in found
+                     if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    return names
+
+
+def test_checker_dispatches_only_on_emitted_names():
+    """Every event and span name the checker dispatches on is a string
+    literal somewhere else in the package, so renaming a trace event fails
+    here instead of leaving a handler that silently checks nothing."""
+    import repro
+    import repro.obs.invariants as invariants
+
+    checker_path = Path(invariants.__file__)
+    dispatched = _dispatched_names(ast.parse(checker_path.read_text()))
+    assert {"relocation", "recovery", "split.flush",
+            "repartition.flush", "slo.alert"} <= dispatched
+
+    emitted = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        if path != checker_path:
+            emitted.update(
+                node.value for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            )
+    assert sorted(dispatched - emitted) == []
 
 
 # ----------------------------------------------------------------------
