@@ -93,14 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="track end-to-end latency and print the "
                              "per-cause breakdown table (processing, "
                              "queueing, spilled, relocating, recovering, "
-                             "repartitioning) after the run; also enabled "
-                             "by REPRO_LATENCY=1")
+                             "repartitioning) after the run")
     parser.add_argument("--slo", metavar="p99=<ms>", default=None,
                         help="arm a latency SLO, e.g. --slo p99=250 for a "
                              "250 ms p99 target (implies --latency); the "
                              "coordinator evaluates the burn rate every "
                              "tick and the summary reports status and "
-                             "alerts; also armed by REPRO_SLO=<seconds>")
+                             "alerts")
     parser.add_argument("--list", action="store_true",
                         help="list strategies and spill policies, then exit")
     return parser
@@ -195,6 +194,14 @@ def main(argv: list[str] | None = None) -> int:
         print("strategies:     " + ", ".join(s.value for s in StrategyName))
         print("spill policies: " + ", ".join(p.value for p in SpillPolicyName))
         return 0
+    if args.queries > 1:
+        # standalone-only flags the server mode would silently ignore
+        for flag in ("assignment", "csv", "json", "name"):
+            if getattr(args, flag):
+                raise SystemExit(
+                    f"--{flag} applies to a standalone run only; it cannot "
+                    f"be combined with --queries {args.queries}"
+                )
 
     tracer = None
     if args.trace or args.trace_chrome or args.ledger:

@@ -53,21 +53,6 @@ class RunResult:
         return self.deployment.memory_series(machine).value_at(time)
 
 
-def _latency_hooks(latency: bool, slo):
-    """``(latency, slo)`` after the ``REPRO_LATENCY`` / ``REPRO_SLO``
-    environment hooks; an SLO, argument or hook, implies latency."""
-    if slo is None:
-        env_slo = os.environ.get("REPRO_SLO")
-        if env_slo:
-            from repro.obs.slo import SLOConfig
-
-            slo = SLOConfig(target_p99=float(env_slo))
-    latency = bool(
-        latency or slo is not None or os.environ.get("REPRO_LATENCY")
-    )
-    return latency, slo
-
-
 def _harness_config(strategy, memory_threshold: int,
                     config_overrides: dict | None) -> AdaptationConfig:
     """The harness's adaptation cadence with the caller's overrides on top."""
@@ -111,12 +96,7 @@ def run_experiment(
     parameters.  ``data_path`` selects the delivery representation —
     ``tuple``, ``batched`` or ``columnar`` (default) — which changes
     wall-clock cost only; outputs and adaptation behaviour are identical.
-
-    Latency attribution hooks in the ``REPRO_TRACE=check`` style:
-    ``REPRO_LATENCY=1`` turns on end-to-end latency tracking for every
-    run, and ``REPRO_SLO=<seconds>`` additionally arms an SLO with that
-    p99 target (implies latency), so existing benchmark suites can be
-    audited for latency behaviour without touching their code.
+    An ``slo`` implies ``latency``.
     """
     check_invariants = False
     if tracer is None and os.environ.get("REPRO_TRACE") == "check":
@@ -128,7 +108,7 @@ def run_experiment(
             from repro.obs.ledger import DecisionLedger
 
             ledger = DecisionLedger()
-    latency, slo = _latency_hooks(latency, slo)
+    latency = latency or slo is not None
     config = _harness_config(strategy, memory_threshold, config_overrides)
     deployment = Deployment(
         join=join if join is not None else three_way_join(),
@@ -231,7 +211,7 @@ def run_serving(
         ]
     if cluster_capacity is None:
         cluster_capacity = demand * n_queries * 2
-    latency, slo = _latency_hooks(latency, slo)
+    latency = latency or slo is not None
     server = QueryServer(
         tenants,
         cluster_capacity=cluster_capacity,

@@ -20,7 +20,7 @@ from repro.cluster.faults import (
     FaultSchedule,
     NetworkDegradation,
 )
-from repro.cluster.machine import DynamicTask, Machine, MemoryOverflowError, Task
+from repro.cluster.machine import DynamicTask, Machine, Task
 from repro.cluster.network import Message, Network
 from repro.cluster.simulation import Event, Simulator, Timer
 
@@ -33,7 +33,6 @@ __all__ = [
     "Fault",
     "FaultSchedule",
     "Machine",
-    "MemoryOverflowError",
     "Message",
     "Network",
     "NetworkDegradation",

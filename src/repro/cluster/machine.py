@@ -9,9 +9,11 @@ captures the two resources the paper's adaptations manage:
   all occupy the CPU for their configured service time, so an expensive
   spill genuinely delays tuple processing — this is what produces the
   throughput dips visible in the paper's Figures 5 and 13.
-* **Memory** — operator state is charged against :attr:`memory_capacity`
-  via :meth:`allocate` / :meth:`release`.  The paper's ``ss_timer`` check
-  (``QE_memory > threshold``) reads :attr:`memory_used`.
+* **Memory** — operator state is charged via :meth:`allocate` /
+  :meth:`release`.  The paper's adaptations read a memory *threshold*, not
+  a physical limit: the ``ss_timer`` check (``QE_memory > threshold``)
+  reads :attr:`memory_used`, and a machine that fails to adapt simply
+  shows unbounded growth in the recorded memory series.
 
 Control-plane tasks (adaptation protocol steps) run at
 :data:`PRIORITY_CONTROL` and overtake queued data tuples, mirroring the real
@@ -39,25 +41,6 @@ PRIORITY_DATA = 1
 
 #: A task's begin() returns (service_time, finish_callback_or_None).
 BeginResult = tuple[float, Callable[[], None] | None]
-
-
-class MemoryOverflowError(RuntimeError):
-    """Raised when an allocation exceeds a machine's physical capacity.
-
-    In the paper this is the "system crash due to memory overflow" that the
-    adaptations exist to prevent (cf. Figure 6 discussion).  Experiments run
-    with ``hard_memory_limit`` enabled treat reaching physical capacity as a
-    fatal error rather than silently swapping.
-    """
-
-    def __init__(self, machine: "Machine", requested: int) -> None:
-        super().__init__(
-            f"machine {machine.name!r} out of memory: "
-            f"{machine.memory_used}B used + {requested}B requested "
-            f"> {machine.memory_capacity}B capacity"
-        )
-        self.machine = machine
-        self.requested = requested
 
 
 class Task:
@@ -142,37 +125,15 @@ class Machine:
         The owning simulator.
     name:
         Unique human-readable identifier (``"m1"``, ``"coordinator"``, ...).
-    memory_capacity:
-        Physical memory in bytes.  ``None`` models an effectively unbounded
-        machine (used by the paper's *All-Mem* baseline).
-    cpu_speed:
-        Scaling factor applied to every task's service time; ``2.0`` halves
-        all service times.  The paper's cluster is homogeneous (``1.0``);
-        heterogeneity is exercised by the ablation benches.
-    hard_memory_limit:
-        If true, :meth:`allocate` raises :class:`MemoryOverflowError` once
-        physical capacity would be exceeded.  Experiments normally leave
-        this off so that *failure to adapt* shows up as unbounded growth in
-        the recorded memory series (how the paper plots no-adaptation
-        curves) rather than as an exception.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        *,
-        memory_capacity: int | None = None,
-        cpu_speed: float = 1.0,
-        hard_memory_limit: bool = False,
-    ) -> None:
-        if cpu_speed <= 0:
-            raise ValueError(f"cpu_speed must be positive, got {cpu_speed!r}")
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.memory_capacity = memory_capacity
-        self.cpu_speed = cpu_speed
-        self.hard_memory_limit = hard_memory_limit
+        #: divides every task's service time; the paper's cluster is
+        #: homogeneous (``1.0``) and only a
+        #: :class:`~repro.cluster.faults.CpuSlowdown` scales it
+        self.cpu_speed = 1.0
         self.memory_used = 0
         self.memory_high_water = 0
         self._queues: tuple[deque, deque] = (deque(), deque())
@@ -190,12 +151,6 @@ class Machine:
         """Charge ``nbytes`` of operator state against this machine."""
         if nbytes < 0:
             raise ValueError(f"negative allocation {nbytes!r}")
-        if (
-            self.hard_memory_limit
-            and self.memory_capacity is not None
-            and self.memory_used + nbytes > self.memory_capacity
-        ):
-            raise MemoryOverflowError(self, nbytes)
         self.memory_used += nbytes
         if self.memory_used > self.memory_high_water:
             self.memory_high_water = self.memory_used
@@ -210,13 +165,6 @@ class Machine:
                 f"{self.memory_used}B allocated"
             )
         self.memory_used -= nbytes
-
-    @property
-    def memory_headroom(self) -> int | None:
-        """Bytes left before physical capacity, or ``None`` if unbounded."""
-        if self.memory_capacity is None:
-            return None
-        return self.memory_capacity - self.memory_used
 
     # ------------------------------------------------------------------
     # CPU service
@@ -297,5 +245,4 @@ class Machine:
         self.crashes += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cap = "inf" if self.memory_capacity is None else str(self.memory_capacity)
-        return f"Machine({self.name!r}, mem={self.memory_used}/{cap}B, queue={self.queue_depth})"
+        return f"Machine({self.name!r}, mem={self.memory_used}B, queue={self.queue_depth})"

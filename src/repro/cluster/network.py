@@ -67,13 +67,12 @@ class Network:
     bandwidth:
         Per-directed-link bandwidth in bytes/second (default 125 MB/s,
         i.e. 1 Gbit/s).
-    control_kinds:
-        Message kinds accounted to the control plane.  The paper argues the
-        global coordinator stays scalable because it exchanges only
-        light-weight statistics; the stats counters let tests verify that.
     """
 
-    #: message kinds that count as adaptation/state traffic rather than data
+    #: message kinds that count as adaptation/state traffic rather than
+    #: data.  The paper argues the global coordinator stays scalable
+    #: because it exchanges only light-weight statistics; the control
+    #: counters let tests verify that.
     DEFAULT_CONTROL_KINDS = frozenset(
         {"stats", "cptv", "ptv", "pause", "paused", "marker", "transfer",
          "installed", "remap", "resumed", "start_ss", "ss_done",
@@ -92,7 +91,6 @@ class Network:
         *,
         latency: float = 0.0002,
         bandwidth: float = 125e6,
-        control_kinds: frozenset[str] | None = None,
     ) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
@@ -101,9 +99,6 @@ class Network:
         self.sim = sim
         self.latency = latency
         self.bandwidth = bandwidth
-        self.control_kinds = (
-            self.DEFAULT_CONTROL_KINDS if control_kinds is None else control_kinds
-        )
         self.stats = NetworkStats()
         self._endpoints: dict[str, Callable[[Message], None]] = {}
         self._link_free: dict[tuple[str, str], float] = {}
@@ -169,7 +164,7 @@ class Network:
 
         self.stats.messages += 1
         self.stats.bytes_sent += size_bytes
-        if kind in self.control_kinds:
+        if kind in self.DEFAULT_CONTROL_KINDS:
             self.stats.control_messages += 1
             self.stats.control_bytes += size_bytes
         if kind in ("state", "restore", "ckpt"):

@@ -7,8 +7,6 @@
 * :class:`~repro.engine.operators.mjoin.MJoin` /
   :class:`~repro.engine.operators.mjoin.MJoinInstance` — the symmetric
   multi-way hash join, the paper's representative state-intensive operator.
-* :class:`~repro.engine.operators.union.Union` — merges the partitioned
-  instances' outputs back into one stream.
 * :class:`~repro.engine.operators.select.Select`,
   :class:`~repro.engine.operators.project.Project` — stateless operators.
 * :class:`~repro.engine.operators.aggregate.GroupByAggregate` — incremental
@@ -21,7 +19,6 @@ from repro.engine.operators.mjoin import MJoin, MJoinInstance
 from repro.engine.operators.project import Project
 from repro.engine.operators.select import Select
 from repro.engine.operators.split import PartitionMap, Split
-from repro.engine.operators.union import Union
 
 __all__ = [
     "AggregateUpdate",
@@ -34,5 +31,4 @@ __all__ = [
     "Select",
     "Split",
     "StatelessOperator",
-    "Union",
 ]

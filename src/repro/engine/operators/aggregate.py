@@ -45,9 +45,9 @@ class GroupByAggregate(Operator):
         Extracts the numeric value to aggregate.
     fn:
         One of ``min`` / ``max`` / ``sum`` / ``count`` / ``avg``.
-    ts_fn:
-        Extracts the event timestamp used on emitted updates (defaults to
-        reading an ``item.ts`` attribute).
+
+    Emitted updates carry the input item's ``ts`` attribute (``0.0`` when
+    it has none) as their event timestamp.
     """
 
     def __init__(
@@ -56,8 +56,6 @@ class GroupByAggregate(Operator):
         key_fn: Callable[[Any], Any],
         value_fn: Callable[[Any], float],
         fn: str = "min",
-        *,
-        ts_fn: Callable[[Any], float] | None = None,
     ) -> None:
         super().__init__(name)
         if fn not in _SUPPORTED:
@@ -65,7 +63,6 @@ class GroupByAggregate(Operator):
         self.key_fn = key_fn
         self.value_fn = value_fn
         self.fn = fn
-        self.ts_fn = ts_fn or (lambda item: getattr(item, "ts", 0.0))
         # per-group accumulators: (current_answer, sum, count)
         self._state: dict[Any, tuple[float, float, int]] = {}
 
@@ -73,7 +70,7 @@ class GroupByAggregate(Operator):
         self.inputs_seen += 1
         group = self.key_fn(item)
         value = float(self.value_fn(item))
-        ts = self.ts_fn(item)
+        ts = getattr(item, "ts", 0.0)
         prev = self._state.get(group)
         if prev is None:
             total, count = value, 1

@@ -38,7 +38,7 @@ class Operator(ABC):
 
 class StatelessOperator(Operator):
     """Marker base for operators with no accounted state (select, project,
-    split, union).  The deployment planner spreads these evenly across
+    split).  The deployment planner spreads these evenly across
     machines since they are never a memory bottleneck (paper §2)."""
 
     @property

@@ -9,6 +9,12 @@ coordinator supervising, then runs it for a simulated duration while
 sampling the series every figure plots, and finally executes the cleanup
 phase over whatever state was spilled.
 
+Two parts of the paper's testbed are deliberately not modelled: results
+are credited at the producing engine, because no figure depends on what
+delivering them costs, and machines have no physical memory cap, because
+the adaptations read a memory *threshold*
+(:attr:`~repro.core.config.AdaptationConfig.memory_threshold`).
+
 Example
 -------
 >>> from repro import Deployment, AdaptationConfig, StrategyName
@@ -38,7 +44,7 @@ from repro.obs.hub import ObsHub
 from repro.core.cleanup import CleanupExecutor, CleanupReport
 from repro.core.config import AdaptationConfig, CostModel
 from repro.core.coordinator import GC_NAME, GlobalCoordinator
-from repro.core.strategies import profile_of, trace_strategy
+from repro.core.strategies import trace_strategy
 from repro.engine.columns import ColumnarPartitionGroup, FrozenColumnGroup
 from repro.engine.operators.base import Operator
 from repro.engine.operators.mjoin import MJoin
@@ -82,11 +88,6 @@ class Deployment:
     input_transforms:
         Per-stream stateless operator chains (select/project) applied at
         the source host before partitioning.
-    ship_results:
-        Route result batches over the network to a dedicated application
-        server machine (the paper's setup) instead of crediting them at
-        the producing engine.  Off by default — delivery cost is not a
-        studied factor in the paper's figures.
     data_path:
         Delivery format between the source host and the engines
         (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"tuple"`` (rows
@@ -100,9 +101,6 @@ class Deployment:
         and traces on the same seed.
     payload_fn:
         Optional payload builder passed to the tuple generators.
-    memory_capacity:
-        Physical per-worker memory (``None`` = unbounded, the usual setting
-        since the adaptation threshold is what matters).
     tracer:
         A :class:`~repro.obs.trace.Tracer` recording structured protocol
         traces for this run (``None`` = tracing disabled, zero overhead).
@@ -165,8 +163,6 @@ class Deployment:
         downstream: list[Operator] | None = None,
         input_transforms: dict[str, list[Operator]] | None = None,
         payload_fn=None,
-        memory_capacity: int | None = None,
-        ship_results: bool = False,
         data_path: str = "columnar",
         seed: int = 11,
         tracer=None,
@@ -189,9 +185,7 @@ class Deployment:
         workers = list(workers)
         if len(set(workers)) != len(workers):
             raise ValueError(f"duplicate worker names {workers!r}")
-        from repro.engine.app_server import APP_SERVER_NAME
-
-        reserved = {SOURCE_NAME, GC_NAME, APP_SERVER_NAME}
+        reserved = {SOURCE_NAME, GC_NAME}
         clash = reserved & set(workers)
         if clash:
             raise ValueError(f"worker names {sorted(clash)!r} are reserved")
@@ -208,7 +202,6 @@ class Deployment:
         self.worker_names = workers
         self.config = config
         self.cost = cost or CostModel()
-        self.profile = profile_of(config)
         self.batch_size = batch_size
         self.metric_labels = dict(metric_labels or {})
 
@@ -236,8 +229,6 @@ class Deployment:
         )
 
         # --- machines, disks ------------------------------------------
-        capacity = None if self.profile.unbounded_memory else memory_capacity
-        self._memory_capacity = capacity
         self._base_seed = seed
         self.machines: dict[str, Machine] = {}
         self.disks: dict[str, Disk] = {}
@@ -286,19 +277,6 @@ class Deployment:
             self.collector = collector
         else:
             self.collector = OutputCollector(downstream, collect=collect_results)
-
-        # --- application server (optional result shipping) ---------------
-        self.app_server = None
-        app_name = None
-        if ship_results:
-            from repro.engine.app_server import APP_SERVER_NAME, AppServer
-
-            app_machine = Machine(self.sim, namespace + APP_SERVER_NAME)
-            self.app_server = AppServer(
-                self.sim, self.network, app_machine, self.collector, self.cost
-            )
-            app_name = app_machine.name
-        self._app_name = app_name
 
         # --- what each worker stack attaches to (opt-in) -------------------
         if slo is not None and not latency:
@@ -456,7 +434,6 @@ class Deployment:
             self.sim.run()
             if self.config.checkpoint_enabled:
                 self.flush_outputs()
-                self.sim.run()  # drain any shipped result batches
             self.sample()  # final quiesced observation (post-drain tail)
         self._finished = True
 
@@ -506,7 +483,7 @@ class Deployment:
         (seeded ``seed + index``) → latency tracker → checkpoint manager
         (backing up to ``peer``).  The initial workers and
         :meth:`add_machine` both come through here."""
-        machine = Machine(self.sim, name, memory_capacity=self._memory_capacity)
+        machine = Machine(self.sim, name)
         disk = Disk(
             write_bandwidth=self.cost.disk_write_bandwidth,
             read_bandwidth=self.cost.disk_read_bandwidth,
@@ -524,7 +501,6 @@ class Deployment:
             self.metrics,
             self.collector,
             materialize=self._materialize,
-            app_server=self._app_name,
             data_path=self.data_path,
             seed=self._base_seed + index,
             coordinator_name=self.coordinator_name,
@@ -589,10 +565,7 @@ class Deployment:
                 self.worker_names.append(name)
             self.coordinator.admit_worker(name, incarnation=engine.incarnation)
             return engine
-        from repro.engine.app_server import APP_SERVER_NAME
-
-        if name in {self.source_name, self.coordinator_name,
-                    self.namespace + APP_SERVER_NAME}:
+        if name in {self.source_name, self.coordinator_name}:
             raise ValueError(f"worker name {name!r} is reserved")
         peer = self.worker_names[0] if self.worker_names else None
         engine = self._build_worker(name, len(self.engines), peer)

@@ -108,7 +108,6 @@ class QueryEngine:
         *,
         coordinator_name: str = GC_NAME,
         materialize: bool = False,
-        app_server: str | None = None,
         data_path: str = "columnar",
         seed: int = 11,
         metric_labels: dict[str, str] | None = None,
@@ -129,10 +128,6 @@ class QueryEngine:
         #: and traces.
         self.data_path = check_data_path(data_path)
         self.batched = data_path != "tuple"
-        #: when set, result batches ship over the network to this machine
-        #: (the paper's application server) instead of being credited
-        #: locally
-        self.app_server = app_server
         #: EngineTracker once the run opts into latency/SLO attribution
         #: (see attach_latency); ``None`` keeps the hot path at a single
         #: ``is not None`` test per batch — the zero-overhead contract.
@@ -492,13 +487,6 @@ class QueryEngine:
                 self._output_buffer_count += total
                 if collected:
                     self._output_buffer.append(collected)
-            elif self.app_server is not None and total:
-                from repro.engine.app_server import RESULT_WIRE_BYTES
-
-                self.network.send(
-                    self.name, self.app_server, "results",
-                    (total, collected), RESULT_WIRE_BYTES * total,
-                )
             else:
                 self.collector.add(total, collected, self.sim.now,
                                    source=self.name)
@@ -516,15 +504,7 @@ class QueryEngine:
         collected = concat_results(self._output_buffer)
         self._output_buffer = []
         self._output_buffer_count = 0
-        if self.app_server is not None:
-            from repro.engine.app_server import RESULT_WIRE_BYTES
-
-            self.network.send(
-                self.name, self.app_server, "results",
-                (total, collected), RESULT_WIRE_BYTES * total,
-            )
-        else:
-            self.collector.add(total, collected, self.sim.now, source=self.name)
+        self.collector.add(total, collected, self.sim.now, source=self.name)
 
     # ------------------------------------------------------------------
     # ss_timer: local spill check (Algorithm 1 lines 24-32)

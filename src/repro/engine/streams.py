@@ -6,7 +6,7 @@ the event count manageable for hour-long simulated runs) into the split
 host.  :class:`OutputCollector` plays the *application server*: it absorbs
 the joined results, keeps the cumulative output count every throughput
 figure plots, and optionally feeds materialised results through downstream
-operators (union -> aggregate for Query 1).
+operators (the group-by aggregate of Query 1).
 """
 
 from __future__ import annotations

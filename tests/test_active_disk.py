@@ -1,7 +1,5 @@
 """Deployment-level behaviour of the active-disk strategy (§5.3-5.4)."""
 
-import pytest
-
 from repro import StrategyName
 from repro.workloads.generator import PartitionWorkload, WorkloadSpec
 

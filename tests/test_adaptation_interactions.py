@@ -6,8 +6,6 @@ a relocation session, whole-operator relocation correctness, and rapid
 back-to-back relocations.
 """
 
-import pytest
-
 from repro import CostModel, StrategyName
 from repro.cluster.faults import FaultSchedule, NetworkDegradation
 from repro.core.config import RelocationScope

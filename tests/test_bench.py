@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import RunResult, run_experiment, sample_times
-from repro.bench.scale import SCALES, BenchScale, current_scale
+from repro.bench.scale import SCALES, current_scale
 from repro.core.config import StrategyName
 from repro.workloads import WorkloadSpec
 
@@ -238,6 +238,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "# Run report" in out
         assert "## Decision log" in out
+
+    @pytest.mark.parametrize("extra", [
+        ["--assignment", "0.9,0.1"],
+        ["--assignment", "1.0"],
+        ["--csv", "series.csv"],
+        ["--json"],
+        ["--name", "myrun"],
+    ], ids=["assignment", "assignment-short", "csv", "json", "name"])
+    def test_standalone_flags_rejected_with_queries(
+        self, extra, tmp_path, monkeypatch, capsys
+    ):
+        # the server mode reads none of these: it must say so, not drop them
+        from repro.bench.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"{extra[0]} .*--queries 2"):
+            main(["--queries", "2", "--workers", "2", "--minutes", "0.2",
+                  "--partitions", "8", "--tuple-range", "240",
+                  "--interarrival-ms", "50"] + extra)
+        assert list(tmp_path.iterdir()) == []
+        assert "outputs" not in capsys.readouterr().out
 
 
 class TestTraceCheckMode:

@@ -7,7 +7,6 @@ deployments in materialising mode and compare run-time ∪ cleanup results
 against the brute-force reference join over exactly the generated inputs.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro import AdaptationConfig, Deployment, StrategyName
+from repro import StrategyName
 from repro.engine.operators.split import PartitionMap
-from repro.workloads import WorkloadSpec, three_way_join
 
 from tests.helpers import small_deployment
 

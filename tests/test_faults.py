@@ -4,9 +4,8 @@ import pytest
 
 from repro import StrategyName
 from repro.cluster.faults import CpuSlowdown, FaultSchedule, NetworkDegradation
-from repro.cluster.machine import Machine, Task
+from repro.cluster.machine import Task
 from repro.cluster.network import Network
-from repro.cluster.simulation import Simulator
 from repro.engine.reference import reference_join, result_idents
 
 from tests.helpers import small_deployment

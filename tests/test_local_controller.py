@@ -1,7 +1,5 @@
 """Tests for the local adaptation controller (the per-QE half)."""
 
-import pytest
-
 from repro.cluster.disk import Disk
 from repro.core.config import AdaptationConfig, CostModel, SpillPolicyName, StrategyName
 from repro.core.local_controller import (

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.network import Network
-from repro.cluster.simulation import Simulator
 
 
 def make_net(sim, latency=0.1, bandwidth=100.0):

@@ -1,11 +1,10 @@
-"""Unit tests for select, project, union and group-by aggregate."""
+"""Unit tests for select, project and group-by aggregate."""
 
 import pytest
 
 from repro.engine.operators.aggregate import GroupByAggregate
 from repro.engine.operators.project import Project
 from repro.engine.operators.select import Select
-from repro.engine.operators.union import Union
 from repro.engine.tuples import JoinResult, Schema, StreamTuple
 
 
@@ -57,21 +56,6 @@ class TestProject:
         op = Project("p", self.SCHEMA, keep=("broker",))
         [out] = list(op.process(tup(1, seq=7, payload=("acme", 9.5))))
         assert out.ident == ("A", 7)
-
-
-class TestUnion:
-    def test_passthrough(self):
-        op = Union("u")
-        assert list(op.process("x")) == ["x"]
-        assert op.outputs_emitted == 1
-
-    def test_per_source_attribution(self):
-        op = Union("u")
-        list(op.process_from("m1", "a"))
-        list(op.process_from("m1", "b"))
-        list(op.process_from("m2", "c"))
-        assert op.per_source == {"m1": 2, "m2": 1}
-        assert op.inputs_seen == 3
 
 
 class TestGroupByAggregate:

@@ -149,8 +149,6 @@ class TestGroupVsPerInputEquivalence:
     def test_same_final_answer_as_partition_group_design(self):
         """Both granularities converge to the reference; the group design's
         cleanup examines only the missing combinations."""
-        from repro.core.cleanup import merge_missing_results
-        from repro.engine.partitions import PartitionGroup
 
         schedule = []
         for key in range(2):

@@ -8,11 +8,10 @@ reporting loop.
 
 import pytest
 
-from repro import AdaptationConfig, CostModel, Deployment, StrategyName
+from repro import StrategyName
 from repro.cluster.network import Message
 from repro.core.relocation import CptvRequest, ForcedSpillRequest, StatsReport
 from repro.engine.query_engine import MODE_NORMAL, MODE_SR, MODE_SS
-from repro.workloads import WorkloadSpec, three_way_join
 
 from tests.helpers import small_deployment
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AdaptationConfig, StrategyName
+from repro import StrategyName
 from repro.cluster.faults import (
     CpuSlowdown,
     FaultSchedule,

@@ -1,7 +1,5 @@
 """Tests for benchmark report formatting."""
 
-import pytest
-
 from repro.bench.report import (
     format_table,
     kv_block,

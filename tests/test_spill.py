@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.disk import Disk
-from repro.cluster.machine import Machine
 from repro.core.config import CostModel, SpillPolicyName
 from repro.core.spill import (
     LargestFirstSpillPolicy,

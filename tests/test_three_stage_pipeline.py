@@ -5,8 +5,6 @@ inputs, whose recovered results become stage-3 late inputs.  Identity is
 tracked end-to-end via flattened leaf provenance.
 """
 
-import pytest
-
 from repro import (
     AdaptationConfig,
     PipelineDeployment,

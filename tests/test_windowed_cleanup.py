@@ -6,8 +6,6 @@ tests run a windowed join with spills and compare against the windowed
 reference oracle.
 """
 
-import pytest
-
 from repro import AdaptationConfig, Deployment, StrategyName
 from repro.core.cleanup import merge_missing_results
 from repro.engine.partitions import PartitionGroup

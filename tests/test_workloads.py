@@ -17,11 +17,7 @@ from repro.workloads.generator import (
     distinct_values,
 )
 from repro.engine.tuples import StreamTuple
-from repro.workloads.patterns import (
-    AlternatingPattern,
-    DiurnalPattern,
-    UniformPattern,
-)
+from repro.workloads.patterns import AlternatingPattern, DiurnalPattern
 
 
 def make_generator(spec, stream="A", payload_fn=None):
