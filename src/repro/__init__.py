@@ -28,14 +28,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproduction index.
 """
 
-from repro.core.config import (
-    AdaptationConfig,
-    CheckpointMode,
-    CheckpointTarget,
-    CostModel,
-    SpillPolicyName,
-    StrategyName,
-)
+from repro.core.config import AdaptationConfig, CostModel, SpillPolicyName, StrategyName
 from repro.core.strategies import (
     STRATEGIES,
     StrategyProfile,
@@ -60,8 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdaptationConfig",
-    "CheckpointMode",
-    "CheckpointTarget",
     "CostModel",
     "DecisionLedger",
     "Deployment",

@@ -79,8 +79,8 @@ class Network:
          # split/merge order and its ack (the rest of that protocol is the
          # shared pause/marker/installed/remap/resumed bracket above)
          "repartition", "repartition_ack",
-         # recovery protocol (repro.recovery); bulk "restore" and "ckpt"
-         # payloads are deliberately excluded — state traffic, like "state"
+         # recovery protocol (repro.recovery); the bulk "restore" payload
+         # is deliberately excluded — state traffic, like "state"
          "trim", "pause_owned", "owned_paused", "restored",
          "recover_route", "rerouted", "abort_transfer", "transfer_aborted"}
     )
@@ -167,13 +167,9 @@ class Network:
         if kind in self.DEFAULT_CONTROL_KINDS:
             self.stats.control_messages += 1
             self.stats.control_bytes += size_bytes
-        if kind in ("state", "restore", "ckpt"):
+        if kind in ("state", "restore"):
             self.stats.state_transfer_bytes += size_bytes
         return message
-
-    def transfer_duration(self, size_bytes: int) -> float:
-        """Unloaded-link transfer time for ``size_bytes`` (cost estimate)."""
-        return self.latency + size_bytes / self.bandwidth
 
     def _deliver(self, message: Message) -> None:
         self._endpoints[message.dst](message)

@@ -109,13 +109,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN too: it would break the heap order
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(f"cannot schedule at {time!r}; clock is at {self.now!r}")
         seq = next(self._seq)
         event = Event(time, seq, callback, args, self)
@@ -248,7 +248,7 @@ class Timer:
         start: bool = True,
         first_delay: float | None = None,
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:
             raise SimulationError(f"timer interval must be positive, got {interval!r}")
         self._sim = sim
         self.interval = interval

@@ -3,10 +3,9 @@ non-blocking queries.
 
 * :mod:`repro.core.config` — tunables (Tables 1-2 of the paper) and the
   simulator cost model.
-* :mod:`repro.core.productivity` — the partition-group productivity metric
-  ``P_output / P_size`` and estimator variants.
-* :mod:`repro.core.spill` — spill victim-selection policies and the spill
-  executor (state spill adaptation, §3).
+* :mod:`repro.core.spill` — spill victim-selection policies (ranked by a
+  group's productivity ``P_output / P_size``, §2) and the spill executor
+  (state spill adaptation, §3).
 * :mod:`repro.core.relocation` — the pair-wise relocation policy and the
   8-step GC/QE state-movement protocol (§4).
 * :mod:`repro.core.cleanup` — the disk-state cleanup phase: duplicate-free
@@ -27,26 +26,18 @@ from repro.core.config import (
     StrategyName,
 )
 from repro.core.per_input import PerInputJoinState
-from repro.core.productivity import (
-    CumulativeProductivity,
-    ProductivityEstimator,
-    WindowedProductivity,
-)
 from repro.core.spill import SpillPolicy, make_spill_policy
 from repro.core.strategies import STRATEGIES, StrategyProfile
 
 __all__ = [
     "AdaptationConfig",
     "CostModel",
-    "CumulativeProductivity",
     "PerInputJoinState",
-    "ProductivityEstimator",
     "RelocationScope",
     "STRATEGIES",
     "SpillPolicy",
     "SpillPolicyName",
     "StrategyName",
     "StrategyProfile",
-    "WindowedProductivity",
     "make_spill_policy",
 ]

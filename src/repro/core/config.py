@@ -54,32 +54,6 @@ class RelocationScope(str, Enum):
     OPERATOR = "operator"
 
 
-class CheckpointMode(str, Enum):
-    """What a periodic checkpoint snapshots (``repro.recovery``).
-
-    * ``FULL`` — every live partition group, every time.
-    * ``INCREMENTAL`` — only groups mutated since their last snapshot; the
-      registry keeps one durable entry per partition, so unchanged entries
-      stay valid.
-    """
-
-    FULL = "full"
-    INCREMENTAL = "incremental"
-
-
-class CheckpointTarget(str, Enum):
-    """Where checkpoint snapshots become durable.
-
-    * ``LOCAL`` — the machine's own disk (modelled as surviving a crash,
-      i.e. journaled/network-attached storage).
-    * ``PEER`` — shipped over the network to the next worker's disk, adding
-      transfer cost but keeping a copy off the writing machine.
-    """
-
-    LOCAL = "local"
-    PEER = "peer"
-
-
 class StrategyName(str, Enum):
     """Top-level adaptation strategies compared in the evaluation.
 
@@ -177,8 +151,6 @@ class CostModel:
     probe_cost: float = 2.0e-4
     #: CPU time to construct and emit one join result.
     result_cost: float = 5.0e-5
-    #: CPU time to process one tuple in a stateless operator.
-    stateless_cost: float = 1e-6
     #: Local-disk sequential write bandwidth (spill path).
     disk_write_bandwidth: float = 50e6
     #: Local-disk sequential read bandwidth (cleanup path).
@@ -197,19 +169,21 @@ class CostModel:
     control_message_bytes: int = 256
 
     def __post_init__(self) -> None:
+        # written ``not x > 0`` so that NaN is rejected too
         for name in (
             "route_cost",
             "probe_cost",
             "result_cost",
-            "stateless_cost",
             "disk_write_bandwidth",
             "disk_read_bandwidth",
             "network_bandwidth",
+            "control_message_bytes",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.disk_seek_time < 0 or self.network_latency < 0:
-            raise ValueError("latencies must be non-negative")
+        for name in ("disk_seek_time", "network_latency", "serialize_cost_per_byte"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -289,12 +263,11 @@ class AdaptationConfig:
     #: with it off the engines, coordinator, and source hosts behave exactly
     #: as the paper's protocol describes (no durability work, no buffering).
     checkpoint_enabled: bool = False
-    #: Seconds between two periodic checkpoints of one machine.
+    #: Seconds between two periodic checkpoints of one machine.  Each
+    #: checkpoint snapshots the groups mutated since their last snapshot
+    #: to the machine's own disk (modelled as surviving a crash, i.e.
+    #: journaled or network-attached storage).
     checkpoint_interval: float = 30.0
-    #: Snapshot everything each time, or only mutated partition groups.
-    checkpoint_mode: CheckpointMode = CheckpointMode.INCREMENTAL
-    #: Durable storage for snapshots: own disk or the next worker's disk.
-    checkpoint_target: CheckpointTarget = CheckpointTarget.LOCAL
     #: Seconds of statistics-heartbeat silence after which the coordinator
     #: declares a worker dead and starts recovery.  Must comfortably exceed
     #: ``stats_interval`` or healthy workers will be declared lost.
@@ -306,54 +279,40 @@ class AdaptationConfig:
     #: of waiting out a possibly long τ_m window.
     rebalance_on_join: bool = True
 
-    # ----- shared -------------------------------------------------------
-    #: Smoothing factor for the windowed productivity estimator (None uses
-    #: the cumulative metric exactly as defined in §2).
-    productivity_alpha: float | None = None
-
     def __post_init__(self) -> None:
-        if self.memory_threshold <= 0:
-            raise ValueError("memory_threshold must be positive")
-        if not 0 < self.spill_fraction <= 1:
-            raise ValueError("spill_fraction must be in (0, 1]")
-        if not 0 < self.theta_r <= 1:
-            raise ValueError("theta_r must be in (0, 1]")
-        if self.tau_m < 0:
-            raise ValueError("tau_m must be non-negative")
-        if self.lambda_productivity <= 1:
-            raise ValueError("lambda_productivity must exceed 1")
-        if self.forced_spill_cap < 0:
-            raise ValueError("forced_spill_cap must be non-negative")
-        if not 0 < self.forced_spill_fraction <= 1:
-            raise ValueError("forced_spill_fraction must be in (0, 1]")
-        if not 0 <= self.forced_spill_pressure <= 1:
-            raise ValueError("forced_spill_pressure must be in [0, 1]")
-        if self.min_relocation_bytes < 0:
-            raise ValueError("min_relocation_bytes must be non-negative")
-        if self.split_skew_factor <= 1:
-            raise ValueError("split_skew_factor must exceed 1")
-        if self.split_min_bytes <= 0:
-            raise ValueError("split_min_bytes must be positive")
-        if self.merge_max_bytes < 0:
-            raise ValueError("merge_max_bytes must be non-negative")
-        if self.tau_p < 0:
-            raise ValueError("tau_p must be non-negative")
+        # every check reads ``not <valid>`` so that NaN is rejected too
         for name in (
+            "memory_threshold",
+            "split_min_bytes",
             "ss_interval",
             "stats_interval",
             "coordinator_interval",
             "checkpoint_interval",
             "failure_timeout",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.checkpoint_enabled and self.failure_timeout <= self.stats_interval:
+        for name in ("tau_m", "forced_spill_cap", "min_relocation_bytes",
+                     "merge_max_bytes", "tau_p"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        if not 0 < self.spill_fraction <= 1:
+            raise ValueError("spill_fraction must be in (0, 1]")
+        if not 0 < self.theta_r <= 1:
+            raise ValueError("theta_r must be in (0, 1]")
+        if not self.lambda_productivity > 1:
+            raise ValueError("lambda_productivity must exceed 1")
+        if not 0 < self.forced_spill_fraction <= 1:
+            raise ValueError("forced_spill_fraction must be in (0, 1]")
+        if not 0 <= self.forced_spill_pressure <= 1:
+            raise ValueError("forced_spill_pressure must be in [0, 1]")
+        if not self.split_skew_factor > 1:
+            raise ValueError("split_skew_factor must exceed 1")
+        if self.checkpoint_enabled and not self.failure_timeout > self.stats_interval:
             raise ValueError(
                 "failure_timeout must exceed stats_interval: the failure detector "
                 "counts missed statistics heartbeats"
             )
-        if self.productivity_alpha is not None and not 0 < self.productivity_alpha <= 1:
-            raise ValueError("productivity_alpha must be in (0, 1] or None")
 
     def with_(self, **changes) -> "AdaptationConfig":
         """Return a modified copy (convenience over dataclasses.replace)."""

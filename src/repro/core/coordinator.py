@@ -43,8 +43,12 @@ from repro.obs.hub import ObsHub
 from repro.cluster.network import Message, Network
 from repro.cluster.simulation import Simulator, Timer
 from repro.core.config import AdaptationConfig, CostModel
-from repro.core.policy import decide_gc, decide_membership, with_choice
-from repro.core.productivity import machine_productivity_rate
+from repro.core.policy import (
+    decide_gc,
+    decide_membership,
+    machine_productivity_rate,
+    with_choice,
+)
 from repro.core.repartition import RepartitionAck, RepartitionManager
 from repro.recovery.protocol import AbortTransferRequest, PauseOwnedRequest
 from repro.core.relocation import (

@@ -14,35 +14,29 @@ engine holds per-group statistics.  This module is that local half:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.config import AdaptationConfig
-from repro.core.productivity import (
-    CumulativeProductivity,
-    ProductivityEstimator,
-    WindowedProductivity,
-)
-from repro.core.spill import SpillExecutor, SpillOutcome, SpillPolicy, make_spill_policy
+from repro.core.config import AdaptationConfig, RelocationScope
+from repro.core.spill import SpillExecutor, SpillOutcome, make_spill_policy
 from repro.engine.columns import ColumnarPartitionGroup
-from repro.engine.state_store import StateStore
+from repro.engine.state_store import ORDER_PRODUCTIVITY_DESC, StateStore
 
 
 def select_relocation_parts(
-    groups: Sequence[ColumnarPartitionGroup],
-    amount: int,
-    estimator: ProductivityEstimator,
+    groups: Sequence[ColumnarPartitionGroup], amount: int
 ) -> tuple[tuple[int, ...], int]:
     """``computePartsToMove``: most-productive groups totalling ~``amount``.
 
     Mirrors the spill selection's always-make-progress rule: the group that
     crosses the byte boundary is included.  Returns ``(pids, total_bytes)``.
+    This is the sorted reference; the controller serves the same picks from
+    the store's victim index (:meth:`StateStore.pick_victims`).
     """
     if amount <= 0:
         return (), 0
     chosen: list[int] = []
     total = 0
-    for group in estimator.rank_descending(groups):
+    for group in sorted(groups, key=lambda g: (-g.productivity, g.pid)):
         if group.is_empty:
             continue
         chosen.append(group.pid)
@@ -50,15 +44,6 @@ def select_relocation_parts(
         if total >= amount:
             break
     return tuple(chosen), total
-
-
-@dataclass
-class ControllerDecision:
-    """What the ``ss_timer`` check decided (for logging/testing)."""
-
-    spilled: bool
-    outcome: SpillOutcome | None = None
-    reason: str = ""
 
 
 class LocalAdaptationController:
@@ -85,21 +70,7 @@ class LocalAdaptationController:
         self.store = store
         self.executor = executor
         self.config = config
-        if config.productivity_alpha is None:
-            self.estimator: ProductivityEstimator = CumulativeProductivity()
-        else:
-            self.estimator = WindowedProductivity(alpha=config.productivity_alpha)
-        self.spill_policy: SpillPolicy = make_spill_policy(
-            config.spill_policy, estimator=self.estimator, seed=seed
-        )
-
-    # ------------------------------------------------------------------
-    # Statistics upkeep
-    # ------------------------------------------------------------------
-    def observe(self) -> None:
-        """Feed the windowed estimator (no-op for the cumulative metric)."""
-        if isinstance(self.estimator, WindowedProductivity):
-            self.estimator.observe(self.store.groups())
+        self.spill_policy = make_spill_policy(config.spill_policy, seed=seed)
 
     # ------------------------------------------------------------------
     # State spill (ss_timer path, Algorithms 1-2)
@@ -111,14 +82,10 @@ class LocalAdaptationController:
         fraction of resident state — ``computeSpillAmount``)."""
         if amount is None:
             amount = self.executor.compute_amount(self.config.spill_fraction)
-        outcome = self.executor.execute(
+        return self.executor.execute(
             self.spill_policy, amount, now=now, forced=forced, on_done=on_done,
             ledger_entry=ledger_entry,
         )
-        if outcome is not None and isinstance(self.estimator, WindowedProductivity):
-            for pid in outcome.partition_ids:
-                self.estimator.forget(pid)
-        return outcome
 
     # ------------------------------------------------------------------
     # State relocation (cptv path)
@@ -133,22 +100,15 @@ class LocalAdaptationController:
         every graceful drain): everything this instance holds, regardless
         of ``amount``.  ``scope`` overrides the configured default.
         """
-        from repro.core.config import RelocationScope
-
         if scope is None:
             scope = self.config.relocation_scope.value
         if scope == RelocationScope.OPERATOR.value:
             pids = tuple(
                 g.pid for g in self.store.groups() if not g.is_empty
             )
-            total = sum(self.store.peek(p).size_bytes for p in pids)
-            return pids, total
-        if type(self.estimator) is CumulativeProductivity:
-            # served from the store's lazy victim index: same parts, same
-            # order as the ranked path, without re-sorting every group
-            from repro.engine.state_store import ORDER_PRODUCTIVITY_DESC
-
+        else:
+            # served from the store's lazy victim index: the parts and order
+            # of select_relocation_parts, without re-sorting every group
             pids = tuple(self.store.pick_victims(ORDER_PRODUCTIVITY_DESC, amount))
-            total = sum(self.store.peek(p).size_bytes for p in pids)
-            return pids, total
-        return select_relocation_parts(list(self.store.groups()), amount, self.estimator)
+        total = sum(self.store.peek(p).size_bytes for p in pids)
+        return pids, total

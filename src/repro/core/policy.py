@@ -44,6 +44,15 @@ def _load_key(report: dict) -> tuple:
     return (report["state_bytes"], report["machine"])
 
 
+def machine_productivity_rate(outputs_delta: int, group_count: int) -> float:
+    """The active-disk strategy's machine-level *average productivity rate*
+    ``R``: tuples generated during the sampling period divided by the number
+    of partition groups on the machine (paper §5.3)."""
+    if group_count <= 0:
+        return 0.0
+    return outputs_delta / group_count
+
+
 # ----------------------------------------------------------------------
 # GC tick: relocation (§4), then forced spill (active-disk, Algorithm 2)
 # ----------------------------------------------------------------------

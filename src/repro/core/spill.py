@@ -25,7 +25,6 @@ from typing import Sequence
 from repro.cluster.disk import Disk, SpillSegment
 from repro.cluster.machine import PRIORITY_CONTROL, DynamicTask, Machine
 from repro.core.config import CostModel, SpillPolicyName
-from repro.core.productivity import CumulativeProductivity, ProductivityEstimator
 from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.state_store import (
     ORDER_PRODUCTIVITY_ASC,
@@ -117,20 +116,13 @@ class LessProductiveSpillPolicy(SpillPolicy):
 
     name = SpillPolicyName.LESS_PRODUCTIVE
 
-    def __init__(self, estimator: ProductivityEstimator | None = None) -> None:
-        self.estimator = estimator or CumulativeProductivity()
-
     def order(
         self, groups: Sequence[ColumnarPartitionGroup]
     ) -> list[ColumnarPartitionGroup]:
-        return self.estimator.rank_ascending(groups)
+        return sorted(groups, key=lambda g: (g.productivity, g.pid))
 
     def select_victims(self, store: StateStore, amount: int) -> list[int]:
-        # the store's index orders by the cumulative metric; any other
-        # estimator (e.g. the EWMA variant) needs the generic ranked path
-        if type(self.estimator) is CumulativeProductivity:
-            return store.pick_victims(ORDER_PRODUCTIVITY_ASC, amount)
-        return super().select_victims(store, amount)
+        return store.pick_victims(ORDER_PRODUCTIVITY_ASC, amount)
 
 
 class MoreProductiveSpillPolicy(SpillPolicy):
@@ -138,26 +130,16 @@ class MoreProductiveSpillPolicy(SpillPolicy):
 
     name = SpillPolicyName.MORE_PRODUCTIVE
 
-    def __init__(self, estimator: ProductivityEstimator | None = None) -> None:
-        self.estimator = estimator or CumulativeProductivity()
-
     def order(
         self, groups: Sequence[ColumnarPartitionGroup]
     ) -> list[ColumnarPartitionGroup]:
-        return self.estimator.rank_descending(groups)
+        return sorted(groups, key=lambda g: (-g.productivity, g.pid))
 
     def select_victims(self, store: StateStore, amount: int) -> list[int]:
-        if type(self.estimator) is CumulativeProductivity:
-            return store.pick_victims(ORDER_PRODUCTIVITY_DESC, amount)
-        return super().select_victims(store, amount)
+        return store.pick_victims(ORDER_PRODUCTIVITY_DESC, amount)
 
 
-def make_spill_policy(
-    name: SpillPolicyName | str,
-    *,
-    estimator: ProductivityEstimator | None = None,
-    seed: int = 11,
-) -> SpillPolicy:
+def make_spill_policy(name: SpillPolicyName | str, *, seed: int = 11) -> SpillPolicy:
     """Factory from a :class:`~repro.core.config.SpillPolicyName`."""
     name = SpillPolicyName(name)
     if name is SpillPolicyName.RANDOM:
@@ -165,8 +147,8 @@ def make_spill_policy(
     if name is SpillPolicyName.LARGEST:
         return LargestFirstSpillPolicy()
     if name is SpillPolicyName.LESS_PRODUCTIVE:
-        return LessProductiveSpillPolicy(estimator=estimator)
-    return MoreProductiveSpillPolicy(estimator=estimator)
+        return LessProductiveSpillPolicy()
+    return MoreProductiveSpillPolicy()
 
 
 @dataclass(frozen=True)
@@ -234,18 +216,13 @@ class SpillExecutor:
         if self.ledger.enabled and ledger_entry:
             # score the victims *before* eviction mutates the store — these
             # are the productivity values the policy actually ranked on
-            estimator = getattr(policy, "estimator", None)
             victim_detail = []
             for pid in victims:
                 group = self.store.peek(pid)
                 victim_detail.append({
                     "pid": pid,
                     "bytes": group.size_bytes,
-                    "score": (
-                        estimator.score(group)
-                        if estimator is not None
-                        else group.productivity
-                    ),
+                    "score": group.productivity,
                 })
         frozen = self.store.evict(victims)
         bytes_spilled = sum(f.size_bytes for f in frozen)

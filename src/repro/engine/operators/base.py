@@ -34,13 +34,3 @@ class Operator(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
-
-
-class StatelessOperator(Operator):
-    """Marker base for operators with no accounted state (select, project,
-    split).  The deployment planner spreads these evenly across
-    machines since they are never a memory bottleneck (paper §2)."""
-
-    @property
-    def state_bytes(self) -> int:
-        return 0

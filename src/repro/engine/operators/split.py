@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.engine.operators.base import StatelessOperator
+from repro.engine.operators.base import Operator
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 
 
@@ -111,7 +111,7 @@ class PartitionMap:
         return dict(self._owner)
 
 
-class Split(StatelessOperator):
+class Split(Operator):
     """Partition one input stream and route tuples to join instances.
 
     Parameters

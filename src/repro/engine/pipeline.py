@@ -277,9 +277,9 @@ class PipelineDeployment:
     # ------------------------------------------------------------------
     def run(self, duration: float, *, sample_interval: float = 30.0) -> None:
         """Run the pipeline for ``duration`` simulated seconds + drain."""
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError("duration must be positive")
-        if sample_interval <= 0:
+        if not sample_interval > 0:
             raise ValueError("sample_interval must be positive")
         if self._finished:
             raise RuntimeError("pipeline already ran; build a fresh one")

@@ -85,9 +85,6 @@ class Deployment:
     downstream:
         Operators applied to each materialised result at the collector
         (e.g. Query 1's group-by aggregate); forces materialisation.
-    input_transforms:
-        Per-stream stateless operator chains (select/project) applied at
-        the source host before partitioning.
     data_path:
         Delivery format between the source host and the engines
         (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"tuple"`` (rows
@@ -161,7 +158,6 @@ class Deployment:
         collect_results: bool = False,
         record_inputs: bool = False,
         downstream: list[Operator] | None = None,
-        input_transforms: dict[str, list[Operator]] | None = None,
         payload_fn=None,
         data_path: str = "columnar",
         seed: int = 11,
@@ -299,8 +295,7 @@ class Deployment:
 
         # --- worker stacks ------------------------------------------------
         for i, name in enumerate(workers):
-            peer = workers[(i + 1) % len(workers)] if len(workers) > 1 else None
-            self._build_worker(name, i, peer)
+            self._build_worker(name, i)
         self.source_host = SourceHost(
             self.sim,
             self.network,
@@ -310,7 +305,6 @@ class Deployment:
             self.metrics,
             coordinator_name=self.coordinator_name,
             record_inputs=record_inputs,
-            transforms=input_transforms,
             keep_replay_log=config.checkpoint_enabled,
             data_path=data_path,
             metric_labels=metric_labels,
@@ -417,9 +411,9 @@ class Deployment:
         tuples and protocol sessions are then allowed to finish, so the
         post-run state is quiescent before :meth:`cleanup`.
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError("duration must be positive")
-        if sample_interval <= 0:
+        if not sample_interval > 0:
             raise ValueError("sample_interval must be positive")
         self.launch(duration)
         t = self.sim.now
@@ -476,13 +470,11 @@ class Deployment:
         for engine in self.engines.values():
             engine.flush_outputs()
 
-    def _build_worker(
-        self, name: str, index: int, peer: str | None
-    ) -> QueryEngine:
+    def _build_worker(self, name: str, index: int) -> QueryEngine:
         """Wire one worker stack: machine → disk → join instance → engine
-        (seeded ``seed + index``) → latency tracker → checkpoint manager
-        (backing up to ``peer``).  The initial workers and
-        :meth:`add_machine` both come through here."""
+        (seeded ``seed + index``) → latency tracker → checkpoint manager.
+        The initial workers and :meth:`add_machine` both come through
+        here."""
         machine = Machine(self.sim, name)
         disk = Disk(
             write_bandwidth=self.cost.disk_write_bandwidth,
@@ -530,7 +522,6 @@ class Deployment:
                     self.cost,
                     self.metrics,
                     source_name=self.source_name,
-                    peer=peer,
                     on_flush=engine.flush_outputs,
                 )
             )
@@ -567,8 +558,7 @@ class Deployment:
             return engine
         if name in {self.source_name, self.coordinator_name}:
             raise ValueError(f"worker name {name!r} is reserved")
-        peer = self.worker_names[0] if self.worker_names else None
-        engine = self._build_worker(name, len(self.engines), peer)
+        engine = self._build_worker(name, len(self.engines))
         self.worker_names.append(name)
         for monitor in self.coordinator.slo_monitors:
             monitor.machines = monitor.machines + (name,)

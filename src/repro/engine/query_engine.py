@@ -622,16 +622,15 @@ class QueryEngine:
         ledger = self.metrics.ledger
         if ledger.enabled and request.ledger_entry:
             # annotate the GC's decision with the concrete groups the local
-            # controller picked, scored as the estimator saw them
+            # controller picked, scored by the productivity it ranked on
             store = self.instance.store
-            estimator = self.controller.estimator
             ledger.annotate(
                 request.ledger_entry,
                 victims=[
                     {
                         "pid": pid,
                         "bytes": store.peek(pid).size_bytes,
-                        "score": estimator.score(store.peek(pid)),
+                        "score": store.peek(pid).productivity,
                     }
                     for pid in pids
                 ],
@@ -944,17 +943,10 @@ class QueryEngine:
             DynamicTask(begin, priority=PRIORITY_CONTROL, label="restore_state")
         )
 
-    def _on_ckpt(self, message: Message) -> None:
-        """Peer-target checkpoint bytes landing on this machine's disk."""
-        nbytes: int = message.payload
-        self.disk.stats.bytes_written += nbytes
-        self.disk.stats.writes += 1
-
     # ------------------------------------------------------------------
     # Statistics reporting (sr_timer at the QE)
     # ------------------------------------------------------------------
     def _report_stats(self) -> None:
-        self.controller.observe()
         store = self.instance.store
         outputs = store.outputs_total
         delta = outputs - self._outputs_reported
@@ -1207,19 +1199,12 @@ class SourceHost:
         *,
         coordinator_name: str = GC_NAME,
         record_inputs: bool = False,
-        transforms: dict[str, list] | None = None,
         keep_replay_log: bool = False,
         data_path: str = "columnar",
         metric_labels: dict[str, str] | None = None,
     ) -> None:
         if not splits:
             raise ValueError("source host needs at least one split")
-        if transforms:
-            unknown = set(transforms) - set(splits)
-            if unknown:
-                raise ValueError(
-                    f"transforms reference unknown streams {sorted(unknown)!r}"
-                )
         self.sim = sim
         self.network = network
         self.machine = machine
@@ -1236,13 +1221,8 @@ class SourceHost:
         self.data_path = check_data_path(data_path)
         #: join input order — the stream-index space of column batches
         self._stream_order = tuple(splits)
-        #: per-stream stateless operator chains (select/project) applied
-        #: before partitioning — the standard state-reduction step the
-        #: paper assumes has already been pushed ahead of the join
-        self.transforms = transforms or {}
         self.inputs: list[StreamTuple] = []
         self.tuples_routed = 0
-        self.tuples_dropped = 0
         #: upstream backup (repro.recovery): per-partition log of forwarded
         #: tuples, trimmed as workers report durable coverage — at any
         #: instant it holds exactly the input suffix a recovery must replay
@@ -1264,60 +1244,32 @@ class SourceHost:
 
         ``batch`` is a sized iterable of tuples — a stream source's
         :class:`~repro.engine.tuples.ArrivalBatch` or a plain list.  On the
-        columnar data path an arrival batch of a stream without a transform
-        chain is routed and segmented as columns (no ``StreamTuple`` is
-        built for a row unless it is buffered, logged for replay or
-        recorded); everything else takes the row path.  Simulated cost and
-        messages are the same either way.
+        columnar data path an arrival batch is routed and segmented as
+        columns (no ``StreamTuple`` is built for a row unless it is
+        buffered, logged for replay or recorded); everything else takes the
+        row path.  Simulated cost and messages are the same either way.
         """
         split = self.splits[stream]
-        chain = self.transforms.get(stream, ())
-        columns = (
-            self.data_path == "columnar"
-            and not chain
-            and isinstance(batch, ArrivalBatch)
-        )
+        columns = self.data_path == "columnar" and isinstance(batch, ArrivalBatch)
 
         def begin():
+            if self.record_inputs:
+                self.inputs.extend(batch)
+            self.tuples_routed += len(batch)
             if columns:
-                if self.record_inputs:
-                    self.inputs.extend(batch)
                 groups = split.process_columns(batch)
-                self.tuples_routed += len(batch)
 
                 def finish() -> None:
                     self._forward_columns(batch, groups)
 
             else:
-                if chain:
-                    transformed: list[StreamTuple] = []
-                    for tup in batch:
-                        items = [tup]
-                        for op in chain:
-                            nxt = []
-                            for item in items:
-                                nxt.extend(op.process(item))
-                            items = nxt
-                        transformed.extend(items)
-                    self.tuples_dropped += len(batch) - len(transformed)
-                else:
-                    transformed = batch
-                if self.record_inputs:
-                    # record what the join actually sees (post-transform)
-                    self.inputs.extend(transformed)
-                routed: list[tuple[str, int, StreamTuple]] = []
-                for tup in transformed:
-                    for pid, owner, t in split.process(tup):
-                        routed.append((owner, pid, t))
-                self.tuples_routed += len(transformed)
+                routed = [(owner, pid, t) for tup in batch
+                          for pid, owner, t in split.process(tup)]
 
                 def finish() -> None:
                     self._forward(routed)
 
-            duration = len(batch) * (
-                self.cost.route_cost + len(chain) * self.cost.stateless_cost
-            )
-            return duration, finish
+            return len(batch) * self.cost.route_cost, finish
 
         self.machine.submit(DynamicTask(begin, label=f"split:{stream}"))
 
@@ -1605,11 +1557,6 @@ class SourceHost:
             help="Tuples routed through the splits",
             labels=labels,
         ).set_total(self.tuples_routed)
-        registry.counter(
-            "repro_source_tuples_dropped_total",
-            help="Tuples removed by pre-join stateless transforms",
-            labels=labels,
-        ).set_total(self.tuples_dropped)
         registry.counter(
             "repro_source_tuples_replayed_total",
             help="Replay-log tuples re-forwarded during recovery",

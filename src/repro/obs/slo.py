@@ -119,11 +119,11 @@ class SLOConfig:
     stall_timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.target_p99 <= 0:
+        if not self.target_p99 > 0:
             raise ValueError("target_p99 must be positive")
         if not 0.0 < self.error_budget < 1.0:
             raise ValueError("error_budget must be in (0, 1)")
-        if self.window <= 0 or self.burn_alert <= 0 or self.stall_timeout <= 0:
+        if not (self.window > 0 and self.burn_alert > 0 and self.stall_timeout > 0):
             raise ValueError("window, burn_alert and stall_timeout must be positive")
 
 

@@ -13,8 +13,8 @@ Two cooperating pieces:
   relocation hand-off, state install), it freezes the machine's dirty
   partition groups through the existing
   :meth:`~repro.engine.state_store.StateStore.state_of` path, charges the
-  serialisation CPU and disk (or peer-network) I/O through the normal cost
-  models, and then performs a **full-machine commit**:
+  serialisation CPU and disk I/O through the normal cost models, and then
+  performs a **full-machine commit**:
 
   1. record the snapshots in the registry (dropping entries for partitions
      whose live group left this machine without a hand-off, e.g. a spill);
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.cluster.machine import PRIORITY_CONTROL, DynamicTask
-from repro.core.config import CheckpointMode, CheckpointTarget
 from repro.recovery.protocol import TrimRequest, TupleIdent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.cluster.simulation import Timer
 
-#: Fallback read-cost parameters when a snapshot's holder disk is unknown.
+#: Fallback read-cost parameters when a snapshot's owner disk is unknown.
 _DEFAULT_SEEK_TIME = 0.008
 _DEFAULT_READ_BANDWIDTH = 60e6
 
@@ -74,9 +73,8 @@ def frozen_idents(frozen: "FrozenPartitionGroup") -> frozenset[TupleIdent]:
 class CheckpointEntry:
     """The latest durable snapshot of one partition group.
 
-    ``owner`` is the machine whose live state was snapshotted; ``holder``
-    is the machine whose disk stores the bytes (they differ under the
-    ``PEER`` checkpoint target).
+    ``owner`` is the machine whose live state was snapshotted and whose
+    disk stores the bytes; ``holder`` always names the same machine.
     """
 
     pid: int
@@ -192,8 +190,8 @@ class CheckpointStore:
         return sum(e.size_bytes for e in self._latest.values())
 
     def restore_read_duration(self, entry: CheckpointEntry) -> float:
-        """Seconds to read one snapshot back, charging the holder's disk."""
-        disk = self.disks.get(entry.holder)
+        """Seconds to read one snapshot back, charging the owner's disk."""
+        disk = self.disks.get(entry.owner)
         if disk is None:
             return _DEFAULT_SEEK_TIME + entry.size_bytes / _DEFAULT_READ_BANDWIDTH
         disk.account_read(entry.size_bytes)
@@ -211,13 +209,10 @@ class CheckpointManager:
     registry:
         The shared :class:`CheckpointStore`.
     config / cost:
-        Checkpoint knobs (``checkpoint_interval`` / ``checkpoint_mode`` /
-        ``checkpoint_target``) and the hardware cost model.
+        The checkpoint knob (``checkpoint_interval``) and the hardware
+        cost model.
     source_name:
         The split host to send ``trim`` messages to.
-    peer:
-        Next worker in the ring — the snapshot holder under the ``PEER``
-        target (``None`` forces local storage).
     on_flush:
         Callback releasing the engine's buffered outputs; invoked at every
         commit.
@@ -236,7 +231,6 @@ class CheckpointManager:
         metrics: "ObsHub",
         *,
         source_name: str = "source",
-        peer: str | None = None,
         on_flush=None,
     ) -> None:
         self.sim = sim
@@ -249,10 +243,9 @@ class CheckpointManager:
         self.cost = cost
         self.metrics = metrics
         self.source_name = source_name
-        self.peer = peer
         self.on_flush = on_flush
         self._timer: Timer | None = None
-        #: mutation counter per partition at its last snapshot (incremental)
+        #: mutation counter per partition at its last snapshot
         self._last_snapshot: dict[int, int] = {}
         #: partitions this machine currently has registry entries for
         self._registered: set[int] = set()
@@ -322,36 +315,28 @@ class CheckpointManager:
 
         def begin():
             live = set(self.store.partition_ids())
-            if self.config.checkpoint_mode is CheckpointMode.FULL:
-                dirty = sorted(live)
-            else:
-                dirty = sorted(
-                    pid
-                    for pid in live
-                    if self.store.mutations.get(pid, 0) != self._last_snapshot.get(pid)
-                )
+            dirty = sorted(
+                pid
+                for pid in live
+                if self.store.mutations.get(pid, 0) != self._last_snapshot.get(pid)
+            )
             snapshots = [s for s in (self.store.state_of(pid) for pid in dirty)
                          if s is not None]
             total = sum(s.size_bytes for s in snapshots)
             total += sum(f.size_bytes for f in handoff)
-            holder = self.machine.name
-            duration = total * self.cost.serialize_cost_per_byte
-            if (
-                self.config.checkpoint_target is CheckpointTarget.PEER
-                and self.peer is not None
-            ):
-                holder = self.peer
-                duration += self.network.transfer_duration(total)
-            else:
-                duration += self.disk.write_duration(total)
+            name = self.machine.name
+            duration = (
+                total * self.cost.serialize_cost_per_byte
+                + self.disk.write_duration(total)
+            )
 
             def finish() -> None:
                 now = self.sim.now
                 entries = [
                     CheckpointEntry(
                         pid=s.pid,
-                        owner=self.machine.name,
-                        holder=holder,
+                        owner=name,
+                        holder=name,
                         time=now,
                         frozen=s,
                         size_bytes=s.size_bytes,
@@ -365,15 +350,9 @@ class CheckpointManager:
                 # now the durable copy, the stale snapshot must not resurface.
                 drop = self._registered - live - {f.pid for f in handoff}
                 self.registry.record(entries, drop=drop)
-                if holder == self.machine.name:
-                    if total:
-                        self.disk.stats.bytes_written += total
-                        self.disk.stats.writes += 1
-                elif total:
-                    # ship the snapshot bytes to the peer's disk
-                    self.network.send(
-                        self.machine.name, holder, "ckpt", total, total
-                    )
+                if total:
+                    self.disk.stats.bytes_written += total
+                    self.disk.stats.writes += 1
                 self._registered = set(live)
                 for pid in dirty:
                     self._last_snapshot[pid] = self.store.mutations.get(pid, 0)
@@ -388,23 +367,23 @@ class CheckpointManager:
                 self.metrics.events.record(
                     now,
                     "checkpoint",
-                    self.machine.name,
+                    name,
                     reason=reason,
                     bytes=total,
                     partitions=len(entries),
-                    holder=holder,
+                    holder=name,
                 )
                 tracer = self.metrics.tracer
                 if tracer.enabled:
                     tracer.event(
                         "checkpoint.commit",
-                        machine=self.machine.name,
+                        machine=name,
                         reason=reason,
                         bytes=total,
                         pids=tuple(e.pid for e in entries),
                         handoff=tuple(f.pid for f in handoff),
                         dropped=tuple(sorted(drop)),
-                        holder=holder,
+                        holder=name,
                     )
                 if on_committed is not None:
                     on_committed()

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.simulation import Timer
-from repro.core.policy import decide_cluster_gc, with_choice
-from repro.core.productivity import machine_productivity_rate
+from repro.core.policy import decide_cluster_gc, machine_productivity_rate, with_choice
 from repro.core.relocation import ForcedSpillRequest
 from repro.obs.ledger import KIND_CLUSTER_GC
 

@@ -420,9 +420,9 @@ class QueryServer:
     def run_for(self, seconds: float, *, sample_interval: float = 5.0) -> None:
         """Advance the shared simulator ``seconds`` of simulated time,
         sampling every runtime's figure series along the way."""
-        if seconds <= 0:
+        if not seconds > 0:
             raise ValueError("seconds must be positive")
-        if sample_interval <= 0:
+        if not sample_interval > 0:
             raise ValueError("sample_interval must be positive")
         end = self.sim.now + seconds
         t = self.sim.now

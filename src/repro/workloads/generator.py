@@ -47,9 +47,9 @@ def distinct_values(join_rate: float, tuple_range: int, share: float) -> int:
     partition's multiplicative factor grows by ``join_rate`` per
     ``tuple_range`` stream tuples, matching the paper's definition.
     """
-    if join_rate <= 0:
+    if not join_rate > 0:
         raise ValueError("join_rate must be positive")
-    if tuple_range <= 0:
+    if not tuple_range > 0:
         raise ValueError("tuple_range must be positive")
     if not 0 < share <= 1:
         raise ValueError("share must be in (0, 1]")
@@ -79,11 +79,11 @@ class PartitionWorkload:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.join_rate <= 0:
+        if not self.join_rate > 0:
             raise ValueError("join_rate must be positive")
-        if self.tuple_range <= 0:
+        if not self.tuple_range > 0:
             raise ValueError("tuple_range must be positive")
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError("weight must be positive")
 
 
@@ -116,7 +116,7 @@ class WorkloadSpec:
     pattern: LoadPattern = field(default_factory=UniformPattern)
 
     def __post_init__(self) -> None:
-        if self.n_partitions <= 0:
+        if not self.n_partitions > 0:
             raise ValueError("n_partitions must be positive")
         if len(self.partitions) != self.n_partitions:
             raise ValueError(
@@ -126,7 +126,7 @@ class WorkloadSpec:
         pids = [p.pid for p in self.partitions]
         if pids != list(range(self.n_partitions)):
             raise ValueError("partition workloads must cover IDs 0..n-1 in order")
-        if self.interarrival <= 0:
+        if not self.interarrival > 0:
             raise ValueError("interarrival must be positive")
 
     @classmethod
@@ -270,7 +270,7 @@ class TupleGenerator:
         before it is discarded, and the batch cut short by it is yielded
         unless empty.
         """
-        if batch_size <= 0:
+        if not batch_size > 0:
             raise ValueError("batch_size must be positive")
         spec = self.spec
         interarrival = spec.interarrival

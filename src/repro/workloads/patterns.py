@@ -67,9 +67,9 @@ class AlternatingPattern(LoadPattern):
                  period: float, factor: float = 10.0) -> None:
         if not pid_groups:
             raise ValueError("need at least one partition group")
-        if period <= 0:
+        if not period > 0:
             raise ValueError("period must be positive")
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError("factor must be positive")
         seen: set[int] = set()
         for group in pid_groups:
@@ -127,9 +127,9 @@ class DiurnalPattern(LoadPattern):
                  period: float, factor: float = 4.0, steps: int = 24) -> None:
         if not pid_groups:
             raise ValueError("need at least one partition group")
-        if period <= 0:
+        if not period > 0:
             raise ValueError("period must be positive")
-        if factor < 1:
+        if not factor >= 1:
             raise ValueError("factor must be >= 1")
         if steps < 2:
             raise ValueError("need at least two steps per period")

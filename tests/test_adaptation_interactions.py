@@ -1,9 +1,8 @@
 """Interaction edge cases between the adaptation mechanisms.
 
-Each test pins a combination the individual suites don't cover: the EWMA
-productivity estimator driving real spills, network faults striking during
-a relocation session, whole-operator relocation correctness, and rapid
-back-to-back relocations.
+Each test pins a combination the individual suites don't cover: network
+faults striking during a relocation session, whole-operator relocation
+correctness, and rapid back-to-back relocations.
 """
 
 from repro import CostModel, StrategyName
@@ -26,31 +25,6 @@ def check_exactly_once(dep):
     )
     assert produced == reference
     return report
-
-
-class TestEwmaEstimatorEndToEnd:
-    def test_windowed_productivity_drives_spills_correctly(self):
-        dep = small_deployment(
-            strategy=StrategyName.NO_RELOCATION,
-            memory_threshold=10_000,
-            config_overrides=dict(productivity_alpha=0.6),
-            **E2E,
-        )
-        dep.run(duration=45, sample_interval=10)
-        assert dep.spill_count > 0
-        check_exactly_once(dep)
-
-    def test_ewma_and_relocation_compose(self):
-        dep = small_deployment(
-            strategy=StrategyName.LAZY_DISK,
-            assignment={"m1": 0.8, "m2": 0.2},
-            memory_threshold=10_000,
-            config_overrides=dict(productivity_alpha=0.4),
-            **E2E,
-        )
-        dep.run(duration=45, sample_interval=10)
-        assert dep.relocation_count > 0
-        check_exactly_once(dep)
 
 
 class TestFaultsDuringProtocol:

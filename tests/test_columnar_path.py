@@ -30,7 +30,6 @@ from repro.cluster.network import Message
 from repro.cluster.simulation import Simulator
 from repro.engine import columns
 from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup, ResultBatch
-from repro.engine.operators.select import Select
 from repro.engine.operators.split import PartitionMap, Split
 from repro.engine.partitions import PartitionGroup
 from repro.engine.state_store import StateStore
@@ -996,7 +995,6 @@ def source_fingerprint(dep, tracer, report):
         generated=[s.generator.tuples_generated for s in dep.sources],
         sent=[s.tuples_sent for s in dep.sources],
         routed=host.tuples_routed,
-        dropped=host.tuples_dropped,
         replayed=host.replayed_total,
         trimmed=host.trimmed_total,
         inputs=host.inputs,
@@ -1101,25 +1099,6 @@ class TestColumnSourceDifferential:
         stats = dep.network.stats
         batches = stats.messages - stats.control_messages
         assert 1.0 <= dep.source_host.tuples_routed / batches < 2.0
-
-    def test_input_transforms_take_the_row_path(self):
-        def run(data_path):
-            tracer = Tracer()
-            dep = small_deployment(
-                strategy=StrategyName.NO_RELOCATION, memory_threshold=8_000,
-                n_partitions=8, join_rate=3.0, tuple_range=240,
-                interarrival=0.05, collect=True, data_path=data_path,
-                tracer=tracer,
-                input_transforms={
-                    "A": [Select("even_A", lambda t: t.key % 2 == 0)],
-                },
-            )
-            dep.run(duration=40.0, sample_interval=10.0)
-            return dep, tracer, dep.cleanup(materialize=True)
-
-        dep = assert_same_source_behaviour(run)
-        assert dep.source_host.tuples_dropped > 0
-        assert dep.spill_count > 0
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ from repro.core.config import (
     StrategyName,
 )
 
+NAN = float("nan")
+
 
 class TestAdaptationConfig:
     def test_defaults_valid(self):
@@ -33,7 +35,21 @@ class TestAdaptationConfig:
             ("ss_interval", 0.0),
             ("stats_interval", 0.0),
             ("coordinator_interval", 0.0),
-            ("productivity_alpha", 0.0),
+            # NaN fails every comparison, so each check must reject it
+            ("memory_threshold", NAN),
+            ("tau_m", NAN),
+            ("min_relocation_bytes", NAN),
+            ("ss_interval", NAN),
+            ("stats_interval", NAN),
+            ("coordinator_interval", NAN),
+            ("lambda_productivity", NAN),
+            ("forced_spill_cap", NAN),
+            ("split_skew_factor", NAN),
+            ("split_min_bytes", NAN),
+            ("merge_max_bytes", NAN),
+            ("tau_p", NAN),
+            ("checkpoint_interval", NAN),
+            ("failure_timeout", NAN),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -77,7 +93,7 @@ class TestCostModel:
 
     @pytest.mark.parametrize(
         "field",
-        ["route_cost", "probe_cost", "result_cost", "stateless_cost",
+        ["route_cost", "probe_cost", "result_cost",
          "disk_write_bandwidth", "disk_read_bandwidth", "network_bandwidth"],
     )
     def test_positive_required(self, field):
@@ -89,6 +105,29 @@ class TestCostModel:
             CostModel(network_latency=-1)
         with pytest.raises(ValueError):
             CostModel(disk_seek_time=-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("route_cost", NAN),
+            ("probe_cost", NAN),
+            ("result_cost", NAN),
+            ("disk_write_bandwidth", NAN),
+            ("disk_read_bandwidth", NAN),
+            ("disk_seek_time", NAN),
+            ("network_latency", NAN),
+            ("network_bandwidth", NAN),
+            ("serialize_cost_per_byte", NAN),
+            ("serialize_cost_per_byte", -1e-3),
+            ("control_message_bytes", NAN),
+            ("control_message_bytes", 0),
+            ("control_message_bytes", -10_000_000),
+        ],
+    )
+    def test_invalid_values_rejected(self, field, value):
+        # each of these used to be accepted and broke the run mid-way
+        with pytest.raises(ValueError):
+            CostModel(**{field: value})
 
     def test_frozen(self):
         cost = CostModel()

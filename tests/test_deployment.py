@@ -32,6 +32,13 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             dep.run(duration=10, sample_interval=0)
 
+    def test_nan_run_args_rejected(self):
+        dep = small_deployment()
+        with pytest.raises(ValueError):
+            dep.run(duration=float("nan"))
+        with pytest.raises(ValueError):
+            dep.run(duration=10, sample_interval=float("nan"))
+
     def test_worker_name_validation(self):
         with pytest.raises(ValueError):
             small_deployment(workers=["m1", "m1"])

@@ -1,4 +1,5 @@
-"""The module maps in the top-level documents name only files that exist."""
+"""The module maps in the top-level documents and the verify notes name
+only files that exist."""
 
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 
 #: a package module (``repro/...py``, resolved under ``src/``) or a file /
 #: directory under ``tests/``, ``benchmarks/`` or ``examples/``; a dotted

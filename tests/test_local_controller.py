@@ -6,7 +6,6 @@ from repro.core.local_controller import (
     LocalAdaptationController,
     select_relocation_parts,
 )
-from repro.core.productivity import CumulativeProductivity, WindowedProductivity
 from repro.core.spill import SpillExecutor
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
@@ -35,9 +34,7 @@ class TestSelectRelocationParts:
         store = StateStore(machine, STREAMS)
         fill(store, 0, 2, outputs=1)
         fill(store, 1, 2, outputs=100)
-        pids, total = select_relocation_parts(
-            list(store.groups()), amount=1, estimator=CumulativeProductivity()
-        )
+        pids, total = select_relocation_parts(list(store.groups()), amount=1)
         assert pids == (1,)
         assert total == store.peek(1).size_bytes
 
@@ -47,8 +44,7 @@ class TestSelectRelocationParts:
             fill(store, pid, 2, outputs=pid + 1)
         group_size = store.peek(0).size_bytes
         pids, total = select_relocation_parts(
-            list(store.groups()), amount=group_size + 1,
-            estimator=CumulativeProductivity(),
+            list(store.groups()), amount=group_size + 1
         )
         assert len(pids) == 2
         assert total >= group_size + 1
@@ -56,14 +52,12 @@ class TestSelectRelocationParts:
     def test_zero_amount_selects_nothing(self, machine):
         store = StateStore(machine, STREAMS)
         fill(store, 0, 2)
-        assert select_relocation_parts(list(store.groups()), 0,
-                                       CumulativeProductivity()) == ((), 0)
+        assert select_relocation_parts(list(store.groups()), 0) == ((), 0)
 
     def test_empty_groups_skipped(self, machine):
         store = StateStore(machine, STREAMS)
         store.group(0)
-        pids, __ = select_relocation_parts(list(store.groups()), 100,
-                                           CumulativeProductivity())
+        pids, __ = select_relocation_parts(list(store.groups()), 100)
         assert pids == ()
 
 
@@ -86,33 +80,12 @@ class TestController:
                                      spill_policy=SpillPolicyName.LARGEST)
         assert controller.spill_policy.name is SpillPolicyName.LARGEST
 
-    def test_windowed_estimator_from_alpha(self, machine):
-        store = StateStore(machine, STREAMS)
-        controller = make_controller(machine, store, productivity_alpha=0.5)
-        assert isinstance(controller.estimator, WindowedProductivity)
-        controller.observe()  # must not raise on empty store
-
-    def test_cumulative_estimator_by_default(self, machine):
-        store = StateStore(machine, STREAMS)
-        controller = make_controller(machine, store)
-        assert isinstance(controller.estimator, CumulativeProductivity)
-        controller.observe()  # no-op
-
     def test_compute_parts_to_move_prefers_productive(self, machine):
         store = StateStore(machine, STREAMS)
         fill(store, 0, 2, outputs=0)
         fill(store, 1, 2, outputs=50)
         pids, __ = controller_parts(make_controller(machine, store), 1)
         assert pids[0] == 1
-
-    def test_spill_forgets_windowed_history(self, sim, machine):
-        store = StateStore(machine, STREAMS)
-        controller = make_controller(machine, store, productivity_alpha=1.0)
-        fill(store, 0, 2, outputs=10)
-        controller.observe()
-        assert 0 in controller.estimator._ewma
-        controller.run_spill(now=0.0, amount=10**6)
-        assert 0 not in controller.estimator._ewma
 
 
 def controller_parts(controller, amount):

@@ -109,10 +109,6 @@ class TestStats:
         sim.run()
         assert net.stats.state_transfer_bytes == 4000
 
-    def test_transfer_duration_estimate(self, sim):
-        net, __ = make_net(sim, latency=0.2, bandwidth=50.0)
-        assert net.transfer_duration(100) == pytest.approx(0.2 + 2.0)
-
     def test_invalid_parameters_rejected(self, sim):
         with pytest.raises(ValueError):
             Network(sim, latency=-1)

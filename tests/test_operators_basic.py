@@ -1,61 +1,9 @@
-"""Unit tests for select, project and group-by aggregate."""
+"""Unit tests for the group-by aggregate."""
 
 import pytest
 
 from repro.engine.operators.aggregate import GroupByAggregate
-from repro.engine.operators.project import Project
-from repro.engine.operators.select import Select
-from repro.engine.tuples import JoinResult, Schema, StreamTuple
-
-
-def tup(key, seq=0, payload=(), size=96):
-    return StreamTuple(stream="A", seq=seq, key=key, ts=float(seq),
-                       payload=payload, size=size)
-
-
-class TestSelect:
-    def test_predicate_filters(self):
-        op = Select("even", lambda t: t.key % 2 == 0)
-        assert list(op.process(tup(2))) == [tup(2)]
-        assert list(op.process(tup(3))) == []
-        assert op.inputs_seen == 2
-        assert op.outputs_emitted == 1
-        assert op.dropped == 1
-
-    def test_selectivity(self):
-        op = Select("s", lambda t: t.key < 2)
-        assert op.selectivity == 1.0
-        for k in range(4):
-            list(op.process(tup(k)))
-        assert op.selectivity == pytest.approx(0.5)
-
-    def test_stateless(self):
-        assert Select("s", lambda t: True).state_bytes == 0
-
-
-class TestProject:
-    SCHEMA = Schema(name="A", key_field="k", fields=("k", "broker", "price"),
-                    tuple_size=96)
-
-    def test_keeps_selected_payload_fields(self):
-        op = Project("p", self.SCHEMA, keep=("price",))
-        [out] = list(op.process(tup(1, payload=("acme", 9.5))))
-        assert out.payload == (9.5,)
-        assert out.key == 1
-
-    def test_output_size_shrinks(self):
-        op = Project("p", self.SCHEMA, keep=("price",))
-        [out] = list(op.process(tup(1, payload=("acme", 9.5))))
-        assert out.size < 96
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(KeyError):
-            Project("p", self.SCHEMA, keep=("ghost",))
-
-    def test_identity_preserved(self):
-        op = Project("p", self.SCHEMA, keep=("broker",))
-        [out] = list(op.process(tup(1, seq=7, payload=("acme", 9.5))))
-        assert out.ident == ("A", 7)
+from repro.engine.tuples import JoinResult, StreamTuple
 
 
 class TestGroupByAggregate:

@@ -1,14 +1,12 @@
-"""Tests for the productivity metric and estimator variants."""
+"""Tests for the productivity metric: the per-group ``P_output / P_size``
+of §2, the victim orders ranked on it, and the machine rate ``R``."""
 
 import math
 
 import pytest
 
-from repro.core.productivity import (
-    CumulativeProductivity,
-    WindowedProductivity,
-    machine_productivity_rate,
-)
+from repro.core.policy import machine_productivity_rate
+from repro.core.spill import LessProductiveSpillPolicy, MoreProductiveSpillPolicy
 from repro.engine.partitions import PartitionGroup
 from repro.engine.tuples import StreamTuple
 
@@ -27,65 +25,22 @@ def group_with(pid, size_per_tuple, n_tuples, outputs):
 class TestCumulative:
     def test_score_is_output_over_size(self):
         g = group_with(0, size_per_tuple=100, n_tuples=2, outputs=50)
-        assert CumulativeProductivity().score(g) == pytest.approx(0.25)
+        assert g.productivity == pytest.approx(0.25)
 
     def test_empty_group_scores_inf(self):
-        g = PartitionGroup(0, STREAMS)
-        assert math.isinf(CumulativeProductivity().score(g))
+        assert math.isinf(PartitionGroup(0, STREAMS).productivity)
 
     def test_rank_ascending_least_productive_first(self):
         low = group_with(0, 100, 4, outputs=1)
         high = group_with(1, 100, 4, outputs=100)
-        est = CumulativeProductivity()
-        assert [g.pid for g in est.rank_ascending([high, low])] == [0, 1]
-        assert [g.pid for g in est.rank_descending([high, low])] == [1, 0]
+        assert [g.pid for g in LessProductiveSpillPolicy().order([high, low])] == [0, 1]
+        assert [g.pid for g in MoreProductiveSpillPolicy().order([low, high])] == [1, 0]
 
     def test_rank_breaks_ties_by_pid(self):
         a = group_with(2, 100, 1, outputs=10)
         b = group_with(1, 100, 1, outputs=10)
-        est = CumulativeProductivity()
-        assert [g.pid for g in est.rank_ascending([a, b])] == [1, 2]
-
-
-class TestWindowed:
-    def test_reacts_to_recent_behaviour(self):
-        est = WindowedProductivity(alpha=1.0)  # instant
-        g = group_with(0, 100, 2, outputs=100)  # historically productive
-        est.observe([g])
-        # goes quiet: grows without producing
-        g.insert(StreamTuple(stream="A", seq=99, key=0, ts=1.0, size=100))
-        est.observe([g])
-        assert est.score(g) == pytest.approx(0.0)
-        # cumulative metric still remembers the glory days
-        assert CumulativeProductivity().score(g) > 0
-
-    def test_smoothing_blends_history(self):
-        est = WindowedProductivity(alpha=0.5)
-        g = group_with(0, 100, 1, outputs=10)  # instant = 0.1
-        est.observe([g])
-        first = est.score(g)
-        g.insert(StreamTuple(stream="A", seq=5, key=0, ts=0.0, size=100))
-        g.record_output(0)  # instant = 0.0
-        est.observe([g])
-        assert est.score(g) == pytest.approx(first * 0.5)
-
-    def test_unobserved_group_falls_back_to_cumulative(self):
-        est = WindowedProductivity(alpha=0.5)
-        g = group_with(0, 100, 2, outputs=20)
-        assert est.score(g) == pytest.approx(g.productivity)
-
-    def test_forget_drops_history(self):
-        est = WindowedProductivity(alpha=1.0)
-        g = group_with(0, 100, 1, outputs=10)
-        est.observe([g])
-        est.forget(0)
-        assert est.score(g) == pytest.approx(g.productivity)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            WindowedProductivity(alpha=0.0)
-        with pytest.raises(ValueError):
-            WindowedProductivity(alpha=1.5)
+        assert [g.pid for g in LessProductiveSpillPolicy().order([a, b])] == [1, 2]
+        assert [g.pid for g in MoreProductiveSpillPolicy().order([a, b])] == [1, 2]
 
 
 class TestMachineRate:

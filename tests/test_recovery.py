@@ -21,7 +21,6 @@ from repro.cluster.faults import (
     NetworkDegradation,
 )
 from repro.cluster.machine import Task
-from repro.core.config import CheckpointMode, CheckpointTarget
 from repro.engine.reference import reference_join, result_idents
 from repro.recovery import CheckpointEntry, CheckpointStore, frozen_idents
 
@@ -289,19 +288,6 @@ class TestCrashUnderLoad:
         for split in dep.splits.values():
             assert split.partition_map.partitions_of("m3") == ()
             assert not split.paused_partitions
-
-    def test_full_mode_and_peer_target_also_recover(self):
-        dep = checkpointed_deployment(
-            crash={"m2": 22.0},
-            config_overrides=dict(
-                checkpoint_mode=CheckpointMode.FULL,
-                checkpoint_target=CheckpointTarget.PEER,
-            ),
-        )
-        dep.run(duration=45, sample_interval=10)
-        report = dep.cleanup(materialize=True)
-        assert dep.recovery_count == 1
-        assert_exactly_once(dep, report)
 
     def test_checkpointing_without_crash_changes_nothing(self):
         dep = checkpointed_deployment()

@@ -56,6 +56,15 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_time_rejected(self, sim):
+        # NaN compares false both ways: accepted, it would break heap order
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        assert sim.pending == 0
+
     def test_scheduling_in_the_past_rejected(self, sim):
         sim.schedule(5.0, lambda: None)
         sim.run()
@@ -205,6 +214,10 @@ class TestTimer:
     def test_zero_interval_rejected(self, sim):
         with pytest.raises(SimulationError):
             Timer(sim, 0.0, lambda: None)
+
+    def test_nan_interval_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            Timer(sim, float("nan"), lambda: None)
 
     def test_unstarted_timer(self, sim):
         ticks = []

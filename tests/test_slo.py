@@ -148,6 +148,15 @@ def cascade(total, bad, window_total, window_bad, *, error_budget=0.01,
     return action
 
 
+class TestSLOConfig:
+    @pytest.mark.parametrize("field", ["target_p99", "window", "burn_alert",
+                                       "stall_timeout"])
+    def test_nan_setting_rejected(self, field):
+        settings = {"target_p99": 0.05, field: float("nan")}
+        with pytest.raises(ValueError):
+            SLOConfig(**settings)
+
+
 class TestBurnRateEdges:
     def test_no_results_in_window(self):
         assert cascade(100, 5, 0, 0) == "no_results"

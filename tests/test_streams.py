@@ -5,12 +5,19 @@ import pytest
 from repro import StrategyName
 from repro.cluster.faults import FaultSchedule, MachineCrash
 from repro.cluster.simulation import Simulator
-from repro.engine.operators.select import Select
+from repro.engine.operators.base import Operator
 from repro.engine.streams import OutputCollector, StreamSource
 from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
 from repro.workloads.generator import StreamWorkloadSpec, TupleGenerator, WorkloadSpec
 
 from tests.helpers import small_deployment
+
+
+class KeepEven(Operator):
+    """A downstream operator that passes results with an even key."""
+
+    def process(self, item):
+        return [item] if item.key % 2 == 0 else []
 
 
 class RecordingHost:
@@ -212,8 +219,7 @@ class TestOutputCollector:
         assert collector.results == [result]
 
     def test_downstream_chain_applied_per_result(self):
-        keep_even = Select("even", lambda r: r.key % 2 == 0)
-        collector = OutputCollector(downstream=[keep_even])
+        collector = OutputCollector(downstream=[KeepEven("even")])
         collector.add(2, [self.make_result(key=2), self.make_result(key=3)],
                       now=1.0)
         assert len(collector.downstream_outputs) == 1

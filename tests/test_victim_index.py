@@ -16,7 +16,6 @@ import pytest
 from repro.cluster.machine import Machine
 from repro.cluster.simulation import Simulator
 from repro.core.local_controller import select_relocation_parts
-from repro.core.productivity import CumulativeProductivity
 from repro.core.spill import make_spill_policy
 from repro.engine.state_store import (
     ORDER_PRODUCTIVITY_ASC,
@@ -156,11 +155,8 @@ class TestPolicyEquivalence:
     def test_relocation_parts_match_ranked_selection(self):
         store = fresh_store()
         populate(store, 250)
-        estimator = CumulativeProductivity()
         for amount in (1, 700, 5_000, 10**9):
-            expected, total = select_relocation_parts(
-                list(store.groups()), amount, estimator
-            )
+            expected, total = select_relocation_parts(list(store.groups()), amount)
             picked = tuple(store.pick_victims(ORDER_PRODUCTIVITY_DESC, amount))
             assert picked == expected
             assert sum(store.peek(p).size_bytes for p in picked) == total

@@ -80,6 +80,15 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError):
             PartitionWorkload(pid=0, weight=0)
 
+    @pytest.mark.parametrize("field", ["join_rate", "tuple_range", "weight"])
+    def test_partition_workload_rejects_nan(self, field):
+        with pytest.raises(ValueError):
+            PartitionWorkload(pid=0, **{field: float("nan")})
+
+    def test_nan_interarrival_rejected(self):
+        with pytest.raises(ValueError):
+            WorkloadSpec.uniform(n_partitions=4, interarrival=float("nan"))
+
 
 class TestTupleGenerator:
     def test_arrival_times_are_evenly_spaced(self):
