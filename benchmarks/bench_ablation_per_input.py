@@ -21,7 +21,7 @@ from repro.bench import current_scale
 from repro.bench.report import format_table
 from repro.core.cleanup import merge_missing_count
 from repro.core.per_input import PerInputJoinState
-from repro.engine.partitions import PartitionGroup
+from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.reference import reference_join_count
 from repro.workloads.generator import StreamWorkloadSpec, TupleGenerator, WorkloadSpec
 
@@ -43,7 +43,7 @@ def generate_arrivals(n_per_stream: int, seed: int = 7):
 def run_group_design(tuples, spill_every):
     """Partition-group run: spills freeze the whole group."""
     parts = []
-    group = PartitionGroup(0, STREAMS)
+    group = ColumnarPartitionGroup(0, STREAMS)
     runtime = 0
     for i, tup in enumerate(tuples, start=1):
         count, __ = group.probe(tup)
@@ -52,7 +52,7 @@ def run_group_design(tuples, spill_every):
         runtime += count
         if i % spill_every == 0:
             parts.append(group.freeze())
-            group = PartitionGroup(0, STREAMS, generation=len(parts))
+            group = ColumnarPartitionGroup(0, STREAMS, generation=len(parts))
     if group.tuple_count:
         parts.append(group.freeze())
     missing = merge_missing_count(parts, STREAMS)

@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="spill threshold per machine in KB (default 500)")
     parser.add_argument("--data-path", default="columnar",
                         choices=DATA_PATHS,
-                        help="delivery representation: per-tuple, "
-                             "micro-batched or columnar structure-of-arrays "
+                        help="delivery representation: micro-batched "
+                             "rows or columnar structure-of-arrays "
                              "(default); results are identical, only "
                              "wall-clock cost differs")
     parser.add_argument("--queries", type=int, default=1,

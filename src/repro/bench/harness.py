@@ -94,7 +94,7 @@ def run_experiment(
     This is the single entry point every benchmark uses, so all paper
     experiments share identical wiring and differ only in their declared
     parameters.  ``data_path`` selects the delivery representation —
-    ``tuple``, ``batched`` or ``columnar`` (default) — which changes
+    ``batched`` rows or ``columnar`` batches (default) — which changes
     wall-clock cost only; outputs and adaptation behaviour are identical.
     An ``slo`` implies ``latency``.
     """

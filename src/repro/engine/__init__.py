@@ -19,7 +19,7 @@ from repro.engine.columns import (
     ColumnBatch,
     FrozenColumnGroup,
 )
-from repro.engine.partitions import FrozenPartitionGroup, PartitionGroup
+from repro.engine.partitions import FrozenPartitionGroup
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import JoinResult, Schema, StreamTuple
 
@@ -29,7 +29,6 @@ __all__ = [
     "FrozenColumnGroup",
     "FrozenPartitionGroup",
     "JoinResult",
-    "PartitionGroup",
     "Schema",
     "StateStore",
     "StreamTuple",

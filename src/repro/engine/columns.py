@@ -1,8 +1,8 @@
 """Columnar (structure-of-arrays) batch and partition-group state.
 
 Partition-group state is flat parallel columns under every data path; the
-per-tuple and micro-batched paths deliver ``StreamTuple`` rows into it, the
-columnar path delivers columns as well:
+batched path delivers ``StreamTuple`` rows into it, the columnar path
+delivers columns as well:
 
 ``ColumnBatch``
     What travels from a source host to an engine: one flat column per
@@ -18,11 +18,10 @@ columnar path delivers columns as well:
 ``ColumnarPartitionGroup``
     The live partition group: row-major append-only columns (typed
     ``array`` buffers, no object per stored value) plus a per-key
-    match-count table ``{key: [count per stream]}``
-    (:class:`~repro.engine.partitions.PartitionGroup` is its row-format
-    reference twin).  The unwindowed count-only probe — the hot path — is
-    a dict lookup and an integer product; no per-tuple objects are
-    created, and a delivered batch's rows are *copied* onto the buffers
+    match-count table ``{key: [count per stream]}``.  The unwindowed
+    count-only probe — the hot path — is a dict lookup and an integer
+    product; no per-tuple objects are created, and a delivered batch's
+    rows are *copied* onto the buffers
     (:meth:`ColumnarPartitionGroup.append_rows`), so the batch dies with
     its delivery.  A per-(stream, key) row index is built lazily, only
     when a windowed or materialising probe (or the cleanup oracle) needs
@@ -305,9 +304,7 @@ class ColumnBatch:
 class ColumnarPartitionGroup:
     """Columnar live state of one partition ID across all join inputs.
 
-    Same interface and observable behaviour as
-    :class:`~repro.engine.partitions.PartitionGroup`; the storage is
-    row-major append-only columns and a per-key count table
+    The storage is row-major append-only columns and a per-key count table
     ``_counts[key][sid]`` that makes the unwindowed count-only probe O(m)
     with no tuple objects.  The columns are typed arrays — ``row_sid``
     ``'b'``, ``row_seq``/``row_key`` ``'q'``, ``row_ts`` ``'d'``, the
@@ -566,8 +563,11 @@ class ColumnarPartitionGroup:
 
     def probe(self, tup: StreamTuple, *, materialize: bool = False
               ) -> tuple[int, list[JoinResult]]:
-        """Count (and optionally materialise) matches; see
-        :meth:`PartitionGroup.probe <repro.engine.partitions.PartitionGroup.probe>`.
+        """Count (and optionally materialise) the matches a new tuple of
+        stream ``tup.stream`` produces against the *other* inputs' states:
+        the product of per-input match counts.  The caller inserts the
+        tuple separately (probe-then-insert), so a tuple never joins with
+        itself.
         """
         sid = self._require_sid(tup.stream)
         if not materialize:
@@ -668,9 +668,10 @@ class ColumnarPartitionGroup:
     def probe_windowed(
         self, tup: StreamTuple, window: float, *, materialize: bool = False
     ) -> tuple[int, list[JoinResult]]:
-        """Window-filtered probe; see
-        :meth:`PartitionGroup.probe_windowed
-        <repro.engine.partitions.PartitionGroup.probe_windowed>`.
+        """Window-filtered :meth:`probe`.  The window is pairwise: every
+        pair of joined tuples must be within ``window`` seconds, i.e.
+        ``max(ts) - min(ts) <= window`` — for m >= 3 two matches can
+        straddle the probe, so distances to the probe alone do not decide.
         """
         sid = self._require_sid(tup.stream)
         if not materialize:
@@ -739,9 +740,10 @@ class ColumnarPartitionGroup:
 
     def purge_older_than(self, horizon: float) -> tuple[int, int]:
         """Drop every row with ``ts < horizon``; returns
-        ``(tuples_dropped, bytes_freed)``.  Statistics arithmetic matches
-        :meth:`PartitionGroup.purge_older_than
-        <repro.engine.partitions.PartitionGroup.purge_older_than>` exactly.
+        ``(tuples_dropped, bytes_freed)``.  Recorded outputs are scaled
+        down by the surviving payload fraction (integer floor), so purging
+        does not inflate ``P_output / P_size`` and bias victim selection
+        toward keeping purged groups.
         """
         row_ts = self.row_ts
         n = len(row_ts)

@@ -96,25 +96,6 @@ class MJoinInstance:
         self.results_count = 0
         self.tuples_in = 0
 
-    def process(
-        self, pid: int, tup: StreamTuple, *, now: float = 0.0, materialize: bool = False
-    ) -> tuple[int, list[JoinResult]]:
-        """Probe-then-insert one routed tuple (see module docstring).
-
-        Windowed and unwindowed joins share
-        :meth:`~repro.engine.state_store.StateStore.probe_insert`, so both
-        go through the same accounting funnel — in particular the per-pid
-        mutation counter incremental checkpoints depend on (a windowed
-        side-path that skipped it once caused stale snapshots and silent
-        state loss after crashes).
-        """
-        self.tuples_in += 1
-        count, results = self.store.probe_insert(
-            pid, tup, now=now, materialize=materialize, window=self.join.window
-        )
-        self.results_count += count
-        return count, results
-
     def process_batch(
         self,
         batch: list[tuple[int, StreamTuple]],
@@ -122,11 +103,11 @@ class MJoinInstance:
         now: float = 0.0,
         materialize: bool = False,
     ) -> tuple[int, list[JoinResult]]:
-        """Probe-then-insert a whole delivered batch (micro-batched path).
+        """Probe-then-insert a whole delivered batch (row delivery).
 
         Produces exactly the results and statistics of calling
-        :meth:`process` per tuple in batch order, with the cross-tuple
-        bookkeeping amortised (see
+        :meth:`~repro.engine.state_store.StateStore.probe_insert` per tuple
+        in batch order, with the cross-tuple bookkeeping amortised (see
         :meth:`~repro.engine.state_store.StateStore.probe_insert_batch`).
         """
         self.tuples_in += len(batch)
@@ -147,8 +128,9 @@ class MJoinInstance:
         (column delivery).
 
         Produces exactly the results and statistics of calling
-        :meth:`process` per row in batch order, operating on flat columns
-        throughout; materialised results come back as a lazy
+        :meth:`~repro.engine.state_store.StateStore.probe_insert` per row in
+        batch order, operating on flat columns throughout; materialised
+        results come back as a lazy
         :class:`~repro.engine.columns.ResultBatch` (see
         :meth:`~repro.engine.state_store.StateStore.probe_insert_columns`).
         """

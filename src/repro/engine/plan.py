@@ -87,15 +87,13 @@ class Deployment:
         (e.g. Query 1's group-by aggregate); forces materialisation.
     data_path:
         Delivery format between the source host and the engines
-        (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"tuple"`` (rows
-        on the wire, probed one by one — the reference entry point),
-        ``"batched"`` (rows on the wire, one amortised store call per
-        delivered batch) or ``"columnar"`` (structure-of-arrays column
-        batches built at the source; the default, and the delivery every
-        end-to-end benchmark workload times).  Partition-group state is
-        columnar under all three — zero-copy spill/relocation/checkpoint
-        snapshots included — and all three produce byte-identical outputs
-        and traces on the same seed.
+        (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"batched"``
+        (rows on the wire, one amortised store call per delivered batch)
+        or ``"columnar"`` (structure-of-arrays column batches built at the
+        source; the default, and the delivery every end-to-end benchmark
+        workload times).  Partition-group state is columnar under both —
+        zero-copy spill/relocation/checkpoint snapshots included — and
+        both produce byte-identical outputs and traces on the same seed.
     payload_fn:
         Optional payload builder passed to the tuple generators.
     tracer:
@@ -493,7 +491,6 @@ class Deployment:
             self.metrics,
             self.collector,
             materialize=self._materialize,
-            data_path=self.data_path,
             seed=self._base_seed + index,
             coordinator_name=self.coordinator_name,
             metric_labels=self.metric_labels or None,

@@ -76,10 +76,10 @@ MODE_SS = "ss_mode"
 MODE_SR = "sr_mode"
 
 #: Delivery formats between the source host and the engines: rows shipped
-#: as ``(pid, tuple)`` lists and probed one by one (``tuple``) or a batch
-#: at a time (``batched``), or structure-of-arrays column batches
-#: (``columnar``).  The state they land in is the same columnar store.
-DATA_PATHS = ("tuple", "batched", "columnar")
+#: as ``(pid, tuple)`` lists and probed a batch at a time (``batched``), or
+#: structure-of-arrays column batches (``columnar``).  The state they land
+#: in is the same columnar store.
+DATA_PATHS = ("batched", "columnar")
 
 
 def check_data_path(data_path: str) -> str:
@@ -108,7 +108,6 @@ class QueryEngine:
         *,
         coordinator_name: str = GC_NAME,
         materialize: bool = False,
-        data_path: str = "columnar",
         seed: int = 11,
         metric_labels: dict[str, str] | None = None,
     ) -> None:
@@ -123,11 +122,6 @@ class QueryEngine:
         self.collector = collector
         self.coordinator_name = coordinator_name
         self.materialize = materialize
-        #: which store entry point processes delivered batches (see
-        #: :data:`DATA_PATHS`).  All three produce byte-identical outputs
-        #: and traces.
-        self.data_path = check_data_path(data_path)
-        self.batched = data_path != "tuple"
         #: EngineTracker once the run opts into latency/SLO attribution
         #: (see attach_latency); ``None`` keeps the hot path at a single
         #: ``is not None`` test per batch — the zero-overhead contract.
@@ -384,20 +378,9 @@ class QueryEngine:
         )
 
     def _process_batch(self, batch: list[tuple[int, StreamTuple]]):
-        if self.batched:
-            total, collected = self.instance.process_batch(
-                batch, now=self.sim.now, materialize=self.materialize
-            )
-        else:
-            total = 0
-            collected = []
-            for pid, tup in batch:
-                count, results = self.instance.process(
-                    pid, tup, now=self.sim.now, materialize=self.materialize
-                )
-                total += count
-                if results:
-                    collected.extend(results)
+        total, collected = self.instance.process_batch(
+            batch, now=self.sim.now, materialize=self.materialize
+        )
         duration = len(batch) * self.cost.probe_cost + total * self.cost.result_cost
         self._observe_batch(len(batch), total, duration)
         lat_ctx = None
@@ -424,7 +407,7 @@ class QueryEngine:
         self._observe_batch(n, total, duration)
         lat_ctx = None
         if self._lat is not None:
-            # Same last-arrival frontier as the tuple path.  Storage
+            # Same last-arrival frontier as the row path.  Storage
             # order is segmented by partition, so walk *arrival* order
             # backwards through ``perm`` and stop once every stream has
             # been seen — interleaved sources make this O(#streams), not
@@ -1217,7 +1200,7 @@ class SourceHost:
         #: ``columnar`` forwards routed batches as structure-of-arrays
         #: :class:`~repro.engine.columns.ColumnBatch` messages, built once
         #: here at the source (from the arrival columns where it can);
-        #: other paths ship ``(pid, tuple)`` lists.
+        #: ``batched`` ships ``(pid, tuple)`` lists.
         self.data_path = check_data_path(data_path)
         #: join input order — the stream-index space of column batches
         self._stream_order = tuple(splits)

@@ -53,7 +53,7 @@ class _LazyOrderHeap:
     invalidated their position without observing a mutation.
 
     The ordering produced depends only on the current group statistics —
-    never on when reads happened — so all three store entry points drive
+    never on when reads happened — so every store entry point drives
     identical victim selections.
     """
 
@@ -124,11 +124,13 @@ class StateStore:
     """All in-memory partition groups of one join instance.
 
     Live state has one format, decided here: every group is a
-    :class:`~repro.engine.columns.ColumnarPartitionGroup`, whichever of
-    the three entry points — :meth:`probe_insert` (one row),
-    :meth:`probe_insert_batch` (a routed row batch),
-    :meth:`probe_insert_columns` (a routed column batch) — delivered its
-    rows.  Results, order, counters and victim orderings are the same
+    :class:`~repro.engine.columns.ColumnarPartitionGroup`, whichever entry
+    point delivered its rows.  The engine calls two:
+    :meth:`probe_insert_batch` (a routed row batch, ``data_path="batched"``)
+    and :meth:`probe_insert_columns` (a routed column batch,
+    ``data_path="columnar"``).  :meth:`probe_insert` (one row) is the
+    per-row reference both are defined against; no delivery format calls
+    it.  Results, order, counters and victim orderings are the same
     through all three.
 
     Parameters

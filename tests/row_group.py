@@ -1,0 +1,284 @@
+"""Row-format partition group: the tests' reference twin of the live
+:class:`~repro.engine.columns.ColumnarPartitionGroup`.
+
+One ``{key: [tuple, ...]}`` table per input — the obvious implementation
+of the same interface, which the column-store tests compare the live class
+against probe for probe.  Nothing in the package builds one: whole runs
+are checked against :func:`~repro.engine.reference.reference_join`.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from typing import Iterator, Mapping
+
+from repro.engine.partitions import GROUP_OVERHEAD_BYTES, FrozenPartitionGroup
+from repro.engine.tuples import JoinResult, StreamTuple
+
+
+class PartitionGroup:
+    """Row-format state of one partition ID across all join inputs: one
+    ``{key: [tuple, ...]}`` table per input.
+
+    Parameters
+    ----------
+    pid:
+        Partition ID (``0 .. n_partitions-1``).
+    streams:
+        Ordered input-stream names of the owning join.
+    generation:
+        Spill generation: 0 for the first in-memory instance of this ID on
+        this machine, incremented each time the previous instance was
+        spilled and a fresh one started (paper §3: "new tuples with the same
+        partition ID may continue to accumulate to form a new partition
+        group").
+    created_at:
+        Simulation time the instance came into existence.
+    """
+
+    __slots__ = (
+        "pid",
+        "streams",
+        "generation",
+        "created_at",
+        "size_bytes",
+        "tuple_count",
+        "output_count",
+        "_data",
+    )
+
+    def __init__(
+        self,
+        pid: int,
+        streams: tuple[str, ...],
+        *,
+        generation: int = 0,
+        created_at: float = 0.0,
+    ) -> None:
+        if len(streams) < 2:
+            raise ValueError("a partition group needs at least two input streams")
+        if len(set(streams)) != len(streams):
+            raise ValueError(f"duplicate stream names in {streams!r}")
+        self.pid = pid
+        self.streams = streams
+        self.generation = generation
+        self.created_at = created_at
+        self.size_bytes = GROUP_OVERHEAD_BYTES
+        self.tuple_count = 0
+        self.output_count = 0
+        self._data: dict[str, dict[int, list[StreamTuple]]] = {s: {} for s in streams}
+
+    # ------------------------------------------------------------------
+    # State mutation
+    # ------------------------------------------------------------------
+    def insert(self, tup: StreamTuple) -> None:
+        """Add a tuple to its input's hash table within this group."""
+        try:
+            table = self._data[tup.stream]
+        except KeyError:
+            raise KeyError(
+                f"partition group {self.pid}: unknown stream {tup.stream!r} "
+                f"(expected one of {self.streams!r})"
+            ) from None
+        table.setdefault(tup.key, []).append(tup)
+        self.tuple_count += 1
+        self.size_bytes += tup.size
+
+    def probe(self, tup: StreamTuple, *, materialize: bool = False
+              ) -> tuple[int, list[JoinResult]]:
+        """Count (and optionally materialise) the matches a new tuple of
+        stream ``tup.stream`` produces against the *other* inputs' states.
+
+        This is the symmetric m-way hash-join step: the result count is the
+        product of per-input match-list lengths.  The caller inserts the
+        tuple separately (probe-then-insert), so a tuple never joins with
+        itself.
+        """
+        match_lists: list[list[StreamTuple]] = []
+        count = 1
+        for stream in self.streams:
+            if stream == tup.stream:
+                continue
+            matches = self._data[stream].get(tup.key)
+            if not matches:
+                return 0, []
+            count *= len(matches)
+            match_lists.append(matches)
+        results: list[JoinResult] = []
+        if materialize:
+            own_index = self.streams.index(tup.stream)
+            for combo in product(*match_lists):
+                parts = list(combo)
+                parts.insert(own_index, tup)
+                results.append(JoinResult(key=tup.key, parts=tuple(parts), ts=tup.ts))
+        return count, results
+
+    def probe_windowed(
+        self, tup: StreamTuple, window: float, *, materialize: bool = False
+    ) -> tuple[int, list[JoinResult]]:
+        """Window-filtered variant of :meth:`probe`.
+
+        Match lists are filtered to tuples within ``window`` seconds of the
+        probing tuple before counting/materialising.  The window is
+        pairwise: every pair of joined tuples must be within ``window``
+        seconds, i.e. ``max(ts) - min(ts) <= window``.  Filtering against
+        the probe alone is insufficient for m >= 3 (two matches can
+        straddle the probe), so combinations are enumerated — the result
+        count is data-dependent in a way the plain count-product shortcut
+        cannot express.
+        """
+        match_lists: list[list[StreamTuple]] = []
+        for stream in self.streams:
+            if stream == tup.stream:
+                continue
+            bucket = self._data[stream].get(tup.key)
+            if not bucket:
+                return 0, []
+            candidates = [m for m in bucket if abs(m.ts - tup.ts) <= window]
+            if not candidates:
+                return 0, []
+            match_lists.append(candidates)
+        count = 0
+        results: list[JoinResult] = []
+        own_index = self.streams.index(tup.stream)
+        for combo in product(*match_lists):
+            ts_values = [t.ts for t in combo]
+            ts_values.append(tup.ts)
+            if max(ts_values) - min(ts_values) > window:
+                continue
+            count += 1
+            if materialize:
+                parts = list(combo)
+                parts.insert(own_index, tup)
+                results.append(JoinResult(key=tup.key, parts=tuple(parts), ts=tup.ts))
+        return count, results
+
+    def record_output(self, count: int) -> None:
+        """Credit ``count`` produced results to this group's statistics."""
+        if count < 0:
+            raise ValueError(f"negative output count {count!r}")
+        self.output_count += count
+
+    def purge_older_than(self, horizon: float) -> tuple[int, int]:
+        """Drop every tuple with ``ts < horizon``; returns
+        ``(tuples_dropped, bytes_freed)``.
+
+        Purging removes payload while ``output_count`` records lifetime
+        results, which left alone would inflate ``P_output / P_size`` of
+        purged groups and bias victim selection toward keeping them.  To
+        keep the productivity estimate meaningful, the recorded outputs
+        are attributed uniformly across the resident payload and scaled
+        down by the surviving fraction (integer floor keeps the counter
+        exact and deterministic), so the ratio is preserved across a purge.
+        """
+        dropped = 0
+        freed = 0
+        for stream in self.streams:
+            table = self._data[stream]
+            for key in list(table):
+                bucket = table[key]
+                keep = [t for t in bucket if t.ts >= horizon]
+                if len(keep) != len(bucket):
+                    dropped += len(bucket) - len(keep)
+                    freed += sum(t.size for t in bucket if t.ts < horizon)
+                    if keep:
+                        table[key] = keep
+                    else:
+                        del table[key]
+        if dropped:
+            payload_before = self.size_bytes - GROUP_OVERHEAD_BYTES
+            self.tuple_count -= dropped
+            self.size_bytes -= freed
+            payload_after = self.size_bytes - GROUP_OVERHEAD_BYTES
+            if payload_before > 0:
+                self.output_count = (
+                    self.output_count * max(payload_after, 0) // payload_before
+                )
+        return dropped, freed
+
+    # ------------------------------------------------------------------
+    # Statistics
+    # ------------------------------------------------------------------
+    @property
+    def productivity(self) -> float:
+        """The paper's partition-group productivity ``P_output / P_size``.
+
+        An empty group reports ``+inf`` so it is never chosen as a spill
+        victim (there is nothing to gain from pushing it).
+        """
+        payload = self.size_bytes - GROUP_OVERHEAD_BYTES
+        if payload <= 0:
+            return math.inf
+        return self.output_count / payload
+
+    def tuples_of(self, stream: str) -> Iterator[StreamTuple]:
+        """Iterate this group's tuples of one input stream."""
+        for bucket in self._data[stream].values():
+            yield from bucket
+
+    def keys_of(self, stream: str) -> tuple[int, ...]:
+        return tuple(self._data[stream].keys())
+
+    @property
+    def is_empty(self) -> bool:
+        return self.tuple_count == 0
+
+    # ------------------------------------------------------------------
+    # Snapshotting (spill / relocation payloads)
+    # ------------------------------------------------------------------
+    def freeze(self) -> FrozenPartitionGroup:
+        """Produce an immutable snapshot of the current contents."""
+        data = {
+            stream: {key: tuple(bucket) for key, bucket in table.items()}
+            for stream, table in self._data.items()
+        }
+        return FrozenPartitionGroup(
+            pid=self.pid,
+            streams=self.streams,
+            generation=self.generation,
+            data=data,
+            size_bytes=self.size_bytes,
+            tuple_count=self.tuple_count,
+            output_count=self.output_count,
+        )
+
+    @classmethod
+    def thaw(cls, frozen: FrozenPartitionGroup, *, created_at: float = 0.0
+             ) -> "PartitionGroup":
+        """Rebuild a group from a snapshot."""
+        group = cls(frozen.pid, frozen.streams, generation=frozen.generation,
+                    created_at=created_at)
+        for stream, table in frozen.data.items():
+            for key, bucket in table.items():
+                group._data[stream][key] = list(bucket)
+        group.tuple_count = frozen.tuple_count
+        group.size_bytes = frozen.size_bytes
+        group.output_count = frozen.output_count
+        return group
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"PartitionGroup(pid={self.pid}, gen={self.generation}, "
+            f"tuples={self.tuple_count}, out={self.output_count}, "
+            f"{self.size_bytes}B)"
+        )
+
+
+def full_join_count(parts_by_stream: Mapping[str, Mapping[int, int]]) -> int:
+    """Number of m-way join results over per-stream ``key -> tuple count``
+    histograms: ``sum over keys of the product of per-stream counts``."""
+    if not parts_by_stream:
+        return 0
+    streams = list(parts_by_stream)
+    common: set[int] | None = None
+    for stream in streams:
+        keys = set(parts_by_stream[stream])
+        common = keys if common is None else (common & keys)
+    total = 0
+    for key in common or ():
+        n = 1
+        for stream in streams:
+            n *= parts_by_stream[stream][key]
+        total += n
+    return total

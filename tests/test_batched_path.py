@@ -1,27 +1,23 @@
-"""Equivalence of the micro-batched data path with the per-tuple path.
+"""Equivalence of the micro-batched store entry point with the per-row one.
 
-The batched entry points (`StateStore.probe_insert_batch`,
-`MJoinInstance.process_batch`) amortise memory-accounting, mutation-counter
-and statistics updates across a delivered batch.  That is only legal if it
-is *unobservable*: same results in the same order, same counters, same
-victim orderings, and — end to end — byte-identical outputs and traces for
-the same seeds.  These tests assert exactly that, at the store level and
-over full deployments with spills and relocations.
+The batched entry point (`StateStore.probe_insert_batch`) amortises
+memory-accounting, mutation-counter and statistics updates across a
+delivered batch.  That is only legal if it is *unobservable*: same results
+in the same order, same counters, same victim orderings as calling
+`StateStore.probe_insert` per row.  These tests assert exactly that at the
+store level; `tests/test_columnar_path.py::TestDeploymentEquivalence`
+holds whole deployments on the two delivery formats to byte-identical
+outputs and traces.
 """
 
 import random
 
 import pytest
 
-from repro import AdaptationConfig, Deployment, StrategyName
 from repro.cluster.machine import Machine
 from repro.cluster.simulation import Simulator
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
-from repro.obs.trace import Tracer
-from repro.workloads import WorkloadSpec, three_way_join
-
-from tests.helpers import small_deployment
 
 STREAMS = ("A", "B", "C")
 
@@ -89,60 +85,3 @@ class TestStoreBatchEquivalence:
         assert pieces.total_bytes == whole.total_bytes
         assert pieces.mutations == whole.mutations
         assert pieces.productivity_snapshot() == whole.productivity_snapshot()
-
-
-def run_deployment(batched, **kwargs):
-    tracer = Tracer()
-    dep = small_deployment(collect=True,
-                           data_path="batched" if batched else "tuple",
-                           tracer=tracer, **kwargs)
-    dep.run(duration=40.0, sample_interval=5.0)
-    report = dep.cleanup(materialize=True)
-    return dep, report, tracer
-
-
-class TestDeploymentEquivalence:
-    def test_byte_identical_outputs_and_traces(self):
-        dep_a, report_a, tracer_a = run_deployment(True)
-        dep_b, report_b, tracer_b = run_deployment(False)
-        assert dep_a.spill_count > 0  # the run actually adapted
-        # identical result sequences (order included), counts, cleanup
-        assert dep_a.total_outputs == dep_b.total_outputs
-        assert ([r.ident for r in dep_a.collector.results]
-                == [r.ident for r in dep_b.collector.results])
-        assert report_a.missing_results == report_b.missing_results
-        assert ({r.ident for r in report_a.results}
-                == {r.ident for r in report_b.results})
-        # byte-identical adaptation traces: every spill, relocation and
-        # protocol step happened at the same simulated instant either way
-        assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
-
-    def test_windowed_deployment_equivalence(self):
-        def run(batched):
-            tracer = Tracer()
-            dep = Deployment(
-                join=three_way_join(window=20.0),
-                workload=WorkloadSpec.uniform(
-                    n_partitions=8, join_rate=3.0, tuple_range=240,
-                    interarrival=0.05, seed=7,
-                ),
-                workers=["m1"],
-                config=AdaptationConfig(
-                    strategy=StrategyName.NO_RELOCATION,
-                    memory_threshold=6_000,
-                    ss_interval=2.0,
-                ),
-                collect_results=True,
-                record_inputs=True,
-                data_path="batched" if batched else "tuple",
-                tracer=tracer,
-            )
-            dep.run(duration=50, sample_interval=10)
-            return dep, tracer
-
-        dep_a, tracer_a = run(True)
-        dep_b, tracer_b = run(False)
-        assert dep_a.total_outputs == dep_b.total_outputs
-        assert ([r.ident for r in dep_a.collector.results]
-                == [r.ident for r in dep_b.collector.results])
-        assert tracer_a.to_jsonl() == tracer_b.to_jsonl()

@@ -19,10 +19,11 @@ from repro.core.cleanup import (
     merge_missing_results,
 )
 from repro.core.config import CostModel
-from repro.engine.partitions import PartitionGroup
 from repro.engine.reference import reference_join, result_idents
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
+
+from tests.row_group import PartitionGroup
 
 STREAMS = ("A", "B", "C")
 

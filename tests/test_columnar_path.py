@@ -31,13 +31,13 @@ from repro.cluster.simulation import Simulator
 from repro.engine import columns
 from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup, ResultBatch
 from repro.engine.operators.split import PartitionMap, Split
-from repro.engine.partitions import PartitionGroup
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 from repro.obs.trace import Tracer
 from repro.workloads import WorkloadSpec, three_way_join
 
 from tests.helpers import canonical_frozen, small_deployment
+from tests.row_group import PartitionGroup
 
 STREAMS = ("A", "B", "C")
 
@@ -97,7 +97,7 @@ def store_fingerprint(store):
     )
 
 
-def _per_tuple(store, batch, **kwargs):
+def _per_row(store, batch, **kwargs):
     total, results = 0, []
     for pid, tup in batch:
         count, rs = store.probe_insert(pid, tup, **kwargs)
@@ -106,10 +106,10 @@ def _per_tuple(store, batch, **kwargs):
     return total, results
 
 
-#: The store's three entry points, each as ``(store, routed rows) ->
-#: (count, results)``.
+#: The store's three entry points — the per-row reference and one per
+#: delivery format — each as ``(store, routed rows) -> (count, results)``.
 ENTRY_POINTS = {
-    "tuple": _per_tuple,
+    "row": _per_row,
     "batch": lambda store, batch, **kwargs: store.probe_insert_batch(
         batch, **kwargs),
     "columns": lambda store, batch, **kwargs: store.probe_insert_columns(
@@ -257,7 +257,7 @@ class TestStoreColumnarEquivalence:
         assert one_stream.count(True) > one_stream.count(False) > 6
         per_tuple = fresh_store()
         total_a, results_a = run_entry(
-            "tuple", per_tuple, batches, materialize=materialize, window=window)
+            "row", per_tuple, batches, materialize=materialize, window=window)
         for entry in ("batch", "columns"):
             store = fresh_store()
             total_b, results_b = run_entry(
@@ -299,7 +299,7 @@ class TestStoreColumnarEquivalence:
                         store.install(frozen)
             return store_fingerprint(store)
 
-        want = run(lambda i: "tuple")
+        want = run(lambda i: "row")
         assert run(lambda i: "batch") == want
         assert run(lambda i: "columns") == want
         assert run(lambda i: list(ENTRY_POINTS)[i % 3]) == want
@@ -420,7 +420,7 @@ class TestZeroCopySnapshots:
         for twin in twins.values():
             installed.install(twin.freeze())
         fresh = fresh_store()
-        run_entry("tuple", fresh, batches)
+        run_entry("row", fresh, batches)
         assert (tuple(sorted(canonical_frozen(installed.state_of(p))
                              for p in installed.partition_ids()))
                 == tuple(sorted(canonical_frozen(fresh.state_of(p))
@@ -501,7 +501,7 @@ def promoted_by_a_second_size():
 
 TYPED_ROUTES = {
     "count-only column delivery": one_group_store,
-    "row insert": lambda: one_group_store("tuple"),
+    "row insert": lambda: one_group_store("row"),
     "windowed _probe_insert_rows": lambda: one_group_store(window=2.0),
     "materialising _probe_insert_rows": lambda: one_group_store(
         materialize=True),
@@ -1172,9 +1172,8 @@ class TestStateForState:
             live, disk = want = stored_state(dep)
             assert sum(map(len, live.values())) > 0
             assert sum(map(len, disk.values())) > 0
-            for data_path in ("tuple", "columnar"):
-                assert stored_state(scenario(data_path)) == want, (
-                    scenario.__name__, data_path)
+            assert stored_state(scenario("columnar")) == want, (
+                scenario.__name__)
 
 
 # ----------------------------------------------------------------------

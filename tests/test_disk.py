@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster.disk import Disk, SpillSegment
-from repro.engine.partitions import PartitionGroup
+
+from tests.row_group import PartitionGroup
 
 
 def make_segment(pid=1, generation=0, size=1000, spilled_at=0.0, machine="m1"):

@@ -96,7 +96,7 @@ def test_four_way_cleanup_merges_fourteen_combinations():
     a two-part split with one tuple per stream per part must recover
     2^4 − 2 within-part results."""
     from repro.core.cleanup import merge_missing_results
-    from repro.engine.partitions import PartitionGroup
+    from tests.row_group import PartitionGroup
     from repro.engine.tuples import StreamTuple
 
     streams = ("A", "B", "C", "D")

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.partitions import (
-    GROUP_OVERHEAD_BYTES,
-    PartitionGroup,
-    full_join_count,
-)
+from repro.engine.partitions import GROUP_OVERHEAD_BYTES
 from repro.engine.tuples import StreamTuple
+
+from tests.row_group import PartitionGroup, full_join_count
 
 STREAMS = ("A", "B", "C")
 

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.policy import machine_productivity_rate
 from repro.core.spill import LessProductiveSpillPolicy, MoreProductiveSpillPolicy
-from repro.engine.partitions import PartitionGroup
 from repro.engine.tuples import StreamTuple
+
+from tests.row_group import PartitionGroup
 
 STREAMS = ("A", "B")
 

@@ -5,7 +5,7 @@ partition group into two children at run time — sub-hashing its key range
 through the routing trie — and merges cold sibling leaves back.  These
 tests prove the adaptation is *invisible to correctness*: seeded skewed
 workloads run with split/merge enabled, across the plain and windowed
-m-way joins and all three data paths, and runtime ∪ cleanup results must
+m-way joins and both data paths, and runtime ∪ cleanup results must
 be byte-identical to the brute-force oracle AND to a no-repartition run —
 no losses, no duplicates, no key routed to two live groups.  A crash
 landing mid-split must abort the session cleanly and still recover
@@ -28,7 +28,7 @@ from repro.workloads.patterns import AlternatingPattern, UniformPattern
 
 from tests.helpers import canonical_frozen
 
-DATA_PATHS = ("tuple", "batched", "columnar")
+DATA_PATHS = ("batched", "columnar")
 
 
 def skewed_workload(*, n=8, seed=11, hot=0, weight=4.0, alternating=True):
@@ -52,7 +52,7 @@ def skewed_workload(*, n=8, seed=11, hot=0, weight=4.0, alternating=True):
                         seed=seed, pattern=pattern)
 
 
-def build(join=None, *, workload=None, data_path="tuple", repartition=True,
+def build(join=None, *, workload=None, data_path="columnar", repartition=True,
           checkpoint=False, tracer=None, ledger=None, config_overrides=None):
     """A 2-worker deployment tuned so split AND merge sessions fire.
 
@@ -181,7 +181,7 @@ class TestSplitMergeDifferential:
         outputs = {}
         for enabled in (True, False):
             dep = build(workload=skewed_workload(weight=6.0),
-                        data_path="columnar", repartition=enabled,
+                        repartition=enabled,
                         config_overrides=dict(memory_threshold=30_000))
             dep.run(duration=90, sample_interval=10)
             if enabled:
@@ -230,7 +230,7 @@ class TestControlPlaneAccounting:
         assert split.details["action"] == "split"
         start = split.time - split.details["duration"]
         session = [m for m in sent if start <= m[0] <= split.time
-                   and m[1] not in ("tuple_batch", "stats")]
+                   and m[1] not in ("column_batch", "stats")]
         hosts = len(dep.coordinator.split_hosts)
         assert Counter(kind for __, kind, *__ in session) == {
             "repartition": 1, "repartition_ack": 1, "installed": 1,
@@ -262,7 +262,7 @@ class TestCrashMidSplit:
         """The in-flight session aborts (no half-applied routing flip),
         recovery re-homes the lost state, later splits proceed, and the
         produced results still match the oracle exactly."""
-        dep, tracer, ledger = self.crashed_run("tuple", crash_at=crash_at)
+        dep, tracer, ledger = self.crashed_run("columnar", crash_at=crash_at)
         assert dep.engines["m1"].crashes == 1
         rp = dep.coordinator.repartition
         assert rp.sessions_aborted >= 1, "crash did not land mid-session"

@@ -23,13 +23,13 @@ from repro.engine.columns import (
     ResultBatch,
     concat_results,
 )
-from repro.engine.partitions import PartitionGroup
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import JoinResult, StreamTuple
 from repro.obs.slo import EngineTracker, SLOConfig
 from repro.serving import QueryServer, QuerySpec, Tenant
 from repro.workloads import three_way_join
 
+from tests.row_group import PartitionGroup
 from tests.test_columnar_path import STREAMS, fresh_store
 from tests.test_serving import serving_config, small_workload
 

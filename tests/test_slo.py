@@ -374,14 +374,14 @@ class TestDeterminism:
         return blobs, watermarks
 
     def test_data_paths_byte_identical(self):
-        """Tuple, batched and columnar runs extract the same last-arrival
+        """Batched and columnar runs extract the same last-arrival
         watermark frontier and record identical latency sketches."""
         snaps = {
             path: self.snapshot(run_latency_deployment(data_path=path))
-            for path in ("tuple", "batched", "columnar")
+            for path in ("batched", "columnar")
         }
-        assert snaps["tuple"] == snaps["batched"] == snaps["columnar"]
-        blobs, watermarks = snaps["tuple"]
+        assert snaps["batched"] == snaps["columnar"]
+        blobs, watermarks = snaps["batched"]
         assert any(blob != b'{"counts":{},"v":1}' for blob in blobs.values())
         assert watermarks["m1"]
 

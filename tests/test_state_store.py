@@ -3,14 +3,11 @@
 import pytest
 
 from repro.cluster.machine import Machine
-from repro.engine.partitions import (
-    GROUP_OVERHEAD_BYTES,
-    PartitionGroup,
-    merge_frozen,
-    split_frozen,
-)
+from repro.engine.partitions import GROUP_OVERHEAD_BYTES, merge_frozen, split_frozen
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
+
+from tests.row_group import PartitionGroup
 
 STREAMS = ("A", "B", "C")
 

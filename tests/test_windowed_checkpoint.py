@@ -34,9 +34,12 @@ from tests.conftest import make_tuple
 class TestWindowedMutationAccounting:
     def test_windowed_probe_insert_bumps_mutations(self, machine):
         instance = three_way_join(window=10.0).make_instance(machine)
-        instance.process(3, make_tuple(stream="A", seq=0, key=1, ts=0.0))
+        window = instance.join.window
+        instance.store.probe_insert(
+            3, make_tuple(stream="A", seq=0, key=1, ts=0.0), window=window)
         assert instance.store.mutations.get(3) == 1
-        instance.process(3, make_tuple(stream="B", seq=1, key=1, ts=1.0))
+        instance.store.probe_insert(
+            3, make_tuple(stream="B", seq=1, key=1, ts=1.0), window=window)
         assert instance.store.mutations.get(3) == 2
 
     def test_windowed_batch_bumps_mutations(self, machine):
@@ -55,12 +58,14 @@ class TestWindowedMutationAccounting:
         counters, same memory accounting, for the same inserts."""
         windowed = three_way_join(window=1e9).make_instance(machine)
         for seq, stream in enumerate(("A", "B", "C")):
-            windowed.process(0, make_tuple(stream=stream, seq=seq, key=5,
-                                           ts=float(seq)))
+            windowed.store.probe_insert(
+                0, make_tuple(stream=stream, seq=seq, key=5, ts=float(seq)),
+                window=windowed.join.window)
         plain = three_way_join().make_instance(machine)
         for seq, stream in enumerate(("A", "B", "C")):
-            plain.process(0, make_tuple(stream=stream, seq=seq, key=5,
-                                        ts=float(seq)))
+            plain.store.probe_insert(
+                0, make_tuple(stream=stream, seq=seq, key=5, ts=float(seq)),
+                window=plain.join.window)
         assert windowed.store.mutations == plain.store.mutations
         assert windowed.store.total_bytes == plain.store.total_bytes
         assert windowed.store.outputs_total == plain.store.outputs_total
@@ -74,11 +79,13 @@ class TestPurgeWindowAccounting:
         instance = three_way_join(window=window).make_instance(machine)
         # one full join triple early, then a late lonely tuple per stream
         for seq, stream in enumerate(("A", "B", "C")):
-            instance.process(0, make_tuple(stream=stream, seq=seq, key=1,
-                                           ts=float(seq)))
+            instance.store.probe_insert(
+                0, make_tuple(stream=stream, seq=seq, key=1, ts=float(seq)),
+                window=window)
         for seq, stream in enumerate(("A", "B", "C"), start=3):
-            instance.process(0, make_tuple(stream=stream, seq=seq, key=2,
-                                           ts=100.0 + seq))
+            instance.store.probe_insert(
+                0, make_tuple(stream=stream, seq=seq, key=2, ts=100.0 + seq),
+                window=window)
         return instance
 
     def test_purge_bumps_mutations(self, machine):
@@ -192,29 +199,24 @@ class TestBugReproduction:
         behaviour) and the crash scenario must violate exactly-once."""
         from repro.engine.state_store import StateStore
 
-        fixed = StateStore.probe_insert
+        fixed = StateStore._probe_insert_rows
 
-        def buggy(self, pid, tup, *, now=0.0, materialize=False, window=None):
+        def buggy(self, cb, now, materialize, window):
             if window is None:
-                return fixed(self, pid, tup, now=now, materialize=materialize)
-            # pre-fix windowed side path: direct counter updates, no _touch
-            grp = self.group(pid, now=now)
-            count, results = grp.probe_windowed(tup, window,
-                                                materialize=materialize)
-            grp.insert(tup)
-            grp.record_output(count)
-            self.machine.allocate(tup.size)
-            self.total_bytes += tup.size
-            self.outputs_total += count
-            self.tuples_processed += 1
-            return count, results
+                return fixed(self, cb, now, materialize, window)
+            # pre-fix windowed side path: the same probes, inserts and
+            # counter updates, but no _touch
+            self._touch = lambda pid, count=1: None
+            try:
+                return fixed(self, cb, now, materialize, window)
+            finally:
+                del self._touch
 
-        monkeypatch.setattr(StateStore, "probe_insert", buggy)
-        # row delivery, probed one by one: everything goes through
-        # probe_insert
+        monkeypatch.setattr(StateStore, "_probe_insert_rows", buggy)
+        # column delivery (the default): every windowed batch goes through
+        # _probe_insert_rows
         dep = windowed_checkpointed_deployment(crash={"m2": 25.0},
-                                               restart={"m2": 32.0},
-                                               data_path="tuple")
+                                               restart={"m2": 32.0})
         dep.run(duration=60, sample_interval=10)
         report = dep.cleanup(materialize=True)
         with pytest.raises(AssertionError):

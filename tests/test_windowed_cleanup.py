@@ -8,10 +8,11 @@ reference oracle.
 
 from repro import AdaptationConfig, Deployment, StrategyName
 from repro.core.cleanup import merge_missing_results
-from repro.engine.partitions import PartitionGroup
 from repro.engine.reference import reference_join, result_idents
 from repro.engine.tuples import StreamTuple
 from repro.workloads import WorkloadSpec, three_way_join
+
+from tests.row_group import PartitionGroup
 
 STREAMS = ("A", "B", "C")
 
