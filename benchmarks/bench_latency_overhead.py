@@ -59,7 +59,7 @@ def cpu_seconds(latency: bool) -> float:
         start = time.process_time()
         run_experiment(
             "latency_overhead", workload, workers=2, duration=DURATION,
-            data_path="columnar", latency=latency,
+            latency=latency,
         )
         return time.process_time() - start
 

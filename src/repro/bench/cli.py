@@ -21,7 +21,6 @@ import sys
 from repro.bench.harness import run_experiment, sample_times
 from repro.bench.report import kv_block, series_table
 from repro.core.config import SpillPolicyName, StrategyName
-from repro.engine.query_engine import DATA_PATHS
 from repro.workloads.generator import WorkloadSpec
 
 
@@ -44,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulated run length in minutes (default 10)")
     parser.add_argument("--threshold-kb", type=float, default=500.0,
                         help="spill threshold per machine in KB (default 500)")
-    parser.add_argument("--data-path", default="columnar",
-                        choices=DATA_PATHS,
-                        help="delivery representation: micro-batched "
-                             "rows or columnar structure-of-arrays "
-                             "(default); results are identical, only "
-                             "wall-clock cost differs")
     parser.add_argument("--queries", type=int, default=1,
                         help="run N identical queries on one multi-tenant "
                              "QueryServer (one tenant per query) instead of "
@@ -122,7 +115,10 @@ def parse_slo(spec: str | None):
             raise SystemExit(f"--slo: {value!r} is not a number of ms")
     if target is None:
         raise SystemExit("--slo needs p99=<ms>")
-    return SLOConfig(target_p99=target)
+    try:
+        return SLOConfig(target_p99=target)
+    except ValueError as exc:
+        raise SystemExit(f"--slo: {exc}") from None
 
 
 def latency_block(lat, monitors=()) -> str:
@@ -189,7 +185,10 @@ def _write_artifacts(args, tracer, ledger, registry, *, meta: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point: run one experiment and print its series + summary."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.queries < 1:
+        parser.error(f"--queries must be at least 1, got {args.queries}")
     if args.list:
         print("strategies:     " + ", ".join(s.value for s in StrategyName))
         print("spill policies: " + ", ".join(p.value for p in SpillPolicyName))
@@ -237,7 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         duration=duration,
         sample_interval=sample_interval,
         memory_threshold=int(args.threshold_kb * 1000),
-        data_path=args.data_path,
         config_overrides=dict(
             theta_r=args.theta_r,
             tau_m=args.tau_m,
@@ -259,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
             "workers": args.workers,
             "duration_s": duration,
             "threshold_bytes": int(args.threshold_kb * 1000),
-            "data_path": args.data_path,
             "seed": args.seed,
         },
     )
@@ -282,7 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         "spill_policy": args.spill_policy,
         "workers": args.workers,
         "duration_s": duration,
-        "data_path": args.data_path,
         "seed": args.seed,
         "runtime_outputs": result.total_outputs,
         "relocations": result.relocations,
@@ -347,7 +343,6 @@ def _serving_main(args, workload, duration, sample_interval,
         duration=duration,
         sample_interval=sample_interval,
         memory_threshold=int(args.threshold_kb * 1000),
-        data_path=args.data_path,
         config_overrides=dict(
             theta_r=args.theta_r,
             tau_m=args.tau_m,
@@ -371,7 +366,6 @@ def _serving_main(args, workload, duration, sample_interval,
             "workers": args.workers,
             "duration_s": duration,
             "threshold_bytes": int(args.threshold_kb * 1000),
-            "data_path": args.data_path,
             "seed": args.seed,
             "tenants": server.tenant_report(),
         },

@@ -78,7 +78,6 @@ def run_experiment(
     sample_interval: float = 120.0,
     memory_threshold: int = 3_000_000,
     batch_size: int = 50,
-    data_path: str = "columnar",
     config_overrides: dict | None = None,
     cost: CostModel | None = None,
     with_cleanup: bool = False,
@@ -93,10 +92,7 @@ def run_experiment(
 
     This is the single entry point every benchmark uses, so all paper
     experiments share identical wiring and differ only in their declared
-    parameters.  ``data_path`` selects the delivery representation —
-    ``batched`` rows or ``columnar`` batches (default) — which changes
-    wall-clock cost only; outputs and adaptation behaviour are identical.
-    An ``slo`` implies ``latency``.
+    parameters.  An ``slo`` implies ``latency``.
     """
     check_invariants = False
     if tracer is None and os.environ.get("REPRO_TRACE") == "check":
@@ -118,7 +114,6 @@ def run_experiment(
         cost=cost,
         assignment=assignment,
         batch_size=batch_size,
-        data_path=data_path,
         seed=seed,
         tracer=tracer,
         ledger=ledger,
@@ -174,7 +169,6 @@ def run_serving(
     duration: float = 120.0,
     sample_interval: float = 10.0,
     memory_threshold: int = 200_000,
-    data_path: str = "columnar",
     config_overrides: dict | None = None,
     seed: int = 11,
     tenants=None,
@@ -229,7 +223,6 @@ def run_serving(
             workers=workers,
             tenant=tenants[i % len(tenants)].name,
             duration=duration,
-            data_path=data_path,
             seed=seed,
             slo=slo,
         )))

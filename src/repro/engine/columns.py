@@ -1,8 +1,7 @@
 """Columnar (structure-of-arrays) batch and partition-group state.
 
-Partition-group state is flat parallel columns under every data path; the
-batched path delivers ``StreamTuple`` rows into it, the columnar path
-delivers columns as well:
+Partition-group state is flat parallel columns, and deliveries are
+columns as well:
 
 ``ColumnBatch``
     What travels from a source host to an engine: one flat column per
@@ -680,8 +679,8 @@ class ColumnarPartitionGroup:
 
     def _probe_rows(self, sid: int, tup: StreamTuple, window: float | None
                     ) -> tuple[int, list[JoinResult]]:
-        """Eager materialising probe (row delivery): the lazy record of
-        :meth:`probe_record`, read on the spot."""
+        """Eager materialising probe (the per-row store references): the
+        lazy record of :meth:`probe_record`, read on the spot."""
         record = self.probe_record(sid, tup.seq, tup.key, tup.ts, tup.size,
                                    tup.payload, window)
         if record is None:
@@ -1136,15 +1135,14 @@ class ResultBatch(Sequence):
             yield record.ts, record.count
 
 
-def concat_results(chunks: list) -> Sequence[JoinResult]:
-    """One result sequence over ``chunks`` — result lists and lazy batches —
-    in order.  Lazy batches are joined record by record, not iterated;
-    only a boxed list among them forces the rows into existence."""
+def concat_results(chunks: list[ResultBatch]) -> Sequence[JoinResult]:
+    """One result sequence over the lazy batches ``chunks``, in order,
+    joined record by record — nothing is boxed."""
+    if not chunks:
+        return []
     if len(chunks) == 1:
         return chunks[0]
-    if chunks and all(type(chunk) is ResultBatch for chunk in chunks):
-        merged = ResultBatch()
-        for chunk in chunks:
-            merged.extend(chunk)
-        return merged
-    return [result for chunk in chunks for result in chunk]
+    merged = ResultBatch()
+    for chunk in chunks:
+        merged.extend(chunk)
+    return merged

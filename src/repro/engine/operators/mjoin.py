@@ -96,27 +96,6 @@ class MJoinInstance:
         self.results_count = 0
         self.tuples_in = 0
 
-    def process_batch(
-        self,
-        batch: list[tuple[int, StreamTuple]],
-        *,
-        now: float = 0.0,
-        materialize: bool = False,
-    ) -> tuple[int, list[JoinResult]]:
-        """Probe-then-insert a whole delivered batch (row delivery).
-
-        Produces exactly the results and statistics of calling
-        :meth:`~repro.engine.state_store.StateStore.probe_insert` per tuple
-        in batch order, with the cross-tuple bookkeeping amortised (see
-        :meth:`~repro.engine.state_store.StateStore.probe_insert_batch`).
-        """
-        self.tuples_in += len(batch)
-        total, results = self.store.probe_insert_batch(
-            batch, now=now, materialize=materialize, window=self.join.window
-        )
-        self.results_count += total
-        return total, results
-
     def process_columns(
         self,
         cb,

@@ -18,6 +18,7 @@ challenge the paper's 8-step protocol exists to manage.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 from repro.engine.operators.base import Operator
@@ -51,10 +52,17 @@ class PartitionMap:
         """Assign contiguous ID ranges sized proportionally to ``weights``.
 
         Used for the paper's skewed initial distributions (60/20/20 in
-        Figure 11, 2/3 vs 1/6+1/6 in Figure 12).
+        Figure 11, 2/3 vs 1/6+1/6 in Figure 12).  Every weight must be
+        finite and non-negative, and at least one positive.
         """
         if n_partitions <= 0:
             raise ValueError("need at least one partition")
+        for machine, weight in weights.items():
+            if not weight >= 0 or math.isinf(weight):
+                raise ValueError(
+                    f"weight of {machine!r} must be finite and >= 0, "
+                    f"got {weight!r}"
+                )
         total = sum(weights.values())
         if total <= 0:
             raise ValueError("weights must sum to a positive value")

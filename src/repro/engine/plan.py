@@ -49,7 +49,7 @@ from repro.engine.columns import ColumnarPartitionGroup, FrozenColumnGroup
 from repro.engine.operators.base import Operator
 from repro.engine.operators.mjoin import MJoin
 from repro.engine.operators.split import PartitionMap, Split
-from repro.engine.query_engine import QueryEngine, SourceHost, check_data_path
+from repro.engine.query_engine import QueryEngine, SourceHost
 from repro.engine.streams import OutputCollector, StreamSource
 from repro.engine.tuples import StreamTuple
 from repro.workloads.generator import StreamWorkloadSpec, TupleGenerator, WorkloadSpec
@@ -85,15 +85,6 @@ class Deployment:
     downstream:
         Operators applied to each materialised result at the collector
         (e.g. Query 1's group-by aggregate); forces materialisation.
-    data_path:
-        Delivery format between the source host and the engines
-        (:data:`~repro.engine.query_engine.DATA_PATHS`): ``"batched"``
-        (rows on the wire, one amortised store call per delivered batch)
-        or ``"columnar"`` (structure-of-arrays column batches built at the
-        source; the default, and the delivery every end-to-end benchmark
-        workload times).  Partition-group state is columnar under both —
-        zero-copy spill/relocation/checkpoint snapshots included — and
-        both produce byte-identical outputs and traces on the same seed.
     payload_fn:
         Optional payload builder passed to the tuple generators.
     tracer:
@@ -157,7 +148,6 @@ class Deployment:
         record_inputs: bool = False,
         downstream: list[Operator] | None = None,
         payload_fn=None,
-        data_path: str = "columnar",
         seed: int = 11,
         tracer=None,
         ledger=None,
@@ -171,7 +161,6 @@ class Deployment:
         latency: bool = False,
         slo=None,
     ) -> None:
-        self.data_path = check_data_path(data_path)
         if isinstance(workers, int):
             if workers <= 0:
                 raise ValueError("need at least one worker")
@@ -304,7 +293,6 @@ class Deployment:
             coordinator_name=self.coordinator_name,
             record_inputs=record_inputs,
             keep_replay_log=config.checkpoint_enabled,
-            data_path=data_path,
             metric_labels=metric_labels,
         )
         make_coordinator = coordinator_factory or GlobalCoordinator

@@ -75,22 +75,6 @@ MODE_NORMAL = "normal"
 MODE_SS = "ss_mode"
 MODE_SR = "sr_mode"
 
-#: Delivery formats between the source host and the engines: rows shipped
-#: as ``(pid, tuple)`` lists and probed a batch at a time (``batched``), or
-#: structure-of-arrays column batches (``columnar``).  The state they land
-#: in is the same columnar store.
-DATA_PATHS = ("batched", "columnar")
-
-
-def check_data_path(data_path: str) -> str:
-    """``data_path`` if it names a delivery format, else ``ValueError``."""
-    if data_path not in DATA_PATHS:
-        raise ValueError(
-            f"unknown data path {data_path!r} (expected one of {DATA_PATHS!r})"
-        )
-    return data_path
-
-
 class QueryEngine:
     """Worker engine: join instance + local adaptation controller."""
 
@@ -189,9 +173,8 @@ class QueryEngine:
             buckets=(1, 10, 100, 1000, 10000),
             labels=labels,
         )
-        #: the data tasks' begin functions, bound once: a queued data
+        #: the data task's begin function, bound once: a queued data
         #: message then holds its payload and nothing else of its own
-        self._run_batch = self._process_batch
         self._run_columns = self._process_columns
         network.register(machine.name, self.deliver)
 
@@ -367,36 +350,10 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _on_tuple_batch(self, message: Message) -> None:
-        self.machine.submit(
-            DynamicTask(self._run_batch, message.payload, label="tuple_batch")
-        )
-
     def _on_column_batch(self, message: Message) -> None:
         self.machine.submit(
             DynamicTask(self._run_columns, message.payload, label="column_batch")
         )
-
-    def _process_batch(self, batch: list[tuple[int, StreamTuple]]):
-        total, collected = self.instance.process_batch(
-            batch, now=self.sim.now, materialize=self.materialize
-        )
-        duration = len(batch) * self.cost.probe_cost + total * self.cost.result_cost
-        self._observe_batch(len(batch), total, duration)
-        lat_ctx = None
-        if self._lat is not None:
-            # Watermark frontier = each stream's *last arrival* in the
-            # batch.  Sources emit in event order, so this is the batch
-            # max; replayed segments only make it momentarily
-            # conservative (max-merge keeps the watermark monotone), and
-            # the definition is arrival-order based so every data path
-            # computes identical values.
-            wm: dict[str, float] = {}
-            for _pid, tup in reversed(batch):
-                if tup.stream not in wm:
-                    wm[tup.stream] = tup.ts
-            lat_ctx = (self.sim.now, self._lat.advance_watermarks(wm))
-        return duration, self._finisher(total, collected, lat_ctx)
 
     def _process_columns(self, cb):
         total, collected = self.instance.process_columns(
@@ -407,12 +364,15 @@ class QueryEngine:
         self._observe_batch(n, total, duration)
         lat_ctx = None
         if self._lat is not None:
-            # Same last-arrival frontier as the row path.  Storage
-            # order is segmented by partition, so walk *arrival* order
-            # backwards through ``perm`` and stop once every stream has
-            # been seen — interleaved sources make this O(#streams), not
-            # O(batch), which keeps the enabled-mode overhead inside the
-            # 5% budget of ``benchmarks/bench_latency_overhead.py``.
+            # Watermark frontier = each stream's *last arrival* in the
+            # batch.  Sources emit in event order, so this is the batch
+            # max; replayed segments only make it momentarily
+            # conservative (max-merge keeps the watermark monotone).
+            # Storage order is segmented by partition, so walk *arrival*
+            # order backwards through ``perm`` and stop once every stream
+            # has been seen — interleaved sources make this O(#streams),
+            # not O(batch), which keeps the enabled-mode overhead inside
+            # the 5% budget of ``benchmarks/bench_latency_overhead.py``.
             sids, tss, perm = cb.sids, cb.ts, cb.perm
             names = cb.streams
             if sids is None:
@@ -1183,7 +1143,6 @@ class SourceHost:
         coordinator_name: str = GC_NAME,
         record_inputs: bool = False,
         keep_replay_log: bool = False,
-        data_path: str = "columnar",
         metric_labels: dict[str, str] | None = None,
     ) -> None:
         if not splits:
@@ -1197,11 +1156,6 @@ class SourceHost:
         self.metric_labels = dict(metric_labels or {})
         self.coordinator_name = coordinator_name
         self.record_inputs = record_inputs
-        #: ``columnar`` forwards routed batches as structure-of-arrays
-        #: :class:`~repro.engine.columns.ColumnBatch` messages, built once
-        #: here at the source (from the arrival columns where it can);
-        #: ``batched`` ships ``(pid, tuple)`` lists.
-        self.data_path = check_data_path(data_path)
         #: join input order — the stream-index space of column batches
         self._stream_order = tuple(splits)
         self.inputs: list[StreamTuple] = []
@@ -1226,14 +1180,16 @@ class SourceHost:
         """Entry point for the stream sources (local call on this machine).
 
         ``batch`` is a sized iterable of tuples — a stream source's
-        :class:`~repro.engine.tuples.ArrivalBatch` or a plain list.  On the
-        columnar data path an arrival batch is routed and segmented as
-        columns (no ``StreamTuple`` is built for a row unless it is
-        buffered, logged for replay or recorded); everything else takes the
-        row path.  Simulated cost and messages are the same either way.
+        :class:`~repro.engine.tuples.ArrivalBatch` or a plain list.  An
+        arrival batch is routed and segmented as columns (no
+        ``StreamTuple`` is built for a row unless it is buffered, logged
+        for replay or recorded); a list (an upstream pipeline stage's
+        results) is routed row by row.  Either way the owners receive
+        :class:`~repro.engine.columns.ColumnBatch` messages, and simulated
+        cost and messages are the same.
         """
         split = self.splits[stream]
-        columns = self.data_path == "columnar" and isinstance(batch, ArrivalBatch)
+        columns = isinstance(batch, ArrivalBatch)
 
         def begin():
             if self.record_inputs:
@@ -1287,16 +1243,9 @@ class SourceHost:
         by_owner: dict[str, list[tuple[int, StreamTuple]]] = {}
         for owner, pid, tup in routed:
             by_owner.setdefault(owner, []).append((pid, tup))
-        if self.data_path == "columnar":
-            for owner, batch in by_owner.items():
-                cb = ColumnBatch.from_routed(batch, self._stream_order)
-                self.network.send(
-                    self.name, owner, "column_batch", cb, cb.total_size
-                )
-            return
         for owner, batch in by_owner.items():
-            size = sum(t.size for __, t in batch)
-            self.network.send(self.name, owner, "tuple_batch", batch, size)
+            cb = ColumnBatch.from_routed(batch, self._stream_order)
+            self.network.send(self.name, owner, "column_batch", cb, cb.total_size)
 
     # ------------------------------------------------------------------
     # State motion: pause / remap (split-host side)

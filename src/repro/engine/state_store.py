@@ -125,13 +125,12 @@ class StateStore:
 
     Live state has one format, decided here: every group is a
     :class:`~repro.engine.columns.ColumnarPartitionGroup`, whichever entry
-    point delivered its rows.  The engine calls two:
-    :meth:`probe_insert_batch` (a routed row batch, ``data_path="batched"``)
-    and :meth:`probe_insert_columns` (a routed column batch,
-    ``data_path="columnar"``).  :meth:`probe_insert` (one row) is the
-    per-row reference both are defined against; no delivery format calls
-    it.  Results, order, counters and victim orderings are the same
-    through all three.
+    point delivered its rows.  The engine calls one:
+    :meth:`probe_insert_columns` (a routed column batch).
+    :meth:`probe_insert` (one row) is the per-row reference it is defined
+    against, and :meth:`probe_insert_batch` (a routed row list) the
+    amortised row reference; nothing in the engine calls either.  Results,
+    order, counters and victim orderings are the same through all three.
 
     Parameters
     ----------

@@ -118,8 +118,8 @@ class ArrivalBatch:
     What a :class:`~repro.workloads.generator.TupleGenerator` produces and a
     stream source hands to the split host: row ``i`` is the tuple
     ``(stream, seq0 + i, keys[i], ts[i], size, payloads[i])``.  ``payloads``
-    is ``None`` when the generator has no payload builder.  The columnar
-    data path routes and segments these columns directly; everything else
+    is ``None`` when the generator has no payload builder.  The source
+    host routes and segments these columns directly; everything else
     iterates the batch, which materialises the rows as
     :class:`StreamTuple` objects on first use (and only then).
     """

@@ -318,16 +318,11 @@ class EngineTracker:
         of equal ``ts`` is one weighted observation — and one weighted
         observation at the batch's max event time otherwise.
 
-        ``results`` is a sequence of join results; a lazy
-        :class:`~repro.engine.columns.ResultBatch` is read through its
-        ``ts_counts()`` (one pair per probing row) and never boxed.  Row
-        lists and lazy batches merge the same runs, so every data path
-        makes the same observations."""
+        ``results`` is the batch's lazy
+        :class:`~repro.engine.columns.ResultBatch`, read through its
+        ``ts_counts()`` (one pair per probing row) and never boxed."""
         if results:
-            ts_counts = getattr(results, "ts_counts", None)
-            pairs = (ts_counts() if ts_counts is not None
-                     else ((r.ts, 1) for r in results))
-            for ts, run in groupby(pairs, key=itemgetter(0)):
+            for ts, run in groupby(results.ts_counts(), key=itemgetter(0)):
                 self._observe_one(ts, t_run, credit, emit,
                                   sum(map(itemgetter(1), run)))
             return

@@ -3,7 +3,7 @@
 Two queries *fold* when their physical runtimes would be byte-identical:
 same input streams joined under the same window, same workload (keys,
 rates, seed), same partitioning, same adaptation configuration, same
-worker set and data path.  :func:`fold_signature` canonicalises exactly
+worker set.  :func:`fold_signature` canonicalises exactly
 that equality; the server keys its fold index on it.
 
 A :class:`FoldGroup` is the shared runtime plus its member bookkeeping:
@@ -31,15 +31,14 @@ __all__ = ["FanOutCollector", "FoldGroup", "fold_signature"]
 
 
 def fold_signature(
-    join, workload, config, workers, *, data_path: str, seed: int,
-    assignment=None,
+    join, workload, config, workers, *, seed: int, assignment=None,
 ) -> tuple:
     """Canonical fold-compatibility key.
 
     Two submissions fold iff their signatures compare equal — a
     deliberately *exact* criterion: equality of streams, window, workload
     parameters (including the seed: folded members must see the same
-    tuples), adaptation config, worker set, placement and data path is
+    tuples), adaptation config, worker set and placement is
     what makes the shared runtime bit-compatible with each member's
     isolated runtime.  Join/query *names* are excluded; tenant and memory
     demand are billing facts, not physics, and are excluded too.
@@ -52,7 +51,6 @@ def fold_signature(
         repr(workload),
         repr(config),
         tuple(workers),
-        data_path,
         seed,
         repr(assignment),
     )

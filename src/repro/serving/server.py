@@ -75,7 +75,6 @@ class QuerySpec:
     #: nominal admission-control demand in bytes; 0 derives a default
     #: from the adaptation threshold and worker count
     memory_demand: int = 0
-    data_path: str = "columnar"
     seed: int = 11
     collect_results: bool = True
     assignment: dict[str, float] | None = None
@@ -207,8 +206,7 @@ class QueryServer:
 
         signature = fold_signature(
             spec.join, spec.workload, spec.config, spec.workers,
-            data_path=spec.data_path, seed=spec.seed,
-            assignment=spec.assignment,
+            seed=spec.seed, assignment=spec.assignment,
         )
         candidate = self._fold_index.get(signature) if self.fold_enabled else None
         if candidate is not None and not candidate.active:
@@ -293,7 +291,6 @@ class QueryServer:
             config=spec.config,
             cost=self.cost,
             assignment=spec.assignment,
-            data_path=spec.data_path,
             seed=spec.seed,
             sim=self.sim,
             network=self.network,

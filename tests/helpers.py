@@ -62,6 +62,18 @@ def small_deployment(
     return deployment
 
 
+def feed_rows(deployment):
+    """Hand ``deployment``'s source host plain row lists instead of arrival
+    batches, so every arrival takes :meth:`SourceHost.inject`'s row branch
+    (``Split.process`` + ``ColumnBatch.from_routed``) — the row side the
+    whole-run source differentials compare the column route against.
+    Returns the deployment (not yet run)."""
+    host = deployment.source_host
+    inject = host.inject
+    host.inject = lambda stream, batch: inject(stream, list(batch))
+    return deployment
+
+
 def assert_no_violations(tracer, name):
     """Run a tracer's events through the invariant checker.
 

@@ -1,13 +1,13 @@
 """Equivalence of the micro-batched store entry point with the per-row one.
 
-The batched entry point (`StateStore.probe_insert_batch`) amortises
+The row-batch entry point (`StateStore.probe_insert_batch`) amortises
 memory-accounting, mutation-counter and statistics updates across a
-delivered batch.  That is only legal if it is *unobservable*: same results
-in the same order, same counters, same victim orderings as calling
-`StateStore.probe_insert` per row.  These tests assert exactly that at the
-store level; `tests/test_columnar_path.py::TestDeploymentEquivalence`
-holds whole deployments on the two delivery formats to byte-identical
-outputs and traces.
+routed row batch.  That is only legal if it is *unobservable*: same
+results in the same order, same counters, same victim orderings as
+calling `StateStore.probe_insert` per row.  No delivery calls it; it is
+the store-level row reference `tests/test_columnar_path.py` holds the
+column entry every delivery takes to, and these tests keep it equal to
+the per-row one.
 """
 
 import random

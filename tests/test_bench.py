@@ -145,6 +145,22 @@ class TestCli:
             main(["--workers", "2", "--assignment", "1.0",
                   "--minutes", "0.1"])
 
+    @pytest.mark.parametrize("queries", ["0", "-2"])
+    def test_queries_below_one_is_a_usage_error(self, queries, capsys):
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--queries", queries, "--minutes", "0.1"])
+        assert exc.value.code == 2
+        assert "--queries must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["nan", "-5", "0"])
+    def test_non_positive_slo_target_exits_with_a_message(self, target):
+        from repro.bench.cli import parse_slo
+
+        with pytest.raises(SystemExit, match="^--slo: target_p99 must be"):
+            parse_slo(f"p99={target}")
+
     def test_csv_export(self, tmp_path, capsys):
         from repro.bench.cli import main
 

@@ -1,15 +1,16 @@
 """Equivalence of the columnar (structure-of-arrays) data path.
 
-Live state is columnar under every data path; the columnar path also
-rebuilds the delivery pipeline — ``ColumnBatch`` at the source, a
-vectorized probe/insert entry point in the store — and every bit of it is
-only legal if it is *unobservable*: same results in the same order, same
-counters and victim orderings, same snapshots, and — end to end —
-byte-identical outputs and adaptation traces for the same seeds, under
-spills, relocations, purges and crashes.  These tests assert exactly
-that: the store's three entry points against each other, the live group
-against its row-format twin, and column delivery against row delivery
-over full deployments — down to the stored columns.
+Live state is columnar, and so is every delivery — ``ColumnBatch`` built
+at the source, a vectorized probe/insert entry point in the store — and
+every bit of it is only legal if it is *unobservable*: same results in
+the same order, same counters and victim orderings, same snapshots, and —
+end to end — byte-identical outputs and adaptation traces for the same
+seeds, under spills, relocations, purges and crashes.  These tests assert
+exactly that: the store's column entry point against its per-row and
+row-batch references, the live group against its row-format twin, and the
+column source (arrival batches routed as columns) against the row source
+(the same arrivals fed as row lists) over full deployments — down to the
+stored columns — and against the brute-force oracle.
 """
 
 import gc
@@ -31,12 +32,13 @@ from repro.cluster.simulation import Simulator
 from repro.engine import columns
 from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup, ResultBatch
 from repro.engine.operators.split import PartitionMap, Split
+from repro.engine.reference import reference_join, result_idents
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 from repro.obs.trace import Tracer
 from repro.workloads import WorkloadSpec, three_way_join
 
-from tests.helpers import canonical_frozen, small_deployment
+from tests.helpers import canonical_frozen, feed_rows, small_deployment
 from tests.row_group import PartitionGroup
 
 STREAMS = ("A", "B", "C")
@@ -106,8 +108,9 @@ def _per_row(store, batch, **kwargs):
     return total, results
 
 
-#: The store's three entry points — the per-row reference and one per
-#: delivery format — each as ``(store, routed rows) -> (count, results)``.
+#: The store's three entry points — the per-row reference, the row-batch
+#: reference and the column entry every delivery takes — each as
+#: ``(store, routed rows) -> (count, results)``.
 ENTRY_POINTS = {
     "row": _per_row,
     "batch": lambda store, batch, **kwargs: store.probe_insert_batch(
@@ -844,10 +847,11 @@ class TestWindowProbe:
             StreamTuple("A", 0, 7, ts), window, materialize=True)[1]
 
 
-def run_deployment(data_path, **kwargs):
+def run_deployment(*, rows=False, **kwargs):
     tracer = Tracer()
-    dep = small_deployment(collect=True, data_path=data_path,
-                           tracer=tracer, **kwargs)
+    dep = small_deployment(collect=True, tracer=tracer, **kwargs)
+    if rows:
+        feed_rows(dep)
     dep.run(duration=40.0, sample_interval=5.0)
     report = dep.cleanup(materialize=True)
     return dep, report, tracer
@@ -855,8 +859,8 @@ def run_deployment(data_path, **kwargs):
 
 class TestDeploymentEquivalence:
     def test_byte_identical_outputs_and_traces(self):
-        dep_a, report_a, tracer_a = run_deployment("batched")
-        dep_b, report_b, tracer_b = run_deployment("columnar")
+        dep_a, report_a, tracer_a = run_deployment(rows=True)
+        dep_b, report_b, tracer_b = run_deployment()
         assert dep_a.spill_count > 0  # the run actually adapted
         assert dep_a.total_outputs == dep_b.total_outputs
         assert ([r.ident for r in dep_a.collector.results]
@@ -869,7 +873,7 @@ class TestDeploymentEquivalence:
         assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
 
     def test_windowed_deployment_equivalence(self):
-        def run(data_path):
+        def run(rows):
             tracer = Tracer()
             dep = Deployment(
                 join=three_way_join(window=20.0),
@@ -885,22 +889,24 @@ class TestDeploymentEquivalence:
                 ),
                 collect_results=True,
                 record_inputs=True,
-                data_path=data_path,
                 tracer=tracer,
             )
+            if rows:
+                feed_rows(dep)
             dep.run(duration=50, sample_interval=10)
             return dep, tracer
 
-        dep_a, tracer_a = run("batched")
-        dep_b, tracer_b = run("columnar")
+        dep_a, tracer_a = run(rows=True)
+        dep_b, tracer_b = run(rows=False)
         assert dep_a.total_outputs == dep_b.total_outputs
         assert ([r.ident for r in dep_a.collector.results]
                 == [r.ident for r in dep_b.collector.results])
         assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
 
 
-def run_crash_deployment(data_path, **kwargs):
-    """Checkpointed three-worker run with a crash and restart of m2."""
+def run_crash_deployment(*, rows=False, **kwargs):
+    """Checkpointed three-worker run with a crash and restart of m2 (fed
+    row lists with ``rows``)."""
     tracer = Tracer()
     dep = small_deployment(
         strategy=StrategyName.LAZY_DISK,
@@ -910,7 +916,6 @@ def run_crash_deployment(data_path, **kwargs):
         tuple_range=240,
         interarrival=0.05,
         collect=True,
-        data_path=data_path,
         tracer=tracer,
         config_overrides=dict(
             checkpoint_enabled=True,
@@ -919,6 +924,8 @@ def run_crash_deployment(data_path, **kwargs):
         ),
         **kwargs,
     )
+    if rows:
+        feed_rows(dep)
     FaultSchedule([
         MachineCrash(time=15.0, engine=dep.engines["m2"]),
         MachineRestart(time=25.0, engine=dep.engines["m2"]),
@@ -930,10 +937,10 @@ def run_crash_deployment(data_path, **kwargs):
 class TestCrashEquivalence:
     def test_checkpointed_crash_run_is_identical(self):
         """Crash + recovery from checkpoints: same outputs, same traces,
-        same canonical checkpoint registry either way."""
+        same canonical checkpoint registry from either source."""
 
-        def run(data_path):
-            dep, tracer = run_crash_deployment(data_path)
+        def run(rows):
+            dep, tracer = run_crash_deployment(rows=rows)
             registry = tuple(
                 (e.pid, e.owner, e.holder, e.time, e.live,
                  canonical_frozen(e.frozen))
@@ -941,8 +948,8 @@ class TestCrashEquivalence:
             )
             return dep, tracer, registry
 
-        dep_a, tracer_a, registry_a = run("batched")
-        dep_b, tracer_b, registry_b = run("columnar")
+        dep_a, tracer_a, registry_a = run(rows=True)
+        dep_b, tracer_b, registry_b = run(rows=False)
         assert dep_a.checkpoint_count > 0
         assert dep_a.total_outputs == dep_b.total_outputs
         assert ([r.ident for r in dep_a.collector.results]
@@ -956,26 +963,35 @@ class TestCrashEquivalence:
         the lazy batches the collector kept — commit-interval
         concatenations whose groups have since been spilled, shipped,
         lost in the crash, restored and merged from disk — still read
-        back as exactly the rows the batched path boxed on the spot."""
+        back as exactly the rows a row-source run read before its cleanup
+        ran, and as the oracle's combinations."""
 
-        def run(data_path):
+        def run(rows):
             dep, tracer = run_crash_deployment(
-                data_path, latency=True, memory_threshold=9_000,
+                rows=rows, latency=True, memory_threshold=9_000,
                 assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2},
             )
+            early = dep.collector.results if rows else None
             report = dep.cleanup(materialize=True)
-            return dep, tracer, report
+            return dep, tracer, report, early
 
-        dep_a, tracer_a, report_a = run("batched")
-        dep_b, tracer_b, report_b = run("columnar")
+        dep_a, tracer_a, report_a, results_a = run(rows=True)
+        dep_b, tracer_b, report_b, __ = run(rows=False)
         assert dep_b.spill_count > 0 and dep_b.relocation_count > 0
         assert dep_b.recovery_count > 0 and dep_b.checkpoint_count > 0
         assert tracer_a.to_jsonl() == tracer_b.to_jsonl()
-        results_a, results_b = dep_a.collector.results, dep_b.collector.results
+        results_b = dep_b.collector.results
         assert len(results_b) == dep_b.total_outputs > 0
         assert results_b == results_a  # idents, order, sizes, timestamps
         assert ([r.ident for r in report_a.results]
                 == [r.ident for r in report_b.results])
+        reference = {r.ident: r for r in reference_join(
+            dep_b.source_host.inputs, dep_b.join.stream_names)}
+        assert [r.parts for r in results_b] == [
+            reference[r.ident].parts for r in results_b]
+        produced = result_idents(results_b) | result_idents(report_b.results)
+        assert len(produced) == len(results_b) + len(report_b.results)
+        assert produced == set(reference)
         hub_a, hub_b = dep_a.metrics.latency, dep_b.metrics.latency
         for machine, tracker in hub_a.trackers.items():
             for cause, sketch in tracker.sketches.items():
@@ -1018,14 +1034,14 @@ def source_fingerprint(dep, tracer, report):
 
 
 def assert_same_source_behaviour(run):
-    """``run(data_path)`` -> (dep, tracer, report); the column source must
-    be indistinguishable from the batched row path."""
+    """``run(rows)`` -> (dep, tracer, report); the column source must be
+    indistinguishable from the same deployment fed row lists."""
     fingerprints = {}
-    for data_path in ("batched", "columnar"):
-        dep, tracer, report = run(data_path)
-        fingerprints[data_path] = source_fingerprint(dep, tracer, report)
-    for field, want in fingerprints["batched"].items():
-        assert fingerprints["columnar"][field] == want, field
+    for rows in (True, False):
+        dep, tracer, report = run(rows)
+        fingerprints[rows] = source_fingerprint(dep, tracer, report)
+    for field, want in fingerprints[True].items():
+        assert fingerprints[False][field] == want, field
     return dep
 
 
@@ -1050,18 +1066,21 @@ def split_merge_crash_deployment(window, **deployment_kwargs):
 
 
 class TestColumnSourceDifferential:
-    """Whole runs, column source vs ``data_path="batched"``: byte-identical
-    trace, outputs, counters, buffers, replay log and checkpoint registry
-    on every cold path the columns have to hand rows to."""
+    """Whole runs, column source vs row source (:func:`feed_rows`):
+    byte-identical trace, outputs, counters, buffers, replay log and
+    checkpoint registry on every cold path the columns have to hand rows
+    to."""
 
     def test_spill_and_relocation_pause_mid_batch(self):
-        def run(data_path):
+        def run(rows):
             tracer = Tracer()
             dep = small_deployment(
                 workers=3, assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2},
                 n_partitions=12, interarrival=0.005, batch_size=50,
-                data_path=data_path, tracer=tracer,
+                tracer=tracer,
             )
+            if rows:
+                feed_rows(dep)
             dep.run(duration=60.0, sample_interval=5.0)
             return dep, tracer, dep.cleanup()
 
@@ -1072,10 +1091,11 @@ class TestColumnSourceDifferential:
 
     @pytest.mark.parametrize("window", [None, 10.0])
     def test_split_merge_crash_and_replay(self, window):
-        def run(data_path):
+        def run(rows):
             tracer = Tracer()
-            dep = split_merge_crash_deployment(window, data_path=data_path,
-                                               tracer=tracer)
+            dep = split_merge_crash_deployment(window, tracer=tracer)
+            if rows:
+                feed_rows(dep)
             dep.run(duration=90, sample_interval=10)
             return dep, tracer, dep.cleanup(materialize=True)
 
@@ -1085,13 +1105,14 @@ class TestColumnSourceDifferential:
         assert dep.source_host.trimmed_total > 0
 
     def test_48_workers_one_or_two_rows_per_owner(self):
-        def run(data_path):
+        def run(rows):
             tracer = Tracer()
             dep = small_deployment(
                 workers=48, n_partitions=128, join_rate=2.0, tuple_range=200,
-                memory_threshold=10**7, batch_size=50, data_path=data_path,
-                tracer=tracer,
+                memory_threshold=10**7, batch_size=50, tracer=tracer,
             )
+            if rows:
+                feed_rows(dep)
             dep.run(duration=20.0, sample_interval=5.0)
             return dep, tracer, dep.cleanup()
 
@@ -1102,7 +1123,7 @@ class TestColumnSourceDifferential:
 
 
 # ----------------------------------------------------------------------
-# One state class under every data path: the stored columns themselves agree
+# One state class from either source: the stored columns themselves agree
 # ----------------------------------------------------------------------
 def frozen_columns(frozen):
     """A columnar snapshot column for column (buffers read up to their
@@ -1130,8 +1151,8 @@ def stored_state(dep):
 
 
 class TestStateForState:
-    """Row delivery and column delivery fill the same state class, so the
-    differential goes below outputs and traces: at end of run the rows are
+    """The row source and the column source fill the same state class, so
+    the differential goes below outputs and traces: at end of run the rows are
     filed in the same order in the same columns, in memory and on disk.
     That holds on the cold paths too.  A group thawed from the row-format
     snapshot of a split or merge is re-filed stream by stream rather than
@@ -1141,21 +1162,25 @@ class TestStateForState:
     def scenarios(self):
         from tests.test_windowed_checkpoint import windowed_checkpointed_deployment
 
-        def spill_relocation_crash(data_path):
+        def spill_relocation_crash(rows):
             dep, __ = run_crash_deployment(
-                data_path, memory_threshold=9_000,
+                rows=rows, memory_threshold=9_000,
                 assignment={"m1": 0.6, "m2": 0.2, "m3": 0.2})
             assert dep.spill_count > 0 and dep.relocation_count > 0
             return dep
 
-        def windowed(data_path):
+        def windowed(rows):
             dep = windowed_checkpointed_deployment(
-                crash={"m2": 25.0}, restart={"m2": 32.0}, data_path=data_path)
+                crash={"m2": 25.0}, restart={"m2": 32.0})
+            if rows:
+                feed_rows(dep)
             dep.run(duration=60, sample_interval=10)
             return dep
 
-        def split_merge_crash(data_path):
-            dep = split_merge_crash_deployment(None, data_path=data_path)
+        def split_merge_crash(rows):
+            dep = split_merge_crash_deployment(None)
+            if rows:
+                feed_rows(dep)
             dep.run(duration=90, sample_interval=10)
             children = {c for pair in dep.splits["A"].refinement.values()
                         for c in pair}
@@ -1167,12 +1192,12 @@ class TestStateForState:
 
     def test_live_groups_and_segments_equal_column_for_column(self):
         for scenario in self.scenarios():
-            dep = scenario("batched")
+            dep = scenario(True)
             assert dep.recovery_count > 0
             live, disk = want = stored_state(dep)
             assert sum(map(len, live.values())) > 0
             assert sum(map(len, disk.values())) > 0
-            assert stored_state(scenario("columnar")) == want, (
+            assert stored_state(scenario(False)) == want, (
                 scenario.__name__)
 
 
@@ -1307,15 +1332,17 @@ class TestIncrementalTrim:
     def test_log_equals_full_trim_after_every_delivery(self, scenario):
         duration, build = trim_scenarios()[scenario]
         seen = {}
-        for data_path in ("batched", "columnar"):
+        for rows in (True, False):
             tracer = Tracer()
-            dep = build(data_path=data_path, tracer=tracer)
+            dep = build(tracer=tracer)
+            if rows:
+                feed_rows(dep)
             shadow = ShadowLog(dep)
             dep.run(duration=duration, sample_interval=10)
             host = dep.source_host
             assert shadow.deliveries > 5 and host.trimmed_total > 0
             assert dep.recovery_count > 0
-            seen[data_path] = dict(
+            seen[rows] = dict(
                 trimmed=host.trimmed_total,
                 replayed=host.replayed_total,
                 replays=[e.fields["detail"] for e in tracer.events
@@ -1323,15 +1350,15 @@ class TestIncrementalTrim:
                 log=host._replay_log.items(),
                 deliveries=shadow.deliveries,
             )
-            assert seen[data_path]["replays"]
-        assert seen["columnar"] == seen["batched"]
+            assert seen[rows]["replays"]
+        assert seen[False] == seen[True]
 
     def test_trim_volume_is_proportional_to_new_rows(self):
         """50 commits over state that is never purged: every identity is
         shipped about once, not once per commit it has lived through."""
         dep = small_deployment(
             workers=2, n_partitions=8, join_rate=3.0, tuple_range=240,
-            interarrival=0.05, memory_threshold=10**7, data_path="columnar",
+            interarrival=0.05, memory_threshold=10**7,
             config_overrides=dict(
                 checkpoint_enabled=True, checkpoint_interval=2.0,
                 failure_timeout=5.0,
@@ -1352,7 +1379,7 @@ class TestIncrementalTrim:
         so a restarted machine starts over with full sets."""
         dep = small_deployment(
             workers=2, n_partitions=8, join_rate=3.0, tuple_range=240,
-            interarrival=0.05, memory_threshold=8_000, data_path="columnar",
+            interarrival=0.05, memory_threshold=8_000,
             config_overrides=dict(
                 checkpoint_enabled=True, checkpoint_interval=6.0,
                 failure_timeout=5.0,
@@ -1389,7 +1416,7 @@ class TestIncrementalTrim:
         from repro.recovery.protocol import TrimRequest
 
         dep = small_deployment(
-            workers=2, n_partitions=4, data_path="columnar",
+            workers=2, n_partitions=4,
             config_overrides=dict(
                 checkpoint_enabled=True, checkpoint_interval=50.0,
                 failure_timeout=5.0,

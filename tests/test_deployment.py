@@ -47,19 +47,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             small_deployment(workers=0)
 
-    def test_unknown_data_path_rejected(self, capsys):
-        from repro.bench.cli import main
-        from repro.engine.query_engine import DATA_PATHS, check_data_path
-
-        assert DATA_PATHS == ("batched", "columnar")
-        assert [check_data_path(name) for name in DATA_PATHS] == list(DATA_PATHS)
-        for name in ("rows", "tuple"):
-            with pytest.raises(ValueError, match=f"unknown data path '{name}'"):
-                small_deployment(data_path=name)
-        with pytest.raises(SystemExit) as exc:
-            main(["--data-path", "tuple"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'tuple'" in capsys.readouterr().err
 
     def test_int_workers_named_m1_m2(self):
         dep = small_deployment(workers=3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.machine import Machine
+from repro.engine.columns import ColumnBatch
 from repro.engine.operators.mjoin import MJoin
 from repro.engine.reference import reference_join_count
 from repro.engine.tuples import Schema, StreamTuple
@@ -12,6 +13,13 @@ from repro.workloads.queries import three_way_join
 def tup(stream, seq, key, ts=None):
     return StreamTuple(stream=stream, seq=seq, key=key,
                        ts=float(seq) if ts is None else ts)
+
+
+def deliver(instance, routed, **kwargs):
+    """Deliver ``[(pid, tuple), ...]`` the way the engine does: as one
+    column batch."""
+    cb = ColumnBatch.from_routed(routed, instance.join.stream_names)
+    return instance.process_columns(cb, **kwargs)
 
 
 @pytest.fixture
@@ -47,13 +55,13 @@ class TestMJoinDescriptor:
 
 class TestProcess:
     def test_probe_then_insert_no_self_join(self, instance):
-        count, __ = instance.process_batch([(0, tup("A", 0, 5))])
+        count, __ = deliver(instance, [(0, tup("A", 0, 5))])
         assert count == 0  # nothing to match yet
 
     def test_results_appear_when_all_inputs_present(self, instance):
-        instance.process_batch([(0, tup("A", 0, 5))])
-        instance.process_batch([(0, tup("B", 0, 5))])
-        count, __ = instance.process_batch([(0, tup("C", 0, 5))])
+        deliver(instance, [(0, tup("A", 0, 5))])
+        deliver(instance, [(0, tup("B", 0, 5))])
+        count, __ = deliver(instance, [(0, tup("C", 0, 5))])
         assert count == 1
         assert instance.results_count == 1
 
@@ -67,26 +75,26 @@ class TestProcess:
         for seq, (stream, key) in enumerate(arrivals):
             t = tup(stream, seq, key)
             tuples.append(t)
-            count, __ = instance.process_batch([(0, t)])
+            count, __ = deliver(instance, [(0, t)])
             total += count
         assert total == reference_join_count(tuples, ("A", "B", "C"))
 
     def test_partition_isolation(self, instance):
-        instance.process_batch([(0, tup("A", 0, 5))])
-        instance.process_batch([(0, tup("B", 0, 5))])
-        count, __ = instance.process_batch([(1, tup("C", 0, 5))])
+        deliver(instance, [(0, tup("A", 0, 5))])
+        deliver(instance, [(0, tup("B", 0, 5))])
+        count, __ = deliver(instance, [(1, tup("C", 0, 5))])
         assert count == 0
 
     def test_materialized_results_have_unique_idents(self, instance):
         for seq in range(3):
-            instance.process_batch([(0, tup("A", seq, 5))])
-            instance.process_batch([(0, tup("B", seq, 5))])
-        __, results = instance.process_batch([(0, tup("C", 0, 5))], materialize=True)
+            deliver(instance, [(0, tup("A", seq, 5))])
+            deliver(instance, [(0, tup("B", seq, 5))])
+        __, results = deliver(instance, [(0, tup("C", 0, 5))], materialize=True)
         assert len(results) == 9
         assert len({r.ident for r in results}) == 9
 
     def test_memory_tracked(self, instance):
-        instance.process_batch([(0, tup("A", 0, 5))])
+        deliver(instance, [(0, tup("A", 0, 5))])
         assert instance.memory_bytes > 0
         assert instance.machine.memory_used == instance.memory_bytes
 
@@ -97,40 +105,40 @@ class TestWindowedJoin:
 
     def test_within_window_joins(self, sim):
         inst = self.make_instance(sim, window=10.0)
-        inst.process_batch([(0, tup("A", 0, 5, ts=0.0))])
-        inst.process_batch([(0, tup("B", 0, 5, ts=3.0))])
-        count, __ = inst.process_batch([(0, tup("C", 0, 5, ts=6.0))])
+        deliver(inst, [(0, tup("A", 0, 5, ts=0.0))])
+        deliver(inst, [(0, tup("B", 0, 5, ts=3.0))])
+        count, __ = deliver(inst, [(0, tup("C", 0, 5, ts=6.0))])
         assert count == 1
 
     def test_outside_window_does_not_join(self, sim):
         inst = self.make_instance(sim, window=5.0)
-        inst.process_batch([(0, tup("A", 0, 5, ts=0.0))])
-        inst.process_batch([(0, tup("B", 0, 5, ts=3.0))])
-        count, __ = inst.process_batch([(0, tup("C", 0, 5, ts=20.0))])
+        deliver(inst, [(0, tup("A", 0, 5, ts=0.0))])
+        deliver(inst, [(0, tup("B", 0, 5, ts=3.0))])
+        count, __ = deliver(inst, [(0, tup("C", 0, 5, ts=20.0))])
         assert count == 0
 
     def test_window_filters_per_match(self, sim):
         inst = self.make_instance(sim, window=5.0)
-        inst.process_batch([(0, tup("A", 0, 5, ts=0.0))])
-        inst.process_batch([(0, tup("A", 1, 5, ts=8.0))])
-        inst.process_batch([(0, tup("B", 0, 5, ts=9.0))])
-        count, results = inst.process_batch([(0, tup("C", 0, 5, ts=10.0))], materialize=True)
+        deliver(inst, [(0, tup("A", 0, 5, ts=0.0))])
+        deliver(inst, [(0, tup("A", 1, 5, ts=8.0))])
+        deliver(inst, [(0, tup("B", 0, 5, ts=9.0))])
+        count, results = deliver(inst, [(0, tup("C", 0, 5, ts=10.0))], materialize=True)
         # only the ts=8 A-tuple is within 5s of both B(9) and C(10)
         assert count == 1
         assert results[0].parts[0].ts == 8.0
 
     def test_purge_window_reclaims_memory(self, sim):
         inst = self.make_instance(sim, window=5.0)
-        inst.process_batch([(0, tup("A", 0, 5, ts=0.0))])
-        inst.process_batch([(0, tup("A", 1, 5, ts=100.0))])
+        deliver(inst, [(0, tup("A", 0, 5, ts=0.0))])
+        deliver(inst, [(0, tup("A", 1, 5, ts=100.0))])
         before = inst.memory_bytes
         purged = inst.purge_window(watermark=50.0)
         assert purged == 1
         assert inst.memory_bytes < before
         assert inst.machine.memory_used == inst.memory_bytes
         # remaining tuple still joins
-        inst.process_batch([(0, tup("B", 0, 5, ts=101.0))])
-        count, __ = inst.process_batch([(0, tup("C", 0, 5, ts=102.0))])
+        deliver(inst, [(0, tup("B", 0, 5, ts=101.0))])
+        count, __ = deliver(inst, [(0, tup("C", 0, 5, ts=102.0))])
         assert count == 1
 
     def test_purge_requires_window(self, instance):
@@ -148,7 +156,7 @@ class TestWindowedJoin:
         for seq, (stream, key, ts) in enumerate(arrivals):
             t = tup(stream, seq, key, ts=ts)
             tuples.append(t)
-            count, __ = inst.process_batch([(0, t)])
+            count, __ = deliver(inst, [(0, t)])
             total += count
         expected = len(reference_join(tuples, ("A", "B", "C"), window=4.0))
         assert total == expected

@@ -96,7 +96,7 @@ class TestStats:
     def test_control_vs_data_accounting(self, sim):
         net, __ = make_net(sim)
         net.send("a", "b", "stats", None, 10)
-        net.send("a", "b", "tuple_batch", None, 500)
+        net.send("a", "b", "column_batch", None, 500)
         sim.run()
         assert net.stats.messages == 2
         assert net.stats.bytes_sent == 510

@@ -1,5 +1,7 @@
 """Unit tests for the split operator and partition maps."""
 
+import math
+
 import pytest
 
 from repro.engine.operators.split import PartitionMap, Split
@@ -64,6 +66,15 @@ class TestPartitionMap:
             PartitionMap.round_robin(4, [])
         with pytest.raises(ValueError):
             PartitionMap.weighted(4, {"m1": 0.0})
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_weighted_rejects_bad_weights(self, bad, at):
+        weights = {"m1": 2.0, "m2": 1.0, "m3": 1.0}
+        weights[f"m{at + 1}"] = bad
+        with pytest.raises(ValueError, match=f"'m{at + 1}' must be finite"):
+            PartitionMap.weighted(24, weights)
 
 
 class TestSplitRouting:

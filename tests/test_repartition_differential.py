@@ -5,12 +5,12 @@ partition group into two children at run time — sub-hashing its key range
 through the routing trie — and merges cold sibling leaves back.  These
 tests prove the adaptation is *invisible to correctness*: seeded skewed
 workloads run with split/merge enabled, across the plain and windowed
-m-way joins and both data paths, and runtime ∪ cleanup results must
-be byte-identical to the brute-force oracle AND to a no-repartition run —
-no losses, no duplicates, no key routed to two live groups.  A crash
-landing mid-split must abort the session cleanly and still recover
-exactly-once, with the checkpoint registry's routing refinements agreeing
-across data paths.  Every run also passes the full trace-invariant
+m-way joins, and runtime ∪ cleanup results must be byte-identical to the
+brute-force oracle AND to a no-repartition run — no losses, no
+duplicates, no key routed to two live groups.  A crash landing mid-split
+must abort the session cleanly and still recover exactly-once, with the
+checkpoint registry's routing refinements agreeing between the column
+source and the row source.  Every run also passes the full trace-invariant
 battery (including invariant 9, the repartition protocol contract) and
 the decision-ledger replay + bijection checks.
 """
@@ -26,9 +26,7 @@ from repro.workloads import WorkloadSpec, three_way_join
 from repro.workloads.generator import PartitionWorkload
 from repro.workloads.patterns import AlternatingPattern, UniformPattern
 
-from tests.helpers import canonical_frozen
-
-DATA_PATHS = ("batched", "columnar")
+from tests.helpers import canonical_frozen, feed_rows
 
 
 def skewed_workload(*, n=8, seed=11, hot=0, weight=4.0, alternating=True):
@@ -52,8 +50,8 @@ def skewed_workload(*, n=8, seed=11, hot=0, weight=4.0, alternating=True):
                         seed=seed, pattern=pattern)
 
 
-def build(join=None, *, workload=None, data_path="columnar", repartition=True,
-          checkpoint=False, tracer=None, ledger=None, config_overrides=None):
+def build(join=None, *, workload=None, repartition=True, checkpoint=False,
+          tracer=None, ledger=None, config_overrides=None):
     """A 2-worker deployment tuned so split AND merge sessions fire.
 
     Relocation is suppressed (high ``theta_r`` would mask skew by moving
@@ -87,7 +85,6 @@ def build(join=None, *, workload=None, data_path="columnar", repartition=True,
         workers=2,
         config=AdaptationConfig(**overrides),
         assignment={"m1": 1.0, "m2": 1.0},
-        data_path=data_path,
         collect_results=True,
         record_inputs=True,
         tracer=tracer,
@@ -123,13 +120,11 @@ def check_observability(tracer, ledger):
 class TestSplitMergeDifferential:
     """Seeded skewed runs with repartition on: oracle parity everywhere."""
 
-    @pytest.mark.parametrize("data_path", DATA_PATHS)
-    def test_windowed_split_and_merge_exactly_once(self, data_path):
+    def test_windowed_split_and_merge_exactly_once(self):
         """The windowed join under alternating skew performs several
-        nested splits AND at least one merge, and stays exactly-once on
-        every data path."""
+        nested splits AND at least one merge, and stays exactly-once."""
         tracer, ledger = Tracer(), DecisionLedger()
-        dep = build(data_path=data_path, tracer=tracer, ledger=ledger)
+        dep = build(tracer=tracer, ledger=ledger)
         dep.run(duration=120, sample_interval=10)
         rp = dep.coordinator.repartition
         assert rp.splits_completed > 0, "scenario produced no split"
@@ -138,15 +133,13 @@ class TestSplitMergeDifferential:
         check_against_reference(dep, report)
         check_observability(tracer, ledger)
 
-    @pytest.mark.parametrize("data_path", DATA_PATHS)
-    def test_plain_join_splits_exactly_once(self, data_path):
+    def test_plain_join_splits_exactly_once(self):
         """The unwindowed join (state only grows, so spill + split
         compose) splits the hot group and stays exactly-once."""
         tracer, ledger = Tracer(), DecisionLedger()
         dep = build(
             join=three_way_join(),
             workload=skewed_workload(alternating=False, weight=6.0),
-            data_path=data_path,
             tracer=tracer,
             ledger=ledger,
             config_overrides=dict(memory_threshold=40_000),
@@ -244,12 +237,14 @@ class TestControlPlaneAccounting:
 class TestCrashMidSplit:
     """A machine crash landing inside an active split session."""
 
-    def crashed_run(self, data_path, *, crash_at=25.03):
+    def crashed_run(self, *, rows=False, crash_at=25.03):
         """Run the checkpointed skew scenario, crashing the split owner
-        while the 25.0s session is between pause and install."""
+        while the 25.0s session is between pause and install (fed row
+        lists with ``rows``)."""
         tracer, ledger = Tracer(), DecisionLedger()
-        dep = build(data_path=data_path, checkpoint=True,
-                    tracer=tracer, ledger=ledger)
+        dep = build(checkpoint=True, tracer=tracer, ledger=ledger)
+        if rows:
+            feed_rows(dep)
         FaultSchedule([
             MachineCrash(time=crash_at, engine=dep.engines["m1"]),
             MachineRestart(time=crash_at + 8.0, engine=dep.engines["m1"]),
@@ -262,7 +257,7 @@ class TestCrashMidSplit:
         """The in-flight session aborts (no half-applied routing flip),
         recovery re-homes the lost state, later splits proceed, and the
         produced results still match the oracle exactly."""
-        dep, tracer, ledger = self.crashed_run("columnar", crash_at=crash_at)
+        dep, tracer, ledger = self.crashed_run(crash_at=crash_at)
         assert dep.engines["m1"].crashes == 1
         rp = dep.coordinator.repartition
         assert rp.sessions_aborted >= 1, "crash did not land mid-session"
@@ -274,15 +269,15 @@ class TestCrashMidSplit:
     def test_checkpoint_registry_canonical_across_paths(self):
         """After a crash mid-split, the checkpoint registry — snapshot
         contents, routing version and the split refinement map recovery
-        replays through — is canonically identical on the batched and
-        columnar data paths."""
+        replays through — is canonically identical whether the source
+        routes arrival batches as columns or is fed row lists."""
         registries = {}
-        for data_path in ("batched", "columnar"):
-            dep, tracer, ledger = self.crashed_run(data_path)
+        for rows in (True, False):
+            dep, tracer, ledger = self.crashed_run(rows=rows)
             report = dep.cleanup(materialize=True)
             check_against_reference(dep, report)
             check_observability(tracer, ledger)
-            registries[data_path] = (
+            registries[rows] = (
                 dep.registry.routing_version,
                 tuple(sorted(dep.registry.refinements.items())),
                 tuple(sorted(
@@ -291,5 +286,5 @@ class TestCrashMidSplit:
                     for e in dep.registry.entries()
                 )),
             )
-        assert registries["batched"] == registries["columnar"]
-        assert registries["batched"][1], "no refinement survived the crash"
+        assert registries[True] == registries[False]
+        assert registries[True][1], "no refinement survived the crash"

@@ -131,8 +131,6 @@ class TestResultBatchSequence:
         both = concat_results([a, b])
         assert isinstance(both, ResultBatch) and a._rows is None  # not read
         assert list(both) == eager_results(rows)
-        boxed = eager_results(rows[:6])
-        assert concat_results([boxed, b]) == eager_results(rows)
 
     def test_eager_group_probe_is_the_same_enumeration(self):
         store = fresh_store()
@@ -349,7 +347,7 @@ def test_lazy_run_boxes_nothing_until_results_are_read(monkeypatch):
             join=three_way_join(), workload=small_workload(),
             config=serving_config(strategy=StrategyName.NO_RELOCATION),
             workers=2,
-            tenant=tenant, duration=40.0, data_path="columnar",
+            tenant=tenant, duration=40.0,
             slo=SLOConfig(target_p99=0.25),
         ))
         for tenant in ("acme", "globex")

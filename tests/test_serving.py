@@ -95,7 +95,6 @@ def standalone(spec: QuerySpec, *, faults=None) -> Deployment:
         workers=spec.workers,
         config=spec.config,
         assignment=spec.assignment,
-        data_path=spec.data_path,
         seed=spec.seed,
         collect_results=True,
     )
@@ -131,8 +130,7 @@ class TestFoldSignature:
         spec = make_spec(**kwargs)
         return fold_signature(
             spec.join, spec.workload, spec.config, spec.workers,
-            data_path=spec.data_path, seed=spec.seed,
-            assignment=spec.assignment,
+            seed=spec.seed, assignment=spec.assignment,
         )
 
     def test_identical_specs_share_a_signature(self):
@@ -151,11 +149,11 @@ class TestFoldSignature:
         spec = make_spec()
         by_count = fold_signature(
             spec.join, spec.workload, spec.config, 2,
-            data_path="batched", seed=7,
+            seed=7,
         )
         by_names = fold_signature(
             spec.join, spec.workload, spec.config, ["m1", "m2"],
-            data_path="batched", seed=7,
+            seed=7,
         )
         assert by_count == by_names
 

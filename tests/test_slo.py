@@ -4,8 +4,8 @@ Covers the observability acceptance battery:
 
 * sketch algebra — merge associativity, byte-identical serialization,
   bucket-count round trips;
-* cross-data-path identity — tuple, batched and columnar runs produce
-  byte-identical latency sketches and watermarks;
+* cross-source identity — the column source and the same deployment fed
+  row lists produce byte-identical latency sketches and watermarks;
 * burn-rate edges — budget exhaustion exactly at the boundary, window
   pruning, spikes not double-counted across later windows;
 * cause attribution — overlapping adaptation windows scale to the
@@ -42,12 +42,14 @@ from repro.serving import QueryServer, QuerySpec, Tenant
 from repro.cluster.faults import FaultSchedule, MachineCrash, MachineRestart
 from repro.workloads import WorkloadSpec, three_way_join
 
+from tests.helpers import feed_rows
+
 #: one quarter-octave bucket's worst-case midpoint error, squared to
 #: bound a ratio of two midpoint-weighted sums
 _BUCKET_TOL = 2.0 ** 0.25
 
 
-def run_latency_deployment(*, data_path="batched", slo=None, tracer=None,
+def run_latency_deployment(*, rows=False, slo=None, tracer=None,
                            ledger=None, latency=True, duration=90.0,
                            threshold=40_000, seed=7):
     dep = Deployment(
@@ -64,12 +66,13 @@ def run_latency_deployment(*, data_path="batched", slo=None, tracer=None,
             coordinator_interval=10.0,
         ),
         assignment={"m1": 3.0, "m2": 1.0},
-        data_path=data_path,
         tracer=tracer,
         ledger=ledger,
         latency=latency,
         slo=slo,
     )
+    if rows:
+        feed_rows(dep)
     dep.run(duration=duration, sample_interval=15.0)
     return dep
 
@@ -302,11 +305,11 @@ class TestCauseAttribution:
 
     def test_materialized_batch_is_one_weighted_observation_per_row(
             self, monkeypatch):
-        """All results of one probing row share its ``ts``: a row list and
-        a lazy batch (read through ``ts_counts``) both merge each run of
-        equal ``ts`` into one weighted observation, and the sketches equal
-        one observation per result — with a blocking window in the past,
-        so the per-cause walk is what gets amortised."""
+        """All results of one probing row share its ``ts``: a lazy batch
+        (read through ``ts_counts``) merges each run of equal ``ts`` into
+        one weighted observation, and the sketches equal one observation
+        per result — with a blocking window in the past, so the per-cause
+        walk is what gets amortised."""
         per_row = [(0.5, 3), (0.5, 2), (2.0, 1), (0.5, 4)]  # (ts, results)
         rows = [SimpleNamespace(ts=ts) for ts, n in per_row for _ in range(n)]
 
@@ -323,19 +326,17 @@ class TestCauseAttribution:
 
         monkeypatch.setattr(EngineTracker, "_observe_one", spy)
         hub = LatencyHub()
-        trackers = {name: hub.tracker(name) for name in ("list", "lazy", "each")}
+        trackers = {name: hub.tracker(name) for name in ("lazy", "each")}
         for tracker in trackers.values():
             tracker.clock.begin("spilled", 1.0)
             tracker.clock.end("spilled", 3.0)
-        trackers["list"].observe(4.0, 4.5, 5.0, results=rows)
         trackers["lazy"].observe(4.0, 4.5, 5.0, results=Lazy(rows))
         for row in rows:
             trackers["each"]._observe_one(row.ts, 4.0, 4.5, 5.0, 1)
-        for name in ("list", "lazy"):
-            assert [w for m, w in weights if m == name] == [5, 1, 4]
-            for cause in CAUSES:
-                assert (trackers[name].sketches[cause].to_bytes()
-                        == trackers["each"].sketches[cause].to_bytes()), cause
+        assert [w for m, w in weights if m == "lazy"] == [5, 1, 4]
+        for cause in CAUSES:
+            assert (trackers["lazy"].sketches[cause].to_bytes()
+                    == trackers["each"].sketches[cause].to_bytes()), cause
         assert trackers["each"].sketches["spilled"].sum() > 0
 
     def test_deferred_batches_fold_bounded_and_exact(self):
@@ -357,7 +358,7 @@ class TestCauseAttribution:
 
 
 # ----------------------------------------------------------------------
-# Cross-path and cross-run determinism
+# Cross-source and cross-run determinism
 # ----------------------------------------------------------------------
 class TestDeterminism:
     def snapshot(self, dep):
@@ -374,14 +375,16 @@ class TestDeterminism:
         return blobs, watermarks
 
     def test_data_paths_byte_identical(self):
-        """Batched and columnar runs extract the same last-arrival
-        watermark frontier and record identical latency sketches."""
+        """The column source and the row source (the same arrivals fed as
+        row lists, re-batched by ``ColumnBatch.from_routed``) extract the
+        same last-arrival watermark frontier and record identical latency
+        sketches."""
         snaps = {
-            path: self.snapshot(run_latency_deployment(data_path=path))
-            for path in ("batched", "columnar")
+            rows: self.snapshot(run_latency_deployment(rows=rows))
+            for rows in (True, False)
         }
-        assert snaps["batched"] == snaps["columnar"]
-        blobs, watermarks = snaps["batched"]
+        assert snaps[True] == snaps[False]
+        blobs, watermarks = snaps[True]
         assert any(blob != b'{"counts":{},"v":1}' for blob in blobs.values())
         assert watermarks["m1"]
 

@@ -134,14 +134,9 @@ class TestArrivalBatchHandOff:
         expected = [tup for __, tup in fresh.generator.take(10)]
         assert [tup for b in batches for tup in b] == expected
 
-    @pytest.mark.parametrize("data_path,expect_rows", [
-        ("columnar", False), ("batched", True),
-    ])
-    def test_columnar_hot_path_builds_no_stream_tuples(
-            self, monkeypatch, data_path, expect_rows):
-        """A columnar run with no pause, no replay log and count-only
-        probes never constructs a ``StreamTuple``; the row paths build one
-        per arrival."""
+    def test_columnar_hot_path_builds_no_stream_tuples(self, monkeypatch):
+        """A run with no pause, no replay log and count-only probes never
+        constructs a ``StreamTuple``."""
         built = []
         init = StreamTuple.__init__
 
@@ -151,14 +146,13 @@ class TestArrivalBatchHandOff:
 
         dep = small_deployment(strategy=StrategyName.ALL_MEMORY,
                                n_partitions=8, join_rate=3.0,
-                               tuple_range=240, interarrival=0.05,
-                               data_path=data_path)
+                               tuple_range=240, interarrival=0.05)
         monkeypatch.setattr(StreamTuple, "__init__", counting_init)
         dep.run(duration=20, sample_interval=10)
         monkeypatch.undo()
         assert dep.source_host.tuples_routed == 1200
         assert dep.total_outputs > 0
-        assert len(built) == (1200 if expect_rows else 0)
+        assert len(built) == 0
 
     @pytest.mark.parametrize("crash", [False, True])
     def test_checkpointed_columnar_source_boxes_only_what_it_replays(
@@ -176,7 +170,7 @@ class TestArrivalBatchHandOff:
 
         dep = small_deployment(workers=2, n_partitions=8, join_rate=3.0,
                                tuple_range=240, interarrival=0.05,
-                               memory_threshold=10**7, data_path="columnar",
+                               memory_threshold=10**7,
                                config_overrides=dict(
                                    checkpoint_enabled=True,
                                    checkpoint_interval=2.0,

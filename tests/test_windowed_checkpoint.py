@@ -22,6 +22,7 @@ import pytest
 
 from repro import AdaptationConfig, Deployment, StrategyName
 from repro.cluster.faults import FaultSchedule, MachineCrash, MachineRestart
+from repro.engine.columns import ColumnBatch
 from repro.engine.reference import reference_join, result_idents
 from repro.workloads import WorkloadSpec, three_way_join
 
@@ -49,7 +50,8 @@ class TestWindowedMutationAccounting:
             (3, make_tuple(stream="B", seq=1, key=1, ts=1.0)),
             (4, make_tuple(stream="C", seq=2, key=12, ts=1.5)),
         ]
-        instance.process_batch(batch)
+        instance.process_columns(
+            ColumnBatch.from_routed(batch, instance.join.stream_names))
         assert instance.store.mutations.get(3) == 2
         assert instance.store.mutations.get(4) == 1
 
