@@ -16,9 +16,10 @@ interactively:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from repro.bench.harness import run_experiment, sample_times
+from repro.bench.harness import SetupError, run_experiment, sample_times
 from repro.bench.report import kv_block, series_table
 from repro.core.config import SpillPolicyName, StrategyName
 from repro.workloads.generator import WorkloadSpec
@@ -189,6 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.queries < 1:
         parser.error(f"--queries must be at least 1, got {args.queries}")
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
+    if not 0 < args.minutes < math.inf:
+        parser.error(f"--minutes must be positive and finite, got "
+                     f"{args.minutes}")
     if args.list:
         print("strategies:     " + ", ".join(s.value for s in StrategyName))
         print("spill policies: " + ", ".join(p.value for p in SpillPolicyName))
@@ -216,38 +222,44 @@ def main(argv: list[str] | None = None) -> int:
     workers = [f"m{i + 1}" for i in range(args.workers)]
     duration = args.minutes * 60.0
     sample_interval = max(duration / 10.0, 1.0)
-    workload = WorkloadSpec.uniform(
-        n_partitions=args.partitions,
-        join_rate=args.join_rate,
-        tuple_range=args.tuple_range,
-        interarrival=args.interarrival_ms / 1000.0,
-        seed=args.seed,
-    )
+    try:
+        workload = WorkloadSpec.uniform(
+            n_partitions=args.partitions,
+            join_rate=args.join_rate,
+            tuple_range=args.tuple_range,
+            interarrival=args.interarrival_ms / 1000.0,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     slo = parse_slo(args.slo)
-    if args.queries > 1:
-        return _serving_main(args, workload, duration, sample_interval,
-                             tracer, ledger, slo)
-    result = run_experiment(
-        args.strategy,
-        workload,
-        strategy=args.strategy,
-        workers=workers,
-        assignment=parse_assignment(args.assignment, workers),
-        duration=duration,
-        sample_interval=sample_interval,
-        memory_threshold=int(args.threshold_kb * 1000),
-        config_overrides=dict(
-            theta_r=args.theta_r,
-            tau_m=args.tau_m,
-            spill_policy=SpillPolicyName(args.spill_policy),
-        ),
-        with_cleanup=not args.no_cleanup,
-        seed=args.seed,
-        tracer=tracer,
-        ledger=ledger,
-        latency=args.latency,
-        slo=slo,
-    )
+    try:
+        if args.queries > 1:
+            return _serving_main(args, workload, duration, sample_interval,
+                                 tracer, ledger, slo)
+        result = run_experiment(
+            args.strategy,
+            workload,
+            strategy=args.strategy,
+            workers=workers,
+            assignment=parse_assignment(args.assignment, workers),
+            duration=duration,
+            sample_interval=sample_interval,
+            memory_threshold=int(args.threshold_kb * 1000),
+            config_overrides=dict(
+                theta_r=args.theta_r,
+                tau_m=args.tau_m,
+                spill_policy=SpillPolicyName(args.spill_policy),
+            ),
+            with_cleanup=not args.no_cleanup,
+            seed=args.seed,
+            tracer=tracer,
+            ledger=ledger,
+            latency=args.latency,
+            slo=slo,
+        )
+    except SetupError as exc:
+        parser.error(str(exc))
 
     _write_artifacts(
         args, tracer, ledger, result.deployment.metrics.registry,

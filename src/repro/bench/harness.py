@@ -12,6 +12,7 @@ decision replay — so the whole figure suite can be audited with::
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.cleanup import CleanupReport
@@ -19,6 +20,20 @@ from repro.core.config import AdaptationConfig, CostModel, StrategyName
 from repro.engine.plan import Deployment
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.queries import three_way_join
+
+
+class SetupError(ValueError):
+    """A run could not be built from its settings; nothing has run yet."""
+
+
+@contextmanager
+def _building():
+    """Re-raise a ``ValueError`` of the enclosed wiring as a
+    :class:`SetupError`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SetupError(str(exc)) from exc
 
 
 @dataclass
@@ -92,7 +107,8 @@ def run_experiment(
 
     This is the single entry point every benchmark uses, so all paper
     experiments share identical wiring and differ only in their declared
-    parameters.  An ``slo`` implies ``latency``.
+    parameters.  An ``slo`` implies ``latency``.  A setting the
+    deployment rejects raises :class:`SetupError` before anything runs.
     """
     check_invariants = False
     if tracer is None and os.environ.get("REPRO_TRACE") == "check":
@@ -105,21 +121,22 @@ def run_experiment(
 
             ledger = DecisionLedger()
     latency = latency or slo is not None
-    config = _harness_config(strategy, memory_threshold, config_overrides)
-    deployment = Deployment(
-        join=join if join is not None else three_way_join(),
-        workload=workload,
-        workers=workers,
-        config=config,
-        cost=cost,
-        assignment=assignment,
-        batch_size=batch_size,
-        seed=seed,
-        tracer=tracer,
-        ledger=ledger,
-        latency=latency,
-        slo=slo,
-    )
+    with _building():
+        config = _harness_config(strategy, memory_threshold, config_overrides)
+        deployment = Deployment(
+            join=join if join is not None else three_way_join(),
+            workload=workload,
+            workers=workers,
+            config=config,
+            cost=cost,
+            assignment=assignment,
+            batch_size=batch_size,
+            seed=seed,
+            tracer=tracer,
+            ledger=ledger,
+            latency=latency,
+            slo=slo,
+        )
     deployment.run(duration=duration, sample_interval=sample_interval)
     result = RunResult(label=label, deployment=deployment)
     if with_cleanup:
@@ -187,45 +204,48 @@ def run_serving(
     holds twice the aggregate demand, so every submission admits whether
     folding is on or off — the interesting difference is *where* the
     state lives, which ``ServingResult.fold_state_bytes_saved`` reports.
+    A setting the server or a submission rejects raises
+    :class:`SetupError` before anything runs.
     """
     from repro.serving import QueryServer, QuerySpec, Tenant
     from repro.workloads.queries import three_way_join as make_join
 
-    config = _harness_config(strategy, memory_threshold, config_overrides)
-    if workload is None:
-        workload = WorkloadSpec.uniform(
-            n_partitions=24, join_rate=3.0, tuple_range=3000,
-            interarrival=0.03, seed=seed,
+    with _building():
+        config = _harness_config(strategy, memory_threshold, config_overrides)
+        if workload is None:
+            workload = WorkloadSpec.uniform(
+                n_partitions=24, join_rate=3.0, tuple_range=3000,
+                interarrival=0.03, seed=seed,
+            )
+        demand = memory_threshold * workers
+        if tenants is None:
+            tenants = [
+                Tenant(f"t{i + 1}", memory_budget=demand * 4)
+                for i in range(n_queries)
+            ]
+        if cluster_capacity is None:
+            cluster_capacity = demand * n_queries * 2
+        latency = latency or slo is not None
+        server = QueryServer(
+            tenants,
+            cluster_capacity=cluster_capacity,
+            fold_enabled=fold,
+            tracer=tracer,
+            ledger=ledger,
+            latency=latency,
         )
-    demand = memory_threshold * workers
-    if tenants is None:
-        tenants = [
-            Tenant(f"t{i + 1}", memory_budget=demand * 4)
-            for i in range(n_queries)
-        ]
-    if cluster_capacity is None:
-        cluster_capacity = demand * n_queries * 2
-    latency = latency or slo is not None
-    server = QueryServer(
-        tenants,
-        cluster_capacity=cluster_capacity,
-        fold_enabled=fold,
-        tracer=tracer,
-        ledger=ledger,
-        latency=latency,
-    )
-    handles = []
-    for i in range(n_queries):
-        handles.append(server.submit(QuerySpec(
-            join=make_join(),
-            workload=workload,
-            config=config,
-            workers=workers,
-            tenant=tenants[i % len(tenants)].name,
-            duration=duration,
-            seed=seed,
-            slo=slo,
-        )))
+        handles = []
+        for i in range(n_queries):
+            handles.append(server.submit(QuerySpec(
+                join=make_join(),
+                workload=workload,
+                config=config,
+                workers=workers,
+                tenant=tenants[i % len(tenants)].name,
+                duration=duration,
+                seed=seed,
+                slo=slo,
+            )))
     server.run_for(duration + tail, sample_interval=sample_interval)
     server.finish()
     return ServingResult(server=server, handles=handles)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.partitions import FrozenPartitionGroup
+    from repro.engine.columns import FrozenColumnGroup
 
 
 @dataclass
@@ -60,7 +60,7 @@ class SpillSegment:
 
     partition_id: int
     generation: int
-    frozen: "FrozenPartitionGroup"
+    frozen: "FrozenColumnGroup"
     size_bytes: int
     spilled_at: float
     machine_name: str

@@ -35,12 +35,12 @@ from typing import Mapping, Sequence
 
 from repro.cluster.disk import Disk, SpillSegment
 from repro.core.config import CostModel
-from repro.engine.partitions import FrozenPartitionGroup, rebucket_frozen
+from repro.engine.columns import FrozenColumnGroup
 from repro.engine.tuples import JoinResult, StreamTuple
 from repro.obs.trace import NULL_TRACER
 
 
-def _part_counts(part: FrozenPartitionGroup) -> dict[str, dict[int, int]]:
+def _part_counts(part: FrozenColumnGroup) -> dict[str, dict[int, int]]:
     # key_counts reads the columnar count table directly — no tuple
     # materialisation for count-only cleanup estimates
     return {stream: part.key_counts(stream) for stream in part.streams}
@@ -67,7 +67,7 @@ def _cross_count(count_maps: Sequence[Mapping[int, int]]) -> int:
 
 
 def merge_missing_count(
-    parts: Sequence[FrozenPartitionGroup], streams: Sequence[str]
+    parts: Sequence[FrozenColumnGroup], streams: Sequence[str]
 ) -> int:
     """Number of missing results across the parts of one partition ID.
 
@@ -103,7 +103,7 @@ def _merged_counts(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]
 
 
 def merge_missing_results(
-    parts: Sequence[FrozenPartitionGroup], streams: Sequence[str],
+    parts: Sequence[FrozenColumnGroup], streams: Sequence[str],
     *, window: float | None = None,
 ) -> list[JoinResult]:
     """Materialise the missing results across the parts of one partition ID.
@@ -225,11 +225,11 @@ class CleanupExecutor:
     def run(
         self,
         disks: Mapping[str, Disk],
-        memory_parts: Mapping[int, tuple[str, FrozenPartitionGroup]],
+        memory_parts: Mapping[int, tuple[str, FrozenColumnGroup]],
         *,
         materialize: bool = False,
         route=None,
-        late: Mapping[int, FrozenPartitionGroup] | None = None,
+        late: Mapping[int, FrozenColumnGroup] | None = None,
     ) -> CleanupReport:
         """Merge all spilled segments with their final memory parts.
 
@@ -264,13 +264,13 @@ class CleanupExecutor:
         # 1. organise segment parts by *final* partition ID across all
         # machines; without a route every segment contributes one part
         # under its own pid
-        by_pid: dict[int, list[tuple[SpillSegment, FrozenPartitionGroup]]] = {}
+        by_pid: dict[int, list[tuple[SpillSegment, FrozenColumnGroup]]] = {}
         for disk in disks.values():
             for segment in disk.segments:
                 if route is None:
                     buckets = {segment.partition_id: segment.frozen}
                 else:
-                    buckets = rebucket_frozen(segment.frozen, route)
+                    buckets = segment.frozen.rebucket(route)
                 for pid, part in sorted(buckets.items()):
                     by_pid.setdefault(pid, []).append((segment, part))
         charged: set[int] = set()
@@ -278,7 +278,7 @@ class CleanupExecutor:
             entries = by_pid.get(pid, [])
             # child parts inherit their segment's spill order
             entries.sort(key=lambda e: (e[0].spilled_at, e[0].generation))
-            parts: list[FrozenPartitionGroup] = [part for __, part in entries]
+            parts: list[FrozenColumnGroup] = [part for __, part in entries]
             # reading each segment is charged once, to the disk holding it
             for segment, __ in entries:
                 if id(segment) in charged:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.partitions import FrozenPartitionGroup
+    from repro.engine.columns import FrozenColumnGroup
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +152,7 @@ class StateTransfer:
     """Step 6 bulk payload (``state``): the frozen partition groups."""
 
     partition_ids: tuple[int, ...]
-    groups: tuple["FrozenPartitionGroup", ...]
+    groups: tuple["FrozenColumnGroup", ...]
     total_bytes: int
     trace_span: int = 0
 

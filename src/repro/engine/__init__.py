@@ -1,10 +1,9 @@
 """Non-blocking query engine substrate.
 
 Implements the query-processing pieces the paper builds its adaptations on:
-tuples and schemas (:mod:`repro.engine.tuples`), partition groups and the
-per-instance state store (:mod:`repro.engine.partitions`,
-:mod:`repro.engine.state_store`), the columnar structure-of-arrays
-representation (:mod:`repro.engine.columns`), the operator library including
+tuples and schemas (:mod:`repro.engine.tuples`), the per-instance state
+store (:mod:`repro.engine.state_store`), the columnar structure-of-arrays
+partition groups, snapshots and batches (:mod:`repro.engine.columns`), the operator library including
 the symmetric m-way hash join (:mod:`repro.engine.operators`), stream
 sources (:mod:`repro.engine.streams`), partitioned query plans
 (:mod:`repro.engine.plan`) and the per-machine query engine
@@ -19,7 +18,6 @@ from repro.engine.columns import (
     ColumnBatch,
     FrozenColumnGroup,
 )
-from repro.engine.partitions import FrozenPartitionGroup
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import JoinResult, Schema, StreamTuple
 
@@ -27,7 +25,6 @@ __all__ = [
     "ColumnBatch",
     "ColumnarPartitionGroup",
     "FrozenColumnGroup",
-    "FrozenPartitionGroup",
     "JoinResult",
     "Schema",
     "StateStore",

@@ -28,13 +28,16 @@ columns as well:
     row -> StreamTuple cache only when somebody reads rows.
 
 ``FrozenColumnGroup``
-    Immutable snapshot whose payload *is* the column buffers.  Because the
-    buffers are append-only, spill, relocation and checkpoint snapshots
-    *share* them with the live group and record only a row-count bound —
-    zero-copy in the Python sense; just the small in-place-mutated count
-    table is copied.  Per-tuple ``StreamTuple`` objects only come back
-    into existence at the materialisation boundary: the cleanup merge and
-    the brute-force oracle, via the lazily built ``.data`` view.
+    The one snapshot format: an immutable snapshot whose payload *is* the
+    column buffers.  Because the buffers are append-only, spill,
+    relocation and checkpoint snapshots *share* them with the live group
+    and record only a row-count bound — zero-copy in the Python sense;
+    just the small in-place-mutated count table is copied.  Repartitioning
+    works on snapshots as columns too: a split or a cleanup re-bucketing
+    gathers each target's rows in one pass over ``row_key``, a merge
+    concatenates its parts.  Per-tuple ``StreamTuple`` objects only come
+    back into existence at the materialisation boundary: the cleanup
+    merge, via the lazily built ``.data`` view.
 
 ``ResultBatch``
     What a materialising probe returns: one :class:`ProbeRecord` per
@@ -58,8 +61,12 @@ from collections.abc import Sequence
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from repro.engine.partitions import GROUP_OVERHEAD_BYTES
 from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
+
+#: Accounted per-group bookkeeping overhead in bytes (hash-table headers,
+#: statistics counters).  Charged once per live group so that even an empty
+#: group has a non-zero footprint.
+GROUP_OVERHEAD_BYTES = 128
 
 #: Most input streams a group can hold: ``row_sid`` is a signed-byte array.
 MAX_STREAMS = 127
@@ -795,18 +802,6 @@ class ColumnarPartitionGroup:
             return math.inf
         return self.output_count / payload
 
-    def tuples_of(self, stream: str) -> Iterator[StreamTuple]:
-        """Iterate this group's tuples of one input stream (row order)."""
-        sid = self._require_sid(stream)
-        row_sid = self.row_sid
-        for row in range(len(row_sid)):
-            if row_sid[row] == sid:
-                yield self.tuple_at(row)
-
-    def keys_of(self, stream: str) -> tuple[int, ...]:
-        sid = self._require_sid(stream)
-        return tuple(self._ensure_index()[sid])
-
     @property
     def is_empty(self) -> bool:
         return self.tuple_count == 0
@@ -847,36 +842,25 @@ class ColumnarPartitionGroup:
         )
 
     @classmethod
-    def thaw(cls, frozen, *, created_at: float = 0.0
+    def thaw(cls, frozen: "FrozenColumnGroup", *, created_at: float = 0.0
              ) -> "ColumnarPartitionGroup":
-        """Rebuild a live group from a snapshot.
-
-        Columnar snapshots thaw by copying the column buffers (a bounded
-        slice of a typed array: one ``memcpy`` a column); row-format
-        :class:`~repro.engine.partitions.FrozenPartitionGroup` snapshots
-        (the children of a split, the parent of a merge) fall back to
-        per-tuple inserts.
-        """
+        """Rebuild a live group from a snapshot by copying its column
+        buffers — a bounded slice of a typed array, one ``memcpy`` a
+        column: the snapshot may share (longer) buffers with a
+        still-appending live group."""
         group = cls(frozen.pid, frozen.streams, generation=frozen.generation,
                     created_at=created_at)
-        if isinstance(frozen, FrozenColumnGroup):
-            # bounded copies: the frozen view may share (longer) buffers
-            # with a still-appending live group
-            end = frozen.nrows
-            group.row_sid = frozen.row_sid[:end]
-            group.row_seq = frozen.row_seq[:end]
-            group.row_key = frozen.row_key[:end]
-            group.row_ts = frozen.row_ts[:end]
-            group.row_size = (None if frozen.row_size is None
-                              else frozen.row_size[:end])
-            group._usize = frozen.usize
-            group.row_payload = (None if frozen.row_payload is None
-                                 else frozen.row_payload[:end])
-            group._counts = {key: list(c) for key, c in frozen.counts.items()}
-        else:
-            for stream in frozen.streams:
-                for tup in frozen.tuples_of(stream):
-                    group.insert(tup)
+        end = frozen.nrows
+        group.row_sid = frozen.row_sid[:end]
+        group.row_seq = frozen.row_seq[:end]
+        group.row_key = frozen.row_key[:end]
+        group.row_ts = frozen.row_ts[:end]
+        group.row_size = (None if frozen.row_size is None
+                          else frozen.row_size[:end])
+        group._usize = frozen.usize
+        group.row_payload = (None if frozen.row_payload is None
+                             else frozen.row_payload[:end])
+        group._counts = {key: list(c) for key, c in frozen.counts.items()}
         group.tuple_count = frozen.tuple_count
         group.size_bytes = frozen.size_bytes
         group.output_count = frozen.output_count
@@ -891,11 +875,12 @@ class ColumnarPartitionGroup:
 
 
 class FrozenColumnGroup:
-    """Immutable columnar snapshot of a partition group.
+    """Immutable columnar snapshot of a partition group — the one snapshot
+    format.
 
     The payload is the raw column buffers; serialization paths (spill
-    segments, relocation transfers, checkpoint snapshots) carry these typed
-    arrays as-is.  The buffers may be *shared* with a live group that keeps
+    segments, relocation transfers, checkpoint snapshots, the children of
+    a split and the parent of a merge) carry these typed arrays as-is.  The buffers may be *shared* with a live group that keeps
     appending — ``nrows`` records the snapshot's row-count bound, and every
     reader stays below it (appends are the only in-place buffer mutation;
     purge swaps in replacement arrays, leaving the snapshot intact).  The
@@ -903,9 +888,15 @@ class FrozenColumnGroup:
     ``memoryview`` over one, which would make the live group's next append
     raise ``BufferError``.
     ``.data`` lazily materialises the row-format bucket view —
-    ``{stream: {key: (StreamTuple, ...)}}`` — for the cleanup merge and the
-    split/merge/rebucket transforms; nothing on the spill/checkpoint write
-    path touches it.
+    ``{stream: {key: (StreamTuple, ...)}}`` — for the materialising (and
+    windowed) cleanup merge; nothing else in the package reads it.
+
+    :meth:`split`, :meth:`merge` and :meth:`rebucket` build new snapshots
+    as columns.  A split or re-bucketed part keeps its rows in this
+    snapshot's row order and a merge concatenates its parts, so every
+    ``(stream, key)`` bucket keeps its row order — all that the probes,
+    the index's ``_ordered`` observation, result boxing and the cleanup
+    merge read.
     """
 
     __slots__ = ("pid", "streams", "generation", "size_bytes", "tuple_count",
@@ -971,6 +962,109 @@ class FrozenColumnGroup:
         for row in range(self.nrows):
             if row_sid[row] == sid:
                 yield self.tuple_at(row)
+
+    # ------------------------------------------------------------------
+    # Repartitioning (split / merge / cleanup re-bucketing)
+    # ------------------------------------------------------------------
+    def _append_to(self, group: ColumnarPartitionGroup,
+                   rows: Iterable[int]) -> None:
+        """Append ``rows`` of this snapshot, in order, to a live group."""
+        rs, rp = self.row_size, self.row_payload
+        for row in rows:
+            group.insert_cols(
+                self.row_sid[row], self.row_seq[row], self.row_key[row],
+                self.row_ts[row], self.usize if rs is None else rs[row],
+                () if rp is None else rp[row])
+
+    def _divide(self, dest: dict[int, int], order: Sequence[int]
+                ) -> list["FrozenColumnGroup"]:
+        """This snapshot's rows divided by ``dest`` (``{key: pid}`` over
+        every key): one snapshot per pid of ``order``, each keeping this
+        snapshot's row order.  ``output_count`` is apportioned by payload
+        share — each pid but the last gets the floor of its share, the
+        last one the remainder — so the sum is conserved exactly and
+        productivity ratios survive."""
+        rows: dict[int, list[int]] = {pid: [] for pid in order}
+        row_key = self.row_key
+        for row in range(self.nrows):
+            rows[dest[row_key[row]]].append(row)
+        groups = []
+        for pid in order:
+            group = ColumnarPartitionGroup(pid, self.streams,
+                                           generation=self.generation)
+            self._append_to(group, rows[pid])
+            groups.append(group)
+        total = sum(g.size_bytes - GROUP_OVERHEAD_BYTES for g in groups)
+        remaining = self.output_count
+        for group in groups[:-1]:
+            payload = group.size_bytes - GROUP_OVERHEAD_BYTES
+            group.output_count = (self.output_count * payload // total
+                                  if total else 0)
+            remaining -= group.output_count
+        groups[-1].output_count = remaining
+        # the groups are discarded: their snapshots take the buffers
+        return [group.freeze(share=True) for group in groups]
+
+    def split(self, children: tuple[int, int], chooser
+              ) -> tuple["FrozenColumnGroup", "FrozenColumnGroup"]:
+        """Partition this snapshot's key range into two child snapshots.
+
+        ``chooser(key)`` returns the child index (0 or 1) — the refinement
+        bit the routing trie will consult for this node.  The parent's
+        lifetime ``output_count`` is attributed uniformly across its
+        payload bytes, the windowed-purge pattern: child 0 gets the floor
+        of its share, child 1 the remainder.
+        """
+        dest = {key: children[chooser(key)] for key in self.counts}
+        child0, child1 = self._divide(dest, children)
+        return child0, child1
+
+    @classmethod
+    def merge(cls, parent: int, parts: Iterable["FrozenColumnGroup"]
+              ) -> "FrozenColumnGroup":
+        """Fold sibling child snapshots back into one parent snapshot: the
+        parts' rows concatenated in order.
+
+        Siblings come from a split by key, so no key is in two parts
+        (checked).  ``output_count`` is the plain sum (the outputs really
+        were produced by this state); the generation is the max so a later
+        spill of the merged group orders after every prior child segment.
+        """
+        parts = list(parts)
+        if not parts:
+            raise ValueError("a merge needs at least one part")
+        group = ColumnarPartitionGroup(
+            parent, parts[0].streams,
+            generation=max(part.generation for part in parts))
+        for part in parts:
+            if tuple(part.streams) != tuple(group.streams):
+                raise ValueError("cannot merge snapshots of different joins")
+            shared = group._counts.keys() & part.counts.keys()
+            if shared:
+                raise ValueError(f"keys {sorted(shared)} are in two merge "
+                                 f"parts; siblings of a split share none")
+            part._append_to(group, range(part.nrows))
+            group.output_count += part.output_count
+        return group.freeze(share=True)
+
+    def rebucket(self, route) -> dict[int, "FrozenColumnGroup"]:
+        """Re-key this snapshot by the *final* routing function.
+
+        A disk segment spilled before a split was frozen under the parent
+        pid and holds both children's keys; cleanup must merge each key's
+        parts under the pid it routes to *now*, or cross-segment results
+        would pair tuples of distinct final groups (never joinable) and
+        miss pairs within one.  Returns ``{final_pid: snapshot}``, the
+        pids in sorted order, so the last of them takes the
+        ``output_count`` remainder (see :meth:`_divide`).  The common
+        case — every key still routes to this snapshot's own pid, or there
+        is no key — returns ``{pid: self}`` without a pass over the rows.
+        """
+        dest = {key: route(key) for key in self.counts}
+        pids = sorted(set(dest.values()))
+        if pids in ([], [self.pid]):
+            return {self.pid: self}
+        return dict(zip(pids, self._divide(dest, pids)))
 
     @property
     def data(self) -> Mapping[str, Mapping[int, tuple[StreamTuple, ...]]]:

@@ -28,6 +28,7 @@ supported", citing the authors' SIGMOD'06 work [15] on spill
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -277,8 +278,8 @@ class PipelineDeployment:
     # ------------------------------------------------------------------
     def run(self, duration: float, *, sample_interval: float = 30.0) -> None:
         """Run the pipeline for ``duration`` simulated seconds + drain."""
-        if not duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not sample_interval > 0:
             raise ValueError("sample_interval must be positive")
         if self._finished:

@@ -34,6 +34,7 @@ True
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from repro.cluster.disk import Disk
@@ -397,8 +398,8 @@ class Deployment:
         tuples and protocol sessions are then allowed to finish, so the
         post-run state is quiescent before :meth:`cleanup`.
         """
-        if not duration > 0:
-            raise ValueError("duration must be positive")
+        if not 0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not sample_interval > 0:
             raise ValueError("sample_interval must be positive")
         self.launch(duration)

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.cluster.machine import Machine
 from repro.engine.columns import (
+    GROUP_OVERHEAD_BYTES,
     ColumnBatch,
     ColumnarPartitionGroup,
     FrozenColumnGroup,
@@ -27,7 +28,6 @@ from repro.engine.columns import (
     ResultBatch,
     others_table,
 )
-from repro.engine.partitions import GROUP_OVERHEAD_BYTES, FrozenPartitionGroup
 from repro.engine.tuples import JoinResult, StreamTuple
 
 #: The two "other inputs" of each stream of a 3-way join, unrolled for the
@@ -540,11 +540,10 @@ class StateStore:
         return frozen
 
     def install(
-        self, frozen: FrozenColumnGroup | FrozenPartitionGroup, *, now: float = 0.0
+        self, frozen: FrozenColumnGroup, *, now: float = 0.0
     ) -> ColumnarPartitionGroup:
         """Install a snapshot as a live group on this machine: a relocated
-        or restored columnar one, or the row-format one a split/merge
-        emits."""
+        or restored one, or one a split/merge emits."""
         if frozen.pid in self._groups:
             raise ValueError(
                 f"partition {frozen.pid} already live on machine "
@@ -564,7 +563,7 @@ class StateStore:
     def split_group(
         self, parent: int, children: tuple[int, int], chooser,
         *, now: float = 0.0,
-    ) -> tuple[FrozenPartitionGroup, FrozenPartitionGroup]:
+    ) -> tuple[FrozenColumnGroup, FrozenColumnGroup]:
         """Split one live group into two child groups in place (repartition).
 
         The parent is evicted (its snapshot taken zero-copy) and the two
@@ -578,16 +577,14 @@ class StateStore:
         if parent not in self._groups:
             raise KeyError(f"cannot split partition {parent}: not live here")
         (frozen,) = self.evict([parent])
-        from repro.engine.partitions import split_frozen
-
-        child0, child1 = split_frozen(frozen, children, chooser)
+        child0, child1 = frozen.split(children, chooser)
         self.install(child0, now=now)
         self.install(child1, now=now)
         return child0, child1
 
     def merge_groups(
         self, children: tuple[int, int], parent: int, *, now: float = 0.0,
-    ) -> FrozenPartitionGroup:
+    ) -> FrozenColumnGroup:
         """Fold two live sibling groups back into their parent (repartition).
 
         Inverse of :meth:`split_group`, through the same evict/install
@@ -596,10 +593,7 @@ class StateStore:
         for child in children:
             if child not in self._groups:
                 raise KeyError(f"cannot merge partition {child}: not live here")
-        frozen = self.evict(children)
-        from repro.engine.partitions import merge_frozen
-
-        merged = merge_frozen(parent, frozen)
+        merged = FrozenColumnGroup.merge(parent, self.evict(children))
         self.install(merged, now=now)
         return merged
 

@@ -24,7 +24,6 @@ from repro.recovery.checkpoint import (
     CheckpointEntry,
     CheckpointManager,
     CheckpointStore,
-    frozen_idents,
 )
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.protocol import (
@@ -55,5 +54,4 @@ __all__ = [
     "RestoreRequest",
     "TransferAborted",
     "TrimRequest",
-    "frozen_idents",
 ]

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.network import Network
     from repro.cluster.simulation import Simulator
     from repro.core.config import AdaptationConfig, CostModel
-    from repro.engine.partitions import FrozenPartitionGroup
+    from repro.engine.columns import FrozenColumnGroup
     from repro.engine.state_store import StateStore
 
 from repro.cluster.simulation import Timer
@@ -58,15 +58,6 @@ from repro.cluster.simulation import Timer
 #: Fallback read-cost parameters when a snapshot's owner disk is unknown.
 _DEFAULT_SEEK_TIME = 0.008
 _DEFAULT_READ_BANDWIDTH = 60e6
-
-
-def frozen_idents(frozen: "FrozenPartitionGroup") -> frozenset[TupleIdent]:
-    """The ``(stream, seq)`` identities of every tuple in a snapshot.
-
-    Delegates to the snapshot's own ``idents()``: columnar snapshots read
-    the identity columns directly without materialising tuples.
-    """
-    return frozen.idents()
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,7 @@ class CheckpointEntry:
     owner: str
     holder: str
     time: float
-    frozen: "FrozenPartitionGroup"
+    frozen: "FrozenColumnGroup"
     size_bytes: int
     #: whether the owner kept the live group after this commit.  ``False``
     #: for relocation hand-off entries (the live copy was evicted and is in
@@ -296,7 +287,7 @@ class CheckpointManager:
         self,
         reason: str,
         *,
-        handoff: Iterable["FrozenPartitionGroup"] = (),
+        handoff: Iterable["FrozenColumnGroup"] = (),
         on_committed=None,
     ) -> None:
         """Submit a full-machine commit as a control-priority task.
@@ -421,12 +412,12 @@ class CheckpointManager:
             marks[frozen.pid] = (buffer, frozen.nrows)
             cover(frozen.pid, frozen.idents(start))
         for frozen in handoff:
-            cover(frozen.pid, frozen_idents(frozen))
+            cover(frozen.pid, frozen.idents())
         trimmed = self._trimmed_segments
         segments = self.disk.segments
         for segment in segments:
             if id(segment) not in trimmed:
-                cover(segment.partition_id, frozen_idents(segment.frozen))
+                cover(segment.partition_id, segment.frozen.idents())
         self._trimmed_segments = {id(segment): segment for segment in segments}
         if not (snapshots or handoff or segments):
             return

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from repro.recovery.checkpoint import CheckpointStore, frozen_idents
+from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.protocol import (
     AbortTransferRequest,
     OwnedPausedAck,
@@ -370,7 +370,7 @@ class RecoveryManager:
             loads[target] += entries[pid].size_bytes if entries[pid] else 0
         session.assignments = tuple(sorted(assignments.items()))
         session.restored_idents = {
-            pid: frozen_idents(entries[pid].frozen)
+            pid: entries[pid].frozen.idents()
             for pid in restorable
             if entries[pid] is not None
         }

@@ -24,6 +24,7 @@ relocation session in flight (graceful drain mid-relocation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -417,8 +418,8 @@ class QueryServer:
     def run_for(self, seconds: float, *, sample_interval: float = 5.0) -> None:
         """Advance the shared simulator ``seconds`` of simulated time,
         sampling every runtime's figure series along the way."""
-        if not seconds > 0:
-            raise ValueError("seconds must be positive")
+        if not 0 < seconds < math.inf:
+            raise ValueError("seconds must be positive and finite")
         if not sample_interval > 0:
             raise ValueError("sample_interval must be positive")
         end = self.sim.now + seconds

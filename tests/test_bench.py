@@ -154,6 +154,35 @@ class TestCli:
         assert exc.value.code == 2
         assert "--queries must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--queries", "2"]],
+                             ids=["standalone", "queries"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "--workers must be at least 1"),
+        ("--partitions", "0", "n_partitions must be positive"),
+        ("--threshold-kb", "-5", "memory_threshold must be positive"),
+        ("--theta-r", "2", "theta_r must be in (0, 1]"),
+        ("--tau-m", "nan", "tau_m must be non-negative"),
+        ("--minutes", "0", "--minutes must be positive and finite"),
+        ("--minutes", "-1", "--minutes must be positive and finite"),
+        ("--minutes", "nan", "--minutes must be positive and finite"),
+        ("--minutes", "inf", "--minutes must be positive and finite"),
+        ("--join-rate", "0", "join_rate must be positive"),
+        ("--tuple-range", "0", "tuple_range must be positive"),
+        ("--interarrival-ms", "0", "interarrival must be positive"),
+    ])
+    def test_out_of_range_setting_is_a_usage_error(self, flag, value,
+                                                   message, mode, capsys):
+        """A value the config, workload or deployment rejects exits 2
+        with argparse's message before anything runs, not with a
+        traceback."""
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--minutes", "0.05", *mode, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("target", ["nan", "-5", "0"])
     def test_non_positive_slo_target_exits_with_a_message(self, target):
         from repro.bench.cli import parse_slo

@@ -409,27 +409,6 @@ class TestZeroCopySnapshots:
         assert len(thawed.row_sid) == frozen.nrows
         assert canonical_frozen(thawed.freeze()) == before
 
-    def test_cross_representation_install(self):
-        """A row-format snapshot — what split/merge emit — installs into
-        the store as columns."""
-        batches = synth_batches(300)
-        twins = {}
-        for batch in batches:
-            for pid, tup in batch:
-                twin = twins.setdefault(pid, PartitionGroup(pid, STREAMS))
-                twin.record_output(twin.probe(tup)[0])
-                twin.insert(tup)
-        installed = fresh_store()
-        for twin in twins.values():
-            installed.install(twin.freeze())
-        fresh = fresh_store()
-        run_entry("row", fresh, batches)
-        assert (tuple(sorted(canonical_frozen(installed.state_of(p))
-                             for p in installed.partition_ids()))
-                == tuple(sorted(canonical_frozen(fresh.state_of(p))
-                                for p in fresh.partition_ids())))
-        assert installed.total_bytes == installed.machine.memory_used
-
 
 # ----------------------------------------------------------------------
 # Stored rows are unboxed: the row buffers are typed arrays by every route
@@ -509,8 +488,8 @@ TYPED_ROUTES = {
     "materialising _probe_insert_rows": lambda: one_group_store(
         materialize=True),
     "thaw of a FrozenColumnGroup": thawed_from_columns,
-    "split children (row-format thaw)": split_children,
-    "merge parent (row-format thaw)": merged_parent,
+    "split children (column split)": split_children,
+    "merge parent (column merge)": merged_parent,
     "purge_older_than": purged,
     "promote_sizes": promoted_by_call,
     "second size through insert_cols": promoted_by_a_second_size,
@@ -1251,8 +1230,6 @@ class ShadowLog:
                       for tup in rows)
 
     def shadow_manager(self, manager):
-        from repro.recovery import frozen_idents
-
         send_trim = manager._send_trim
 
         def shadow_send_trim(snapshots, handoff):
@@ -1260,7 +1237,7 @@ class ShadowLog:
                        *(s.frozen for s in manager.disk.segments)]
             if durable:  # a trim message is on its way
                 self._full[manager.machine.name].append(
-                    frozenset().union(*map(frozen_idents, durable)))
+                    frozenset().union(*(f.idents() for f in durable)))
             send_trim(snapshots, handoff)
 
         manager._send_trim = shadow_send_trim

@@ -39,6 +39,14 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             dep.run(duration=10, sample_interval=float("nan"))
 
+    def test_infinite_duration_rejected(self):
+        # the sampling loop would step towards an end it never reaches
+        dep = small_deployment()
+        with pytest.raises(ValueError, match="positive and finite"):
+            dep.run(duration=float("inf"))
+        dep.run(duration=5, sample_interval=5)  # nothing was launched
+        assert dep.total_outputs > 0
+
     def test_worker_name_validation(self):
         with pytest.raises(ValueError):
             small_deployment(workers=["m1", "m1"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.partitions import GROUP_OVERHEAD_BYTES
+from repro.engine.columns import GROUP_OVERHEAD_BYTES
 from repro.engine.tuples import StreamTuple
 
 from tests.row_group import PartitionGroup, full_join_count

@@ -178,6 +178,11 @@ class TestExecution:
                                match="sample_interval must be positive"):
                 dep.run(duration=10, sample_interval=bad)
 
+    def test_infinite_duration_rejected(self):
+        dep = build_pipeline()
+        with pytest.raises(ValueError, match="positive and finite"):
+            dep.run(duration=float("inf"))
+
     def test_provenance_payloads_attached(self):
         dep = build_pipeline(collect=True)
         dep.run(duration=20, sample_interval=10)

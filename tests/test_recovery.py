@@ -22,7 +22,7 @@ from repro.cluster.faults import (
 )
 from repro.cluster.machine import Task
 from repro.engine.reference import reference_join, result_idents
-from repro.recovery import CheckpointEntry, CheckpointStore, frozen_idents
+from repro.recovery import CheckpointEntry, CheckpointStore
 
 from tests.conftest import make_tuple
 from tests.helpers import small_deployment
@@ -181,7 +181,7 @@ class TestCheckpointStore:
         store = StateStore(machine, streams=("A", "B"))
         store.probe_insert(1, make_tuple(stream="A", key=1, seq=0), now=0.0)
         store.probe_insert(1, make_tuple(stream="B", key=1, seq=7), now=0.0)
-        idents = frozen_idents(store.state_of(1))
+        idents = store.state_of(1).idents()
         assert idents == {("A", 0), ("B", 7)}
 
 

@@ -565,3 +565,13 @@ class TestFoldSavings:
         assert all(not h.folded for h in handles)
         assert server.max_fold_state_bytes_saved == 0
         assert server.cluster_used == sum(h.demand for h in handles)
+
+
+class TestRunFor:
+    def test_infinite_seconds_rejected(self):
+        # the sampling loop would step towards an end it never reaches
+        server = make_server()
+        server.submit(make_spec("acme", duration=10.0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            server.run_for(float("inf"))
+        assert server.sim.now == 0.0

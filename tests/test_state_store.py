@@ -3,11 +3,20 @@
 import pytest
 
 from repro.cluster.machine import Machine
-from repro.engine.partitions import GROUP_OVERHEAD_BYTES, merge_frozen, split_frozen
+from repro.engine.columns import (
+    GROUP_OVERHEAD_BYTES,
+    ColumnarPartitionGroup,
+    FrozenColumnGroup,
+)
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
 
-from tests.row_group import PartitionGroup
+from tests.row_group import (
+    PartitionGroup,
+    merge_frozen,
+    rebucket_frozen,
+    split_frozen,
+)
 
 STREAMS = ("A", "B", "C")
 
@@ -206,8 +215,10 @@ class TestSplitMerge:
             store.merge_groups((8, 9), 0)
 
     def test_columnar_split_merge_matches_row_store(self, store):
-        """The store's in-place split and merge against the same
-        transforms over the row-format reference twin."""
+        """The store's in-place column split and merge against the
+        row-format reference transforms over the row-format twin: same
+        statistics, identities and ``(stream, key)`` buckets, bucket order
+        included."""
         twin = PartitionGroup(0, STREAMS)
 
         class TwinStore:  # ``populate`` feeds the twin the same rows
@@ -219,10 +230,12 @@ class TestSplitMerge:
         self.populate(store)
         want = split_frozen(twin.freeze(), (8, 9), lambda key: key % 2)
         store.split_group(0, (8, 9), lambda key: key % 2)
-        assert canonical(store.state_of(8)) == canonical(want[0])
-        assert canonical(store.state_of(9)) == canonical(want[1])
+        for child, expected in zip((8, 9), want):
+            assert canonical(store.state_of(child)) == canonical(expected)
+            assert store.state_of(child).data == expected.data
         store.merge_groups((8, 9), 0)
         assert canonical(store.state_of(0)) == canonical(merge_frozen(0, want))
+        assert store.state_of(0).data == merge_frozen(0, want).data
         assert store.total_bytes == store.machine.memory_used
 
 
@@ -230,6 +243,167 @@ def canonical(frozen):
     from tests.helpers import canonical_frozen
 
     return canonical_frozen(frozen)
+
+
+# ----------------------------------------------------------------------
+# Column snapshot transforms against the row-format reference
+# ----------------------------------------------------------------------
+SHAPES = ("scalar-size", "explicit-sizes", "payloads")
+
+
+def snapshot(pid, keys, shape, *, generation=0, output_count=0, first_seq=0):
+    """A frozen column group holding rows of ``keys`` for every stream,
+    interleaved the way arrivals interleave, with non-monotone timestamps;
+    ``shape`` picks uniform sizes, an explicit size column, or an explicit
+    size column plus payloads."""
+    group = ColumnarPartitionGroup(pid, STREAMS, generation=generation)
+    seq = first_seq
+    for round_ in range(3):
+        for key in keys:
+            for stream in STREAMS:
+                group.insert(StreamTuple(
+                    stream=stream, seq=seq, key=key,
+                    ts=float((seq * 7) % 13),
+                    size=64 if shape == "scalar-size" else 40 + seq % 5,
+                    payload=(seq,) if shape == "payloads" and seq % 2 else (),
+                ))
+                seq += 1
+    group.output_count = output_count
+    return group.freeze()
+
+
+def rows_of(frozen):
+    """Every row of a column snapshot, in row order."""
+    return [frozen.tuple_at(row) for row in range(frozen.nrows)]
+
+
+def assert_matches(got, want):
+    """A column snapshot equals a row-format one: statistics, identities,
+    and every ``(stream, key)`` bucket in order; its own bookkeeping
+    agrees with its rows."""
+    assert canonical(got) == canonical(want)
+    assert got.data == want.data
+    assert got.nrows == got.tuple_count == len(got.row_key)
+    assert got.size_bytes == GROUP_OVERHEAD_BYTES + sum(
+        tup.size for tup in rows_of(got))
+
+
+class TestColumnSnapshotTransforms:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_split_matches_row_reference(self, shape):
+        parent = snapshot(0, (1, 2, 3, 4, 5), shape, generation=3,
+                          output_count=1001)
+        got = parent.split((8, 9), lambda key: key % 2)
+        want = split_frozen(parent, (8, 9), lambda key: key % 2)
+        for child, expected in zip(got, want):
+            assert type(child) is FrozenColumnGroup
+            assert_matches(child, expected)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_split_child_rows_keep_parent_order(self, shape):
+        parent = snapshot(0, (1, 2, 3, 4, 5), shape, output_count=997)
+        children = parent.split((8, 9), lambda key: key % 2)
+        for bit, child in enumerate(children):
+            assert rows_of(child) == [
+                tup for tup in rows_of(parent) if tup.key % 2 == bit]
+            assert child.generation == parent.generation
+        assert sum(c.output_count for c in children) == parent.output_count
+        # the floor goes to child 0, the remainder to child 1
+        payload = [c.size_bytes - GROUP_OVERHEAD_BYTES for c in children]
+        assert children[0].output_count == (
+            parent.output_count * payload[0] // sum(payload))
+
+    def test_split_with_an_empty_side(self):
+        parent = snapshot(0, (2, 4), "explicit-sizes", output_count=50)
+        even, odd = parent.split((8, 9), lambda key: key % 2)
+        assert (even.output_count, odd.output_count) == (50, 0)
+        assert odd.nrows == 0 and odd.size_bytes == GROUP_OVERHEAD_BYTES
+        assert_matches(odd, split_frozen(parent, (8, 9),
+                                         lambda key: key % 2)[1])
+        assert ColumnarPartitionGroup.thaw(odd).is_empty
+
+    @pytest.mark.parametrize("shapes", [
+        ("scalar-size", "scalar-size"), ("scalar-size", "explicit-sizes"),
+        ("payloads", "scalar-size"),
+    ])
+    def test_merge_matches_row_reference(self, shapes):
+        parts = [
+            snapshot(8, (2, 4), shapes[0], generation=1, output_count=30),
+            snapshot(9, (1, 3, 5), shapes[1], generation=2, output_count=12,
+                     first_seq=100),
+        ]
+        got = FrozenColumnGroup.merge(0, parts)
+        assert_matches(got, merge_frozen(0, parts))
+        assert rows_of(got) == rows_of(parts[0]) + rows_of(parts[1])
+        assert (got.generation, got.output_count) == (2, 42)
+
+    def test_merge_with_a_differently_sized_uniform_part(self):
+        small = snapshot(8, (2,), "scalar-size")
+        big = ColumnarPartitionGroup(9, STREAMS)
+        big.insert(StreamTuple("A", 500, 1, 0.0, 99))
+        got = FrozenColumnGroup.merge(0, [small, big.freeze()])
+        assert got.row_size is not None
+        assert_matches(got, merge_frozen(0, [small, big.freeze()]))
+
+    def test_merge_rejects_parts_sharing_a_key(self):
+        parts = [snapshot(8, (1, 2), "scalar-size"),
+                 snapshot(9, (2, 3), "scalar-size", first_seq=100)]
+        with pytest.raises(ValueError, match=r"keys \[2\]"):
+            FrozenColumnGroup.merge(0, parts)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rebucket_matches_row_reference(self, shape):
+        """A segment frozen under parent pid 0 holding keys of three
+        final pids: each bucket equals the row reference's, and the last
+        pid in sorted order takes the output remainder."""
+        frozen = snapshot(0, (1, 2, 3, 4, 5, 6, 7), shape, generation=2,
+                          output_count=1000)
+
+        def route(key):
+            return 10 + key % 3
+
+        got = frozen.rebucket(route)
+        want = rebucket_frozen(frozen, route)
+        assert sorted(got) == sorted(want) == [10, 11, 12]
+        for pid in got:
+            assert_matches(got[pid], want[pid])
+            assert rows_of(got[pid]) == [
+                tup for tup in rows_of(frozen) if route(tup.key) == pid]
+        assert sum(p.output_count for p in got.values()) == 1000
+
+    @pytest.mark.parametrize("route", [lambda key: 0, lambda key: 7],
+                             ids=["every-key-stays", "every-key-moves"])
+    def test_rebucket_of_one_target(self, route):
+        frozen = snapshot(0, (1, 2, 3), "explicit-sizes", output_count=9)
+        got = frozen.rebucket(route)
+        want = rebucket_frozen(frozen, route)
+        if route(1) == frozen.pid:
+            assert got == {0: frozen}  # the input itself, not a copy
+            assert got[0] is frozen
+        else:
+            assert list(got) == list(want) == [7]
+            assert_matches(got[7], want[7])
+
+    def test_rebucket_of_an_empty_snapshot_is_the_input(self):
+        frozen = ColumnarPartitionGroup(4, STREAMS).freeze()
+        got = frozen.rebucket(lambda key: 99)
+        assert got == {4: frozen} and got[4] is frozen
+        assert rebucket_frozen(frozen, lambda key: 99) == {4: frozen}
+
+    def test_thaw_of_a_split_child_probes_like_the_row_twin(self):
+        """The installed child answers windowed, materialising probes in
+        the row twin's result order."""
+        parent = snapshot(0, (1, 2, 3, 4), "payloads", output_count=10)
+        child, __ = parent.split((8, 9), lambda key: key % 2)
+        live = ColumnarPartitionGroup.thaw(child)
+        twin = PartitionGroup.thaw(split_frozen(parent, (8, 9),
+                                                lambda key: key % 2)[0])
+        for key in (2, 4):
+            probe = StreamTuple("A", 9_999, key, 6.0, 10)
+            assert (live.probe_windowed(probe, 5.0, materialize=True)
+                    == twin.probe_windowed(probe, 5.0, materialize=True))
+            assert (live.probe(probe, materialize=True)
+                    == twin.probe(probe, materialize=True))
 
 
 class TestProductivitySnapshot:
