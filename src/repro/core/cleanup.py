@@ -40,12 +40,6 @@ from repro.engine.tuples import JoinResult, StreamTuple
 from repro.obs.trace import NULL_TRACER
 
 
-def _part_counts(part: FrozenColumnGroup) -> dict[str, dict[int, int]]:
-    # key_counts reads the columnar count table directly — no tuple
-    # materialisation for count-only cleanup estimates
-    return {stream: part.key_counts(stream) for stream in part.streams}
-
-
 def _cross_count(count_maps: Sequence[Mapping[int, int]]) -> int:
     """Join cardinality over per-stream key->count histograms."""
     if not count_maps:
@@ -79,7 +73,9 @@ def merge_missing_count(
     cumulative: dict[str, dict[int, int]] = {s: {} for s in streams}
     missing = 0
     for i, part in enumerate(parts):
-        counts = _part_counts(part)
+        # every stream's histogram in one pass over the part's rows — no
+        # tuple materialisation for the counting merge
+        counts = part.key_counts()
         if i > 0:
             merged = {
                 s: _merged_counts(cumulative[s], counts.get(s, {})) for s in streams

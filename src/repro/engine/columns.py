@@ -31,11 +31,12 @@ columns as well:
     The one snapshot format: an immutable snapshot whose payload *is* the
     column buffers.  Because the buffers are append-only, spill,
     relocation and checkpoint snapshots *share* them with the live group
-    and record only a row-count bound — zero-copy in the Python sense;
-    just the small in-place-mutated count table is copied.  Repartitioning
-    works on snapshots as columns too: a split or a cleanup re-bucketing
-    gathers each target's rows in one pass over ``row_key``, a merge
-    concatenates its parts.  Per-tuple ``StreamTuple`` objects only come
+    and record only a row-count bound — zero-copy in the Python sense.
+    A snapshot carries no count table: a thaw rebuilds it, and cleanup
+    derives its per-stream histograms, in one pass over the rows.
+    Repartitioning works on snapshots as columns too: a split or a cleanup
+    re-bucketing gathers each target's rows in one pass over ``row_key``,
+    a merge concatenates its parts.  Per-tuple ``StreamTuple`` objects only come
     back into existence at the materialisation boundary: the cleanup
     merge, via the lazily built ``.data`` view.
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import KeysView, Sequence
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -87,6 +88,20 @@ def others_table(m: int) -> tuple[tuple[int, ...], ...]:
         )
         _OTHERS_CACHE[m] = table
     return table
+
+
+def _count_table(row_sid: Iterable[int], row_key: Iterable[int], m: int
+                 ) -> dict[int, list[int]]:
+    """The live count table ``{key: [count per stream]}`` of rows given as
+    their stream-index and key columns, in row order: each key enters at
+    its first row, as appends enter it."""
+    counts: dict[int, list[int]] = {}
+    for sid, key in zip(row_sid, row_key):
+        c = counts.get(key)
+        if c is None:
+            counts[key] = c = [0] * m
+        c[sid] += 1
+    return counts
 
 
 def _window_count(cand_ts: list[list[float]], ts: float, window: float) -> int:
@@ -772,14 +787,8 @@ class ColumnarPartitionGroup:
         rp = self.row_payload
         if rp is not None:
             self.row_payload = [rp[row] for row in keep]
-        counts: dict[int, list[int]] = {}
-        m = len(self.streams)
-        for sid, key in zip(self.row_sid, self.row_key):
-            c = counts.get(key)
-            if c is None:
-                counts[key] = c = [0] * m
-            c[sid] += 1
-        self._counts = counts
+        self._counts = _count_table(self.row_sid, self.row_key,
+                                    len(self.streams))
         self._index = None
         self._mat = {}
         payload_before = self.size_bytes - GROUP_OVERHEAD_BYTES
@@ -809,7 +818,7 @@ class ColumnarPartitionGroup:
     # ------------------------------------------------------------------
     # Snapshotting (spill / relocation / checkpoint payloads)
     # ------------------------------------------------------------------
-    def freeze(self, *, share: bool = False) -> "FrozenColumnGroup":
+    def freeze(self) -> "FrozenColumnGroup":
         """Snapshot the column buffers without copying them.
 
         The columns are append-only: live mutation either appends past the
@@ -817,10 +826,12 @@ class ColumnarPartitionGroup:
         can therefore *share* the live buffers and record only the row
         count at freeze time — later appends land beyond that bound and
         stay invisible to the snapshot, and a purge leaves the snapshot
-        holding the superseded arrays.  Checkpoints and ``state_of`` get
-        O(keys) snapshots (only the in-place-mutated count table is
-        copied); evict (``share=True``, the live group is discarded
-        immediately after) additionally keeps the count table itself.
+        holding the superseded arrays.  The count table — the one
+        structure mutated in place — is not part of a snapshot: a snapshot
+        is its columns, and :meth:`thaw` / :meth:`FrozenColumnGroup.key_counts`
+        derive counts from the rows when they need them.  Every snapshot is
+        therefore O(1), and when the live group is discarded right after
+        (evict: spill and relocation) its count table dies with it.
         """
         return FrozenColumnGroup(
             pid=self.pid,
@@ -837,8 +848,6 @@ class ColumnarPartitionGroup:
             row_size=self.row_size,
             usize=self._usize,
             row_payload=self.row_payload,
-            counts=(self._counts if share
-                    else {key: c[:] for key, c in self._counts.items()}),
         )
 
     @classmethod
@@ -847,7 +856,11 @@ class ColumnarPartitionGroup:
         """Rebuild a live group from a snapshot by copying its column
         buffers — a bounded slice of a typed array, one ``memcpy`` a
         column: the snapshot may share (longer) buffers with a
-        still-appending live group."""
+        still-appending live group — and deriving the count table from
+        the copied rows in one pass.  The derived table equals the one the
+        group had when it was frozen, key order included: the live table
+        gains a key at the key's first row, and a purge rebuilds it in
+        row order."""
         group = cls(frozen.pid, frozen.streams, generation=frozen.generation,
                     created_at=created_at)
         end = frozen.nrows
@@ -860,7 +873,8 @@ class ColumnarPartitionGroup:
         group._usize = frozen.usize
         group.row_payload = (None if frozen.row_payload is None
                              else frozen.row_payload[:end])
-        group._counts = {key: list(c) for key, c in frozen.counts.items()}
+        group._counts = _count_table(group.row_sid, group.row_key,
+                                     len(frozen.streams))
         group.tuple_count = frozen.tuple_count
         group.size_bytes = frozen.size_bytes
         group.output_count = frozen.output_count
@@ -897,16 +911,22 @@ class FrozenColumnGroup:
     ``(stream, key)`` bucket keeps its row order — all that the probes,
     the index's ``_ordered`` observation, result boxing and the cleanup
     merge read.
+
+    A snapshot is its columns and statistics: it keeps no count table.
+    Whoever needs per-key counts derives them from ``row_sid`` /
+    ``row_key`` in one pass — :meth:`ColumnarPartitionGroup.thaw` the live
+    table, cleanup the per-stream histograms (:meth:`key_counts`), split,
+    merge and re-bucketing the key set (:meth:`keys`).  Spilled,
+    relocated and checkpointed state thus holds no Python object per key.
     """
 
     __slots__ = ("pid", "streams", "generation", "size_bytes", "tuple_count",
                  "output_count", "nrows", "row_sid", "row_seq", "row_key",
-                 "row_ts", "row_size", "usize", "row_payload", "counts",
-                 "_data")
+                 "row_ts", "row_size", "usize", "row_payload", "_data")
 
     def __init__(self, *, pid, streams, generation, size_bytes, tuple_count,
                  output_count, nrows, row_sid, row_seq, row_key, row_ts,
-                 row_size, usize, row_payload, counts):
+                 row_size, usize, row_payload):
         self.pid = pid
         self.streams = streams
         self.generation = generation
@@ -921,7 +941,6 @@ class FrozenColumnGroup:
         self.row_size: array | None = row_size  # 'q'
         self.usize = usize
         self.row_payload = row_payload
-        self.counts = counts
         self._data: Mapping[str, Mapping[int, tuple[StreamTuple, ...]]] | None = None
 
     def idents(self, start: int = 0) -> frozenset[tuple[str, int]]:
@@ -935,14 +954,20 @@ class FrozenColumnGroup:
             for row in range(start, self.nrows)
         )
 
-    def key_counts(self, stream: str) -> dict[int, int]:
-        """``{key: tuple count}`` for one input — from the count table."""
-        sid = self.streams.index(stream)
-        return {key: c[sid] for key, c in self.counts.items() if c[sid]}
+    def key_counts(self) -> dict[str, dict[int, int]]:
+        """``{stream: {key: tuple count}}`` for every input, derived in one
+        pass over the rows (a stream without rows maps to ``{}``)."""
+        n = self.nrows
+        tables: list[dict[int, int]] = [{} for _ in self.streams]
+        for sid, key in zip(self.row_sid[:n], self.row_key[:n]):
+            table = tables[sid]
+            table[key] = table.get(key, 0) + 1
+        return dict(zip(self.streams, tables))
 
-    def keys(self) -> set[int]:
-        """All join-key values present in any input of this snapshot."""
-        return set(self.counts)
+    def keys(self) -> KeysView[int]:
+        """All join-key values present in any input of this snapshot, in
+        first-row order (a set-like view)."""
+        return dict.fromkeys(self.row_key[:self.nrows]).keys()
 
     def tuple_at(self, row: int) -> StreamTuple:
         rs = self.row_size
@@ -1003,7 +1028,7 @@ class FrozenColumnGroup:
             remaining -= group.output_count
         groups[-1].output_count = remaining
         # the groups are discarded: their snapshots take the buffers
-        return [group.freeze(share=True) for group in groups]
+        return [group.freeze() for group in groups]
 
     def split(self, children: tuple[int, int], chooser
               ) -> tuple["FrozenColumnGroup", "FrozenColumnGroup"]:
@@ -1015,7 +1040,7 @@ class FrozenColumnGroup:
         payload bytes, the windowed-purge pattern: child 0 gets the floor
         of its share, child 1 the remainder.
         """
-        dest = {key: children[chooser(key)] for key in self.counts}
+        dest = {key: children[chooser(key)] for key in self.keys()}
         child0, child1 = self._divide(dest, children)
         return child0, child1
 
@@ -1039,13 +1064,13 @@ class FrozenColumnGroup:
         for part in parts:
             if tuple(part.streams) != tuple(group.streams):
                 raise ValueError("cannot merge snapshots of different joins")
-            shared = group._counts.keys() & part.counts.keys()
+            shared = group._counts.keys() & part.keys()
             if shared:
                 raise ValueError(f"keys {sorted(shared)} are in two merge "
                                  f"parts; siblings of a split share none")
             part._append_to(group, range(part.nrows))
             group.output_count += part.output_count
-        return group.freeze(share=True)
+        return group.freeze()
 
     def rebucket(self, route) -> dict[int, "FrozenColumnGroup"]:
         """Re-key this snapshot by the *final* routing function.
@@ -1060,7 +1085,7 @@ class FrozenColumnGroup:
         case — every key still routes to this snapshot's own pid, or there
         is no key — returns ``{pid: self}`` without a pass over the rows.
         """
-        dest = {key: route(key) for key in self.counts}
+        dest = {key: route(key) for key in self.keys()}
         pids = sorted(set(dest.values()))
         if pids in ([], [self.pid]):
             return {self.pid: self}

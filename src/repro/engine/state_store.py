@@ -526,10 +526,10 @@ class StateStore:
             grp = self._groups.pop(pid, None)
             if grp is None:
                 continue
-            # the live group is discarded right here, so the snapshot can
-            # steal its column buffers outright (zero-copy spill /
-            # relocation payload)
-            frozen.append(grp.freeze(share=True))
+            # the live group is discarded right here: the snapshot keeps
+            # its column buffers (zero-copy spill / relocation payload) and
+            # its count table dies with it
+            frozen.append(grp.freeze())
             self._next_generation[pid] = grp.generation + 1
             self.machine.release(grp.size_bytes)
             self.total_bytes -= grp.size_bytes

@@ -435,6 +435,9 @@ class RecoveryManager:
                     trace_span=session.trace_span,
                 ),
             )
+        # every request carries its own copy: the finished session, kept in
+        # ``history`` for the rest of the run, holds no identity
+        session.restored_idents = {}
 
     def _on_rerouted(self, message: "Message") -> None:
         ack: RerouteAck = message.payload

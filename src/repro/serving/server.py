@@ -195,6 +195,11 @@ class QueryServer:
             raise RuntimeError("server already finished; build a fresh one")
         if spec.tenant not in self.tenants:
             raise ValueError(f"unknown tenant {spec.tenant!r}")
+        if not 0 < spec.duration < math.inf:
+            raise ValueError(
+                f"query duration must be positive and finite, got "
+                f"{spec.duration!r}"
+            )
         if spec.slo is not None and not self.latency:
             raise ValueError(
                 "spec carries an SLO but the server was built without "

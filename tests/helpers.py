@@ -128,8 +128,8 @@ def canonical_frozen(frozen):
         frozen.tuple_count,
         frozen.output_count,
         tuple(sorted(
-            (stream, tuple(sorted(frozen.key_counts(stream).items())))
-            for stream in frozen.streams
+            (stream, tuple(sorted(counts.items())))
+            for stream, counts in frozen.key_counts().items()
         )),
         frozenset(
             (tup.stream, tup.seq)

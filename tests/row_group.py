@@ -49,9 +49,10 @@ class FrozenPartitionGroup:
             for bucket in table.values() for tup in bucket
         )
 
-    def key_counts(self, stream: str) -> dict[int, int]:
-        """``{key: tuple count}`` histogram for one input stream."""
-        return {key: len(bucket) for key, bucket in self.data[stream].items()}
+    def key_counts(self) -> dict[str, dict[int, int]]:
+        """``{stream: {key: tuple count}}`` histograms of every input."""
+        return {stream: {key: len(bucket) for key, bucket in table.items()}
+                for stream, table in self.data.items()}
 
     def keys(self) -> set[int]:
         """All join-key values present in any input of this snapshot."""

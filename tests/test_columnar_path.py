@@ -411,6 +411,100 @@ class TestZeroCopySnapshots:
 
 
 # ----------------------------------------------------------------------
+# A snapshot is its columns: counts are derived from the rows on read
+# ----------------------------------------------------------------------
+def live_histograms(group):
+    """``{stream: {key: n}}`` read off a live group's count table."""
+    return {stream: {key: c[sid] for key, c in group._counts.items() if c[sid]}
+            for sid, stream in enumerate(group.streams)}
+
+
+def replayed(frozen, rows):
+    """A live group built by appending ``rows`` of ``frozen`` one at a time:
+    the count table the group a transform builds has at its freeze."""
+    group = ColumnarPartitionGroup(frozen.pid, frozen.streams)
+    for row in rows:
+        group.insert(frozen.tuple_at(row))
+    return group
+
+
+def assert_counts_match(frozen, live):
+    """The snapshot's derived counts equal the live table it was frozen
+    from: the per-stream histograms, and a thaw's table key for key in the
+    same order."""
+    assert frozen.key_counts() == live_histograms(live)
+    thawed = ColumnarPartitionGroup.thaw(frozen)
+    assert list(thawed._counts.items()) == list(live._counts.items())
+
+
+class TestSnapshotsCarryNoCountTable:
+    SHAPES = {
+        "uniform": {},
+        "explicit sizes": {"nonuniform": True},
+        "payloads": {"nonuniform": True, "payloads": True},
+    }
+
+    def populated(self, shape, *, purge):
+        store = fresh_store()
+        for batch in synth_batches(900, key_range=40, **self.SHAPES[shape]):
+            store.probe_insert_columns(ColumnBatch.from_routed(batch, STREAMS))
+        if purge:
+            store.purge_window(200.0)  # rebuilds every live table by row
+        return store
+
+    @pytest.mark.parametrize("purge", [False, True])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_derived_counts_equal_the_live_table(self, shape, purge):
+        store = self.populated(shape, purge=purge)
+        for group in store.groups():
+            frozen = group.freeze()
+            assert not hasattr(frozen, "counts")
+            assert_counts_match(frozen, group)
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_split_merge_and_rebucket_parts_derive_their_tables(self, shape):
+        store = self.populated(shape, purge=True)
+        for group in list(store.groups()):
+            frozen = group.freeze()
+            # a group holds the keys ``key % 6 == pid``: divide by the rest
+            bit = [row_key // 6 % 2 for row_key in frozen.row_key]
+            rows = range(frozen.nrows)
+            parts = frozen.split((100, 101), lambda key: key // 6 % 2)
+            assert all(part.nrows for part in parts)
+            for child, part in enumerate(parts):
+                assert_counts_match(part, replayed(
+                    frozen, [r for r in rows if bit[r] == child]))
+            merged = type(frozen).merge(frozen.pid, parts)
+            assert_counts_match(merged, replayed(frozen, [
+                r for child in (0, 1) for r in rows if bit[r] == child]))
+            buckets = frozen.rebucket(lambda key: 100 + key // 6 % 3)
+            assert len(buckets) == 3
+            for pid, part in buckets.items():
+                assert_counts_match(part, replayed(frozen, [
+                    r for r in rows
+                    if 100 + frozen.row_key[r] // 6 % 3 == pid]))
+
+    def test_evicted_state_holds_no_object_per_key(self):
+        """What an evicted group's snapshot keeps alive does not grow with
+        its distinct keys: the live count table dies with the group."""
+        def tracked_after_evict(n_keys):
+            store = fresh_store()
+            gc.collect()
+            before = len(gc.get_objects())
+            store.probe_insert_columns(ColumnBatch.from_routed(
+                [(0, StreamTuple(STREAMS[seq % 3], seq, seq % n_keys,
+                                 float(seq)))
+                 for seq in range(3000)], STREAMS))
+            snapshots = store.evict([0])
+            gc.collect()
+            grown = len(gc.get_objects()) - before
+            assert snapshots[0].tuple_count == 3000
+            return grown
+
+        assert tracked_after_evict(1000) <= tracked_after_evict(10)
+
+
+# ----------------------------------------------------------------------
 # Stored rows are unboxed: the row buffers are typed arrays by every route
 # ----------------------------------------------------------------------
 ROW_BUFFERS = (("row_sid", "b"), ("row_seq", "q"), ("row_key", "q"),
@@ -720,7 +814,7 @@ def windowed_probe_twins(m, window, ops):
             store.purge_window(clock - op[1])
             twin.purge_older_than(clock - op[1])
         elif op[0] == "thaw":
-            for frozen in store.evict([0]):  # freeze(share=True) → thaw
+            for frozen in store.evict([0]):  # freeze → thaw
                 store.install(frozen)
         elif op[0] == "promote" and group is not None:
             getattr(group, f"promote_{op[1]}")()
@@ -1111,8 +1205,8 @@ def frozen_columns(frozen):
     return (
         frozen.pid, frozen.generation, frozen.tuple_count, frozen.size_bytes,
         frozen.output_count, n, frozen.row_sid[:n], frozen.row_seq[:n],
-        frozen.row_key[:n], frozen.row_ts[:n], frozen.counts, frozen.usize,
-        frozen.row_size and frozen.row_size[:n],
+        frozen.row_key[:n], frozen.row_ts[:n], frozen.key_counts(),
+        frozen.usize, frozen.row_size and frozen.row_size[:n],
         frozen.row_payload and frozen.row_payload[:n],
     )
 

@@ -279,6 +279,21 @@ class TestCrashUnderLoad:
         assert recovery.details["partitions"] > 0
         assert_exactly_once(dep, report)
 
+    def test_finished_recovery_keeps_no_restored_identities(self):
+        # the identities go out with the reroute requests; the session
+        # stays in ``history`` for the rest of the run without them
+        dep = checkpointed_deployment(
+            assignment={"m1": 0.5, "m2": 0.3, "m3": 0.2},
+            crash={"m2": 25.0},
+        )
+        dep.run(duration=50, sample_interval=10)
+        report = dep.cleanup(materialize=True)
+        history = dep.recovery.history
+        assert len(history) == 1 and history[0].phase == "done"
+        assert history[0].bytes_restored > 0  # identities were restored
+        assert all(session.restored_idents == {} for session in history)
+        assert_exactly_once(dep, report)
+
     def test_recovery_rebalances_onto_survivors(self):
         dep = checkpointed_deployment(crash={"m3": 20.0})
         dep.run(duration=45, sample_interval=10)

@@ -253,7 +253,7 @@ class LazyBatchMachine(RuleBasedStateMachine):
 
     @rule(pid=st.integers(0, N_PIDS - 1), reinstall=st.booleans())
     def evict(self, pid, reinstall):
-        """``freeze(share=True)`` steals the buffers; ``thaw`` copies them
+        """``freeze`` steals the buffers; ``thaw`` copies them
         into a new group (relocation) or the state leaves for good (spill)."""
         for frozen in self.store.evict([pid]):
             if reinstall:

@@ -409,6 +409,20 @@ class TestAdmission:
         with pytest.raises(ValueError, match="unknown tenant"):
             server.submit(make_spec("nobody"))
 
+    @pytest.mark.parametrize("duration",
+                             [float("nan"), -5.0, float("inf"), 0.0])
+    def test_bad_duration_rejected_before_admission(self, duration):
+        # the runtime is launched for spec.duration: an infinite source
+        # never stops, and NaN / non-positive ones are meaningless
+        ledger = DecisionLedger()
+        server = make_server(ledger=ledger)
+        with pytest.raises(ValueError, match="positive and finite"):
+            server.submit(make_spec("acme", duration=duration))
+        assert server.queries == {} and server.groups == {}
+        assert len(ledger) == 0
+        assert server.tenants["acme"].admitted_demand == 0
+        assert server.cluster_used == 0
+
 
 # ----------------------------------------------------------------------
 # Cross-query GC

@@ -147,10 +147,10 @@ class TestSplitMerge:
         assert c0.tuple_count + c1.tuple_count == parent.tuple_count
         assert c0.output_count + c1.output_count == parent.output_count
         # each child holds exactly its key-range half
-        assert all(key % 2 == 0 for s in STREAMS
-                   for key in c0.key_counts(s))
-        assert all(key % 2 == 1 for s in STREAMS
-                   for key in c1.key_counts(s))
+        assert all(key % 2 == 0 for counts in c0.key_counts().values()
+                   for key in counts)
+        assert all(key % 2 == 1 for counts in c1.key_counts().values()
+                   for key in counts)
         # the split re-homes payload bytes intact; one extra group object
         # exists now, so exactly one more group overhead is charged
         assert (c0.size_bytes + c1.size_bytes
