@@ -3,16 +3,23 @@
 Partition-group state is flat parallel columns, and deliveries are
 columns as well:
 
+``ArrivalSlice``
+    What a data message carries on the hot path: a reference to the rows
+    of one arrival batch routed to one owner — the batch, the stream
+    index and the split's own row-index list per partition — and nothing
+    copied.  It waits in the engine's queue as it is; the engine builds
+    its ``ColumnBatch`` when the task begins (:meth:`ArrivalSlice.columns`).
+
 ``ColumnBatch``
-    What travels from a source host to an engine: one flat column per
-    attribute (stream index, seq, key, ts) for a whole routed batch, rows
-    grouped into per-pid segments, built once at the source — on the hot
-    path from the generator's own columns
-    (:meth:`ColumnBatch.from_arrivals`), from rows only where rows
-    already exist (:meth:`ColumnBatch.from_routed`: pause-buffer flush,
-    split/merge re-route, recovery replay).  One stream, uniform tuple
-    sizes and empty payloads — the common case for the paper's
-    benchmarks — collapse to a scalar/``None`` instead of a column.
+    What an engine probes: one flat column per attribute (stream index,
+    seq, key, ts) for a whole routed batch, rows grouped into per-pid
+    segments — on the hot path built by the engine from a slice's
+    arrival columns (:meth:`ColumnBatch.from_arrivals`), from rows at the
+    source host where rows already exist (:meth:`ColumnBatch.from_routed`:
+    pause-buffer flush, split/merge re-route, recovery replay, an upstream
+    stage's results), which then ships the batch itself.  One stream,
+    uniform tuple sizes and empty payloads — the common case for the
+    paper's benchmarks — collapse to a scalar/``None`` instead of a column.
 
 ``ColumnarPartitionGroup``
     The live partition group: row-major append-only columns (typed
@@ -22,10 +29,11 @@ columns as well:
     product; no per-tuple objects are created, and a delivered batch's
     rows are *copied* onto the buffers
     (:meth:`ColumnarPartitionGroup.append_rows`), so the batch dies with
-    its delivery.  A per-(stream, key) row index is built lazily, only
-    when a windowed or materialising probe (or the cleanup oracle) needs
-    it — and kept current by every append from then on — and a
-    row -> StreamTuple cache only when somebody reads rows.
+    its delivery.  A per-(stream, key) row index — one ``array('q')`` of
+    row numbers per bucket — is built lazily, only when a windowed or
+    materialising probe (or the cleanup oracle) needs it — and kept
+    current by every append from then on — and a row -> StreamTuple cache
+    only when somebody reads rows.
 
 ``FrozenColumnGroup``
     The one snapshot format: an immutable snapshot whose payload *is* the
@@ -135,15 +143,18 @@ class ColumnBatch:
     the tuple ``((pid, start, end), ...)`` in first-occurrence order of
     the pids, and rows of one pid keep their arrival order within their
     segment — which is also the only place a row's pid is recorded.
-    Grouping happens here — once, at the source — so the engine's hot loop
-    is pure column slices, with no per-row routing work left.  ``perm``
+    Grouping happens once, when the batch is built, so the probe's hot
+    loop is pure column slices, with no per-row routing work left.  ``perm``
     maps an *arrival-order* row number to its storage index (``None`` when
     storage order already equals arrival order); order-sensitive consumers
     (windowed/materialising probes, :meth:`iter_routed`) go through it.
 
-    A delivered batch waits in its engine's queue until a task runs it,
-    and on a backlogged 64-machine run tens of thousands wait at once, so
-    it keeps to three short lists for one or two rows.
+    On the hot path a batch lives only while its task runs: the data
+    message waits in the engine's queue as an :class:`ArrivalSlice`, and
+    :meth:`columns` — which a batch answers with itself — is the one
+    entry point the engine calls on either payload.  A batch built from
+    rows (the cold paths) is the message itself and waits as the task,
+    the batch and its three seq/key/ts lists.
     """
 
     __slots__ = ("streams", "sids", "usid", "seqs", "keys", "ts",
@@ -167,6 +178,11 @@ class ColumnBatch:
 
     def __len__(self) -> int:
         return len(self.seqs)
+
+    def columns(self) -> "ColumnBatch":
+        """This batch (what a data message's payload answers when the
+        engine's task begins; see :meth:`ArrivalSlice.columns`)."""
+        return self
 
     @classmethod
     def from_routed(cls, routed, streams: tuple[str, ...]) -> "ColumnBatch":
@@ -322,6 +338,62 @@ class ColumnBatch:
             yield pid, self.tuple_at(row)
 
 
+class ArrivalSlice:
+    """The rows of one arrival batch routed to one owner, by reference.
+
+    What :meth:`SourceHost._forward_columns
+    <repro.engine.query_engine.SourceHost._forward_columns>` sends per
+    owner, and what waits in the owner's queue until its task begins:
+    the :class:`~repro.engine.tuples.ArrivalBatch`, the stream index
+    ``sid`` into ``streams``, and the owner's rows.  One partition — the
+    common case — is ``pid`` and the split's own ``rows`` list (ascending
+    row indices) inline; :meth:`add` turns a slice of several into ``pid``
+    ``None`` and ``rows`` the flat ``[pid, row_indices, pid, ...]`` list,
+    partitions in first-occurrence order.  The row-index lists are shared
+    with the split's routing result and the source host's replay log, so
+    nobody may edit one after routing.
+
+    A waiting message is thus the task, this object and the rows list;
+    :meth:`columns` builds the :class:`ColumnBatch` when the task begins.
+    """
+
+    __slots__ = ("batch", "sid", "streams", "pid", "rows")
+
+    def __init__(self, batch: ArrivalBatch, sid: int,
+                 streams: tuple[str, ...], pid: int, rows: list[int]):
+        self.batch = batch
+        self.sid = sid
+        self.streams = streams
+        self.pid = pid
+        self.rows = rows
+
+    def add(self, pid: int, rows: list[int]) -> None:
+        """Add the rows routed to another partition of the same owner."""
+        if self.pid is None:
+            self.rows += (pid, rows)
+        else:
+            self.rows = [self.pid, self.rows, pid, rows]
+            self.pid = None
+
+    def groups(self) -> list[tuple[int, list[int]]]:
+        """``[(pid, row_indices), ...]`` in first-occurrence order."""
+        if self.pid is not None:
+            return [(self.pid, self.rows)]
+        flat = self.rows
+        return list(zip(flat[::2], flat[1::2]))
+
+    def __len__(self) -> int:
+        if self.pid is not None:
+            return len(self.rows)
+        return sum(len(rows) for rows in self.rows[1::2])
+
+    def columns(self) -> ColumnBatch:
+        """The :class:`ColumnBatch` of these rows
+        (:meth:`ColumnBatch.from_arrivals`)."""
+        return ColumnBatch.from_arrivals(self.batch, self.groups(), self.sid,
+                                         self.streams)
+
+
 class ColumnarPartitionGroup:
     """Columnar live state of one partition ID across all join inputs.
 
@@ -398,8 +470,9 @@ class ColumnarPartitionGroup:
         #: Per-row payloads, or ``None`` while every payload is empty.
         self.row_payload: list[tuple] | None = None
         self._counts: dict[int, list[int]] = {}
-        #: Lazy per-stream ``{key: [row, ...]}`` index (insertion order).
-        self._index: list[dict[int, list[int]]] | None = None
+        #: Lazy per-stream ``{key: array('q') of rows}`` index (insertion
+        #: order): a bucket holds its row numbers unboxed.
+        self._index: list[dict[int, array]] | None = None
         #: Whether every ``_index`` bucket has been *observed* in timestamp
         #: order (insertion order is, except when a flush and a replay
         #: interleave): cleared by an indexed append that goes backwards,
@@ -465,7 +538,7 @@ class ColumnarPartitionGroup:
                 table = index[usid if sids is None else sids[i]]
                 bucket = table.get(keys[i])
                 if bucket is None:
-                    table[keys[i]] = [row]
+                    table[keys[i]] = array("q", (row,))
                 else:
                     if row_ts[bucket[-1]] > tss[i]:
                         self._ordered = False
@@ -531,7 +604,7 @@ class ColumnarPartitionGroup:
         if index is not None:
             bucket = index[sid].get(key)
             if bucket is None:
-                index[sid][key] = [row]
+                index[sid][key] = array("q", (row,))
             else:
                 if self.row_ts[bucket[-1]] > ts:
                     self._ordered = False
@@ -547,7 +620,7 @@ class ColumnarPartitionGroup:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def _ensure_index(self) -> list[dict[int, list[int]]]:
+    def _ensure_index(self) -> list[dict[int, array]]:
         index = self._index
         if index is None:
             index = [dict() for _ in self.streams]
@@ -556,7 +629,7 @@ class ColumnarPartitionGroup:
             for row, (sid, key) in enumerate(zip(self.row_sid, self.row_key)):
                 bucket = index[sid].get(key)
                 if bucket is None:
-                    index[sid][key] = [row]
+                    index[sid][key] = array("q", (row,))
                 else:
                     if row_ts[bucket[-1]] > row_ts[row]:
                         ordered = False
@@ -605,7 +678,7 @@ class ColumnarPartitionGroup:
         return self._probe_rows(sid, tup, None)
 
     def _window_matches(self, sid: int, key: int, ts: float, window: float
-                        ) -> tuple[int, list[tuple[list[int], int, int]]]:
+                        ) -> tuple[int, list[tuple[Sequence[int], int, int]]]:
         """The windowed probe proper: ``(count, spans)`` for a probing row.
 
         ``spans`` holds, per other input, ``(rows, lo, hi)`` — the rows of
@@ -642,7 +715,7 @@ class ColumnarPartitionGroup:
         row_ts = self.row_ts
         ordered = self._ordered
         ts_of = row_ts.__getitem__
-        spans: list[tuple[list[int], int, int]] = []
+        spans: list[tuple[Sequence[int], int, int]] = []
         closed = ordered
         count = 1
         for j in others:
@@ -1136,7 +1209,7 @@ class ProbeRecord(NamedTuple):
     The probing row's own columns, its result count, and a *bounded alias*
     of the probed group as it stood at probe time: the column buffers, the
     row -> tuple cache and, per other input (ascending stream order), the
-    matching row list with the length it had then.  The
+    matching row bucket with the length it had then.  The
     :class:`FrozenColumnGroup` argument makes the alias a snapshot: the
     buffers and the per-key row buckets only ever grow by appends, which
     land beyond the recorded bounds, and a purge swaps in new arrays (and a

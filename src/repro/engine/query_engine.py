@@ -65,7 +65,7 @@ from repro.recovery.protocol import (
 )
 from repro.engine.operators.split import Split
 from repro.engine.streams import OutputCollector
-from repro.engine.columns import ColumnBatch, concat_results
+from repro.engine.columns import ArrivalSlice, ColumnBatch, concat_results
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -355,7 +355,10 @@ class QueryEngine:
             DynamicTask(self._run_columns, message.payload, label="column_batch")
         )
 
-    def _process_columns(self, cb):
+    def _process_columns(self, payload):
+        # a slice of an arrival batch (the hot path) builds its columns
+        # now, not while it waits; a batch built from rows is its own
+        cb = payload.columns()
         total, collected = self.instance.process_columns(
             cb, now=self.sim.now, materialize=self.materialize
         )
@@ -1021,7 +1024,9 @@ class ReplayLog:
     def record_columns(self, pid: int, batch: ArrivalBatch, rows: list[int]
                        ) -> None:
         """File rows ``rows`` of ``batch`` under ``pid`` (both kept by
-        reference, neither ever edited)."""
+        reference, neither ever edited: the same ``rows`` list travels in
+        the data message's :class:`~repro.engine.columns.ArrivalSlice`, so
+        a trim files a new list instead)."""
         self._entries.setdefault(pid, []).append((batch, rows))
 
     def record_row(self, pid: int, tup: StreamTuple) -> None:
@@ -1086,6 +1091,8 @@ class ReplayLog:
                 batch, rows = entry
                 stream = batch.stream
                 seq0 = batch.seq0
+                # a new list, never an edit: ``rows`` may still be the
+                # payload of a data message waiting at its owner
                 left = [r for r in rows if (stream, seq0 + r) not in covered]
                 if len(left) != len(rows):
                     dropped += len(rows) - len(left)
@@ -1221,18 +1228,28 @@ class SourceHost:
     def _forward_columns(
         self, batch: ArrivalBatch, groups: list[tuple[int, str, list[int]]]
     ) -> None:
-        """Forward the routed rows of an arrival batch, one column batch
-        per owner — :meth:`_forward` without the rows."""
+        """Forward the routed rows of an arrival batch, one
+        :class:`~repro.engine.columns.ArrivalSlice` per owner —
+        :meth:`_forward` without the rows, and without a copy: the slice
+        and the replay log share the batch and the split's ``rows`` lists,
+        and the owner builds the column batch when its task begins.  The
+        message is charged the bytes of the rows it stands for."""
         if self.keep_replay_log:
             for pid, __, rows in groups:
                 self._replay_log.record_columns(pid, batch, rows)
-        by_owner: dict[str, list[tuple[int, list[int]]]] = {}
+        streams = self._stream_order
+        sid = streams.index(batch.stream)
+        by_owner: dict[str, ArrivalSlice] = {}
         for pid, owner, rows in groups:
-            by_owner.setdefault(owner, []).append((pid, rows))
-        sid = self._stream_order.index(batch.stream)
-        for owner, owned in by_owner.items():
-            cb = ColumnBatch.from_arrivals(batch, owned, sid, self._stream_order)
-            self.network.send(self.name, owner, "column_batch", cb, cb.total_size)
+            payload = by_owner.get(owner)
+            if payload is None:
+                by_owner[owner] = ArrivalSlice(batch, sid, streams, pid, rows)
+            else:
+                payload.add(pid, rows)
+        size = batch.size
+        for owner, payload in by_owner.items():
+            self.network.send(self.name, owner, "column_batch", payload,
+                              len(payload) * size)
 
     def _forward(
         self, routed: list[tuple[str, int, StreamTuple]], *, record: bool = True

@@ -15,7 +15,7 @@ large-scale benchmarks keep payloads empty and only account their size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 #: Default accounted size of one tuple in bytes.  The paper's experiments
 #: track operator-state volume in MB; what matters for the adaptation logic
@@ -117,17 +117,22 @@ class ArrivalBatch:
 
     What a :class:`~repro.workloads.generator.TupleGenerator` produces and a
     stream source hands to the split host: row ``i`` is the tuple
-    ``(stream, seq0 + i, keys[i], ts[i], size, payloads[i])``.  ``payloads``
-    is ``None`` when the generator has no payload builder.  The source
-    host routes and segments these columns directly; everything else
-    iterates the batch, which materialises the rows as
-    :class:`StreamTuple` objects on first use (and only then).
+    ``(stream, seq0 + i, keys[i], ts[i], size, payloads[i])``.  The
+    generator's ``keys`` is an ``array('q')`` and its ``ts`` an
+    ``array('d')`` — 16 bytes a row, no object per value — and
+    ``payloads`` is ``None`` when it has no payload builder; any sequence
+    works, since every reader only indexes or iterates the columns.  The
+    source host routes these columns directly and forwards references to
+    them (:class:`~repro.engine.columns.ArrivalSlice`), so a batch lives
+    until its replay-log entries are trimmed and every engine has run its
+    rows.  Everything else iterates the batch, which materialises the rows
+    as :class:`StreamTuple` objects on first use (and only then).
     """
 
     __slots__ = ("stream", "seq0", "keys", "ts", "size", "payloads", "_rows")
 
-    def __init__(self, stream: str, seq0: int, keys: list[int],
-                 ts: list[float], size: int,
+    def __init__(self, stream: str, seq0: int, keys: Sequence[int],
+                 ts: Sequence[float], size: int,
                  payloads: list[tuple] | None = None) -> None:
         self.stream = stream
         self.seq0 = seq0

@@ -85,10 +85,6 @@ class FanOutCollector:
         except KeyError:
             raise ValueError(f"query {qid!r} is not attached") from None
 
-    @property
-    def member_ids(self) -> tuple[str, ...]:
-        return tuple(self._members)
-
     def add(self, count: int, results: Sequence[JoinResult], now: float,
             source: str | None = None) -> None:
         self.total += count

@@ -32,6 +32,7 @@ import itertools
 import math
 import random
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -194,9 +195,6 @@ class WorkloadSpec:
             seed=seed,
         )
 
-    def workload_of(self, pid: int) -> PartitionWorkload:
-        return self.partitions[pid]
-
 
 @dataclass(frozen=True)
 class StreamWorkloadSpec:
@@ -268,7 +266,8 @@ class TupleGenerator:
         the iterator ends at the first arrival later than that time; the
         arrival is still drawn (and counted in :attr:`tuples_generated`)
         before it is discarded, and the batch cut short by it is yielded
-        unless empty.
+        unless empty.  A batch's ``keys`` is an ``array('q')`` and its
+        ``ts`` an ``array('d')``.
         """
         if not batch_size > 0:
             raise ValueError("batch_size must be positive")
@@ -292,12 +291,21 @@ class TupleGenerator:
             keys: list[int] = []
             ts: list[float] = []
             payloads: list[tuple] | None = None if payload_fn is None else []
+            # phases never decrease, so a batch whose first and last
+            # arrival share one has it throughout: resolve it once
+            t_last = start + (seq0 + batch_size) * interarrival
+            ph = phase_of(t_last)
+            per_row = phase_of(start + (seq0 + 1) * interarrival) != ph
+            if not per_row and ph != phase:
+                phase = ph
+                cumulative, total = self._cumulative_weights(t_last)
             for seq in range(seq0, seq0 + batch_size):
                 t = start + (seq + 1) * interarrival
-                ph = phase_of(t)
-                if ph != phase:
-                    phase = ph
-                    cumulative, total = self._cumulative_weights(t)
+                if per_row:
+                    ph = phase_of(t)
+                    if ph != phase:
+                        phase = ph
+                        cumulative, total = self._cumulative_weights(t)
                 pid = bisect_left(cumulative, rand() * total)
                 idx = cursor[pid]
                 cursor[pid] = (idx + 1) % pool[pid]
@@ -313,8 +321,10 @@ class TupleGenerator:
                     payloads.append(payload)
             self.tuples_generated += len(keys) + late
             if keys:
-                yield ArrivalBatch(self.stream, seq0, keys, ts,
-                                   spec.tuple_size, payloads)
+                # typed columns: 16 bytes a row, and the batch outlives
+                # its routing (the engines read it when their tasks run)
+                yield ArrivalBatch(self.stream, seq0, array("q", keys),
+                                   array("d", ts), spec.tuple_size, payloads)
             seq0 += batch_size
 
     def arrivals(self, start: float = 0.0) -> Iterator[tuple[float, StreamTuple]]:

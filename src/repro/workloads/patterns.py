@@ -27,9 +27,11 @@ class LoadPattern(ABC):
     def phase(self, time: float) -> int:
         """Phase index at ``time``.
 
-        Multipliers are constant within a phase; generators use this to
-        cache cumulative weight tables instead of recomputing them per
-        tuple.
+        Multipliers are constant within a phase, and the phase never
+        decreases as ``time`` grows; generators use this to cache
+        cumulative weight tables instead of recomputing them per tuple,
+        and to resolve a whole batch's phase from its first and last
+        arrival.
         """
 
 

@@ -30,7 +30,12 @@ from repro.cluster.machine import Machine, Task
 from repro.cluster.network import Message
 from repro.cluster.simulation import Simulator
 from repro.engine import columns
-from repro.engine.columns import ColumnBatch, ColumnarPartitionGroup, ResultBatch
+from repro.engine.columns import (
+    ArrivalSlice,
+    ColumnarPartitionGroup,
+    ColumnBatch,
+    ResultBatch,
+)
 from repro.engine.operators.split import PartitionMap, Split
 from repro.engine.reference import reference_join, result_idents
 from repro.engine.state_store import StateStore
@@ -185,12 +190,13 @@ def refined_paused_split():
 
 
 def random_arrivals(rng, *, payloads):
+    """An arrival batch with the generator's typed columns."""
     n = rng.randrange(1, 40)
     seq0 = rng.randrange(1000)
     return ArrivalBatch(
         "B", seq0,
-        keys=[rng.randrange(60) for _ in range(n)],
-        ts=[0.01 * (seq0 + i + 1) for i in range(n)],
+        keys=array("q", [rng.randrange(60) for _ in range(n)]),
+        ts=array("d", [0.01 * (seq0 + i + 1) for i in range(n)]),
         size=64,
         payloads=([(("v", i),) if rng.random() < 0.3 else () for i in range(n)]
                   if payloads else None),
@@ -219,11 +225,22 @@ class TestColumnSourceUnits:
             for owner, owned in by_owner_cols.items():
                 got = ColumnBatch.from_arrivals(batch, owned, 1, STREAMS)
                 want = ColumnBatch.from_routed(by_owner_rows[owner], STREAMS)
+                # what a data message carries: the rows by reference, one
+                # partition inline; its columns are built on demand
+                sliced = ArrivalSlice(batch, 1, STREAMS, *owned[0])
+                for pid, rows in owned[1:]:
+                    sliced.add(pid, rows)
+                assert (sliced.pid is None) == (len(owned) > 1)
+                assert sliced.groups() == owned
+                assert len(sliced) == len(want)
+                built = sliced.columns()
                 # slot for slot — ``usid`` included: one arrival batch is
                 # one stream, and both builders collapse the stream index
                 assert got.sids is None and got.usid == 1
                 for slot in ColumnBatch.__slots__:
                     assert getattr(got, slot) == getattr(want, slot), slot
+                    assert getattr(built, slot) == getattr(want, slot), slot
+                assert built.columns() is built
         for counter in ("inputs_seen", "outputs_emitted", "buffered_total"):
             assert getattr(col_split, counter) == getattr(row_split, counter)
         assert col_split.buffered_total > 0
@@ -376,6 +393,95 @@ def test_a_waiting_column_batch_is_its_task_and_three_columns():
     assert dep.instances["m1"].store.tuples_processed == 4 * n_messages
     gc.collect()
     assert len(gc.get_objects()) <= baseline
+
+
+def test_a_waiting_arrival_slice_is_its_task_and_its_rows():
+    """Forwarded by the source host from shared arrival batches, a data
+    message waiting behind a busy engine holds the task, the slice and the
+    split's rows list: its columns are built when the task begins.  What
+    the collector tracks grows by at most four containers per waiting
+    message (a batch copied at the source is five: the task, the batch
+    and its seq/key/ts lists), and running the queue gives every one of
+    them back."""
+    n_messages = 400
+    dep = small_deployment()
+    host, engine = dep.source_host, dep.engines["m1"]
+    shared = [ArrivalBatch("B", 2 * i, keys=array("q", [i % 8, (i + 3) % 8]),
+                           ts=array("d", [0.0, 0.0]), size=64)
+              for i in range(8)]
+
+    def forward_all():
+        for i in range(n_messages):
+            host._forward_columns(shared[i % 8], [(i % 4, "m1", [0, 1])])
+        dep.sim.run(until=dep.sim.now + 1.0)  # network delivery only
+
+    # first pass: every group and count row the batches touch exists, so
+    # the measured pass creates no state container of its own
+    forward_all()
+    dep.sim.run()
+    engine.machine.submit(Task(10.0, label="busy"))
+    gc.collect()
+    baseline = len(gc.get_objects())
+    forward_all()
+    assert engine.machine.queue_depth == n_messages
+    gc.collect()
+    assert len(gc.get_objects()) - baseline <= 4 * n_messages
+    dep.sim.run()
+    assert engine.machine.queue_depth == 0
+    assert dep.instances["m1"].store.tuples_processed == 4 * n_messages
+    gc.collect()
+    assert len(gc.get_objects()) <= baseline
+
+
+def test_the_slice_and_the_replay_log_share_the_rows(monkeypatch):
+    """The split's ``rows`` list travels in the slice and stays filed in
+    the replay log — one object, never edited: a trim files a new list."""
+    dep = small_deployment()
+    host = dep.source_host
+    host.keep_replay_log = True
+    sent = []
+    monkeypatch.setattr(host.network, "send",
+                        lambda src, dst, kind, payload, size:
+                        sent.append((kind, payload, size)))
+    batch = ArrivalBatch("B", 100, keys=array("q", [5, 17, 7, 6, 41]),
+                         ts=array("d", [1.0, 1.1, 1.2, 1.3, 1.4]), size=64)
+    groups = host.splits["B"].process_columns(batch)
+    host._forward_columns(batch, groups)
+    log = host._replay_log
+    filed = {pid: log._entries[pid][-1] for pid, __, __ in groups}
+    assert sum(len(p) for __, p, __ in sent) == len(batch)
+    # pids 5 and 7 share an owner: one slice of two partitions
+    assert sorted(p.pid is None for __, p, __ in sent) == [False, True]
+    for kind, payload, size in sent:
+        assert kind == "column_batch" and type(payload) is ArrivalSlice
+        assert size == payload.columns().total_size == 64 * len(payload)
+        for pid, rows in payload.groups():
+            assert filed[pid][0] is payload.batch is batch
+            assert filed[pid][1] is rows
+    pid, __, rows = groups[0]
+    before = list(rows)
+    assert log.trim({pid: {("B", 100 + rows[0])}}) == 1
+    assert rows == before  # the waiting message still reads every row
+    assert log._entries.get(pid, [(None, [])])[-1][1] is not rows
+
+
+def test_row_index_buckets_are_typed_arrays():
+    """The lazy per-(stream, key) index holds row numbers unboxed, built
+    whole or kept current by either append route."""
+    group = ColumnarPartitionGroup(0, STREAMS)
+    for seq in range(6):
+        group.insert(StreamTuple(STREAMS[seq % 3], seq, seq % 2, float(seq)))
+    index = group._ensure_index()
+    cb = ColumnBatch.from_routed(
+        [(0, StreamTuple("A", 10 + i, key, 9.0)) for i, key in
+         enumerate((0, 7))], STREAMS)
+    group.append_rows(cb.sids, cb.usid, cb.seqs, cb.keys, cb.ts, 0, 2, 64)
+    group.insert(StreamTuple("B", 20, 9, 10.0))
+    buckets = [rows for table in index for rows in table.values()]
+    assert buckets and all(type(rows) is array and rows.typecode == "q"
+                           for rows in buckets)
+    assert index[0][0].tolist() == [0, 6] and index[0][7].tolist() == [7]
+    assert index[1][9].tolist() == [8]
 
 
 class TestZeroCopySnapshots:

@@ -4,6 +4,7 @@ import bisect
 import itertools
 import random
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,12 @@ from repro.workloads.generator import (
     WorkloadSpec,
     distinct_values,
 )
-from repro.engine.tuples import StreamTuple
-from repro.workloads.patterns import AlternatingPattern, DiurnalPattern
+from repro.engine.tuples import ArrivalBatch, StreamTuple
+from repro.workloads.patterns import (
+    AlternatingPattern,
+    DiurnalPattern,
+    UniformPattern,
+)
 
 
 def make_generator(spec, stream="A", payload_fn=None):
@@ -264,6 +269,41 @@ class TestColumnBatches:
         assert gen.tuples_generated == 8
         assert gen._rng.getstate() == rng.getstate()
 
+    def test_a_batch_across_a_phase_flip_keeps_its_keys(self):
+        """Batches 0, 1 and 3 sit inside one phase and resolve it once;
+        batch 2 (t = 1.05 .. 1.5) crosses the flip at 1.2 and resolves it
+        per row.  The keys are the ones a per-row phase lookup draws."""
+        pattern = AlternatingPattern([{0}, {1, 2}], period=1.2, factor=20.0)
+        spec = WorkloadSpec.uniform(n_partitions=4, tuple_range=80,
+                                    interarrival=0.05, seed=13,
+                                    pattern=pattern)
+        batches = list(itertools.islice(make_generator(spec).batches(10), 4))
+        assert [list(b.keys) for b in batches] == [
+            [2, 0, 4, 8, 12, 16, 20, 6, 24, 0],
+            [4, 8, 12, 16, 20, 24, 0, 4, 8, 12],
+            [16, 20, 24, 10, 1, 14, 5, 18, 9, 22],
+            [13, 17, 21, 25, 1, 26, 5, 2, 6, 10],
+        ]
+        expected, __ = reference_rows(spec, n=40)
+        assert [tup for b in batches for tup in b] == [
+            tup for __, tup in expected]
+
+    def test_a_batch_within_one_phase_resolves_it_once(self):
+        calls = []
+
+        class Counted(UniformPattern):
+            def phase(self, time):
+                calls.append(time)
+                return 0
+
+        spec = WorkloadSpec.uniform(n_partitions=4, tuple_range=100,
+                                    pattern=Counted())
+        batches = list(itertools.islice(make_generator(spec).batches(25), 8))
+        assert sum(len(b) for b in batches) == 200
+        # the first and last arrival of each batch, plus the one lookup
+        # that fills the weight table (a per-row lookup made 201)
+        assert len(calls) <= 2 * len(batches) + 1
+
     def test_stop_at_on_a_batch_boundary_yields_no_empty_batch(self):
         spec = WorkloadSpec.uniform(n_partitions=4, tuple_range=100,
                                     interarrival=0.1)
@@ -288,6 +328,15 @@ class TestArrivalBatch:
         assert [batch.row(i) for i in range(6)] == rows
         for tup in batch:
             assert isinstance(tup, StreamTuple)
+
+    @pytest.mark.parametrize("payload_fn", [None, random_payload])
+    def test_columns_are_typed_arrays(self, payload_fn):
+        batch, rows = self.make(payload_fn)
+        assert type(batch.keys) is array and batch.keys.typecode == "q"
+        assert type(batch.ts) is array and batch.ts.typecode == "d"
+        listed = ArrivalBatch(batch.stream, batch.seq0, list(batch.keys),
+                              list(batch.ts), batch.size, batch.payloads)
+        assert list(listed) == rows == list(batch)
 
     def test_rows_are_built_once(self):
         batch, __ = self.make()
