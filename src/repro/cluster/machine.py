@@ -213,7 +213,10 @@ class Machine:
         service_time, finish = task.begin()
         duration = service_time / self.cpu_speed
         self.busy_time += duration
-        self.sim.schedule(duration, self._complete, finish, self._epoch)
+        sim = self.sim
+        # ``schedule(duration, ...)`` computes this very time; the absolute
+        # call still refuses a time before now (a negative duration) or NaN
+        sim.schedule_at(sim.now + duration, self._complete, finish, self._epoch)
 
     def _complete(self, finish: Callable[[], None] | None, epoch: int = 0) -> None:
         if epoch != self._epoch:

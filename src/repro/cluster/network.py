@@ -151,12 +151,11 @@ class Network:
             raise KeyError(f"unknown network endpoint {dst!r}")
         if size_bytes < 0:
             raise ValueError(f"negative message size {size_bytes!r}")
-        message = Message(
-            src=src, dst=dst, kind=kind, payload=payload,
-            size_bytes=size_bytes, sent_at=self.sim.now,
-        )
+        now = self.sim.now
+        # positional, in field order: one message is built per send
+        message = Message(src, dst, kind, payload, size_bytes, now)
         link = (src, dst)
-        start = max(self.sim.now, self._link_free.get(link, 0.0))
+        start = max(now, self._link_free.get(link, 0.0))
         transmit = size_bytes / self.bandwidth
         self._link_free[link] = start + transmit
         arrival = start + transmit + self.latency

@@ -1,35 +1,37 @@
 """Columnar (structure-of-arrays) batch and partition-group state.
 
 Partition-group state is flat parallel columns, and deliveries are
-columns as well:
+columns as well, in one shape: columns in arrival order plus each
+partition's row-index list in first-occurrence order (see the
+``_Delivery`` base of the two carriers).
 
 ``ArrivalSlice``
     What a data message carries on the hot path: a reference to the rows
     of one arrival batch routed to one owner — the batch, the stream
     index and the split's own row-index list per partition — and nothing
-    copied.  It waits in the engine's queue as it is; the engine builds
-    its ``ColumnBatch`` when the task begins (:meth:`ArrivalSlice.columns`).
+    copied.  It waits in the engine's queue as it is, and the state store
+    probes it there, reading each row straight from the arrival batch's
+    columns onto a group's buffers.
 
 ``ColumnBatch``
-    What an engine probes: one flat column per attribute (stream index,
-    seq, key, ts) for a whole routed batch, rows grouped into per-pid
-    segments — on the hot path built by the engine from a slice's
-    arrival columns (:meth:`ColumnBatch.from_arrivals`), from rows at the
-    source host where rows already exist (:meth:`ColumnBatch.from_routed`:
-    pause-buffer flush, split/merge re-route, recovery replay, an upstream
-    stage's results), which then ships the batch itself.  One stream,
-    uniform tuple sizes and empty payloads — the common case for the
-    paper's benchmarks — collapse to a scalar/``None`` instead of a column.
+    The same shape built from rows where rows already exist — the cold
+    paths: pause-buffer flush, split/merge re-route, recovery replay, an
+    upstream stage's results (:meth:`ColumnBatch.from_routed`) — and
+    shipped as the message itself: one flat column per attribute (stream
+    index, seq, key, ts) in arrival order, plus the row lists.  One
+    stream, uniform tuple sizes and empty payloads — the common case for
+    the paper's benchmarks — collapse to a scalar/``None`` instead of a
+    column.
 
 ``ColumnarPartitionGroup``
     The live partition group: row-major append-only columns (typed
     ``array`` buffers, no object per stored value) plus a per-key
     match-count table ``{key: [count per stream]}``.  The unwindowed
     count-only probe — the hot path — is a dict lookup and an integer
-    product; no per-tuple objects are created, and a delivered batch's
-    rows are *copied* onto the buffers
-    (:meth:`ColumnarPartitionGroup.append_rows`), so the batch dies with
-    its delivery.  A per-(stream, key) row index — one ``array('q')`` of
+    product; no per-tuple objects are created, and a delivery's rows are
+    *copied* onto the buffers
+    (:meth:`ColumnarPartitionGroup.append_rows`), so nothing of a delivery
+    outlives it.  A per-(stream, key) row index — one ``array('q')`` of
     row numbers per bucket — is built lazily, only when a windowed or
     materialising probe (or the cleanup oracle) needs it — and kept
     current by every append from then on — and a row -> StreamTuple cache
@@ -128,41 +130,63 @@ def _window_count(cand_ts: list[list[float]], ts: float, window: float) -> int:
     return count
 
 
-class ColumnBatch:
-    """A routed batch in structure-of-arrays form, pre-grouped by partition.
+class _Delivery:
+    """The routing half of the one delivery shape, shared by both carriers.
 
-    One flat column per attribute.  ``sids`` holds the per-row index into
-    ``streams`` rather than the stream name, so the probe loop works on
-    small ints.  Columns that hold one value collapse to a scalar or
-    ``None``: ``sids`` is ``None`` when every row is of stream ``usid``
-    (always so for a batch cut from one arrival batch; ``usid`` is ``-1``
-    while ``sids`` is a list), ``sizes`` when every row has size
-    ``usize``, ``payloads`` when every payload is empty.
+    A delivery has ``batch``, its columns in arrival order (``keys``,
+    ``ts``, ``seqs``, ``payloads``; ``size`` and per-row ``sizes`` or
+    ``None``), ``streams`` with the stream index ``usid`` of every row (or
+    ``sids`` a per-row list), and its rows as indices into the columns,
+    grouped by partition: ``pid`` and ``rows`` (ascending row indices)
+    inline for one partition — the common case — or ``pid`` ``None`` and
+    ``rows`` the flat ``[pid, row_indices, pid, ...]`` list, partitions in
+    first-occurrence order.  The state store probes every delivery
+    through these names alone.
+    """
 
-    The columns are stored *segmented by partition ID*: ``segments`` is
-    the tuple ``((pid, start, end), ...)`` in first-occurrence order of
-    the pids, and rows of one pid keep their arrival order within their
-    segment — which is also the only place a row's pid is recorded.
-    Grouping happens once, when the batch is built, so the probe's hot
-    loop is pure column slices, with no per-row routing work left.  ``perm``
-    maps an *arrival-order* row number to its storage index (``None`` when
-    storage order already equals arrival order); order-sensitive consumers
-    (windowed/materialising probes, :meth:`iter_routed`) go through it.
+    __slots__ = ()
 
-    On the hot path a batch lives only while its task runs: the data
-    message waits in the engine's queue as an :class:`ArrivalSlice`, and
-    :meth:`columns` — which a batch answers with itself — is the one
-    entry point the engine calls on either payload.  A batch built from
-    rows (the cold paths) is the message itself and waits as the task,
-    the batch and its three seq/key/ts lists.
+    def groups(self) -> list[tuple[int, Sequence[int]]]:
+        """``[(pid, row_indices), ...]`` in first-occurrence order."""
+        if self.pid is not None:
+            return [(self.pid, self.rows)]
+        flat = self.rows
+        return list(zip(flat[::2], flat[1::2]))
+
+    def last_row(self) -> int:
+        """The delivery's last arrival: its largest row index."""
+        if self.pid is not None:
+            return self.rows[-1]
+        return max(rows[-1] for rows in self.rows[1::2])
+
+
+class ColumnBatch(_Delivery):
+    """A routed batch built from rows, in structure-of-arrays form.
+
+    What the cold paths ship, where the rows already exist as
+    ``StreamTuple`` objects (:meth:`from_routed`: pause-buffer flush,
+    split/merge re-route, recovery replay, an upstream stage's results).
+    It has the shape of an :class:`ArrivalSlice` (see :class:`_Delivery`)
+    and is its own ``batch``: one flat column per attribute in arrival
+    order, and the rows of each partition as an index list (one
+    partition's ``rows`` is ``range(len(batch))``).  ``sids`` holds the
+    per-row index into ``streams`` rather than the stream name, so the
+    probe loop works on small ints.  Columns that hold one value collapse
+    to a scalar or ``None``: ``sids`` is ``None`` when every row is of
+    stream ``usid`` (``usid`` is ``-1`` while ``sids`` is a list),
+    ``sizes`` when every row has size ``size`` (``size`` is ``-1`` while
+    ``sizes`` is a list), ``payloads`` when every payload is empty.
+
+    A batch is the message itself: it waits in the engine's queue as the
+    task, the batch and its seq/key/ts lists (and, over several
+    partitions, the flat list and its row lists).
     """
 
     __slots__ = ("streams", "sids", "usid", "seqs", "keys", "ts",
-                 "sizes", "usize", "payloads", "total_size",
-                 "segments", "perm")
+                 "sizes", "size", "payloads", "total_size", "pid", "rows")
 
     def __init__(self, streams, sids, usid, seqs, keys, ts,
-                 sizes, usize, payloads, total_size, segments, perm):
+                 sizes, size, payloads, total_size, pid, rows):
         self.streams = streams
         self.sids = sids
         self.usid = usid
@@ -170,199 +194,137 @@ class ColumnBatch:
         self.keys = keys
         self.ts = ts
         self.sizes = sizes
-        self.usize = usize
+        self.size = size
         self.payloads = payloads
         self.total_size = total_size
-        self.segments = segments
-        self.perm = perm
+        self.pid = pid
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.seqs)
 
-    def columns(self) -> "ColumnBatch":
-        """This batch (what a data message's payload answers when the
-        engine's task begins; see :meth:`ArrivalSlice.columns`)."""
+    @property
+    def batch(self) -> "ColumnBatch":
+        """The delivery's columns: a batch built from rows holds its own."""
         return self
 
     @classmethod
     def from_routed(cls, routed, streams: tuple[str, ...]) -> "ColumnBatch":
         """Build a column batch from ``[(pid, StreamTuple), ...]`` rows.
 
-        Arrival order is preserved per partition (probe counts depend on
-        the interleaving of inserts within a group) and recoverable across
-        the whole batch via ``perm``; segments appear in first-occurrence
-        order of the pids, matching the group-creation order a row-by-row
-        replay would produce.
+        The columns keep the rows' arrival order; each partition's row
+        list keeps it too (probe counts depend on the interleaving of
+        inserts within a group), and the partitions appear in
+        first-occurrence order, matching the group-creation order a
+        row-by-row replay would produce.
         """
         sid_of = {stream: i for i, stream in enumerate(streams)}
-        grouped: dict[int, list] = {}
-        for entry in enumerate(routed):
-            rows = grouped.get(entry[1][0])
-            if rows is None:
-                grouped[entry[1][0]] = [entry]
-            else:
-                rows.append(entry)
-        n = len(routed)
+        by_pid: dict[int, list[int]] = {}
         sids: list[int] = []
         seqs: list[int] = []
         keys: list[int] = []
         tss: list[float] = []
         sizes: list[int] = []
         payloads: list[tuple] = []
-        segments: list[tuple[int, int, int]] = []
-        perm = [0] * n
         uniform = True
         usize = -1
         any_payload = False
         total = 0
-        storage = 0
-        in_order = True
-        for pid, rows in grouped.items():
-            start = storage
-            for orig, (__, tup) in rows:
-                if orig != storage:
-                    in_order = False
-                perm[orig] = storage
-                storage += 1
-                sids.append(sid_of[tup.stream])
-                seqs.append(tup.seq)
-                keys.append(tup.key)
-                tss.append(tup.ts)
-                size = tup.size
-                sizes.append(size)
-                total += size
-                if usize < 0:
-                    usize = size
-                elif size != usize:
-                    uniform = False
-                if tup.payload:
-                    any_payload = True
-                    payloads.append(tup.payload)
-                else:
-                    payloads.append(())
-            segments.append((pid, start, storage))
+        for i, (pid, tup) in enumerate(routed):
+            rows = by_pid.get(pid)
+            if rows is None:
+                by_pid[pid] = [i]
+            else:
+                rows.append(i)
+            sids.append(sid_of[tup.stream])
+            seqs.append(tup.seq)
+            keys.append(tup.key)
+            tss.append(tup.ts)
+            size = tup.size
+            sizes.append(size)
+            total += size
+            if usize < 0:
+                usize = size
+            elif size != usize:
+                uniform = False
+            if tup.payload:
+                any_payload = True
+                payloads.append(tup.payload)
+            else:
+                payloads.append(())
+        n = len(seqs)
+        if len(by_pid) == 1:
+            (pid,) = by_pid
+            rows = range(n)
+        else:
+            pid = None
+            rows = [part for pair in by_pid.items() for part in pair]
         one_stream = n > 0 and sids.count(sids[0]) == n
         return cls(
-            streams=streams,
-            sids=None if one_stream else sids,
-            usid=sids[0] if one_stream else -1,
-            seqs=seqs,
-            keys=keys,
-            ts=tss,
-            sizes=None if uniform else sizes,
-            usize=usize if uniform else -1,
-            payloads=payloads if any_payload else None,
-            total_size=total,
-            segments=tuple(segments),
-            perm=None if in_order else perm,
-        )
-
-    @classmethod
-    def from_arrivals(cls, batch: ArrivalBatch, groups, sid: int,
-                      streams: tuple[str, ...]) -> "ColumnBatch":
-        """Build a column batch straight from an arrival batch's columns.
-
-        ``groups`` is ``[(pid, row_indices), ...]`` — the rows of ``batch``
-        (stream index ``sid``) routed to one owner, partitions in
-        first-occurrence order, indices ascending, at least one row.  The
-        result equals :meth:`from_routed` over the same rows in arrival
-        order — one stream, so with ``sids`` collapsed to ``usid`` — without
-        a ``StreamTuple`` ever existing.
-        """
-        if len(groups) == 1:
-            pid, idx = groups[0]
-            n = len(idx)
-            segments = ((pid, 0, n),)
-            perm = None
-        else:
-            idx = []
-            spans = []
-            in_order = True
-            for pid, rows in groups:
-                start = len(idx)
-                if start and rows[0] < idx[-1]:
-                    in_order = False
-                idx += rows
-                spans.append((pid, start, len(idx)))
-            segments = tuple(spans)
-            n = len(idx)
-            perm = None if in_order else sorted(range(n), key=idx.__getitem__)
-        keys = batch.keys
-        ts = batch.ts
-        seq0 = batch.seq0
-        payloads = batch.payloads
-        if payloads is not None:
-            payloads = [payloads[i] or () for i in idx]
-            if not any(payloads):
-                payloads = None
-        # positional (``__init__`` order): one of these is built per data
-        # message, and twelve keywords are a third of the call
-        return cls(
-            streams, None, sid,
-            [seq0 + i for i in idx], [keys[i] for i in idx], [ts[i] for i in idx],
-            None, batch.size, payloads, n * batch.size, segments, perm,
+            streams,
+            None if one_stream else sids,
+            sids[0] if one_stream else -1,
+            seqs, keys, tss,
+            None if uniform else sizes,
+            usize if uniform else -1,
+            payloads if any_payload else None,
+            total, pid, rows,
         )
 
     def tuple_at(self, row: int) -> StreamTuple:
-        """Materialise the ``row``-th tuple in arrival order."""
-        st = self.perm[row] if self.perm is not None else row
+        """Materialise the ``row``-th tuple (arrival order)."""
         sids = self.sids
         sizes = self.sizes
         payloads = self.payloads
         return StreamTuple(
-            stream=self.streams[sids[st] if sids is not None else self.usid],
-            seq=self.seqs[st],
-            key=self.keys[st],
-            ts=self.ts[st],
-            size=sizes[st] if sizes is not None else self.usize,
-            payload=payloads[st] if payloads is not None else (),
+            stream=self.streams[sids[row] if sids is not None else self.usid],
+            seq=self.seqs[row],
+            key=self.keys[row],
+            ts=self.ts[row],
+            size=sizes[row] if sizes is not None else self.size,
+            payload=payloads[row] if payloads is not None else (),
         )
-
-    def arrival_rows(self) -> Iterator[tuple[int, int]]:
-        """``(pid, storage index)`` of every row, in arrival order."""
-        perm = self.perm
-        if perm is None:
-            for pid, start, end in self.segments:
-                for i in range(start, end):
-                    yield pid, i
-            return
-        pid_at = [0] * len(perm)
-        for pid, start, end in self.segments:
-            pid_at[start:end] = [pid] * (end - start)
-        for i in perm:
-            yield pid_at[i], i
 
     def iter_routed(self) -> Iterator[tuple[int, StreamTuple]]:
         """Materialise back into ``(pid, tuple)`` rows, in arrival order."""
-        for row, (pid, __) in enumerate(self.arrival_rows()):
+        pid_at: list[int] = [0] * len(self)
+        for pid, rows in self.groups():
+            for row in rows:
+                pid_at[row] = pid
+        for row, pid in enumerate(pid_at):
             yield pid, self.tuple_at(row)
 
 
-class ArrivalSlice:
+class ArrivalSlice(_Delivery):
     """The rows of one arrival batch routed to one owner, by reference.
 
     What :meth:`SourceHost._forward_columns
     <repro.engine.query_engine.SourceHost._forward_columns>` sends per
-    owner, and what waits in the owner's queue until its task begins:
-    the :class:`~repro.engine.tuples.ArrivalBatch`, the stream index
-    ``sid`` into ``streams``, and the owner's rows.  One partition — the
-    common case — is ``pid`` and the split's own ``rows`` list (ascending
-    row indices) inline; :meth:`add` turns a slice of several into ``pid``
-    ``None`` and ``rows`` the flat ``[pid, row_indices, pid, ...]`` list,
-    partitions in first-occurrence order.  The row-index lists are shared
-    with the split's routing result and the source host's replay log, so
-    nobody may edit one after routing.
+    owner, what waits in the owner's queue until its task begins, and
+    what the state store probes there as it lies (see
+    :class:`_Delivery`): the :class:`~repro.engine.tuples.ArrivalBatch`
+    — whose columns carry the names a :class:`ColumnBatch`'s do — the
+    stream index ``usid`` into ``streams`` (``sids`` is ``None``: an
+    arrival batch is one stream's), and the owner's rows: one partition
+    is ``pid`` and the split's own ``rows`` list inline; :meth:`add` makes
+    a slice of several.  The row-index lists are shared with the split's
+    routing result and the source host's replay log, so nobody may edit
+    one after routing.
 
-    A waiting message is thus the task, this object and the rows list;
-    :meth:`columns` builds the :class:`ColumnBatch` when the task begins.
+    A waiting message is thus the task, this object and the rows list,
+    and no row of it is copied before the probe puts it on a group's
+    buffers.
     """
 
-    __slots__ = ("batch", "sid", "streams", "pid", "rows")
+    __slots__ = ("batch", "usid", "streams", "pid", "rows")
 
-    def __init__(self, batch: ArrivalBatch, sid: int,
+    #: one stream, ``usid``, for every row
+    sids = None
+
+    def __init__(self, batch: ArrivalBatch, usid: int,
                  streams: tuple[str, ...], pid: int, rows: list[int]):
         self.batch = batch
-        self.sid = sid
+        self.usid = usid
         self.streams = streams
         self.pid = pid
         self.rows = rows
@@ -375,23 +337,10 @@ class ArrivalSlice:
             self.rows = [self.pid, self.rows, pid, rows]
             self.pid = None
 
-    def groups(self) -> list[tuple[int, list[int]]]:
-        """``[(pid, row_indices), ...]`` in first-occurrence order."""
-        if self.pid is not None:
-            return [(self.pid, self.rows)]
-        flat = self.rows
-        return list(zip(flat[::2], flat[1::2]))
-
     def __len__(self) -> int:
         if self.pid is not None:
             return len(self.rows)
         return sum(len(rows) for rows in self.rows[1::2])
-
-    def columns(self) -> ColumnBatch:
-        """The :class:`ColumnBatch` of these rows
-        (:meth:`ColumnBatch.from_arrivals`)."""
-        return ColumnBatch.from_arrivals(self.batch, self.groups(), self.sid,
-                                         self.streams)
 
 
 class ColumnarPartitionGroup:
@@ -496,11 +445,12 @@ class ColumnarPartitionGroup:
                 f"(expected one of {self.streams!r})"
             ) from None
 
-    def append_rows(self, sids: list[int] | None, usid: int, seqs: list[int],
-                    keys: list[int], tss: list[float], start: int, end: int,
+    def append_rows(self, sids: Sequence[int] | None, usid: int,
+                    seqs: Sequence[int], keys: Sequence[int],
+                    tss: Sequence[float], rows: Sequence[int],
                     usize: int) -> None:
-        """Copy rows ``start:end`` of a batch's columns onto the row buffers
-        (``sids`` ``None``: every row is of stream ``usid``).
+        """Gather rows ``rows`` of a delivery's arrival-ordered columns onto
+        the row buffers (``sids`` ``None``: every row is of stream ``usid``).
 
         The storage half of the count-only hot path
         (:meth:`StateStore.probe_insert_columns
@@ -508,23 +458,28 @@ class ColumnarPartitionGroup:
         keeps the count table, statistics and memory accounting itself):
         rows of uniform size ``usize`` and empty payload, appended in
         order, with the explicit size/payload columns and a live index
-        (and its ``_ordered`` observation) kept right.  The rows are
-        copied, so nothing of the batch outlives its delivery.
+        (and its ``_ordered`` observation) kept right.  The values are
+        copied straight from the delivery's columns — four ``append``
+        calls a row — so nothing of the delivery outlives it.
         """
-        base = len(self.row_sid)
+        row_sid = self.row_sid
+        row_seq = self.row_seq
+        row_key = self.row_key
+        row_ts = self.row_ts
+        base = len(row_sid)
         try:
-            # ``fromlist`` of a slice, not ``extend``: ``extend`` takes the
-            # generic-iterator route for a list and costs twice as much
-            # at the 1-3 rows a segment of a small batch holds
-            self.row_sid.fromlist(
-                [usid] * (end - start) if sids is None else sids[start:end])
-            self.row_seq.fromlist(seqs[start:end])
-            self.row_key.fromlist(keys[start:end])
-            self.row_ts.fromlist(tss[start:end])
+            # one ``append`` per value: a partition of a delivery holds one
+            # to three rows, where gathering a list for ``fromlist`` costs
+            # more than the appends
+            for i in rows:
+                row_sid.append(usid if sids is None else sids[i])
+                row_seq.append(seqs[i])
+                row_key.append(keys[i])
+                row_ts.append(tss[i])
             if self.row_size is not None:
-                self.row_size.fromlist([usize] * (end - start))
+                self.row_size.fromlist([usize] * len(rows))
             if self.row_payload is not None:
-                self.row_payload += [()] * (end - start)
+                self.row_payload += [()] * len(rows)
         except BaseException:
             # a value outside its column's domain (key or seq beyond 64
             # bits) raises after earlier columns grew: keep them aligned.
@@ -533,8 +488,7 @@ class ColumnarPartitionGroup:
             raise
         index = self._index
         if index is not None:
-            row_ts = self.row_ts
-            for row, i in enumerate(range(start, end), base):
+            for row, i in enumerate(rows, base):
                 table = index[usid if sids is None else sids[i]]
                 bucket = table.get(keys[i])
                 if bucket is None:
@@ -810,10 +764,10 @@ class ColumnarPartitionGroup:
                 index = self._ensure_index()
             count = 1
             for j in others:
-                bucket = index[j][key]
-                n = len(bucket)
+                # the count-table entry is the bucket's length now
+                n = c[j]
                 count *= n
-                matches += (bucket, n)
+                matches += (index[j][key], n)
         else:
             count, spans = self._window_matches(sid, key, ts, window)
             if not count:

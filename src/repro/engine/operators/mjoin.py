@@ -103,20 +103,24 @@ class MJoinInstance:
         now: float = 0.0,
         materialize: bool = False,
     ) -> tuple[int, list[JoinResult]]:
-        """Probe-then-insert a routed :class:`~repro.engine.columns.ColumnBatch`
-        (column delivery).
+        """Probe-then-insert one delivery — an
+        :class:`~repro.engine.columns.ArrivalSlice` or a
+        :class:`~repro.engine.columns.ColumnBatch`.
 
         Produces exactly the results and statistics of calling
         :meth:`~repro.engine.state_store.StateStore.probe_insert` per row in
-        batch order, operating on flat columns throughout; materialised
+        arrival order, operating on flat columns throughout; materialised
         results come back as a lazy
         :class:`~repro.engine.columns.ResultBatch` (see
         :meth:`~repro.engine.state_store.StateStore.probe_insert_columns`).
+        ``tuples_in`` advances by the rows the probe counted.
         """
-        self.tuples_in += len(cb)
-        total, results = self.store.probe_insert_columns(
+        store = self.store
+        before = store.tuples_processed
+        total, results = store.probe_insert_columns(
             cb, now=now, materialize=materialize, window=self.join.window
         )
+        self.tuples_in += store.tuples_processed - before
         self.results_count += total
         return total, results
 

@@ -356,59 +356,53 @@ class QueryEngine:
         )
 
     def _process_columns(self, payload):
-        # a slice of an arrival batch (the hot path) builds its columns
-        # now, not while it waits; a batch built from rows is its own
-        cb = payload.columns()
-        total, collected = self.instance.process_columns(
-            cb, now=self.sim.now, materialize=self.materialize
+        # the payload — an arrival slice (the hot path) or a batch built
+        # from rows — is probed where it lies; the probe counts its rows
+        instance = self.instance
+        before = instance.tuples_in
+        now = self.sim.now
+        total, collected = instance.process_columns(
+            payload, now=now, materialize=self.materialize
         )
-        n = len(cb)
-        duration = n * self.cost.probe_cost + total * self.cost.result_cost
-        self._observe_batch(n, total, duration)
+        n = instance.tuples_in - before
+        cost = self.cost
+        duration = n * cost.probe_cost + total * cost.result_cost
+        self._h_batch_tuples.observe(n, ts=now)
+        self._h_batch_probe.observe(duration, ts=now)
+        self._h_batch_results.observe(total, ts=now)
         lat_ctx = None
         if self._lat is not None:
             # Watermark frontier = each stream's *last arrival* in the
-            # batch.  Sources emit in event order, so this is the batch
-            # max; replayed segments only make it momentarily
+            # delivery.  Sources emit in event order, so this is the
+            # delivery's max; replayed segments only make it momentarily
             # conservative (max-merge keeps the watermark monotone).
-            # Storage order is segmented by partition, so walk *arrival*
-            # order backwards through ``perm`` and stop once every stream
-            # has been seen — interleaved sources make this O(#streams),
-            # not O(batch), which keeps the enabled-mode overhead inside
-            # the 5% budget of ``benchmarks/bench_latency_overhead.py``.
-            sids, tss, perm = cb.sids, cb.ts, cb.perm
-            names = cb.streams
+            # Columns are in arrival order, so walk them backwards from
+            # the last arrival row and stop once every stream has been
+            # seen — interleaved sources make this O(#streams), not
+            # O(batch), which keeps the enabled-mode overhead inside the
+            # 5% budget of ``benchmarks/bench_latency_overhead.py``.
+            sids, tss = payload.sids, payload.batch.ts
+            names = payload.streams
+            last = payload.last_row()
             if sids is None:
-                # one stream (the batch says so: every arrival batch is
-                # one stream's): the frontier is the arrival-order last row
-                row = perm[-1] if perm is not None else -1
+                # one stream (every arrival slice, and a batch whose rows
+                # are all one stream's): the frontier is the last row
                 lat_ctx = (
-                    self.sim.now,
-                    self._lat.advance_one(names[cb.usid], tss[row]),
+                    now, self._lat.advance_one(names[payload.usid], tss[last]),
                 )
             else:
+                # a batch built from rows: its rows are all of 0..last
                 n_present = len(set(sids))
                 seen: dict[int, float] = {}
-                rows = (
-                    range(len(sids) - 1, -1, -1)
-                    if perm is None
-                    else (perm[i] for i in range(len(perm) - 1, -1, -1))
-                )
-                for row in rows:
+                for row in range(last, -1, -1):
                     sid = sids[row]
                     if sid not in seen:
                         seen[sid] = tss[row]
                         if len(seen) == n_present:
                             break
                 wm = {names[sid]: ts for sid, ts in seen.items()}
-                lat_ctx = (self.sim.now, self._lat.advance_watermarks(wm))
+                lat_ctx = (now, self._lat.advance_watermarks(wm))
         return duration, self._finisher(total, collected, lat_ctx)
-
-    def _observe_batch(self, batch_len: int, total: int, duration: float) -> None:
-        now = self.sim.now
-        self._h_batch_tuples.observe(batch_len, ts=now)
-        self._h_batch_probe.observe(duration, ts=now)
-        self._h_batch_results.observe(total, ts=now)
 
     def _finisher(self, total: int, collected: list, lat_ctx=None):
         def finish() -> None:
@@ -435,7 +429,7 @@ class QueryEngine:
                     self._output_buffer.append(collected)
             else:
                 self.collector.add(total, collected, self.sim.now,
-                                   source=self.name)
+                                   source=self.machine.name)
 
         return finish
 
@@ -1188,11 +1182,13 @@ class SourceHost:
 
         ``batch`` is a sized iterable of tuples — a stream source's
         :class:`~repro.engine.tuples.ArrivalBatch` or a plain list.  An
-        arrival batch is routed and segmented as columns (no
+        arrival batch is routed as columns (no
         ``StreamTuple`` is built for a row unless it is buffered, logged
         for replay or recorded); a list (an upstream pipeline stage's
-        results) is routed row by row.  Either way the owners receive
-        :class:`~repro.engine.columns.ColumnBatch` messages, and simulated
+        results) is routed row by row.  The owners receive
+        :class:`~repro.engine.columns.ArrivalSlice` messages from the
+        first and :class:`~repro.engine.columns.ColumnBatch` messages from
+        the second — one delivery shape, one wire kind — and simulated
         cost and messages are the same.
         """
         split = self.splits[stream]
@@ -1232,24 +1228,28 @@ class SourceHost:
         :class:`~repro.engine.columns.ArrivalSlice` per owner —
         :meth:`_forward` without the rows, and without a copy: the slice
         and the replay log share the batch and the split's ``rows`` lists,
-        and the owner builds the column batch when its task begins.  The
+        and the owner's state store probes the slice as it is.  The
         message is charged the bytes of the rows it stands for."""
         if self.keep_replay_log:
             for pid, __, rows in groups:
                 self._replay_log.record_columns(pid, batch, rows)
         streams = self._stream_order
         sid = streams.index(batch.stream)
-        by_owner: dict[str, ArrivalSlice] = {}
+        # owner -> [slice, rows in it]: the length is counted here, once
+        by_owner: dict[str, list] = {}
         for pid, owner, rows in groups:
-            payload = by_owner.get(owner)
-            if payload is None:
-                by_owner[owner] = ArrivalSlice(batch, sid, streams, pid, rows)
+            entry = by_owner.get(owner)
+            if entry is None:
+                by_owner[owner] = [ArrivalSlice(batch, sid, streams, pid, rows),
+                                   len(rows)]
             else:
-                payload.add(pid, rows)
+                entry[0].add(pid, rows)
+                entry[1] += len(rows)
         size = batch.size
-        for owner, payload in by_owner.items():
-            self.network.send(self.name, owner, "column_batch", payload,
-                              len(payload) * size)
+        send = self.network.send
+        name = self.name
+        for owner, (payload, n) in by_owner.items():
+            send(name, owner, "column_batch", payload, n * size)
 
     def _forward(
         self, routed: list[tuple[str, int, StreamTuple]], *, record: bool = True

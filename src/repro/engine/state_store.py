@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import count as _counter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from repro.cluster.machine import Machine
 from repro.engine.columns import (
     GROUP_OVERHEAD_BYTES,
+    ArrivalSlice,
     ColumnBatch,
     ColumnarPartitionGroup,
     FrozenColumnGroup,
@@ -126,7 +128,8 @@ class StateStore:
     Live state has one format, decided here: every group is a
     :class:`~repro.engine.columns.ColumnarPartitionGroup`, whichever entry
     point delivered its rows.  The engine calls one:
-    :meth:`probe_insert_columns` (a routed column batch).
+    :meth:`probe_insert_columns` (a delivery: an arrival slice or a column
+    batch).
     :meth:`probe_insert` (one row) is the per-row reference it is defined
     against, and :meth:`probe_insert_batch` (a routed row list) the
     amortised row reference; nothing in the engine calls either.  Results,
@@ -179,17 +182,16 @@ class StateStore:
         }
         #: Bound dirty-set inserts of the victim heaps.  The heap set and
         #: its ``_dirty`` set live for the store's whole lifetime (cleared
-        #: in place, never reassigned), so :meth:`_touch` — called once
-        #: per (pid, batch) on the hot path — can skip the dict-view and
+        #: in place, never reassigned), so :meth:`_touch` — and the column
+        #: hot loop, once per (pid, delivery) — can skip the dict-view and
         #: method dispatch of ``for heap in ...: heap.mark(pid)``.
         self._heap_marks = tuple(
             heap._dirty.add for heap in self._victim_heaps.values()
         )
-        #: Column-batch hot-loop context per live group: ``(group, counts,
-        #: counts.get)``.  Valid while the count table's
-        #: *identity* holds; every site that replaces it (purge rebuilds
-        #: the table) or retires the group (evict, install, crash)
-        #: invalidates the entry.
+        #: Column hot-loop context per live group: ``(group, counts,
+        #: counts.get)``.  Valid while the count table's *identity* holds;
+        #: every site that replaces it (purge rebuilds the table) or
+        #: retires the group (evict, install, crash) invalidates the entry.
         self._colhot: dict[int, tuple] = {}
         #: ``_others[sid]`` = the other inputs' indices (probe products)
         self._others = others_table(len(streams))
@@ -211,7 +213,10 @@ class StateStore:
         incremental-checkpoint dirty counter *and* invalidates the group's
         victim-index entries, so a new mutation path cannot forget one of
         the two and silently reintroduce the checkpoint-staleness bug class
-        (or serve victim selections from stale scores).
+        (or serve victim selections from stale scores).  The one exception
+        is the count-only loop of :meth:`probe_insert_columns`, which runs
+        once per partition of every delivery and inlines these same two
+        updates.
         """
         self.mutations[pid] = self.mutations.get(pid, 0) + count
         for mark in self._heap_marks:
@@ -341,56 +346,68 @@ class StateStore:
 
     def probe_insert_columns(
         self,
-        cb: ColumnBatch,
+        cb: "ArrivalSlice | ColumnBatch",
         *,
         now: float = 0.0,
         materialize: bool = False,
         window: float | None = None,
     ) -> tuple[int, "list[JoinResult] | ResultBatch"]:
-        """Probe-insert a whole routed :class:`ColumnBatch` (column delivery).
+        """Probe-insert one delivery — an
+        :class:`~repro.engine.columns.ArrivalSlice` or a
+        :class:`~repro.engine.columns.ColumnBatch`, read through the shape
+        both share: arrival-ordered columns and each partition's row list.
 
-        Semantically identical to :meth:`probe_insert` per row in batch
+        Semantically identical to :meth:`probe_insert` per row in arrival
         order — same probe/insert interleaving, same per-pid mutation
         counter values, same victim orderings, byte-identical results —
         but the unwindowed count-only hot path runs entirely on flat
-        columns: per row it is one dict lookup, an integer product and a
-        handful of list appends, with group counters, memory accounting
-        and :meth:`_touch` amortised to one update per touched group.
-        No ``StreamTuple`` or ``JoinResult`` is created here either way:
-        with ``materialize`` the results come back as a lazy
-        :class:`~repro.engine.columns.ResultBatch` — one record per
+        columns: per partition it gathers the rows straight from the
+        delivery's columns onto the group's buffers, and per row it is one
+        dict lookup and an integer product, with group counters, memory
+        accounting and the :meth:`_touch` updates amortised to one per
+        touched group.  No ``StreamTuple`` or ``JoinResult`` is created
+        here either way: with ``materialize`` the results come back as a
+        lazy :class:`~repro.engine.columns.ResultBatch` — one record per
         probing row that matched — which boxes them when a consumer reads
-        rows.
+        rows.  The rows are counted into :attr:`tuples_processed`.
         """
-        if (window is not None or materialize or cb.sizes is not None
-                or cb.payloads is not None):
+        cols = cb.batch
+        if (window is not None or materialize or cols.sizes is not None
+                or cols.payloads is not None):
             return self._probe_insert_rows(cb, now, materialize, window)
         # Hot path: uniform sizes, no payloads, count-only probes — no
-        # results to order, so the batch's pid-segmented storage order is
-        # the processing order (counting only ever interacts *within* a
-        # partition group, and segments preserve both the within-pid
-        # arrival order and the first-occurrence group creation order).
-        # Per segment: bind the count table once, run one tight loop over
-        # the column slice, copy the slice's rows onto the group's buffers
-        # (the batch dies with its delivery) and flush accounting in one
-        # update.
+        # results to order, so partitions go one after another (counting
+        # only ever interacts *within* a partition group, and each row
+        # list keeps its arrival order; the partitions come in the
+        # first-occurrence order that creates groups as a row-by-row
+        # replay would).  Per partition: bind the count table once, gather
+        # the rows onto the group's buffers, run one tight loop over the
+        # row list and flush accounting in one update.
         sids = cb.sids
         usid = cb.usid
-        seqs = cb.seqs
-        keys = cb.keys
-        tss = cb.ts
-        usize = cb.usize
+        seqs = cols.seqs
+        keys = cols.keys
+        tss = cols.ts
+        usize = cols.size
+        pid = cb.pid
+        if pid is not None:
+            groups = ((pid, cb.rows),)
+        else:
+            flat = cb.rows
+            groups = zip(flat[::2], flat[1::2])
         m = len(self.streams)
         one3 = m == 3 and sids is None
         if one3:
-            # a 3-way join over one stream — every batch cut from an
-            # arrival batch: the two other inputs are the same for every row
+            # a 3-way join over one stream — every arrival slice: the two
+            # other inputs are the same for every row
             j0, j1 = _PAIRS3[usid]
         others = self._others
         colhot = self._colhot
+        mutations = self.mutations
+        marks = self._heap_marks
         total = 0
-        added = 0
-        for pid, start, end in cb.segments:
+        nrows = 0
+        for pid, rows in groups:
             ctx = colhot.get(pid)
             if ctx is None:
                 grp = self.group(pid, now=now)
@@ -406,10 +423,10 @@ class StateStore:
                     grp.promote_sizes()
             # rows first: a value the typed columns reject raises here,
             # before the count table or any statistic has moved
-            grp.append_rows(sids, usid, seqs, keys, tss, start, end, usize)
+            grp.append_rows(sids, usid, seqs, keys, tss, rows, usize)
             out = 0
             if one3:
-                for i in range(start, end):
+                for i in rows:
                     key = keys[i]
                     c = counts_get(key)
                     if c is None:
@@ -418,7 +435,7 @@ class StateStore:
                         out += c[j0] * c[j1]
                     c[usid] += 1
             else:
-                for i in range(start, end):
+                for i in rows:
                     key = keys[i]
                     sid = usid if sids is None else sids[i]
                     c = counts_get(key)
@@ -430,85 +447,100 @@ class StateStore:
                             count *= c[j]
                         out += count
                     c[sid] += 1
-            nrows = end - start
-            nbytes = nrows * usize
-            grp.tuple_count += nrows
-            grp.size_bytes += nbytes
+            n = len(rows)
+            grp.tuple_count += n
+            grp.size_bytes += n * usize
             grp.output_count += out
-            added += nbytes
             total += out
-            self._touch(pid, nrows)
+            nrows += n
+            # :meth:`_touch`, inlined
+            mutations[pid] = mutations.get(pid, 0) + n
+            for mark in marks:
+                mark(pid)
+        added = nrows * usize
         if added:
             self.machine.allocate(added)
             self.total_bytes += added
         self.outputs_total += total
-        self.tuples_processed += len(seqs)
+        self.tuples_processed += nrows
         return total, []
 
     def _probe_insert_rows(
-        self, cb: ColumnBatch, now: float, materialize: bool,
+        self, cb: "ArrivalSlice | ColumnBatch", now: float, materialize: bool,
         window: float | None,
     ) -> tuple[int, "list[JoinResult] | ResultBatch"]:
-        """:meth:`probe_insert_columns` for batches with per-row sizes or
-        payloads, windows or materialisation.  Result order is observable
-        here, so rows are processed in arrival order (through ``perm``);
-        column-native throughout — matches are recorded, not boxed."""
-        n = len(cb)
-        if n == 0:
-            return 0, []
-        groups = self._groups
-        sids = cb.sids if cb.sids is not None else [cb.usid] * n
-        seqs = cb.seqs
-        keys = cb.keys
-        tss = cb.ts
-        sizes = cb.sizes
-        usize = cb.usize
-        pays = cb.payloads
+        """:meth:`probe_insert_columns` for deliveries with per-row sizes or
+        payloads, windows or materialisation — column-native throughout:
+        matches are recorded, not boxed.  Partitions go one after another
+        as on the hot path; result order is observable here, so each
+        record is filed under its arrival row and the records come out in
+        arrival order."""
+        cols = cb.batch
+        sids = cb.sids
+        usid = cb.usid
+        seqs = cols.seqs
+        keys = cols.keys
+        tss = cols.ts
+        sizes = cols.sizes
+        usize = cols.size
+        pays = cols.payloads
+        several = cb.pid is None
+        if not several:
+            groups = ((cb.pid, cb.rows),)
+        else:
+            flat = cb.rows
+            groups = zip(flat[::2], flat[1::2])
+        live = self._groups
         others = self._others
         total = 0
-        records: list[ProbeRecord] = []
+        nrows = 0
         added = 0
-        touched: dict[int, int] = {}
-        for pid, i in cb.arrival_rows():
-            grp = groups.get(pid)
+        records: list[tuple[int, ProbeRecord]] = []
+        for pid, rows in groups:
+            grp = live.get(pid)
             if grp is None:
                 grp = self.group(pid, now=now)
-            sid = sids[i]
-            key = keys[i]
-            ts = tss[i]
-            size = sizes[i] if sizes is not None else usize
-            payload = pays[i] if pays is not None else ()
-            if materialize:
-                record = grp.probe_record(sid, seqs[i], key, ts, size,
-                                          payload, window)
-                if record is None:
-                    count = 0
+            for i in rows:
+                sid = usid if sids is None else sids[i]
+                key = keys[i]
+                ts = tss[i]
+                size = usize if sizes is None else sizes[i]
+                payload = () if pays is None else pays[i] or ()
+                if materialize:
+                    record = grp.probe_record(sid, seqs[i], key, ts, size,
+                                              payload, window)
+                    if record is None:
+                        count = 0
+                    else:
+                        count = record.count
+                        records.append((i, record))
+                elif window is None:
+                    c = grp._counts.get(key)
+                    if c is None:
+                        count = 0
+                    else:
+                        count = 1
+                        for j in others[sid]:
+                            count *= c[j]
                 else:
-                    count = record.count
-                    records.append(record)
-            elif window is None:
-                c = grp._counts.get(key)
-                if c is None:
-                    count = 0
-                else:
-                    count = 1
-                    for j in others[sid]:
-                        count *= c[j]
-            else:
-                count = grp.probe_windowed_count(sid, key, ts, window)
-            grp.insert_cols(sid, seqs[i], key, ts, size, payload)
-            grp.output_count += count
-            total += count
-            added += size
-            touched[pid] = touched.get(pid, 0) + 1
+                    count = grp.probe_windowed_count(sid, key, ts, window)
+                grp.insert_cols(sid, seqs[i], key, ts, size, payload)
+                grp.output_count += count
+                total += count
+                added += size
+            n = len(rows)
+            nrows += n
+            self._touch(pid, n)
         if added:
             self.machine.allocate(added)
             self.total_bytes += added
         self.outputs_total += total
-        self.tuples_processed += n
-        for pid, mutation_count in touched.items():
-            self._touch(pid, mutation_count)
-        return total, (ResultBatch(records) if materialize else [])
+        self.tuples_processed += nrows
+        if not materialize or not nrows:
+            return total, []
+        if several:
+            records.sort(key=itemgetter(0))
+        return total, ResultBatch([record for __, record in records])
 
     # ------------------------------------------------------------------
     # Adaptation paths

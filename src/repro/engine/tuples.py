@@ -119,23 +119,37 @@ class ArrivalBatch:
     stream source hands to the split host: row ``i`` is the tuple
     ``(stream, seq0 + i, keys[i], ts[i], size, payloads[i])``.  The
     generator's ``keys`` is an ``array('q')`` and its ``ts`` an
-    ``array('d')`` — 16 bytes a row, no object per value — and
-    ``payloads`` is ``None`` when it has no payload builder; any sequence
-    works, since every reader only indexes or iterates the columns.  The
-    source host routes these columns directly and forwards references to
-    them (:class:`~repro.engine.columns.ArrivalSlice`), so a batch lives
-    until its replay-log entries are trimmed and every engine has run its
-    rows.  Everything else iterates the batch, which materialises the rows
-    as :class:`StreamTuple` objects on first use (and only then).
+    ``array('d')`` — 16 bytes a row, no object per value — ``seqs`` the
+    range of the rows' sequence numbers, and ``payloads`` is ``None`` when
+    it has no payload builder; any sequence works, since every reader only
+    indexes or iterates the columns.  The source host routes these
+    columns directly and forwards references to them
+    (:class:`~repro.engine.columns.ArrivalSlice`); the owner's state store
+    reads a slice's rows straight from them, so a batch lives until its
+    replay-log entries are trimmed and every engine has run its rows.
+    The columns have the names a
+    :class:`~repro.engine.columns.ColumnBatch`'s have (``keys``, ``ts``,
+    ``seqs``, ``size``, ``sizes``, ``payloads``), which is what lets the
+    store probe both deliveries alike.  Everything else iterates the
+    batch, which materialises the rows as :class:`StreamTuple` objects on
+    first use (and only then).
     """
 
-    __slots__ = ("stream", "seq0", "keys", "ts", "size", "payloads", "_rows")
+    __slots__ = ("stream", "seq0", "seqs", "keys", "ts", "size", "payloads",
+                 "_rows")
+
+    #: every row has size ``size`` (the column shape of a
+    #: :class:`~repro.engine.columns.ColumnBatch`, whose ``sizes`` may be
+    #: a per-row list)
+    sizes = None
 
     def __init__(self, stream: str, seq0: int, keys: Sequence[int],
                  ts: Sequence[float], size: int,
                  payloads: list[tuple] | None = None) -> None:
         self.stream = stream
         self.seq0 = seq0
+        #: the rows' sequence numbers, ``seqs[i] == seq0 + i``
+        self.seqs = range(seq0, seq0 + len(keys))
         self.keys = keys
         self.ts = ts
         self.size = size

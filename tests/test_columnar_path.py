@@ -1,7 +1,8 @@
 """Equivalence of the columnar (structure-of-arrays) data path.
 
-Live state is columnar, and so is every delivery — ``ColumnBatch`` built
-at the source, a vectorized probe/insert entry point in the store — and
+Live state is columnar, and so is every delivery — an ``ArrivalSlice`` of
+the source's arrival columns or a ``ColumnBatch`` built from rows, one
+shape probed by one vectorized probe/insert entry point in the store — and
 every bit of it is only legal if it is *unobservable*: same results in
 the same order, same counters and victim orderings, same snapshots, and —
 end to end — byte-identical outputs and adaptation traces for the same
@@ -38,7 +39,12 @@ from repro.engine.columns import (
 )
 from repro.engine.operators.split import PartitionMap, Split
 from repro.engine.reference import reference_join, result_idents
-from repro.engine.state_store import StateStore
+from repro.engine.state_store import (
+    ORDER_PRODUCTIVITY_ASC,
+    ORDER_PRODUCTIVITY_DESC,
+    ORDER_SIZE_DESC,
+    StateStore,
+)
 from repro.engine.tuples import ArrivalBatch, StreamTuple
 from repro.obs.trace import Tracer
 from repro.workloads import WorkloadSpec, three_way_join
@@ -142,27 +148,35 @@ class TestColumnBatch:
         assert list(cb.iter_routed()) == batch
         assert [cb.tuple_at(i) for i in range(len(cb))] == [t for _, t in batch]
 
-    def test_segments_group_by_pid_in_first_occurrence_order(self):
+    def test_row_lists_group_by_pid_in_first_occurrence_order(self):
         batch = synth_batches(90, batch_size=90)[0]
         cb = ColumnBatch.from_routed(batch, STREAMS)
-        assert type(cb.segments) is tuple
-        seen = []
-        stored = 0
-        for pid, start, end in cb.segments:
-            assert pid not in seen and start == stored < end
-            seen.append(pid)
-            stored = end
-        assert stored == len(cb)
+        # several partitions: ``pid`` None and the flat [pid, rows, ...]
+        assert cb.pid is None and type(cb.rows) is list
+        groups = cb.groups()
         first_occurrence = list(dict.fromkeys(pid for pid, _ in batch))
-        assert seen == first_occurrence
-        # the segments are the only record of a row's pid
+        assert [pid for pid, __ in groups] == first_occurrence
+        for pid, rows in groups:
+            assert list(rows) == [i for i, (p, __) in enumerate(batch)
+                                  if p == pid]
+        # the columns stay in arrival order; the row lists are the only
+        # record of a row's pid
+        assert cb.keys == [t.key for __, t in batch]
         assert [pid for pid, __ in cb.iter_routed()] == [pid for pid, _ in batch]
-        assert not hasattr(cb, "pids")
+        assert cb.last_row() == len(batch) - 1
+        for gone in ("pids", "segments", "perm"):
+            assert not hasattr(cb, gone)
+        # one partition: ``pid`` inline and every row, as a range
+        one = [(4, t) for __, t in batch]
+        cb = ColumnBatch.from_routed(one, STREAMS)
+        assert cb.pid == 4 and cb.rows == range(len(one))
+        assert cb.groups() == [(4, range(len(one)))]
+        assert list(cb.iter_routed()) == one
 
     def test_uniform_collapse(self):
         batch = synth_batches(60, batch_size=60)[0]
         cb = ColumnBatch.from_routed(batch, STREAMS)
-        assert cb.sizes is None and cb.usize == 64 and cb.payloads is None
+        assert cb.sizes is None and cb.size == 64 and cb.payloads is None
         mixed = ColumnBatch.from_routed(
             synth_batches(60, batch_size=60, nonuniform=True,
                           payloads=True)[0], STREAMS)
@@ -203,8 +217,65 @@ def random_arrivals(rng, *, payloads):
     )
 
 
+VICTIM_ORDERS = (ORDER_PRODUCTIVITY_ASC, ORDER_PRODUCTIVITY_DESC,
+                 ORDER_SIZE_DESC)
+
+
+def group_columns(group):
+    """A live group's buffers, tables and flags, as plain values."""
+    return (
+        group.row_sid.tolist(), group.row_seq.tolist(),
+        group.row_key.tolist(), group.row_ts.tolist(),
+        group.row_size and group.row_size.tolist(), group._usize,
+        group.row_payload, list(group._counts.items()), group._ordered,
+        group._index and [{key: rows.tolist() for key, rows in table.items()}
+                          for table in group._index],
+        group.tuple_count, group.size_bytes, group.output_count,
+    )
+
+
+def assert_probes_alike(deliveries, references, seed=(), **kwargs):
+    """Probe-insert ``deliveries`` into one store and ``references`` into
+    another, both first loaded with the routed rows ``seed``: counts,
+    boxed results in order, every group's columns, ``mutations``, group
+    creation order and victim orders must agree after every delivery.
+    Returns the two stores."""
+    if not isinstance(deliveries, list):
+        deliveries, references = [deliveries], [references]
+    stores = fresh_store(), fresh_store()
+    for store in stores:
+        if seed:
+            store.probe_insert_batch(list(seed))
+    for delivery, reference in zip(deliveries, references):
+        seen = []
+        for store, cb in zip(stores, (delivery, reference)):
+            count, results = store.probe_insert_columns(cb, **kwargs)
+            seen.append((count, list(results), [r.ident for r in results]))
+        assert seen[0] == seen[1]
+        a, b = stores
+        assert store_fingerprint(a) == store_fingerprint(b)
+        assert list(a._groups) == list(b._groups)
+        assert list(a.mutations.items()) == list(b.mutations.items())
+        for pid, group in a._groups.items():
+            assert group_columns(group) == group_columns(b._groups[pid]), pid
+        for order in VICTIM_ORDERS:
+            assert ([g.pid for g in a.iter_in_order(order)]
+                    == [g.pid for g in b.iter_in_order(order)])
+    return stores
+
+
+def seed_rows(route, streams=("A", "C"), key_range=60, per_stream=90):
+    """Rows of the streams a probing ``B`` row joins with, routed by
+    ``route(key)``, so the probes of a delivery find matches."""
+    rng = random.Random(23)
+    return [(route(key), StreamTuple(stream, 10_000 + n, key, 0.01 * n))
+            for n in range(per_stream) for stream in streams
+            for key in (rng.randrange(key_range),)]
+
+
 class TestColumnSourceUnits:
-    """One-pass routing and direct segment build against the row code."""
+    """One-pass routing and the probe of an arrival slice against the row
+    code."""
 
     @pytest.mark.parametrize("payloads", [False, True])
     def test_route_and_build_match_the_row_path(self, payloads):
@@ -223,24 +294,20 @@ class TestColumnSourceUnits:
                 by_owner_cols.setdefault(owner, []).append((pid, rows))
             assert list(by_owner_cols) == list(by_owner_rows)
             for owner, owned in by_owner_cols.items():
-                got = ColumnBatch.from_arrivals(batch, owned, 1, STREAMS)
                 want = ColumnBatch.from_routed(by_owner_rows[owner], STREAMS)
                 # what a data message carries: the rows by reference, one
-                # partition inline; its columns are built on demand
+                # partition inline, probed as they lie
                 sliced = ArrivalSlice(batch, 1, STREAMS, *owned[0])
                 for pid, rows in owned[1:]:
                     sliced.add(pid, rows)
                 assert (sliced.pid is None) == (len(owned) > 1)
                 assert sliced.groups() == owned
                 assert len(sliced) == len(want)
-                built = sliced.columns()
-                # slot for slot — ``usid`` included: one arrival batch is
-                # one stream, and both builders collapse the stream index
-                assert got.sids is None and got.usid == 1
-                for slot in ColumnBatch.__slots__:
-                    assert getattr(got, slot) == getattr(want, slot), slot
-                    assert getattr(built, slot) == getattr(want, slot), slot
-                assert built.columns() is built
+                # ``usid`` included: one arrival batch is one stream, and
+                # from_routed collapses the stream index of such rows too
+                assert want.sids is None and want.usid == sliced.usid == 1
+                assert_probes_alike(sliced, want,
+                                    seed=seed_rows(col_split.route))
         for counter in ("inputs_seen", "outputs_emitted", "buffered_total"):
             assert getattr(col_split, counter) == getattr(row_split, counter)
         assert col_split.buffered_total > 0
@@ -248,13 +315,104 @@ class TestColumnSourceUnits:
         assert list(col_split._buffers) == list(row_split._buffers)
 
     def test_all_payloads_empty_collapses_like_from_routed(self):
+        """A slice of an arrival batch whose payloads are all empty probes
+        like the row batch, whose payload column collapses to ``None``:
+        the group grows no payload column either way."""
         batch = ArrivalBatch("A", 0, keys=[0, 6, 1], ts=[0.1, 0.2, 0.3],
                              size=64, payloads=[(), (), ()])
-        cb = ColumnBatch.from_arrivals(batch, [(0, [0, 1]), (1, [2])], 0,
-                                       STREAMS)
-        assert cb.payloads is None and cb.perm is None
-        assert list(cb.iter_routed()) == [
-            (0, batch.row(0)), (0, batch.row(1)), (1, batch.row(2))]
+        sliced = ArrivalSlice(batch, 0, STREAMS, 0, [0, 1])
+        sliced.add(1, [2])
+        want = ColumnBatch.from_routed(
+            [(0, batch.row(0)), (0, batch.row(1)), (1, batch.row(2))],
+            STREAMS)
+        assert want.payloads is None
+        stores = assert_probes_alike(sliced, want)
+        for store in stores:
+            assert all(g.row_payload is None for g in store.groups())
+
+
+class TestSliceProbeDifferential:
+    """The store probes an arrival slice where it lies exactly as it
+    probes the row batch of the same rows."""
+
+    @staticmethod
+    def deliveries(partitions, payloads, n_batches=40):
+        rng = random.Random(31)
+        slices, batches = [], []
+        for b in range(n_batches):
+            n = rng.randrange(1, 9)
+            seq0 = 20 * b
+            # arrival times run backwards across batches now and then, so
+            # the windowed probes see buckets observed out of order too
+            t0 = rng.choice((0.05 * b, 0.05 * b - 0.3))
+            batch = ArrivalBatch(
+                "B", seq0,
+                keys=array("q", [rng.randrange(12) for _ in range(n)]),
+                ts=array("d", [t0 + 0.01 * i for i in range(n)]),
+                # a second uniform size promotes the groups' size column
+                size=64 if b < n_batches // 2 else 80,
+                payloads=([(("v", seq0 + i),) if rng.random() < 0.3 else ()
+                           for i in range(n)] if payloads else None),
+            )
+            pid_of = [key % partitions for key in batch.keys]
+            by_pid = {}
+            for i, pid in enumerate(pid_of):
+                by_pid.setdefault(pid, []).append(i)
+            (pid, rows), *more = by_pid.items()
+            sliced = ArrivalSlice(batch, 1, STREAMS, pid, rows)
+            for pid, rows in more:
+                sliced.add(pid, rows)
+            slices.append(sliced)
+            batches.append(ColumnBatch.from_routed(
+                [(pid_of[i], batch.row(i)) for i in range(n)], STREAMS))
+        return slices, batches
+
+    @pytest.mark.parametrize("payloads", [False, True],
+                             ids=["no-payloads", "payloads"])
+    @pytest.mark.parametrize("probe", [
+        {}, {"materialize": True}, {"window": 0.2},
+        {"window": 0.2, "materialize": True},
+    ], ids=["count-only", "materialising", "windowed", "windowed-materialising"])
+    @pytest.mark.parametrize("partitions", [1, 4], ids=["one", "several"])
+    def test_a_slice_probes_like_its_row_batch(self, partitions, probe,
+                                               payloads):
+        slices, batches = self.deliveries(partitions, payloads)
+        assert any(s.pid is None for s in slices) == (partitions > 1)
+        seed = seed_rows(lambda key: key % partitions, key_range=12,
+                         per_stream=30)
+        a, __ = assert_probes_alike(slices, batches, seed=seed, **probe)
+        assert a.outputs_total > 0
+        if probe.get("materialize"):  # a probe built an index, kept live
+            assert any(g._index is not None for g in a.groups())
+
+
+@pytest.mark.parametrize("collect", [False, True],
+                         ids=["count-only", "materialising"])
+def test_arrival_slices_are_probed_without_a_column_batch(monkeypatch,
+                                                          collect):
+    """A whole run whose deliveries are all arrival slices builds no
+    :class:`ColumnBatch`: the store probes each slice where it lies."""
+    built, delivered = [], []
+    init, probe = ColumnBatch.__init__, StateStore.probe_insert_columns
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    def recording_probe(self, cb, **kwargs):
+        delivered.append(type(cb))
+        return probe(self, cb, **kwargs)
+
+    monkeypatch.setattr(ColumnBatch, "__init__", counting_init)
+    monkeypatch.setattr(StateStore, "probe_insert_columns", recording_probe)
+    dep = small_deployment(collect=collect, memory_threshold=10**9)
+    dep.run(duration=20.0)
+    assert dep.spill_count == dep.relocation_count == 0
+    assert len(delivered) > 100 and set(delivered) == {ArrivalSlice}
+    assert dep.total_outputs > 0
+    if collect:
+        assert len(dep.collector.results) == dep.total_outputs
+    assert built == []
 
 
 class TestStoreColumnarEquivalence:
@@ -373,7 +531,8 @@ def test_a_waiting_column_batch_is_its_task_and_three_columns():
         for i in range(n_messages):
             batch = ArrivalBatch("B", 2 * i, keys=[i % 8, (i + 3) % 8],
                                  ts=[0.0, 0.0], size=64)
-            cb = ColumnBatch.from_arrivals(batch, [(i % 4, [0, 1])], 1, streams)
+            cb = ColumnBatch.from_routed(
+                [(i % 4, batch.row(0)), (i % 4, batch.row(1))], streams)
             engine.deliver(Message("src", "m1", "column_batch", cb,
                                    cb.total_size, dep.sim.now))
 
@@ -454,7 +613,7 @@ def test_the_slice_and_the_replay_log_share_the_rows(monkeypatch):
     assert sorted(p.pid is None for __, p, __ in sent) == [False, True]
     for kind, payload, size in sent:
         assert kind == "column_batch" and type(payload) is ArrivalSlice
-        assert size == payload.columns().total_size == 64 * len(payload)
+        assert size == 64 * len(payload)
         for pid, rows in payload.groups():
             assert filed[pid][0] is payload.batch is batch
             assert filed[pid][1] is rows
@@ -475,7 +634,7 @@ def test_row_index_buckets_are_typed_arrays():
     cb = ColumnBatch.from_routed(
         [(0, StreamTuple("A", 10 + i, key, 9.0)) for i, key in
          enumerate((0, 7))], STREAMS)
-    group.append_rows(cb.sids, cb.usid, cb.seqs, cb.keys, cb.ts, 0, 2, 64)
+    group.append_rows(cb.sids, cb.usid, cb.seqs, cb.keys, cb.ts, cb.rows, 64)
     group.insert(StreamTuple("B", 20, 9, 10.0))
     buckets = [rows for table in index for rows in table.values()]
     assert buckets and all(type(rows) is array and rows.typecode == "q"
