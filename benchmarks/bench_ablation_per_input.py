@@ -19,7 +19,7 @@ factor.
 
 from repro.bench import current_scale
 from repro.bench.report import format_table
-from repro.core.cleanup import merge_missing_count
+from repro.core.cleanup import merge_missing
 from repro.core.per_input import PerInputJoinState
 from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.reference import reference_join_count
@@ -55,7 +55,7 @@ def run_group_design(tuples, spill_every):
             group = ColumnarPartitionGroup(0, STREAMS, generation=len(parts))
     if group.tuple_count:
         parts.append(group.freeze())
-    missing = merge_missing_count(parts, STREAMS)
+    missing, __ = merge_missing(parts, STREAMS)
     return runtime, missing
 
 

@@ -21,10 +21,13 @@ Because the adaptation unit is the partition *group* (all inputs together),
 no timestamps or push-time bookkeeping are needed — the simplification the
 paper's §2 argues for against XJoin-style per-input spilling.
 
-The module offers both a **counting** merge (per-key histogram arithmetic,
-used by the large benchmark runs) and a **materialising** merge (actual
-:class:`~repro.engine.tuples.JoinResult` objects, used by the correctness
-tests to compare against a reference join).
+One merge, :func:`merge_missing`, reads the snapshots' columns and
+computes the delta per key of each new part: an unwindowed count is
+per-key count arithmetic (the large benchmark runs), a windowed count
+enumerates combinations over timestamp buckets without boxing a row, and
+a **materialising** merge boxes rows into actual
+:class:`~repro.engine.tuples.JoinResult` objects (the correctness tests
+compare them against a reference join).
 """
 
 from __future__ import annotations
@@ -35,118 +38,107 @@ from typing import Mapping, Sequence
 
 from repro.cluster.disk import Disk, SpillSegment
 from repro.core.config import CostModel
-from repro.engine.columns import FrozenColumnGroup
-from repro.engine.tuples import JoinResult, StreamTuple
+from repro.engine.columns import FrozenColumnGroup, _count_table
+from repro.engine.tuples import JoinResult
 from repro.obs.trace import NULL_TRACER
 
 
-def _cross_count(count_maps: Sequence[Mapping[int, int]]) -> int:
-    """Join cardinality over per-stream key->count histograms."""
-    if not count_maps:
-        return 0
-    smallest = min(count_maps, key=len)
-    total = 0
-    for key, base in smallest.items():
-        n = base
-        for other in count_maps:
-            if other is smallest:
-                continue
-            c = other.get(key)
-            if not c:
-                n = 0
-                break
-            n *= c
-        total += n
-    return total
-
-
-def merge_missing_count(
-    parts: Sequence[FrozenColumnGroup], streams: Sequence[str]
-) -> int:
-    """Number of missing results across the parts of one partition ID.
-
-    Incremental delta per part: ``total(U ∪ P) − total(U) − total(P)``
-    counts exactly the results mixing U and P tuples.
-    """
-    if len(parts) < 2:
-        return 0
-    cumulative: dict[str, dict[int, int]] = {s: {} for s in streams}
-    missing = 0
-    for i, part in enumerate(parts):
-        # every stream's histogram in one pass over the part's rows — no
-        # tuple materialisation for the counting merge
-        counts = part.key_counts()
-        if i > 0:
-            merged = {
-                s: _merged_counts(cumulative[s], counts.get(s, {})) for s in streams
-            }
-            total_merged = _cross_count([merged[s] for s in streams])
-            total_u = _cross_count([cumulative[s] for s in streams])
-            total_p = _cross_count([counts.get(s, {}) for s in streams])
-            missing += total_merged - total_u - total_p
-        for s in streams:
-            dst = cumulative[s]
-            for key, c in counts.get(s, {}).items():
-                dst[key] = dst.get(key, 0) + c
-    return missing
-
-
-def _merged_counts(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    merged = dict(a)
-    for key, c in b.items():
-        merged[key] = merged.get(key, 0) + c
-    return merged
-
-
-def merge_missing_results(
+def merge_missing(
     parts: Sequence[FrozenColumnGroup], streams: Sequence[str],
-    *, window: float | None = None,
-) -> list[JoinResult]:
-    """Materialise the missing results across the parts of one partition ID.
+    *, window: float | None = None, materialize: bool = False,
+) -> tuple[int, list[JoinResult]]:
+    """The missing results across the parts of one partition ID:
+    ``(count, results)``, ``results`` empty unless ``materialize``.
 
-    For each new part ``P`` the mixed delta is enumerated explicitly: every
-    per-stream choice of source in ``{U, P}`` except all-U (emitted by an
-    earlier delta or at run time) and all-P (emitted at run time within the
-    part's live instance).  ``2^m − 2`` combinations for an m-way join.
+    For each new part ``P`` against the cumulative state ``U`` of the
+    parts before it, the delta is computed per key of ``P`` — a key
+    without rows in ``P`` mixes nothing new.  Only the columns are read,
+    each part below its ``nrows`` bound.
 
-    For a *windowed* join pass ``window``: combinations whose tuples span
-    more than ``window`` seconds are filtered out, matching the run-time
-    probe semantics.
+    * Unwindowed counting: per key, ``Π(u+p) − Πu − Πp`` over the
+      per-stream counts — every combination minus the all-U ones (emitted
+      by an earlier delta or at run time) and the all-P ones (emitted at
+      run time within the part's live instance).
+    * Windowed or materialising: the ``2^m − 2`` per-stream choices of
+      source in ``{U, P}`` other than all-U and all-P are enumerated over
+      per-``(stream, key)`` buckets; a combination whose timestamps span
+      more than ``window`` seconds is dropped, as the run-time probe drops
+      it.  A count's buckets hold timestamps, so it boxes nothing; a
+      materialising merge boxes each row once, when its part is read, so
+      a row in several results is one object.  Results come mask by
+      mask, keys in the order of the intersected per-stream key sets,
+      combinations in product order.
     """
     if len(parts) < 2:
-        return []
-    cumulative: dict[str, dict[int, list[StreamTuple]]] = {s: {} for s in streams}
-    results: list[JoinResult] = []
+        return 0, []
     m = len(streams)
+    if window is None and not materialize:
+        return _count_delta(parts, m), []
+    cumulative: list[dict[int, list]] = [{} for __ in range(m)]
+    results: list[JoinResult] = []
+    count = 0
     for i, part in enumerate(parts):
-        part_lists: dict[str, Mapping[int, tuple[StreamTuple, ...]]] = {
-            s: part.data.get(s, {}) for s in streams
-        }
+        n = part.nrows
+        member = part.tuple_at if materialize else part.row_ts.__getitem__
+        # per stream {key: [member, ...]} in row order, keys in first-row
+        # order — a dict like the cumulative one, so the key sets below
+        # intersect in the same order
+        buckets: list[dict[int, list]] = [{} for __ in range(m)]
+        for row, (sid, key) in enumerate(zip(part.row_sid[:n],
+                                             part.row_key[:n])):
+            bucket = buckets[sid].get(key)
+            if bucket is None:
+                buckets[sid][key] = [member(row)]
+            else:
+                bucket.append(member(row))
         if i > 0:
             for mask in range(1, (1 << m) - 1):
                 # bit j set -> stream j drawn from the new part P
-                sources = [
-                    part_lists[s] if (mask >> j) & 1 else cumulative[s]
-                    for j, s in enumerate(streams)
-                ]
+                sources = [buckets[j] if (mask >> j) & 1 else cumulative[j]
+                           for j in range(m)]
                 keys = set(sources[0])
                 for src in sources[1:]:
                     keys &= set(src)
                 for key in keys:
-                    lists = [src[key] for src in sources]
-                    for combo in product(*lists):
+                    for combo in product(*[src[key] for src in sources]):
                         if window is not None:
-                            ts_values = [t.ts for t in combo]
-                            if max(ts_values) - min(ts_values) > window:
+                            ts = [t.ts for t in combo] if materialize else combo
+                            if max(ts) - min(ts) > window:
                                 continue
-                        results.append(
-                            JoinResult(key=key, parts=tuple(combo), ts=combo[0].ts)
-                        )
-        for j, s in enumerate(streams):
-            dst = cumulative[s]
-            for key, bucket in part_lists[s].items():
+                        if materialize:
+                            results.append(JoinResult(key=key, parts=combo,
+                                                      ts=combo[0].ts))
+                        else:
+                            count += 1
+        for j, table in enumerate(buckets):
+            dst = cumulative[j]
+            for key, bucket in table.items():
                 dst.setdefault(key, []).extend(bucket)
-    return results
+    return (len(results) if materialize else count), results
+
+
+def _count_delta(parts: Sequence[FrozenColumnGroup], m: int) -> int:
+    """Unwindowed count of :func:`merge_missing` from per-key counts."""
+    cumulative: dict[int, list[int]] = {}
+    missing = 0
+    for part in parts:
+        n = part.nrows
+        for key, p in _count_table(part.row_sid[:n], part.row_key[:n],
+                                   m).items():
+            u = cumulative.get(key)
+            if u is None:
+                # no U rows of this key: every combination is all-P
+                cumulative[key] = p
+                continue
+            both = only_u = only_p = 1
+            for uj, pj in zip(u, p):
+                both *= uj + pj
+                only_u *= uj
+                only_p *= pj
+            missing += both - only_u - only_p
+            for j, pj in enumerate(p):
+                u[j] += pj
+    return missing
 
 
 @dataclass
@@ -209,9 +201,8 @@ class CleanupExecutor:
                  stage: str = "") -> None:
         self.streams = tuple(streams)
         self.cost = cost
-        #: window of the owning join; a windowed cleanup must filter
-        #: combinations by timestamp distance, so counting falls back to
-        #: materialisation internally
+        #: window of the owning join; a windowed cleanup drops the
+        #: combinations whose timestamps span more than it
         self.window = window
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: label carried in trace events: the owning deployment's
@@ -312,18 +303,10 @@ class CleanupExecutor:
             owner = (max(sorted(bytes_per_machine), key=bytes_per_machine.get)
                      if bytes_per_machine else mem[0])
             # 2-3. incremental merge producing the missing results
-            if materialize:
-                missing = merge_missing_results(parts, self.streams,
-                                                window=self.window)
-                count = len(missing)
-                report.results.extend(missing)
-            elif self.window is not None:
-                # window filtering is per-combination; the histogram
-                # shortcut cannot express it
-                count = len(merge_missing_results(parts, self.streams,
-                                                  window=self.window))
-            else:
-                count = merge_missing_count(parts, self.streams)
+            count, missing = merge_missing(parts, self.streams,
+                                           window=self.window,
+                                           materialize=materialize)
+            report.results.extend(missing)
             merge_tuples = sum(p.tuple_count for p in parts[1:])
             stats = report.machine_stats(owner)
             stats.merge_duration += (

@@ -42,13 +42,14 @@ partition's row-index list in first-occurrence order (see the
     column buffers.  Because the buffers are append-only, spill,
     relocation and checkpoint snapshots *share* them with the live group
     and record only a row-count bound — zero-copy in the Python sense.
-    A snapshot carries no count table: a thaw rebuilds it, and cleanup
-    derives its per-stream histograms, in one pass over the rows.
-    Repartitioning works on snapshots as columns too: a split or a cleanup
-    re-bucketing gathers each target's rows in one pass over ``row_key``,
-    a merge concatenates its parts.  Per-tuple ``StreamTuple`` objects only come
-    back into existence at the materialisation boundary: the cleanup
-    merge, via the lazily built ``.data`` view.
+    A snapshot carries no count table: a thaw rebuilds it, and the
+    cleanup merge derives per-key counts or row lists, in one pass over
+    the rows.  Repartitioning works on snapshots as columns too: a split
+    or a cleanup re-bucketing gathers each target's rows in one pass over
+    ``row_key``, a merge concatenates its parts.  A snapshot never holds a
+    ``StreamTuple``: a materialising cleanup merge boxes the rows its
+    results name (:meth:`FrozenColumnGroup.tuple_at`) and keeps them
+    nowhere but in those results.
 
 ``ResultBatch``
     What a materialising probe returns: one :class:`ProbeRecord` per
@@ -70,7 +71,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import KeysView, Sequence
 from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.engine.tuples import ArrivalBatch, JoinResult, StreamTuple
 
@@ -855,8 +856,8 @@ class ColumnarPartitionGroup:
         stay invisible to the snapshot, and a purge leaves the snapshot
         holding the superseded arrays.  The count table — the one
         structure mutated in place — is not part of a snapshot: a snapshot
-        is its columns, and :meth:`thaw` / :meth:`FrozenColumnGroup.key_counts`
-        derive counts from the rows when they need them.  Every snapshot is
+        is its columns, and :meth:`thaw` and the cleanup merge derive
+        counts from the rows when they need them.  Every snapshot is
         therefore O(1), and when the live group is discarded right after
         (evict: spill and relocation) its count table dies with it.
         """
@@ -928,9 +929,6 @@ class FrozenColumnGroup:
     sharing is of the array *objects*, read by index: nothing may export a
     ``memoryview`` over one, which would make the live group's next append
     raise ``BufferError``.
-    ``.data`` lazily materialises the row-format bucket view —
-    ``{stream: {key: (StreamTuple, ...)}}`` — for the materialising (and
-    windowed) cleanup merge; nothing else in the package reads it.
 
     :meth:`split`, :meth:`merge` and :meth:`rebucket` build new snapshots
     as columns.  A split or re-bucketed part keeps its rows in this
@@ -941,15 +939,15 @@ class FrozenColumnGroup:
 
     A snapshot is its columns and statistics: it keeps no count table.
     Whoever needs per-key counts derives them from ``row_sid`` /
-    ``row_key`` in one pass — :meth:`ColumnarPartitionGroup.thaw` the live
-    table, cleanup the per-stream histograms (:meth:`key_counts`), split,
-    merge and re-bucketing the key set (:meth:`keys`).  Spilled,
-    relocated and checkpointed state thus holds no Python object per key.
+    ``row_key`` in one pass — :meth:`ColumnarPartitionGroup.thaw` and the
+    cleanup merge the ``{key: [count per stream]}`` table, split, merge
+    and re-bucketing the key set (:meth:`keys`).  Spilled, relocated and
+    checkpointed state thus holds no Python object per key.
     """
 
     __slots__ = ("pid", "streams", "generation", "size_bytes", "tuple_count",
                  "output_count", "nrows", "row_sid", "row_seq", "row_key",
-                 "row_ts", "row_size", "usize", "row_payload", "_data")
+                 "row_ts", "row_size", "usize", "row_payload")
 
     def __init__(self, *, pid, streams, generation, size_bytes, tuple_count,
                  output_count, nrows, row_sid, row_seq, row_key, row_ts,
@@ -968,7 +966,6 @@ class FrozenColumnGroup:
         self.row_size: array | None = row_size  # 'q'
         self.usize = usize
         self.row_payload = row_payload
-        self._data: Mapping[str, Mapping[int, tuple[StreamTuple, ...]]] | None = None
 
     def idents(self, start: int = 0) -> frozenset[tuple[str, int]]:
         """Global ``(stream, seq)`` identities — straight off the columns —
@@ -980,16 +977,6 @@ class FrozenColumnGroup:
             (streams[row_sid[row]], row_seq[row])
             for row in range(start, self.nrows)
         )
-
-    def key_counts(self) -> dict[str, dict[int, int]]:
-        """``{stream: {key: tuple count}}`` for every input, derived in one
-        pass over the rows (a stream without rows maps to ``{}``)."""
-        n = self.nrows
-        tables: list[dict[int, int]] = [{} for _ in self.streams]
-        for sid, key in zip(self.row_sid[:n], self.row_key[:n]):
-            table = tables[sid]
-            table[key] = table.get(key, 0) + 1
-        return dict(zip(self.streams, tables))
 
     def keys(self) -> KeysView[int]:
         """All join-key values present in any input of this snapshot, in
@@ -1117,38 +1104,6 @@ class FrozenColumnGroup:
         if pids in ([], [self.pid]):
             return {self.pid: self}
         return dict(zip(pids, self._divide(dest, pids)))
-
-    @property
-    def data(self) -> Mapping[str, Mapping[int, tuple[StreamTuple, ...]]]:
-        """Row-format bucket view (the materialisation boundary).
-
-        Built lazily on first access and cached; bucket order is row
-        (insertion) order, matching what replaying the same inserts through
-        a row-format group would produce.
-        """
-        view = self._data
-        if view is None:
-            tmp: dict[str, dict[int, list[StreamTuple]]] = {
-                stream: {} for stream in self.streams
-            }
-            streams = self.streams
-            row_key = self.row_key
-            row_sid = self.row_sid
-            for row in range(self.nrows):
-                sid = row_sid[row]
-                table = tmp[streams[sid]]
-                key = row_key[row]
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [self.tuple_at(row)]
-                else:
-                    bucket.append(self.tuple_at(row))
-            view = {
-                stream: {key: tuple(bucket) for key, bucket in table.items()}
-                for stream, table in tmp.items()
-            }
-            self._data = view
-        return view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

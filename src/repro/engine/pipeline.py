@@ -328,7 +328,9 @@ class PipelineDeployment:
         from late inputs delivered by stage *k−1*'s cleanup) are converted
         by its bridge and handed to stage *k+1*'s
         :meth:`~repro.engine.plan.Deployment.cleanup` as late input.  The
-        terminal stage's missing results are the pipeline's.
+        terminal stage's missing results are the pipeline's.  Like a
+        stage's, the phase runs once: a second call raises
+        ``RuntimeError``.
         """
         report = PipelineCleanupReport()
         late: list[StreamTuple] = []

@@ -367,6 +367,7 @@ class Deployment:
         ]
         self._started = False
         self._finished = False
+        self._cleaned = False
         self.run_duration: float | None = None
         self.metrics.registry.register_collector(self._publish_metrics)
 
@@ -605,8 +606,13 @@ class Deployment:
         run — a pipeline stage's share of its predecessor's cleanup
         results.  They are routed by the final split into one extra part
         per partition.  Trace events are labelled with the namespace
-        (without its colon; ``""`` standalone).
+        (without its colon; ``""`` standalone).  The phase runs once: it
+        charges every segment's read, so a second call raises
+        ``RuntimeError``.
         """
+        if self._cleaned:
+            raise RuntimeError("cleanup already ran; build a fresh deployment")
+        self._cleaned = True
         streams = self.join.stream_names
         executor = CleanupExecutor(streams, self.cost,
                                    window=self.join.window,

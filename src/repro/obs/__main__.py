@@ -10,6 +10,10 @@
     Re-run the protocol invariants over a recorded trace and, when a
     ledger/run file is given, the ledger↔trace bijection plus the offline
     decision replay.  Exits 1 if any contract is violated.
+
+Either command exits 2 with one ``error:`` line when an input file is
+missing or unreadable, or holds a line that is not JSON or not a record
+of its kind.
 """
 
 from __future__ import annotations
@@ -22,10 +26,20 @@ from repro.obs.report import load_run, render_diff, render_html, render_markdown
 from repro.obs.trace import load_jsonl as load_trace_jsonl
 
 
+def _input_error(exc: Exception) -> int:
+    """A missing or malformed input file: one line, exit code 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    run = load_run(args.run)
-    if args.diff is not None:
-        text = render_diff(load_run(args.diff), run,
+    try:
+        run = load_run(args.run)
+        base = None if args.diff is None else load_run(args.diff)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
+    if base is not None:
+        text = render_diff(base, run,
                            label_a=str(args.diff), label_b=str(args.run))
     elif args.html:
         text = render_html(run)
@@ -42,17 +56,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    events = load_trace_jsonl(args.trace)
-    entries = None
-    if args.ledger is not None:
-        run = load_run(args.ledger)
-        # accept both raw ledger JSONL (no "kind" wrapper) and run files
-        entries = run.decisions
-        if not entries:
-            from repro.obs.ledger import load_jsonl as load_ledger_jsonl
+def _ledger_entries(path) -> list:
+    # accept both raw ledger JSONL (no "kind" wrapper) and run files
+    entries = load_run(path).decisions
+    if not entries:
+        from repro.obs.ledger import load_jsonl as load_ledger_jsonl
 
-            entries = [e for e in load_ledger_jsonl(args.ledger) if "action" in e]
+        entries = [e for e in load_ledger_jsonl(path) if "action" in e]
+    return entries
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    try:
+        events = load_trace_jsonl(args.trace)
+        entries = None if args.ledger is None else _ledger_entries(args.ledger)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     violations = check_trace(events, ledger_entries=entries)
     for violation in violations:
         print(violation)

@@ -102,27 +102,40 @@ class RunData:
 
 
 def load_run(path) -> RunData:
-    """Parse a run file written by :func:`~repro.obs.ledger.write_run_jsonl`."""
+    """Parse a run file written by :func:`~repro.obs.ledger.write_run_jsonl`.
+
+    A line that is not JSON, or a record missing what its kind needs,
+    raises ``ValueError``; a record of an unknown kind is skipped.
+    """
     run = RunData()
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            kind = record.pop("kind", None)
-            if kind == "meta":
-                run.meta = record
-            elif kind == "decision":
-                run.decisions.append(record["decision"])
-            elif kind == "series":
-                run.series[record["name"]] = (
-                    [float(t) for t in record["times"]],
-                    [float(v) for v in record["values"]],
-                )
-            elif kind == "hist":
-                run.hists.append(record)
+            try:
+                _load_record(run, json.loads(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"line {number}: not a run record "
+                                 f"({type(exc).__name__}: {exc})") from exc
     return run
+
+
+def _load_record(run: RunData, record: Any) -> None:
+    if not isinstance(record, dict):
+        raise TypeError("not a JSON object")
+    kind = record.pop("kind", None)
+    if kind == "meta":
+        run.meta = record
+    elif kind == "decision":
+        run.decisions.append(record["decision"])
+    elif kind == "series":
+        run.series[record["name"]] = (
+            [float(t) for t in record["times"]],
+            [float(v) for v in record["values"]],
+        )
+    elif kind == "hist":
+        run.hists.append(record)
 
 
 # ----------------------------------------------------------------------

@@ -302,7 +302,8 @@ def load_jsonl(path_or_lines) -> list[TraceEvent]:
     """Load a JSONL trace back into :class:`TraceEvent` records.
 
     Accepts a file path or an iterable of JSON lines; the result feeds
-    straight into :class:`~repro.obs.invariants.InvariantChecker`.
+    straight into :class:`~repro.obs.invariants.InvariantChecker`.  A line
+    that is not JSON or not a trace event raises ``ValueError``.
     """
     if isinstance(path_or_lines, (str, bytes)) or hasattr(path_or_lines, "__fspath__"):
         with open(path_or_lines, "r", encoding="utf-8") as handle:
@@ -310,8 +311,12 @@ def load_jsonl(path_or_lines) -> list[TraceEvent]:
     else:
         lines = path_or_lines
     events = []
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if line:
-            events.append(TraceEvent.from_dict(json.loads(line)))
+            try:
+                events.append(TraceEvent.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"line {number}: not a trace event "
+                                 f"({type(exc).__name__}: {exc})") from exc
     return events

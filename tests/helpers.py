@@ -5,6 +5,8 @@ from __future__ import annotations
 from repro import AdaptationConfig, Deployment, StrategyName
 from repro.workloads import WorkloadSpec, three_way_join
 
+from tests.row_group import key_counts
+
 
 def small_deployment(
     *,
@@ -129,7 +131,7 @@ def canonical_frozen(frozen):
         frozen.output_count,
         tuple(sorted(
             (stream, tuple(sorted(counts.items())))
-            for stream, counts in frozen.key_counts().items()
+            for stream, counts in key_counts(frozen).items()
         )),
         frozenset(
             (tup.stream, tup.seq)

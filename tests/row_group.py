@@ -6,7 +6,10 @@ One ``{key: [tuple, ...]}`` table per input — the obvious implementation
 of the same interface, which the column-store tests compare the live class
 against probe for probe — and its snapshot, with the row-format
 :func:`split_frozen` / :func:`merge_frozen` / :func:`rebucket_frozen`
-the column ``split`` / ``merge`` / ``rebucket`` are compared against.
+the column ``split`` / ``merge`` / ``rebucket`` are compared against, and
+the row-format :func:`merge_missing_results` the column cleanup merge
+:func:`~repro.core.cleanup.merge_missing` is compared against.  All of
+them read either snapshot format through :func:`bucket_view`.
 Nothing in the package builds one: whole runs are checked against
 :func:`~repro.engine.reference.reference_join`.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from repro.engine.columns import GROUP_OVERHEAD_BYTES
+from repro.engine.columns import GROUP_OVERHEAD_BYTES, FrozenColumnGroup
 from repro.engine.tuples import JoinResult, StreamTuple
 
 
@@ -49,17 +52,99 @@ class FrozenPartitionGroup:
             for bucket in table.values() for tup in bucket
         )
 
-    def key_counts(self) -> dict[str, dict[int, int]]:
-        """``{stream: {key: tuple count}}`` histograms of every input."""
-        return {stream: {key: len(bucket) for key, bucket in table.items()}
-                for stream, table in self.data.items()}
-
     def keys(self) -> set[int]:
         """All join-key values present in any input of this snapshot."""
         keys: set[int] = set()
         for table in self.data.values():
             keys.update(table)
         return keys
+
+
+def bucket_view(frozen) -> Mapping[str, Mapping[int, tuple[StreamTuple, ...]]]:
+    """The row-format bucket view ``{stream: {key: (StreamTuple, ...)}}``
+    of a snapshot of either format.
+
+    A column snapshot's view is boxed from its rows: buckets and keys in
+    row (insertion) order, matching what replaying the same inserts
+    through a row-format group would produce.
+    """
+    if not isinstance(frozen, FrozenColumnGroup):
+        return frozen.data
+    tmp: dict[str, dict[int, list[StreamTuple]]] = {
+        stream: {} for stream in frozen.streams
+    }
+    for row in range(frozen.nrows):
+        table = tmp[frozen.streams[frozen.row_sid[row]]]
+        table.setdefault(frozen.row_key[row], []).append(frozen.tuple_at(row))
+    return {
+        stream: {key: tuple(bucket) for key, bucket in table.items()}
+        for stream, table in tmp.items()
+    }
+
+
+def key_counts(frozen) -> dict[str, dict[int, int]]:
+    """``{stream: {key: tuple count}}`` histograms of every input of a
+    snapshot of either format (a stream without rows maps to ``{}``); a
+    column snapshot's in one pass over its rows, boxing none."""
+    if not isinstance(frozen, FrozenColumnGroup):
+        return {stream: {key: len(bucket) for key, bucket in table.items()}
+                for stream, table in frozen.data.items()}
+    n = frozen.nrows
+    tables: list[dict[int, int]] = [{} for __ in frozen.streams]
+    for sid, key in zip(frozen.row_sid[:n], frozen.row_key[:n]):
+        table = tables[sid]
+        table[key] = table.get(key, 0) + 1
+    return dict(zip(frozen.streams, tables))
+
+
+def merge_missing_results(parts, streams, *, window: float | None = None
+                          ) -> list[JoinResult]:
+    """Materialise the missing results across the parts of one partition
+    ID — the row-format reference of
+    :func:`~repro.core.cleanup.merge_missing`.
+
+    For each new part ``P`` the mixed delta is enumerated explicitly: every
+    per-stream choice of source in ``{U, P}`` except all-U (emitted by an
+    earlier delta or at run time) and all-P (emitted at run time within the
+    part's live instance).  ``2^m − 2`` combinations for an m-way join.
+
+    For a *windowed* join pass ``window``: combinations whose tuples span
+    more than ``window`` seconds are filtered out, matching the run-time
+    probe semantics.
+    """
+    if len(parts) < 2:
+        return []
+    cumulative: dict[str, dict[int, list[StreamTuple]]] = {s: {} for s in streams}
+    results: list[JoinResult] = []
+    m = len(streams)
+    for i, part in enumerate(parts):
+        view = bucket_view(part)
+        part_lists = {s: view.get(s, {}) for s in streams}
+        if i > 0:
+            for mask in range(1, (1 << m) - 1):
+                # bit j set -> stream j drawn from the new part P
+                sources = [
+                    part_lists[s] if (mask >> j) & 1 else cumulative[s]
+                    for j, s in enumerate(streams)
+                ]
+                keys = set(sources[0])
+                for src in sources[1:]:
+                    keys &= set(src)
+                for key in keys:
+                    lists = [src[key] for src in sources]
+                    for combo in product(*lists):
+                        if window is not None:
+                            ts_values = [t.ts for t in combo]
+                            if max(ts_values) - min(ts_values) > window:
+                                continue
+                        results.append(
+                            JoinResult(key=key, parts=tuple(combo), ts=combo[0].ts)
+                        )
+        for s in streams:
+            dst = cumulative[s]
+            for key, bucket in part_lists[s].items():
+                dst.setdefault(key, []).extend(bucket)
+    return results
 
 
 def _build_frozen(pid: int, streams: tuple[str, ...], generation: int,
@@ -84,8 +169,8 @@ def split_frozen(frozen, children: tuple[int, int], chooser
     """Partition a frozen group's key range into two child snapshots.
 
     ``chooser(key)`` returns the child index (0 or 1) — the refinement bit
-    the routing trie will consult for this node.  Works on any snapshot
-    exposing the ``data`` mapping interface (row-format or columnar).
+    the routing trie will consult for this node.  Works on a snapshot of
+    either format (read through :func:`bucket_view`).
 
     Accounting follows the windowed-purge pattern: the parent's lifetime
     ``output_count`` is attributed uniformly across its payload bytes and
@@ -95,8 +180,9 @@ def split_frozen(frozen, children: tuple[int, int], chooser
     """
     streams = tuple(frozen.streams)
     datas: tuple[dict, dict] = ({s: {} for s in streams}, {s: {} for s in streams})
+    view = bucket_view(frozen)
     for stream in streams:
-        for key, bucket in frozen.data[stream].items():
+        for key, bucket in view[stream].items():
             datas[chooser(key)][stream][key] = tuple(bucket)
     payloads = [
         sum(tup.size for t in d.values() for b in t.values() for tup in b)
@@ -129,9 +215,10 @@ def merge_frozen(parent: int, parts) -> FrozenPartitionGroup:
     for part in parts:
         if tuple(part.streams) != streams:
             raise ValueError("cannot merge snapshots of different joins")
+        view = bucket_view(part)
         for stream in streams:
             table = data[stream]
-            for key, bucket in part.data[stream].items():
+            for key, bucket in view[stream].items():
                 if key in table:
                     merged = sorted(
                         list(table[key]) + list(bucket),
@@ -167,8 +254,9 @@ def rebucket_frozen(frozen, route) -> dict[int, FrozenPartitionGroup]:
     datas: dict[int, dict[str, dict[int, tuple[StreamTuple, ...]]]] = {
         pid: {s: {} for s in streams} for pid in sorted(pids)
     }
+    view = bucket_view(frozen)
     for stream in streams:
-        for key, bucket in frozen.data[stream].items():
+        for key, bucket in view[stream].items():
             datas[route(key)][stream][key] = tuple(bucket)
     payloads = {
         pid: sum(tup.size for t in d.values() for b in t.values() for tup in b)

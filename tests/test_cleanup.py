@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 from repro.cluster.disk import Disk, SpillSegment
 from repro.cluster.machine import Machine
 from repro.cluster.simulation import Simulator
-from repro.core.cleanup import (
-    CleanupExecutor,
-    merge_missing_count,
-    merge_missing_results,
-)
+from repro.core.cleanup import CleanupExecutor, merge_missing
 from repro.core.config import CostModel
+from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.reference import reference_join, result_idents
 from repro.engine.state_store import StateStore
 from repro.engine.tuples import StreamTuple
 
-from tests.row_group import PartitionGroup
+from tests.helpers import small_deployment
 
 STREAMS = ("A", "B", "C")
 
@@ -40,7 +37,7 @@ def build_parts(arrival_groups):
     runtime = set()
     seq = 0
     for arrivals in arrival_groups:
-        group = PartitionGroup(0, STREAMS, generation=len(parts))
+        group = ColumnarPartitionGroup(0, STREAMS, generation=len(parts))
         for stream, key in arrivals:
             t = tup(stream, seq, key)
             seq += 1
@@ -49,6 +46,14 @@ def build_parts(arrival_groups):
             runtime.update(r.ident for r in results)
         parts.append(group.freeze())
     return parts, runtime
+
+
+def merge_missing_count(parts, streams):
+    return merge_missing(parts, streams)[0]
+
+
+def merge_missing_results(parts, streams):
+    return merge_missing(parts, streams, materialize=True)[1]
 
 
 def all_tuples(parts):
@@ -256,3 +261,19 @@ class TestCleanupExecutor:
             disks2, {0: ("m1", store2.state_of(0))}, materialize=True
         )
         assert counted == len(report.results)
+
+
+def test_deployment_cleanup_runs_once():
+    """A second ``Deployment.cleanup`` raises, as a second ``run`` does,
+    instead of charging every segment's read again and recording a second
+    cleanup event."""
+    dep = small_deployment(memory_threshold=20_000)
+    dep.run(40)
+    dep.cleanup()
+    read = {name: disk.stats.bytes_read for name, disk in dep.disks.items()}
+    assert all(read.values())
+    with pytest.raises(RuntimeError, match="cleanup already ran"):
+        dep.cleanup(materialize=True)
+    assert read == {name: disk.stats.bytes_read
+                    for name, disk in dep.disks.items()}
+    assert dep.metrics.events.count("cleanup") == 1

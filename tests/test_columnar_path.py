@@ -50,7 +50,7 @@ from repro.obs.trace import Tracer
 from repro.workloads import WorkloadSpec, three_way_join
 
 from tests.helpers import canonical_frozen, feed_rows, small_deployment
-from tests.row_group import PartitionGroup
+from tests.row_group import PartitionGroup, key_counts
 
 STREAMS = ("A", "B", "C")
 
@@ -697,7 +697,7 @@ def assert_counts_match(frozen, live):
     """The snapshot's derived counts equal the live table it was frozen
     from: the per-stream histograms, and a thaw's table key for key in the
     same order."""
-    assert frozen.key_counts() == live_histograms(live)
+    assert key_counts(frozen) == live_histograms(live)
     thawed = ColumnarPartitionGroup.thaw(frozen)
     assert list(thawed._counts.items()) == list(live._counts.items())
 
@@ -1470,7 +1470,7 @@ def frozen_columns(frozen):
     return (
         frozen.pid, frozen.generation, frozen.tuple_count, frozen.size_bytes,
         frozen.output_count, n, frozen.row_sid[:n], frozen.row_seq[:n],
-        frozen.row_key[:n], frozen.row_ts[:n], frozen.key_counts(),
+        frozen.row_key[:n], frozen.row_ts[:n], key_counts(frozen),
         frozen.usize, frozen.row_size and frozen.row_size[:n],
         frozen.row_payload and frozen.row_payload[:n],
     )

@@ -95,22 +95,22 @@ def test_four_way_cleanup_merges_fourteen_combinations():
     """For m=4 the mixed delta enumerates 2^4−2 = 14 source combinations;
     a two-part split with one tuple per stream per part must recover
     2^4 − 2 within-part results."""
-    from repro.core.cleanup import merge_missing_results
-    from tests.row_group import PartitionGroup
+    from repro.core.cleanup import merge_missing
+    from repro.engine.columns import ColumnarPartitionGroup
     from repro.engine.tuples import StreamTuple
 
     streams = ("A", "B", "C", "D")
     parts = []
     seq = 0
     for generation in range(2):
-        group = PartitionGroup(0, streams, generation=generation)
+        group = ColumnarPartitionGroup(0, streams, generation=generation)
         for stream in streams:
             tup = StreamTuple(stream=stream, seq=seq, key=1, ts=float(seq))
             seq += 1
             __, results = group.probe(tup, materialize=True)
             group.insert(tup)
         parts.append(group.freeze())
-    missing = merge_missing_results(parts, streams)
+    __, missing = merge_missing(parts, streams, materialize=True)
     # reference: 2 tuples/stream -> 2^4 = 16 results; 1 produced at run
     # time within each part -> 14 missing
     assert len(missing) == 14

@@ -252,3 +252,30 @@ class TestCli:
                      "--ledger", str(mutated)])
         assert code == 1
         assert "violation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["report"], None),
+    (["report"], '{"kind": "meta"}\nnot json\n'),
+    (["report"], '{"kind": "meta"}\n[1, 2, 3]\n'),
+    (["check", "--trace"], None),
+    (["check", "--trace"], "not json\n"),
+    (["check", "--trace"], '{"kind": "meta"}\n'),
+], ids=["report-missing-file", "report-not-json", "report-not-a-record",
+        "check-missing-file", "check-not-json", "check-not-an-event"])
+def test_cli_bad_input_is_one_error_line_and_exit_2(argv, content, tmp_path,
+                                                    capsys):
+    """A missing file, a line that is not JSON and a JSON line that is not
+    a record of the file's kind end the command with one ``error:`` line
+    on stderr and exit code 2 — not a traceback, and not the exit code 1
+    that ``check`` reserves for violations found."""
+    from repro.obs.__main__ import main
+
+    path = tmp_path / "input.jsonl"
+    if content is not None:
+        path.write_text(content)
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -238,6 +238,23 @@ class TestPipelineCleanup:
         materialized = run(True).final_missing
         assert counted == materialized
 
+    def test_second_cleanup_raises(self):
+        """The phase runs once: a second call would charge every stage's
+        segment reads again and record a second cleanup per stage."""
+        dep = build_pipeline(strategy=StrategyName.NO_RELOCATION,
+                             threshold=4_000)
+        dep.run(duration=20, sample_interval=10)
+        dep.cleanup()
+        read = {name: disk.stats.bytes_read
+                for stage in dep.deployments.values()
+                for name, disk in stage.disks.items()}
+        assert any(read.values())
+        with pytest.raises(RuntimeError, match="cleanup already ran"):
+            dep.cleanup()
+        assert read == {name: disk.stats.bytes_read
+                        for stage in dep.deployments.values()
+                        for name, disk in stage.disks.items()}
+
 
 def skewed_spilling_pipeline(**kw):
     """LAZY_DISK with a skewed stage 1: spills and relocations at both

@@ -7,14 +7,17 @@ reference oracle.
 """
 
 from repro import AdaptationConfig, Deployment, StrategyName
-from repro.core.cleanup import merge_missing_results
+from repro.core.cleanup import merge_missing
+from repro.engine.columns import ColumnarPartitionGroup
 from repro.engine.reference import reference_join, result_idents
 from repro.engine.tuples import StreamTuple
 from repro.workloads import WorkloadSpec, three_way_join
 
-from tests.row_group import PartitionGroup
-
 STREAMS = ("A", "B", "C")
+
+
+def merge_missing_results(parts, streams, *, window=None):
+    return merge_missing(parts, streams, window=window, materialize=True)[1]
 
 
 class TestWindowedMerge:
@@ -22,7 +25,7 @@ class TestWindowedMerge:
         parts = []
         seq = 0
         for gen, arrivals in enumerate(arrivals_per_part):
-            group = PartitionGroup(0, STREAMS, generation=gen)
+            group = ColumnarPartitionGroup(0, STREAMS, generation=gen)
             for stream, key, ts in arrivals:
                 group.insert(StreamTuple(stream=stream, seq=seq, key=key,
                                          ts=ts))
